@@ -1,34 +1,29 @@
-// Compiled sparse EM kernel + CLUMP scan/Monte-Carlo rework, measured.
+// Production EH-DIALL and CLUMP Monte-Carlo timings.
 //
-// Sections, each echoed to stdout and recorded in BENCH_em_kernel.json
-// (the repo's machine-readable perf trajectory file):
-//   1. equivalence — compiled EM must reproduce the reference fitness
-//      bit-for-bit on random candidates (aborts on mismatch);
-//   2. EM kernel   — reference vs compiled EH-DIALL time on 6-locus
-//      candidates;
-//   3. warm start  — pooled EM iterations, cold vs blended warm start;
-//   4. Monte Carlo — CLUMP replicate wall time by worker count, with
-//      the worker-invariance of the p-values asserted;
-//   5. end-to-end  — an EM-dominated fitness evaluation (6-locus
-//      candidates, Monte-Carlo trials on) through the seed-equivalent
-//      baseline (visitor EM, per-column collapse_to_two T3/T4 scans,
-//      serial Monte Carlo) vs the optimized pipeline of this PR
-//      (compiled EM, warm-started pooled run, incremental 2×2 scans).
-//      Acceptance floor: 3x.
+// The compiled EM kernel is the only EM in the library; the dense
+// visitor-based reference it is held to bit for bit lives in
+// tests/support and is pinned by the EmKernel and PackedGenotype tests,
+// so nothing here compares against it. Sections, each echoed to stdout
+// and recorded in BENCH_em_kernel.json:
+//   1. EH-DIALL — three EM runs per candidate for 20 random 6- and
+//      10-locus candidates, analyzed as one batch (the evaluator's
+//      dispatch shape) on the scalar kernel and on the vector kernels
+//      with same-shape lockstep batching (EvaluatorConfig::simd_kernels
+//      off / on);
+//   2. Monte Carlo — CLUMP replicate wall time by worker count, with
+//      the worker-invariance of the p-values asserted.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bench_context.hpp"
 #include "genomics/synthetic.hpp"
 #include "stats/clump.hpp"
 #include "stats/eh_diall.hpp"
-#include "stats/em_kernel.hpp"
-#include "stats/evaluator.hpp"
-#include "stats/special.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -65,179 +60,41 @@ std::vector<std::vector<genomics::SnpIndex>> candidates(std::uint32_t count,
   return result;
 }
 
-// ---------------------------------------------------------------------
-// Seed-equivalent CLUMP baseline: the pre-PR T3/T4 scans materialize a
-// fresh 2-column table per candidate column, and the Monte-Carlo loop
-// is serial on the caller's RNG. Kept here (not in the library) as the
-// end-to-end comparison anchor.
-
-double naive_best_single(const stats::ContingencyTable& table) {
-  double best = 0.0;
-  for (std::uint32_t c = 0; c < table.cols(); ++c) {
-    best = std::max(
-        best, table.collapse_to_two({c}).pearson_chi_square().statistic);
+/// Best-of-5 wall time of one analyze_batch over `sets` (this box may
+/// be a single shared core).
+double batch_ms(const stats::EhDiall& eh,
+                const std::vector<std::vector<genomics::SnpIndex>>& sets) {
+  stats::EvalScratch scratch;
+  std::vector<stats::EhDiallResult> results(sets.size());
+  std::vector<std::string> errors(sets.size());
+  double best = 1e300;
+  for (std::uint32_t rep = 0; rep < 5; ++rep) {
+    Stopwatch watch;
+    eh.analyze_batch(sets, scratch, results, errors);
+    best = std::min(best, watch.elapsed_ms());
+    benchmark::DoNotOptimize(results.front().lrt);
   }
   return best;
 }
 
-double naive_best_group(const stats::ContingencyTable& table) {
-  double best = 0.0;
-  std::uint32_t seed_col = 0;
-  for (std::uint32_t c = 0; c < table.cols(); ++c) {
-    const double chi =
-        table.collapse_to_two({c}).pearson_chi_square().statistic;
-    if (chi > best) {
-      best = chi;
-      seed_col = c;
-    }
-  }
-  std::vector<std::uint32_t> group{seed_col};
-  std::vector<bool> used(table.cols(), false);
-  used[seed_col] = true;
-  bool improved = true;
-  while (improved && group.size() + 1 < table.cols()) {
-    improved = false;
-    double round_best = best;
-    std::uint32_t round_col = 0;
-    for (std::uint32_t c = 0; c < table.cols(); ++c) {
-      if (used[c]) continue;
-      group.push_back(c);
-      const double chi =
-          table.collapse_to_two(group).pearson_chi_square().statistic;
-      group.pop_back();
-      if (chi > round_best) {
-        round_best = chi;
-        round_col = c;
-        improved = true;
-      }
-    }
-    if (improved) {
-      best = round_best;
-      group.push_back(round_col);
-      used[round_col] = true;
-    }
-  }
-  return best;
-}
-
-/// Pre-PR-shaped CLUMP analysis: T1/T3/T4 observed + serial Monte
-/// Carlo with per-replicate naive scans (T2 omitted: identical on both
-/// sides of the end-to-end comparison and not part of the fitness).
-double naive_clump_fitness(const stats::ContingencyTable& raw,
-                           std::uint32_t trials, Rng& rng) {
-  const stats::ContingencyTable table = raw.drop_empty_columns();
-  const double t1 = table.pearson_chi_square().statistic;
-  const double t3 = naive_best_single(table);
-  const double t4 = naive_best_group(table);
-  std::uint32_t ge = 0;
-  for (std::uint32_t trial = 0; trial < trials; ++trial) {
-    const stats::ContingencyTable null = table.sample_null(rng);
-    if (null.pearson_chi_square().statistic >= t1) ++ge;
-    benchmark::DoNotOptimize(naive_best_single(null) >= t3);
-    benchmark::DoNotOptimize(naive_best_group(null) >= t4);
-  }
-  return t1 + static_cast<double>(ge) * 0.0;
-}
-
-// ---------------------------------------------------------------------
-
-/// Bit-for-bit fitness equivalence, compiled vs reference EM, before
-/// any timing: a fast wrong kernel is worthless.
-void verify_equivalence(std::FILE* json) {
-  stats::EvaluatorConfig reference_config;
-  reference_config.compiled_em = false;
-  const stats::HaplotypeEvaluator reference(cohort().dataset,
-                                            reference_config);
-  const stats::HaplotypeEvaluator compiled(cohort().dataset);
-  Rng rng(20040426);
-  std::uint32_t checked = 0;
-  for (std::uint32_t size = 2; size <= 6; ++size) {
-    for (std::uint32_t trial = 0; trial < 15; ++trial) {
-      const auto snps = rng.sample_without_replacement(
-          cohort().dataset.genotypes().snp_count(), size);
-      const auto ref = reference.evaluate_full(snps);
-      const auto fast = compiled.evaluate_full(snps);
-      if (ref.fitness != fast.fitness || ref.lrt != fast.lrt ||
-          ref.em_iterations_total != fast.em_iterations_total) {
-        std::fprintf(stderr,
-                     "FATAL: compiled/reference mismatch at size %u: "
-                     "fitness %.17g vs %.17g, lrt %.17g vs %.17g\n",
-                     size, fast.fitness, ref.fitness, fast.lrt, ref.lrt);
-        std::exit(1);
-      }
-      ++checked;
-    }
-  }
-  std::printf("equivalence: %u random candidates (sizes 2-6), compiled == "
-              "reference bit-for-bit\n",
-              checked);
-  std::fprintf(json, "  \"equivalence_candidates_checked\": %u,\n", checked);
-}
-
-void report_em_kernel(std::FILE* json) {
-  // Random synthetic candidates are the kernel's worst case: near
-  // max-entropy tables reach almost every haplotype, so the support is
-  // nearly dense and the win is bounded by the (bit-exactness-pinned)
-  // E-step. It grows with candidate size as the reference's dense 2^k
-  // bookkeeping starts to bite. Min over repetitions: this box is a
-  // single shared core.
+void report_eh_diall(std::FILE* json) {
+  const stats::EhDiall scalar(cohort().dataset, {}, /*simd_kernels=*/false);
+  const stats::EhDiall vector(cohort().dataset, {}, /*simd_kernels=*/true);
   for (const std::uint32_t size : {6u, 10u}) {
     const auto sets = candidates(20, size, 42);
-    const stats::EhDiall reference(cohort().dataset, {}, false);
-    const stats::EhDiall compiled(cohort().dataset, {}, true);
-    double ref_ms = 1e300;
-    double compiled_ms = 1e300;
-    for (std::uint32_t rep = 0; rep < 5; ++rep) {
-      Stopwatch ref_watch;
-      for (const auto& snps : sets) {
-        benchmark::DoNotOptimize(reference.analyze(snps).lrt);
-      }
-      ref_ms = std::min(ref_ms, ref_watch.elapsed_ms());
-      Stopwatch compiled_watch;
-      for (const auto& snps : sets) {
-        benchmark::DoNotOptimize(compiled.analyze(snps).lrt);
-      }
-      compiled_ms = std::min(compiled_ms, compiled_watch.elapsed_ms());
-    }
-    std::printf("EH-DIALL (3 EM runs), %zu %u-locus candidates: reference "
-                "%.1f ms, compiled %.1f ms — %.2fx\n",
-                sets.size(), size, ref_ms, compiled_ms,
-                ref_ms / compiled_ms);
+    const double scalar_ms = batch_ms(scalar, sets);
+    const double simd_ms = batch_ms(vector, sets);
+    std::printf("EH-DIALL (3 EM runs), %zu %u-locus candidates: scalar "
+                "%.1f ms, simd batched %.1f ms (level %s) — %.2fx\n",
+                sets.size(), size, scalar_ms, simd_ms,
+                util::simd_level_name(util::simd_level()),
+                scalar_ms / simd_ms);
     std::fprintf(json,
-                 "  \"em_reference_ms_k%u\": %.3f,\n"
-                 "  \"em_compiled_ms_k%u\": %.3f,\n"
-                 "  \"em_speedup_k%u\": %.3f,\n",
-                 size, ref_ms, size, compiled_ms, size,
-                 ref_ms / compiled_ms);
+                 "  \"em_scalar_ms_k%u\": %.3f,\n"
+                 "  \"em_simd_ms_k%u\": %.3f,\n"
+                 "  \"em_simd_speedup_k%u\": %.3f,\n",
+                 size, scalar_ms, size, simd_ms, size, scalar_ms / simd_ms);
   }
-}
-
-void report_warm_start(std::FILE* json) {
-  const auto sets = candidates(30, 6, 43);
-  const stats::EhDiall cold(cohort().dataset, {}, true, false);
-  const stats::EhDiall warm(cohort().dataset, {}, true, true);
-  std::uint64_t cold_iterations = 0;
-  std::uint64_t warm_iterations = 0;
-  std::uint32_t warm_used = 0;
-  for (const auto& snps : sets) {
-    cold_iterations += cold.analyze(snps).pooled.iterations;
-    const auto result = warm.analyze(snps);
-    warm_iterations += result.pooled.iterations;
-    warm_used += result.pooled_warm_started ? 1 : 0;
-  }
-  std::printf("pooled EM warm start, %zu candidates: cold %llu iterations, "
-              "warm %llu (%.0f%% saved, warm start used on %u/%zu)\n",
-              sets.size(), static_cast<unsigned long long>(cold_iterations),
-              static_cast<unsigned long long>(warm_iterations),
-              100.0 * (1.0 - static_cast<double>(warm_iterations) /
-                                 static_cast<double>(cold_iterations)),
-              warm_used, sets.size());
-  std::fprintf(json,
-               "  \"pooled_cold_iterations\": %llu,\n"
-               "  \"pooled_warm_iterations\": %llu,\n"
-               "  \"pooled_warm_start_used\": %u,\n",
-               static_cast<unsigned long long>(cold_iterations),
-               static_cast<unsigned long long>(warm_iterations), warm_used);
 }
 
 void report_monte_carlo(std::FILE* json) {
@@ -271,60 +128,13 @@ void report_monte_carlo(std::FILE* json) {
     std::fprintf(json, "%s\"%u\": %.3f", first ? "" : ", ", workers, ms);
     first = false;
   }
-  std::fprintf(json, "},\n");
-}
-
-void report_end_to_end(std::FILE* json) {
-  const auto sets = candidates(8, 6, 45);
-  constexpr std::uint32_t kTrials = 300;
-
-  // Baseline: visitor EM, naive per-column collapse scans, serial MC.
-  const stats::EhDiall baseline_eh(cohort().dataset, {}, false);
-  Stopwatch baseline_watch;
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    const auto eh = baseline_eh.analyze(sets[i]);
-    Rng rng(1000 + i);
-    benchmark::DoNotOptimize(
-        naive_clump_fitness(eh.to_contingency_table(), kTrials, rng));
-  }
-  const double baseline_ms = baseline_watch.elapsed_ms();
-
-  // Optimized: compiled EM + warm-started pooled run + incremental 2×2
-  // scans (+ pooled Monte-Carlo workers where the hardware has them).
-  const stats::EhDiall optimized_eh(cohort().dataset, {}, true, true);
-  stats::ClumpConfig clump_config;
-  clump_config.monte_carlo_trials = kTrials;
-  clump_config.monte_carlo_workers = 0;  // hardware concurrency
-  const stats::Clump optimized_clump(clump_config);
-  Stopwatch optimized_watch;
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    const auto eh = optimized_eh.analyze(sets[i]);
-    Rng rng(1000 + i);
-    benchmark::DoNotOptimize(
-        optimized_clump.analyze(eh.to_contingency_table(), rng)
-            .t1.statistic);
-  }
-  const double optimized_ms = optimized_watch.elapsed_ms();
-
-  const double speedup = baseline_ms / optimized_ms;
-  std::printf("end-to-end fitness evaluation (6-locus, %u MC trials, %zu "
-              "candidates): baseline %.1f ms, optimized %.1f ms — %.2fx "
-              "(acceptance floor: 3x)\n",
-              kTrials, sets.size(), baseline_ms, optimized_ms, speedup);
-  std::fprintf(json,
-               "  \"end_to_end_baseline_ms\": %.3f,\n"
-               "  \"end_to_end_optimized_ms\": %.3f,\n"
-               "  \"end_to_end_speedup\": %.3f\n",
-               baseline_ms, optimized_ms, speedup);
-  if (speedup < 3.0) {
-    std::fprintf(stderr, "WARNING: end-to-end speedup below the 3x floor\n");
-  }
+  std::fprintf(json, "}\n");
 }
 
 }  // namespace
 
 int main() {
-  std::printf("=== Compiled sparse EM kernel vs visitor reference ===\n\n");
+  std::printf("=== EH-DIALL and CLUMP Monte Carlo ===\n\n");
   std::FILE* json = std::fopen("BENCH_em_kernel.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "FATAL: cannot open BENCH_em_kernel.json\n");
@@ -334,13 +144,10 @@ int main() {
   ldga::bench::write_machine_context(json);
   std::fprintf(
       json,
-      "  \"workload\": \"60 SNPs, 300+300 individuals, 6-locus candidates\","
-      "\n");
-  verify_equivalence(json);
-  report_em_kernel(json);
-  report_warm_start(json);
+      "  \"workload\": \"60 SNPs, 300+300 individuals, 20 random 6- and "
+      "10-locus candidates\",\n");
+  report_eh_diall(json);
   report_monte_carlo(json);
-  report_end_to_end(json);
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("\nwrote BENCH_em_kernel.json\n");

@@ -1,36 +1,25 @@
-// End-to-end GA wall time with the incremental evaluation pipeline.
+// End-to-end GA wall time of the evaluation pipeline.
 //
 // A seed-pinned full GA run on an EM-dominated Monte-Carlo workload
 // (60 SNPs, 300+300 individuals, up to 6-locus candidates, T3 fitness
 // with CLUMP Monte-Carlo p-values), three ways:
-//   1. baseline  — pattern cache off, warm starts off, fixed-replicate
-//      Monte Carlo (the pre-PR per-candidate pipeline);
-//   2. exact     — pattern cache on, everything else off. Gate: this
-//      run must walk the bit-for-bit identical trajectory to the
-//      baseline (same individuals, same fitness doubles, same
-//      generation count) — aborts on mismatch;
-//   3. FP-kernel legs (cache on, early-stop MC, warm starts OFF so the
-//      candidate-batched dispatcher is eligible — warm-started EM is
-//      route-dependent, so batching only covers cold solves):
-//        a. no-simd      — scalar per-candidate kernels;
-//        b. simd         — vector kernels, per-candidate dispatch
-//                          (batch_kernels off);
-//        c. simd+batched — the default configuration: vector kernels
-//                          over candidate-grouped SoA EM and
-//                          replicate-batched CLUMP columns.
-//      Statistics agree with each other to ~1e-9; the trajectory gate
-//      applies to run 2 only. ga_simd_speedup = a / c is the number
-//      the simd_kernels default-on decision rests on (acceptance
-//      1.3x, CI floor 1.0x); ga_batch_speedup = b / c isolates what
-//      batching added on top of the same vector kernels.
-//   4. optimized — pattern cache + parent warm starts + early-stopping
-//      Monte Carlo + simd (the prior PR configuration; warm starts
-//      suppress batching).
+//   1. baseline — simd_kernels off, fixed-replicate Monte Carlo: the
+//      scalar reference pipeline;
+//   2. no-simd  — simd_kernels off, early-stopping Monte Carlo;
+//   3. simd     — the default configuration (vector kernels over
+//      candidate-grouped SoA EM and replicate-batched CLUMP) with
+//      early-stopping Monte Carlo.
+// ga_speedup = 1 / 3 is the headline against the default configuration
+// (acceptance 2x, CI floor 1.5x); ga_simd_speedup = 2 / 3 is what the
+// simd_kernels default-on decision rests on (acceptance 1.3x, CI floor
+// 1.0x). Statistics of the legs agree to ~1e-9.
 //
-// Results land in BENCH_ga_e2e.json (speedups plus the cache /
-// warm-start / Monte-Carlo / batch counters behind them). Acceptance:
-// >= 2x end-to-end, hard floor 1.5x (the CI smoke job compares against
-// the committed baseline at the floor).
+// Gate: every reported best individual of every leg is re-scored on a
+// fresh evaluator of the same configuration — a batch of one — and must
+// reproduce its fitness bit for bit, whatever batch it was scored in
+// during the run. The bench exits nonzero on a mismatch.
+//
+// Results land in BENCH_ga_e2e.json.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -66,18 +55,12 @@ const genomics::SyntheticDataset& cohort() {
 /// stop threshold sits where most candidates — strongly significant
 /// ones near p ~ 0 and null ones with p spread over (0,1) — decide
 /// within the first batches.
-stats::EvaluatorConfig evaluator_config(bool pattern_cache, bool warm_starts,
-                                        bool early_stop,
-                                        bool simd_kernels = false,
-                                        bool batch_kernels = true) {
+stats::EvaluatorConfig evaluator_config(bool early_stop, bool simd_kernels) {
   stats::EvaluatorConfig config;
   config.simd_kernels = simd_kernels;
-  config.batch_kernels = batch_kernels;
   config.fitness_statistic = stats::FitnessStatistic::T3;
   config.clump.monte_carlo_trials = 1200;
   config.clump.monte_carlo_workers = 1;
-  config.incremental.pattern_cache = pattern_cache;
-  config.incremental.warm_start_parents = warm_starts;
   if (early_stop) {
     config.clump.mc_early_stop = true;
     config.clump.mc_min_batch = 64;
@@ -117,30 +100,27 @@ TimedRun run_ga(const stats::EvaluatorConfig& evaluator_config) {
   return timed;
 }
 
-/// The pattern cache is a construction shortcut, never a semantic
-/// change: with warm starts and early stopping off its trajectory must
-/// be bit-for-bit the baseline's. A fast wrong cache is worthless.
-void gate_equivalence(const ga::GaResult& baseline,
-                      const ga::GaResult& exact) {
-  if (baseline.generations != exact.generations ||
-      baseline.best_by_size.size() != exact.best_by_size.size()) {
-    std::fprintf(stderr, "FATAL: cached run diverged in shape\n");
-    std::exit(1);
-  }
-  for (std::size_t i = 0; i < baseline.best_by_size.size(); ++i) {
-    const auto& expect = baseline.best_by_size[i];
-    const auto& got = exact.best_by_size[i];
-    if (!expect.same_snps(got) || expect.fitness() != got.fitness()) {
+/// Re-scores every reported best on a fresh evaluator; returns how many
+/// were checked. A fitness that depends on its batch is a bug.
+std::size_t gate_rescore(const char* leg, const ga::GaResult& result,
+                         const stats::EvaluatorConfig& config) {
+  for (const auto& best : result.best_by_size) {
+    const stats::HaplotypeEvaluator fresh(cohort().dataset, config);
+    const double rescored = fresh.fitness(best.snps());
+    if (rescored != best.fitness()) {
       std::fprintf(stderr,
-                   "FATAL: cached run diverged at size slot %zu: fitness "
-                   "%.17g vs %.17g\n",
-                   i, got.fitness(), expect.fitness());
+                   "FATAL: %s leg best %s re-scored to %.17g, reported "
+                   "%.17g\n",
+                   leg, best.to_string().c_str(), rescored, best.fitness());
       std::exit(1);
     }
   }
-  std::printf("equivalence: cached GA trajectory is bit-for-bit the "
-              "baseline's (%u generations, %zu size slots)\n",
-              baseline.generations, baseline.best_by_size.size());
+  return result.best_by_size.size();
+}
+
+double median_ms(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
 }
 
 double rate(std::uint64_t part, std::uint64_t whole) {
@@ -151,95 +131,63 @@ double rate(std::uint64_t part, std::uint64_t whole) {
 }  // namespace
 
 int main() {
-  std::printf("=== End-to-end GA: incremental evaluation pipeline ===\n\n");
+  std::printf("=== End-to-end GA: evaluation pipeline ===\n\n");
 
-  const TimedRun baseline = run_ga(evaluator_config(false, false, false));
-  std::printf("baseline  (cache off, warm off, fixed MC): %.1f ms, %llu "
-              "evaluations\n",
+  const stats::EvaluatorConfig baseline_config = evaluator_config(false, false);
+  const stats::EvaluatorConfig nosimd_config = evaluator_config(true, false);
+  const stats::EvaluatorConfig simd_config = evaluator_config(true, true);
+
+  const TimedRun baseline = run_ga(baseline_config);
+  std::printf("baseline (simd off, fixed MC): %.1f ms, %llu evaluations\n",
               baseline.ms,
               static_cast<unsigned long long>(baseline.result.evaluations));
 
-  const TimedRun exact = run_ga(evaluator_config(true, false, false));
-  std::printf("exact     (cache on,  warm off, fixed MC): %.1f ms\n",
-              exact.ms);
-  gate_equivalence(baseline.result, exact.result);
-
-  // The FP-kernel comparison is the finest-grained one here, so a
-  // single run each would be dominated by host jitter: interleave
-  // three runs per leg and keep each leg's median, which cancels slow
-  // drift. Warm starts stay off in these three legs — warm-started EM
-  // solves are route-dependent, so the batched dispatcher only covers
-  // cold solves, and these legs measure exactly the FP decision.
-  std::vector<double> nosimd_samples, unbatched_samples, batched_samples,
-      optimized_samples;
-  TimedRun nosimd, unbatched, batched, optimized;
+  // The simd comparison is the finest-grained one here, so a single
+  // run each would be dominated by host jitter: interleave three runs
+  // per leg and keep each leg's median, which cancels slow drift.
+  std::vector<double> nosimd_samples, simd_samples;
+  TimedRun nosimd, simd;
   for (int rep = 0; rep < 3; ++rep) {
-    nosimd = run_ga(evaluator_config(true, false, true, false));
+    nosimd = run_ga(nosimd_config);
     nosimd_samples.push_back(nosimd.ms);
-    unbatched = run_ga(evaluator_config(true, false, true, true, false));
-    unbatched_samples.push_back(unbatched.ms);
-    batched = run_ga(evaluator_config(true, false, true, true));
-    batched_samples.push_back(batched.ms);
-    optimized = run_ga(evaluator_config(true, true, true, true));
-    optimized_samples.push_back(optimized.ms);
+    simd = run_ga(simd_config);
+    simd_samples.push_back(simd.ms);
   }
-  std::sort(nosimd_samples.begin(), nosimd_samples.end());
-  std::sort(unbatched_samples.begin(), unbatched_samples.end());
-  std::sort(batched_samples.begin(), batched_samples.end());
-  std::sort(optimized_samples.begin(), optimized_samples.end());
-  nosimd.ms = nosimd_samples[nosimd_samples.size() / 2];
-  unbatched.ms = unbatched_samples[unbatched_samples.size() / 2];
-  batched.ms = batched_samples[batched_samples.size() / 2];
-  optimized.ms = optimized_samples[optimized_samples.size() / 2];
+  nosimd.ms = median_ms(nosimd_samples);
+  simd.ms = median_ms(simd_samples);
 
-  const double simd_speedup = nosimd.ms / batched.ms;
-  const double batch_speedup = unbatched.ms / batched.ms;
+  const std::size_t rescored =
+      gate_rescore("baseline", baseline.result, baseline_config) +
+      gate_rescore("no-simd", nosimd.result, nosimd_config) +
+      gate_rescore("simd", simd.result, simd_config);
+  std::printf("gate: %zu reported bests re-scored bit-for-bit on fresh "
+              "evaluators\n",
+              rescored);
+
+  const double speedup = baseline.ms / simd.ms;
+  const double simd_speedup = nosimd.ms / simd.ms;
+  const auto& cache = simd.result.cache_stats;
+  const std::uint64_t mc_total =
+      simd.result.mc_replicates_run + simd.result.mc_replicates_saved;
   std::printf(
-      "no-simd       (cache on, warm off, early-stop MC): %.1f ms "
-      "(median of 3)\n"
-      "simd          (+ vector kernels, per-candidate):   %.1f ms\n"
-      "simd+batched  (+ candidate/replicate batching, level %s): %.1f ms "
-      "— %.2fx vs no-simd (acceptance 1.3x, floor 1x), %.2fx vs "
-      "unbatched simd\n"
+      "no-simd (simd off, early-stop MC): %.1f ms (median of 3)\n"
+      "simd    (default, level %s):   %.1f ms — %.2fx vs baseline "
+      "(acceptance 2x, floor 1.5x), %.2fx vs no-simd (acceptance 1.3x, "
+      "floor 1x)\n"
       "  batched EM: %llu runs covering %llu lanes (%.1f lanes/run); "
-      "batched MC replicates: %llu\n",
-      nosimd.ms, unbatched.ms, util::simd_level_name(util::simd_level()),
-      batched.ms, simd_speedup, batch_speedup,
-      static_cast<unsigned long long>(batched.result.em_batch_runs),
-      static_cast<unsigned long long>(batched.result.em_batch_lanes),
-      batched.result.em_batch_runs == 0
-          ? 0.0
-          : static_cast<double>(batched.result.em_batch_lanes) /
-                static_cast<double>(batched.result.em_batch_runs),
-      static_cast<unsigned long long>(batched.result.mc_batched_replicates));
-
-  const auto& pattern = optimized.result.pattern_cache;
-  const auto& cache = optimized.result.cache_stats;
-  const std::uint64_t mc_total = optimized.result.mc_replicates_run +
-                                 optimized.result.mc_replicates_saved;
-  const double incremental_rate =
-      rate(pattern.extended + pattern.projected,
-           pattern.extended + pattern.projected + pattern.fresh);
-  const double speedup = baseline.ms / optimized.ms;
-  std::printf(
-      "optimized (cache + warm starts + early-stop MC + simd): %.1f ms — "
-      "%.2fx vs baseline (acceptance 2x, floor 1.5x)\n"
-      "  pattern tables: %llu extended, %llu projected, %llu fresh "
-      "(%.0f%% incremental)\n"
-      "  fitness cache: %.0f%% hit rate; warm starts kept %llu / fell "
-      "back %llu\n"
-      "  Monte Carlo: %llu of %llu replicates run (%.0f%% saved)\n",
-      optimized.ms, speedup,
-      static_cast<unsigned long long>(pattern.extended),
-      static_cast<unsigned long long>(pattern.projected),
-      static_cast<unsigned long long>(pattern.fresh),
-      100.0 * incremental_rate,
+      "batched MC replicates: %llu\n"
+      "  fitness cache: %.0f%% hit rate; Monte Carlo: %llu of %llu "
+      "replicates run (%.0f%% saved)\n",
+      nosimd.ms, util::simd_level_name(util::simd_level()), simd.ms, speedup,
+      simd_speedup,
+      static_cast<unsigned long long>(simd.result.em_batch_runs),
+      static_cast<unsigned long long>(simd.result.em_batch_lanes),
+      rate(simd.result.em_batch_lanes, simd.result.em_batch_runs),
+      static_cast<unsigned long long>(simd.result.mc_batched_replicates),
       100.0 * rate(cache.hits, cache.hits + cache.misses),
-      static_cast<unsigned long long>(pattern.warm_starts),
-      static_cast<unsigned long long>(pattern.warm_fallbacks),
-      static_cast<unsigned long long>(optimized.result.mc_replicates_run),
+      static_cast<unsigned long long>(simd.result.mc_replicates_run),
       static_cast<unsigned long long>(mc_total),
-      100.0 * rate(optimized.result.mc_replicates_saved, mc_total));
+      100.0 * rate(simd.result.mc_replicates_saved, mc_total));
 
   std::FILE* json = std::fopen("BENCH_ga_e2e.json", "w");
   if (json == nullptr) {
@@ -255,53 +203,29 @@ int main() {
       "  \"ga_generations\": %u,\n"
       "  \"ga_evaluations\": %llu,\n"
       "  \"ga_baseline_ms\": %.3f,\n"
-      "  \"ga_exact_cache_ms\": %.3f,\n"
-      "  \"ga_optimized_nosimd_ms\": %.3f,\n"
-      "  \"ga_simd_unbatched_ms\": %.3f,\n"
-      "  \"ga_simd_batched_ms\": %.3f,\n"
-      "  \"ga_optimized_ms\": %.3f,\n"
+      "  \"ga_nosimd_ms\": %.3f,\n"
+      "  \"ga_simd_ms\": %.3f,\n"
       "  \"ga_speedup\": %.3f,\n"
       "  \"ga_simd_speedup\": %.3f,\n"
-      "  \"ga_batch_speedup\": %.3f,\n"
+      "  \"rescored_bests\": %zu,\n"
       "  \"em_batch_runs\": %llu,\n"
       "  \"em_batch_lanes\": %llu,\n"
       "  \"mc_batched_replicates\": %llu,\n"
-      "  \"pattern_entry_reuses\": %llu,\n"
-      "  \"pattern_entry_builds\": %llu,\n"
-      "  \"pattern_extended\": %llu,\n"
-      "  \"pattern_projected\": %llu,\n"
-      "  \"pattern_fresh\": %llu,\n"
-      "  \"pattern_incremental_rate\": %.4f,\n"
-      "  \"provenance_hints\": %llu,\n"
       "  \"fitness_cache_hit_rate\": %.4f,\n"
-      "  \"warm_starts\": %llu,\n"
-      "  \"warm_fallbacks\": %llu,\n"
-      "  \"warm_start_rate\": %.4f,\n"
       "  \"mc_replicates_run\": %llu,\n"
       "  \"mc_replicates_saved\": %llu,\n"
       "  \"mc_saved_fraction\": %.4f\n"
       "}\n",
       baseline.result.generations,
       static_cast<unsigned long long>(baseline.result.evaluations),
-      baseline.ms, exact.ms, nosimd.ms, unbatched.ms, batched.ms,
-      optimized.ms, speedup, simd_speedup, batch_speedup,
-      static_cast<unsigned long long>(batched.result.em_batch_runs),
-      static_cast<unsigned long long>(batched.result.em_batch_lanes),
-      static_cast<unsigned long long>(batched.result.mc_batched_replicates),
-      static_cast<unsigned long long>(pattern.entry_reuses),
-      static_cast<unsigned long long>(pattern.entry_builds),
-      static_cast<unsigned long long>(pattern.extended),
-      static_cast<unsigned long long>(pattern.projected),
-      static_cast<unsigned long long>(pattern.fresh), incremental_rate,
-      static_cast<unsigned long long>(pattern.provenance_hints),
+      baseline.ms, nosimd.ms, simd.ms, speedup, simd_speedup, rescored,
+      static_cast<unsigned long long>(simd.result.em_batch_runs),
+      static_cast<unsigned long long>(simd.result.em_batch_lanes),
+      static_cast<unsigned long long>(simd.result.mc_batched_replicates),
       rate(cache.hits, cache.hits + cache.misses),
-      static_cast<unsigned long long>(pattern.warm_starts),
-      static_cast<unsigned long long>(pattern.warm_fallbacks),
-      rate(pattern.warm_starts,
-           pattern.warm_starts + pattern.warm_fallbacks),
-      static_cast<unsigned long long>(optimized.result.mc_replicates_run),
-      static_cast<unsigned long long>(optimized.result.mc_replicates_saved),
-      rate(optimized.result.mc_replicates_saved, mc_total));
+      static_cast<unsigned long long>(simd.result.mc_replicates_run),
+      static_cast<unsigned long long>(simd.result.mc_replicates_saved),
+      rate(simd.result.mc_replicates_saved, mc_total));
   std::fclose(json);
   std::printf("\nwrote BENCH_ga_e2e.json\n");
   if (speedup < 1.5) {

@@ -1,18 +1,18 @@
 // Micro-benchmarks of the pipeline's moving parts (the DESIGN.md
-// design-choice ablation): EM haplotype estimation by size, CLUMP
-// statistics, two-locus LD, genotype-pattern enumeration, and the GA's
-// variation operators. These identify where the Figure-4 exponential
-// cost actually lives.
+// design-choice ablation): packed genotype-pattern enumeration and
+// compiled EM haplotype estimation by size, CLUMP statistics, two-locus
+// LD, and the GA's variation operators. These identify where the
+// Figure-4 exponential cost actually lives.
 #include <benchmark/benchmark.h>
-
-#include <numeric>
 
 #include "ga/operators.hpp"
 #include "genomics/ld.hpp"
+#include "genomics/packed_genotype.hpp"
 #include "genomics/synthetic.hpp"
 #include "stats/clump.hpp"
 #include "stats/eh_diall.hpp"
 #include "stats/em_haplotype.hpp"
+#include "stats/em_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -32,20 +32,19 @@ const genomics::SyntheticDataset& cohort() {
   return synthetic;
 }
 
-std::vector<std::uint32_t> everyone() {
-  std::vector<std::uint32_t> ids(cohort().dataset.individual_count());
-  std::iota(ids.begin(), ids.end(), 0);
-  return ids;
+const genomics::PackedGenotypeMatrix& packed() {
+  static const genomics::PackedGenotypeMatrix matrix(
+      cohort().dataset.genotypes());
+  return matrix;
 }
 
 void BM_GenotypePatternBuild(benchmark::State& state) {
   const auto size = static_cast<std::uint32_t>(state.range(0));
   Rng rng(size);
   const auto snps = rng.sample_without_replacement(51, size);
-  const auto ids = everyone();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::GenotypePatternTable::build(
-        cohort().dataset.genotypes(), snps, ids));
+    benchmark::DoNotOptimize(
+        stats::GenotypePatternTable::build_packed(packed(), snps));
   }
 }
 BENCHMARK(BM_GenotypePatternBuild)->DenseRange(2, 7, 1);
@@ -54,11 +53,11 @@ void BM_EmEstimation(benchmark::State& state) {
   const auto size = static_cast<std::uint32_t>(state.range(0));
   Rng rng(size * 3);
   const auto snps = rng.sample_without_replacement(51, size);
-  const auto ids = everyone();
-  const auto table = stats::GenotypePatternTable::build(
-      cohort().dataset.genotypes(), snps, ids);
+  const auto program = stats::EmProgram::compile(
+      stats::GenotypePatternTable::build_packed(packed(), snps));
+  stats::EmKernelScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::estimate_haplotype_frequencies(table));
+    benchmark::DoNotOptimize(stats::run_em_program(program, {}, scratch));
   }
 }
 BENCHMARK(BM_EmEstimation)->DenseRange(2, 7, 1)->Unit(benchmark::kMicrosecond);

@@ -1,24 +1,16 @@
-// Bit-packed genotype kernel vs the byte reference.
+// Bit-packed genotype kernels, timed.
 //
-// The evaluation pipeline packs unconditionally now (the deprecated
-// EvaluatorConfig::packed_kernel no-op is removed; DESIGN.md
-// §"packed_kernel retirement"), so the byte implementations here —
-// byte_locus_counts and GenotypePatternTable::build — are retained
-// reference code, not a selectable production path. Two claims are
-// checked, matching the packed kernel's contract:
-//   1. speed  — per-locus genotype counting over the packed planes is
-//      at least ~2x faster than a byte load + branch per genotype, and
-//      the joint-pattern walk (the EM E-step's input) scales with
-//      words x patterns instead of individuals x loci;
-//   2. safety — the pattern tables the packed walk produces are
-//      bit-for-bit identical (patterns, counts, exclusions, order) to
-//      the byte reference's, so the speedup is free.
-// The equivalence check runs first and aborts the benchmark on any
-// mismatch; the timed comparison prints the measured ratio.
+// The evaluation pipeline packs unconditionally (DESIGN.md
+// §"packed_kernel retirement"). The byte-scan reference the packed
+// walk is held to lives in tests/support; PackedGenotype tests pin the
+// bit-for-bit equivalence of counts and pattern tables. This bench
+// times the production kernels only:
+//   - per-locus genotype counting over the packed planes;
+//   - the joint-pattern walk (the EM E-step's input), which scales with
+//     words x patterns instead of individuals x loci;
+//   - one full fitness evaluation on top of them.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "genomics/packed_genotype.hpp"
@@ -26,7 +18,6 @@
 #include "stats/em_haplotype.hpp"
 #include "stats/evaluator.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 
 namespace {
 
@@ -49,30 +40,6 @@ const genomics::SyntheticDataset& big_cohort() {
   return synthetic;
 }
 
-genomics::LocusCounts byte_locus_counts(const genomics::GenotypeMatrix& m,
-                                        genomics::SnpIndex snp) {
-  genomics::LocusCounts counts;
-  for (std::uint32_t i = 0; i < m.individual_count(); ++i) {
-    switch (m.at(i, snp)) {
-      case genomics::Genotype::HomOne: ++counts.hom_one; break;
-      case genomics::Genotype::Het: ++counts.het; break;
-      case genomics::Genotype::HomTwo: ++counts.hom_two; break;
-      case genomics::Genotype::Missing: ++counts.missing; break;
-    }
-  }
-  return counts;
-}
-
-void BM_LocusCountsByte(benchmark::State& state) {
-  const auto& matrix = big_cohort().dataset.genotypes();
-  for (auto _ : state) {
-    for (std::uint32_t s = 0; s < matrix.snp_count(); ++s) {
-      benchmark::DoNotOptimize(byte_locus_counts(matrix, s).allele_two());
-    }
-  }
-}
-BENCHMARK(BM_LocusCountsByte);
-
 void BM_LocusCountsPacked(benchmark::State& state) {
   const genomics::PackedGenotypeMatrix packed(big_cohort().dataset.genotypes());
   for (auto _ : state) {
@@ -82,21 +49,6 @@ void BM_LocusCountsPacked(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocusCountsPacked);
-
-void BM_PatternTableByte(benchmark::State& state) {
-  const auto& matrix = big_cohort().dataset.genotypes();
-  const auto size = static_cast<std::uint32_t>(state.range(0));
-  Rng rng(size);
-  const auto snps = rng.sample_without_replacement(matrix.snp_count(), size);
-  std::vector<std::uint32_t> everyone(matrix.individual_count());
-  for (std::uint32_t i = 0; i < everyone.size(); ++i) everyone[i] = i;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        stats::GenotypePatternTable::build(matrix, snps, everyone)
-            .total_individuals());
-  }
-}
-BENCHMARK(BM_PatternTableByte)->Arg(2)->Arg(4)->Arg(6);
 
 void BM_PatternTablePacked(benchmark::State& state) {
   const genomics::PackedGenotypeMatrix packed(big_cohort().dataset.genotypes());
@@ -112,9 +64,6 @@ void BM_PatternTablePacked(benchmark::State& state) {
 BENCHMARK(BM_PatternTablePacked)->Arg(2)->Arg(4)->Arg(6);
 
 void BM_FitnessPipeline(benchmark::State& state) {
-  // One pipeline configuration only: the packed kernel is the pipeline
-  // (the packed_kernel toggle is gone), so there is no byte e2e leg to
-  // race it against anymore.
   const stats::HaplotypeEvaluator evaluator(big_cohort().dataset);
   Rng rng(7);
   const auto snps = rng.sample_without_replacement(64, 4);
@@ -124,89 +73,6 @@ void BM_FitnessPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_FitnessPipeline);
 
-/// Bit-for-bit pattern-table equivalence over random candidates of
-/// every GA size: the packed DFS walk must reproduce the byte
-/// reference's patterns, counts, exclusions and ordering exactly. Any
-/// mismatch aborts: a fast wrong kernel is worthless.
-void verify_equivalence() {
-  const auto& matrix = big_cohort().dataset.genotypes();
-  const genomics::PackedGenotypeMatrix packed(matrix);
-  std::vector<std::uint32_t> everyone(matrix.individual_count());
-  for (std::uint32_t i = 0; i < everyone.size(); ++i) everyone[i] = i;
-  Rng rng(20040426);
-  std::uint32_t checked = 0;
-  for (std::uint32_t size = 2; size <= 6; ++size) {
-    for (std::uint32_t trial = 0; trial < 20; ++trial) {
-      const auto snps = rng.sample_without_replacement(64, size);
-      const auto byte_table =
-          stats::GenotypePatternTable::build(matrix, snps, everyone);
-      const auto packed_table =
-          stats::GenotypePatternTable::build_packed(packed, snps);
-      bool same =
-          byte_table.total_individuals() == packed_table.total_individuals() &&
-          byte_table.excluded_missing() == packed_table.excluded_missing() &&
-          byte_table.patterns().size() == packed_table.patterns().size();
-      for (std::size_t p = 0; same && p < byte_table.patterns().size(); ++p) {
-        const auto& expect = byte_table.patterns()[p];
-        const auto& got = packed_table.patterns()[p];
-        same = expect.hom_two_mask == got.hom_two_mask &&
-               expect.het_mask == got.het_mask &&
-               expect.missing_mask == got.missing_mask &&
-               expect.count == got.count;
-      }
-      if (!same) {
-        std::fprintf(stderr,
-                     "FATAL: packed/byte pattern table mismatch at size %u\n",
-                     size);
-        std::exit(1);
-      }
-      ++checked;
-    }
-  }
-  std::printf("equivalence: %u random candidates (sizes 2-6), packed "
-              "pattern tables == byte reference bit-for-bit\n",
-              checked);
-}
-
-/// Prints the headline per-locus counting ratio (the >= 2x criterion).
-void report_locus_speedup() {
-  const auto& matrix = big_cohort().dataset.genotypes();
-  const genomics::PackedGenotypeMatrix packed(matrix);
-  constexpr std::uint32_t kRounds = 200;
-  std::uint64_t sink = 0;
-
-  for (std::uint32_t s = 0; s < matrix.snp_count(); ++s) {  // warm-up
-    sink += byte_locus_counts(matrix, s).het + packed.locus_counts(s).het;
-  }
-  Stopwatch byte_watch;
-  for (std::uint32_t round = 0; round < kRounds; ++round) {
-    for (std::uint32_t s = 0; s < matrix.snp_count(); ++s) {
-      sink += byte_locus_counts(matrix, s).allele_two();
-    }
-  }
-  const double byte_ms = byte_watch.elapsed_ms();
-  Stopwatch packed_watch;
-  for (std::uint32_t round = 0; round < kRounds; ++round) {
-    for (std::uint32_t s = 0; s < matrix.snp_count(); ++s) {
-      sink += packed.locus_counts(s).allele_two();
-    }
-  }
-  const double packed_ms = packed_watch.elapsed_ms();
-  std::printf("per-locus counting, %u individuals x %u SNPs x %u rounds: "
-              "byte %.1f ms, packed %.1f ms — %.1fx "
-              "(acceptance floor: 2x)%s\n\n",
-              matrix.individual_count(), matrix.snp_count(), kRounds,
-              byte_ms, packed_ms, byte_ms / packed_ms,
-              sink == 0 ? "!" : "");
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::printf("=== Packed genotype kernel: byte path vs 2-bit planes ===\n\n");
-  verify_equivalence();
-  report_locus_speedup();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Build and run the perf-acceptance benchmarks, leaving BENCH_*.json at
 # the repo root:
-#   - bench_em_kernel    — compiled-EM PR numbers (3x end-to-end floor);
-#   - bench_ga_e2e       — incremental-pipeline PR numbers (2x GA wall
-#     time, hard floor 1.5x), including the bit-exactness gate of the
-#     pattern cache against the baseline trajectory;
+#   - bench_em_kernel    — production EH-DIALL timings (scalar vs simd
+#     batched) and CLUMP Monte Carlo by worker count, with the
+#     worker-invariance gate of the p-values;
+#   - bench_ga_e2e       — GA wall time of the scalar fixed-replicate
+#     baseline vs the default configuration (2x, hard floor 1.5x) and
+#     of no-simd vs simd (floor 1x), including the gate that re-scores
+#     every reported best bit-for-bit on a fresh evaluator;
 #   - bench_simd_kernels — per-dispatch-level kernel timings with
 #     inline equivalence checks (4x popcount/planes floor on vector
 #     hosts).

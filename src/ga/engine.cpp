@@ -86,10 +86,6 @@ struct GaEngine::Pending {
   std::uint32_t application = 0;   ///< crossover application id
   std::uint32_t target_subpop = 0;  ///< immigrant destination
   std::uint32_t target_slot = 0;    ///< immigrant slot
-  /// The already-scored parent the operator derived this offspring from
-  /// (crossover: the closer of the two parents) — the incremental
-  /// pipeline's provenance hint. Empty for initials and immigrants.
-  std::vector<genomics::SnpIndex> parent_snps;
 };
 
 void GaEngine::check_compatible(const stats::HaplotypeEvaluator& evaluator,
@@ -279,7 +275,6 @@ GaResult GaEngine::run() {
   // Counter snapshots for the per-generation telemetry deltas (the
   // evaluator's counters are cumulative and may carry earlier traffic).
   stats::FitnessCacheStats prev_cache = evaluator_->cache_stats();
-  stats::PatternCacheStats prev_pattern = evaluator_->incremental_stats();
   std::uint64_t prev_em_batch_runs = evaluator_->em_batch_runs();
   std::uint64_t prev_em_batch_lanes = evaluator_->em_batch_lanes();
 
@@ -334,10 +329,6 @@ GaResult GaEngine::run() {
       Pending second = first;
       second.individual = std::move(c2);
       second.baseline = op == CrossoverKind::kIntra ? 0.5 * (n1 + n2) : n2;
-      first.parent_snps =
-          VariationOperators::closer_parent(first.individual, p1, p2).snps();
-      second.parent_snps =
-          VariationOperators::closer_parent(second.individual, p1, p2).snps();
 
       pending.push_back(std::move(first));
       pending.push_back(std::move(second));
@@ -378,7 +369,6 @@ GaResult GaEngine::run() {
           entry.op = MutationKind::kSnp;
           entry.baseline = parent_norm;
           entry.group = static_cast<std::int32_t>(next_group);
-          entry.parent_snps = parent.snps();
           pending.push_back(std::move(entry));
         }
         ++next_group;
@@ -388,7 +378,6 @@ GaResult GaEngine::run() {
         entry.kind = Pending::Kind::Mutation;
         entry.op = op;
         entry.baseline = parent_norm;
-        entry.parent_snps = parent.snps();
         pending.push_back(std::move(entry));
       }
     }
@@ -396,14 +385,11 @@ GaResult GaEngine::run() {
     // -- synchronous parallel evaluation phase ------------------------
     {
       std::vector<stats::Candidate> tasks;
-      std::vector<stats::Candidate> parents;
       tasks.reserve(pending.size());
-      parents.reserve(pending.size());
       for (const auto& entry : pending) {
         tasks.push_back(entry.individual.snps());
-        parents.push_back(entry.parent_snps);
       }
-      const std::vector<double> scores = service.evaluate(tasks, parents);
+      const std::vector<double> scores = service.evaluate(tasks);
       for (std::size_t i = 0; i < pending.size(); ++i) {
         pending[i].individual.set_fitness(scores[i]);
       }
@@ -556,8 +542,6 @@ GaResult GaEngine::run() {
       info.cache_misses = cache.misses;
       info.cache_evictions = cache.evictions;
       info.stage_timings = evaluator_->stage_timings();
-      const stats::PatternCacheStats pattern = evaluator_->incremental_stats();
-      info.pattern_cache = pattern;
       info.mc_replicates_run = evaluator_->mc_replicates_run();
       info.mc_replicates_saved = evaluator_->mc_replicates_saved();
       info.em_batch_runs = evaluator_->em_batch_runs();
@@ -565,17 +549,11 @@ GaResult GaEngine::run() {
       info.mc_batched_replicates = evaluator_->mc_batched_replicates();
       info.gen_cache_hits = cache.hits - prev_cache.hits;
       info.gen_cache_misses = cache.misses - prev_cache.misses;
-      info.gen_pattern_entry_reuses = pattern.entry_reuses - prev_pattern.entry_reuses;
-      info.gen_pattern_entry_builds = pattern.entry_builds - prev_pattern.entry_builds;
-      info.gen_warm_starts = pattern.warm_starts - prev_pattern.warm_starts;
-      info.gen_warm_fallbacks =
-          pattern.warm_fallbacks - prev_pattern.warm_fallbacks;
       info.gen_em_batch_runs = info.em_batch_runs - prev_em_batch_runs;
       info.gen_em_batch_lanes = info.em_batch_lanes - prev_em_batch_lanes;
       prev_em_batch_runs = info.em_batch_runs;
       prev_em_batch_lanes = info.em_batch_lanes;
       prev_cache = cache;
-      prev_pattern = pattern;
       if (callback_) callback_(info);
       if (config_.record_history) result.history.push_back(std::move(info));
     }
@@ -622,7 +600,6 @@ GaResult GaEngine::run() {
   result.eval_stats = service.stats();
   result.cache_stats = evaluator_->cache_stats();
   result.stage_timings = evaluator_->stage_timings();
-  result.pattern_cache = evaluator_->incremental_stats();
   result.mc_replicates_run = evaluator_->mc_replicates_run();
   result.mc_replicates_saved = evaluator_->mc_replicates_saved();
   result.em_batch_runs = evaluator_->em_batch_runs();

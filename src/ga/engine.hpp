@@ -108,17 +108,14 @@ struct GenerationInfo {
   /// Cumulative per-stage pipeline wall time (pattern build / EM /
   /// CLUMP) from the evaluator's stage clocks.
   stats::StageTimings stage_timings;
-  /// Cumulative incremental-pipeline counters (all zero when the
-  /// pattern cache is off).
-  stats::PatternCacheStats pattern_cache;
   /// Cumulative Monte-Carlo replicates executed / skipped by the
   /// early-stopping CLUMP scheduler.
   std::uint64_t mc_replicates_run = 0;
   std::uint64_t mc_replicates_saved = 0;
   /// Cumulative batched-kernel effectiveness: same-shape EM group
   /// solves / EM lanes inside them / Monte-Carlo replicates through the
-  /// replicate-batched CLUMP engine (all zero when batch_kernels or
-  /// simd_kernels is off).
+  /// replicate-batched CLUMP engine (all zero when simd_kernels is
+  /// off).
   std::uint64_t em_batch_runs = 0;
   std::uint64_t em_batch_lanes = 0;
   std::uint64_t mc_batched_replicates = 0;
@@ -126,10 +123,6 @@ struct GenerationInfo {
   /// telemetry CSV derives its per-generation hit ratios from these.
   std::uint64_t gen_cache_hits = 0;
   std::uint64_t gen_cache_misses = 0;
-  std::uint64_t gen_pattern_entry_reuses = 0;
-  std::uint64_t gen_pattern_entry_builds = 0;
-  std::uint64_t gen_warm_starts = 0;
-  std::uint64_t gen_warm_fallbacks = 0;
   std::uint64_t gen_em_batch_runs = 0;
   std::uint64_t gen_em_batch_lanes = 0;
 };
@@ -154,9 +147,6 @@ struct GaResult {
   /// Cumulative per-stage pipeline wall time at the end of the run
   /// (pattern build / EM / CLUMP — the Figure-3 cost profile).
   stats::StageTimings stage_timings;
-  /// Incremental-pipeline counters at the end of the run (all zero when
-  /// the pattern cache is off).
-  stats::PatternCacheStats pattern_cache;
   /// Monte-Carlo replicates executed / skipped over the whole run.
   std::uint64_t mc_replicates_run = 0;
   std::uint64_t mc_replicates_saved = 0;

@@ -257,11 +257,10 @@ void record_error(Shared& shared, std::exception_ptr error) {
   shared.coord_cv.notify_one();
 }
 
-bool submit(Island& island, Shared& shared, PendingRecord record,
-            const std::vector<genomics::SnpIndex>& parent_snps) {
+bool submit(Island& island, Shared& shared, PendingRecord record) {
   const std::uint64_t ticket = island.next_ticket++;
   if (!shared.stream->submit(shared.queue_base + island.index, ticket,
-                             record.individual.snps(), parent_snps)) {
+                             record.individual.snps())) {
     return false;  // stream closed: shutting down
   }
   island.pending.emplace(ticket, std::move(record));
@@ -601,7 +600,7 @@ void maybe_immigrants(const LoopContext& ctx, Island& island,
         shared.snp_count, sub.haplotype_size(), island.rng);
     record.kind = PendingRecord::Kind::kImmigrant;
     record.target_slot = slot;
-    if (submit(island, shared, std::move(record), {})) submitted = true;
+    if (submit(island, shared, std::move(record))) submitted = true;
   }
   if (submitted) {
     shared.immigrant_events.fetch_add(1, std::memory_order_relaxed);
@@ -667,11 +666,6 @@ void breed(const LoopContext& ctx, Island& island, Shared& shared) {
     app.op = op;
     island.applications.emplace(app_id, app);
 
-    const std::vector<genomics::SnpIndex> first_parent =
-        VariationOperators::closer_parent(c1, p1, *p2).snps();
-    const std::vector<genomics::SnpIndex> second_parent =
-        VariationOperators::closer_parent(c2, p1, *p2).snps();
-
     PendingRecord first;
     first.individual = std::move(c1);
     first.kind = PendingRecord::Kind::kCrossChild;
@@ -689,8 +683,8 @@ void breed(const LoopContext& ctx, Island& island, Shared& shared) {
     second.baseline = op == CrossoverKind::kIntra ? 0.5 * (n1 + n2) : n2;
 
     ++island.inflight_applications;
-    if (!submit(island, shared, std::move(first), first_parent) ||
-        !submit(island, shared, std::move(second), second_parent)) {
+    if (!submit(island, shared, std::move(first)) ||
+        !submit(island, shared, std::move(second))) {
       // Stream closed mid-application: the run is shutting down; the
       // partial application will simply never resolve.
       return;
@@ -727,7 +721,6 @@ void breed(const LoopContext& ctx, Island& island, Shared& shared) {
       group.baseline = parent_norm;
       island.groups.emplace(group_id, group);
       ++island.inflight_applications;
-      const std::vector<genomics::SnpIndex> parent_snps = parent.snps();
       for (auto& trial : trials) {
         PendingRecord record;
         record.individual = std::move(trial);
@@ -735,7 +728,7 @@ void breed(const LoopContext& ctx, Island& island, Shared& shared) {
         record.op = MutationKind::kSnp;
         record.baseline = parent_norm;
         record.group = group_id;
-        if (!submit(island, shared, std::move(record), parent_snps)) return;
+        if (!submit(island, shared, std::move(record))) return;
       }
     } else {
       PendingRecord record;
@@ -744,7 +737,7 @@ void breed(const LoopContext& ctx, Island& island, Shared& shared) {
       record.op = op;
       record.baseline = parent_norm;
       ++island.inflight_applications;
-      if (!submit(island, shared, std::move(record), parent.snps())) return;
+      if (!submit(island, shared, std::move(record))) return;
     }
   }
 }
@@ -985,7 +978,7 @@ IslandRunResult IslandEngine::run() {
         PendingRecord record;
         record.individual = std::move(member);
         record.kind = PendingRecord::Kind::kInitial;
-        if (!submit(island, shared, std::move(record), {})) {
+        if (!submit(island, shared, std::move(record))) {
           --island.initials_outstanding;
         }
       }

@@ -170,29 +170,4 @@ VariationOperators::uniform_crossover(const HaplotypeIndividual& a,
   return {std::move(second), std::move(first)};
 }
 
-const HaplotypeIndividual& VariationOperators::closer_parent(
-    const HaplotypeIndividual& child, const HaplotypeIndividual& a,
-    const HaplotypeIndividual& b) {
-  const auto overlap = [&child](const HaplotypeIndividual& parent) {
-    // Both SNP lists are sorted (canonical form), so a two-pointer
-    // sweep counts the intersection.
-    std::size_t i = 0, j = 0, shared = 0;
-    const auto& c = child.snps();
-    const auto& p = parent.snps();
-    while (i < c.size() && j < p.size()) {
-      if (c[i] < p[j]) {
-        ++i;
-      } else if (p[j] < c[i]) {
-        ++j;
-      } else {
-        ++shared;
-        ++i;
-        ++j;
-      }
-    }
-    return shared;
-  };
-  return overlap(b) > overlap(a) ? b : a;
-}
-
 }  // namespace ldga::ga

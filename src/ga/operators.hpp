@@ -85,14 +85,6 @@ class VariationOperators {
 
   const OperatorConfig& config() const { return config_; }
 
-  /// Which of two crossover parents shares more SNPs with the child
-  /// (ties go to `a`). The engine records the winner as the child's
-  /// provenance hint for the incremental evaluation pipeline — the
-  /// closer parent gives the cheaper extension/projection chain.
-  static const HaplotypeIndividual& closer_parent(
-      const HaplotypeIndividual& child, const HaplotypeIndividual& a,
-      const HaplotypeIndividual& b);
-
  private:
   /// Builds a child of exactly `target_size` from the mixed SNP set,
   /// topping up from `pool` (parents' union) and then the panel.

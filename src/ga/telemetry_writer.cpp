@@ -21,9 +21,8 @@ void TelemetryCsvWriter::write_header(const GenerationInfo& info) {
   }
   *out_ << ",evaluations,immigrants,cache_hits,cache_misses,"
            "cache_evictions,pattern_build_seconds,em_seconds,"
-           "clump_seconds,cache_hit_ratio,pattern_entry_reuses,pattern_entry_builds,"
-           "pattern_entry_reuse_ratio,warm_starts,warm_fallbacks,warm_hit_ratio,"
-           "mc_replicates_run,mc_replicates_saved,"
+           "clump_seconds,cache_hit_ratio,mc_replicates_run,"
+           "mc_replicates_saved,"
            "em_batch_runs,em_batch_lanes,em_batch_mean_lanes,"
            "mc_batched_replicates\n";
   header_written_ = true;
@@ -53,10 +52,6 @@ void TelemetryCsvWriter::record(const GenerationInfo& info) {
         << info.stage_timings.em_seconds << ','
         << info.stage_timings.clump_seconds << ','
         << ratio(info.gen_cache_hits, info.gen_cache_misses) << ','
-        << info.gen_pattern_entry_reuses << ',' << info.gen_pattern_entry_builds << ','
-        << ratio(info.gen_pattern_entry_reuses, info.gen_pattern_entry_builds) << ','
-        << info.gen_warm_starts << ',' << info.gen_warm_fallbacks << ','
-        << ratio(info.gen_warm_starts, info.gen_warm_fallbacks) << ','
         << info.mc_replicates_run << ',' << info.mc_replicates_saved << ','
         << info.em_batch_runs << ',' << info.em_batch_lanes << ','
         // Mean lanes per batched EM run this generation: the batch-size

@@ -40,7 +40,8 @@ void ClumpConfig::validate() const {
   }
 }
 
-Clump::Clump(ClumpConfig config) : config_(config) {
+Clump::Clump(ClumpConfig config, bool simd_kernels)
+    : config_(config), simd_kernels_(simd_kernels) {
   config_.validate();
   if (config_.monte_carlo_trials > 0 && config_.monte_carlo_workers != 1) {
     const std::uint32_t workers = config_.monte_carlo_workers == 0
@@ -519,14 +520,13 @@ void run_trials_batched(const NullReplicateInvariants& inv,
 }  // namespace
 
 ChiSquare Clump::t1(const ContingencyTable& table) const {
-  return table.drop_empty_columns().pearson_chi_square(
-      config_.simd_kernels);
+  return table.drop_empty_columns().pearson_chi_square(simd_kernels_);
 }
 
 ClumpResult Clump::analyze(const ContingencyTable& raw, Rng& rng) const {
   LDGA_EXPECTS(raw.rows() == 2);
   const ContingencyTable table = raw.drop_empty_columns();
-  const bool simd = config_.simd_kernels;
+  const bool simd = simd_kernels_;
 
   ClumpResult result;
 
@@ -597,13 +597,11 @@ ClumpResult Clump::analyze(const ContingencyTable& raw, Rng& rng) const {
 
     // Batched engine: hoist the trial-invariant null structure once,
     // then deal/score replicates in sub-batches through the batch
-    // kernels. Gated on simd_kernels because the batch kernels are the
-    // vector path (each lane bit-identical to the per-trial path at
-    // the same dispatch level); without it the per-trial scalar
-    // reference runs.
-    const bool batched = config_.batch_replicates && simd;
+    // kernels. Runs whenever the vector kernels are on (each lane is
+    // bit-identical to the per-trial vector path at the same dispatch
+    // level); without them the per-trial scalar reference runs.
     NullReplicateInvariants invariants;
-    if (batched) {
+    if (simd) {
       invariants =
           build_null_invariants(table, config_.rare_expected_threshold);
     }
@@ -629,7 +627,7 @@ ClumpResult Clump::analyze(const ContingencyTable& raw, Rng& rng) const {
     };
 
     const auto run_range = [&](std::uint32_t begin, std::uint32_t end) {
-      if (batched) {
+      if (simd) {
         run_batched_range(begin, end);
       } else if (pool_ != nullptr) {
         pool_->parallel_for(begin, end, run_trial);
@@ -691,7 +689,7 @@ ClumpResult Clump::analyze(const ContingencyTable& raw, Rng& rng) const {
       }
     }
     result.mc_replicates_run = run;
-    result.mc_batched_replicates = batched ? run : 0;
+    result.mc_batched_replicates = simd ? run : 0;
 
     std::uint32_t ge1 = 0, ge2 = 0, ge3 = 0, ge4 = 0;
     for (std::uint32_t t = 0; t < run; ++t) {

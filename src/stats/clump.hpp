@@ -60,29 +60,6 @@ struct ClumpConfig {
   /// Bound on the probability that any early-stopped significance call
   /// disagrees with the full fixed-replicate run.
   double mc_error_rate = 1e-3;
-  /// Run the 2×2 column scans (T3/T4) and Pearson accumulation through
-  /// the dispatched vector kernels (util/simd.hpp). Deterministic for
-  /// a fixed dispatch level but rounded differently from the scalar
-  /// reference in the last ulps (fixed-lane-order sums instead of
-  /// Kahan); statistics agree to ~1e-9. Off by default — the scalar
-  /// path is the bit-exact reference. EvaluatorConfig::simd_kernels
-  /// switches this on together with the EM kernels.
-  bool simd_kernels = false;
-  /// Run Monte-Carlo replicates through the candidate-batched engine:
-  /// the null-table structure that is invariant across trials (rounded
-  /// marginals, label template, T2's clump set, zero-statistic flags)
-  /// is hoisted out of the trial loop, replicates are dealt into
-  /// replicate-major slabs in sub-batches, and the four statistics run
-  /// through the batch kernels (util/simd.hpp: batch_pearson_2xn,
-  /// batch_chi_columns). Per-trial outcome bits compare raw statistics
-  /// only, so the analytic survival function is never evaluated inside
-  /// the loop. Effective only together with simd_kernels (the batch
-  /// kernels are the vector path); every trial's outcome bits are
-  /// bit-identical to the per-trial path at the same dispatch level,
-  /// and the seed pre-draw keeps results worker-count-invariant and
-  /// composable with mc_early_stop.
-  bool batch_replicates = true;
-
   void validate() const;
 };
 
@@ -111,14 +88,27 @@ struct ClumpResult {
   /// True when the early stopper decided all four calls before the
   /// replicate ceiling.
   bool mc_early_stopped = false;
-  /// Replicates executed through the batched engine (== mc_replicates_run
-  /// when batch_replicates was effective, 0 otherwise).
+  /// Replicates executed through the replicate-batched engine
+  /// (== mc_replicates_run with the vector kernels on, 0 otherwise).
   std::uint32_t mc_batched_replicates = 0;
 };
 
 class Clump {
  public:
-  explicit Clump(ClumpConfig config = {});
+  /// `simd_kernels` runs the 2×2 column scans (T3/T4) and Pearson
+  /// accumulation through the dispatched vector kernels (util/simd.hpp)
+  /// and the Monte-Carlo replicates through the replicate-batched
+  /// engine: the trial-invariant null structure (rounded marginals,
+  /// label template, T2's clump set, zero-statistic flags) is hoisted
+  /// out of the trial loop, replicates are dealt into replicate-major
+  /// slabs in sub-batches, and the four statistics run through the
+  /// batch kernels (batch_pearson_2xn, batch_chi_columns). Deterministic
+  /// for a fixed dispatch level but rounded differently from the scalar
+  /// per-trial path in the last ulps (fixed-lane-order sums instead of
+  /// Kahan); statistics agree to ~1e-9. The parameter defaults to the
+  /// scalar path, the bit-exact reference; the evaluator passes
+  /// EvaluatorConfig::simd_kernels, which is on by default.
+  explicit Clump(ClumpConfig config = {}, bool simd_kernels = false);
 
   /// Analyzes a 2 × M table of (estimated) counts. Monte-Carlo draws, if
   /// enabled, consume the provided RNG; pass a deterministically seeded
@@ -130,6 +120,7 @@ class Clump {
 
  private:
   ClumpConfig config_;
+  bool simd_kernels_ = false;
   /// Lazily absent: created only when Monte Carlo is enabled with more
   /// than one worker. Shared so Clump stays copyable (copies reuse the
   /// pool; analyze() may be called from several threads at once — the

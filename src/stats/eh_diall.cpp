@@ -1,8 +1,6 @@
 #include "stats/eh_diall.hpp"
 
 #include <algorithm>
-#include <iterator>
-#include <optional>
 #include <utility>
 
 #include "stats/em_kernel.hpp"
@@ -43,15 +41,8 @@ std::vector<std::uint32_t> rows_with(std::span<const Status> statuses,
 }  // namespace
 
 EhDiall::EhDiall(const genomics::Dataset& dataset, EmConfig config,
-                 bool compiled_em, bool warm_start_pooled,
-                 std::shared_ptr<PatternTableCache> cache,
-                 bool warm_start_parents, bool simd_kernels)
-    : config_(config),
-      compiled_em_(compiled_em),
-      warm_start_pooled_(warm_start_pooled),
-      warm_start_parents_(warm_start_parents),
-      simd_kernels_(simd_kernels && compiled_em),
-      cache_(compiled_em ? std::move(cache) : nullptr) {
+                 bool simd_kernels)
+    : config_(config), simd_kernels_(simd_kernels) {
   config_.validate();
   affected_ = dataset.individuals_with(Status::Affected);
   unaffected_ = dataset.individuals_with(Status::Unaffected);
@@ -71,15 +62,8 @@ EhDiall::EhDiall(const genomics::Dataset& dataset, EmConfig config,
 
 EhDiall::EhDiall(const genomics::GenotypeStore& store,
                  std::span<const Status> statuses, EmConfig config,
-                 bool compiled_em, bool warm_start_pooled,
-                 std::shared_ptr<PatternTableCache> cache,
-                 bool warm_start_parents, bool simd_kernels)
-    : config_(config),
-      compiled_em_(compiled_em),
-      warm_start_pooled_(warm_start_pooled),
-      warm_start_parents_(warm_start_parents),
-      simd_kernels_(simd_kernels && compiled_em),
-      cache_(compiled_em ? std::move(cache) : nullptr) {
+                 bool simd_kernels)
+    : config_(config), simd_kernels_(simd_kernels) {
   config_.validate();
   LDGA_EXPECTS(statuses.size() == store.individual_count());
   affected_ = rows_with(statuses, Status::Affected);
@@ -93,42 +77,6 @@ EhDiall::EhDiall(const genomics::GenotypeStore& store,
   packed_unaffected_ = store.slice(0, store.snp_count(), unaffected_);
 }
 
-namespace {
-
-/// Chromosome-weighted blend of the case/control solutions over the
-/// pooled support (which is exactly the union of the group supports):
-/// warm[h] = (2 N_A f_A(h) + 2 N_U f_U(h)) / (2 N_A + 2 N_U), clamped
-/// strictly positive because converged group solutions routinely carry
-/// exact zeros and the pooled maximum may sit elsewhere.
-std::vector<double> blend_warm_start(const EmProgram& pooled,
-                                     const EmProgram& prog_a,
-                                     const EmSupportResult& sol_a,
-                                     const EmProgram& prog_u,
-                                     const EmSupportResult& sol_u) {
-  const double chrom_a = 2.0 * prog_a.total_individuals;
-  const double chrom_u = 2.0 * prog_u.total_individuals;
-  const double chromosomes = chrom_a + chrom_u;
-  std::vector<double> warm(pooled.support.size());
-  std::size_t ia = 0;
-  std::size_t iu = 0;
-  for (std::size_t i = 0; i < pooled.support.size(); ++i) {
-    const HaplotypeCode code = pooled.support[i];
-    double mass = 0.0;
-    while (ia < prog_a.support.size() && prog_a.support[ia] < code) ++ia;
-    if (ia < prog_a.support.size() && prog_a.support[ia] == code) {
-      mass += chrom_a * sol_a.frequencies[ia];
-    }
-    while (iu < prog_u.support.size() && prog_u.support[iu] < code) ++iu;
-    if (iu < prog_u.support.size() && prog_u.support[iu] == code) {
-      mass += chrom_u * sol_u.frequencies[iu];
-    }
-    warm[i] = std::max(mass / chromosomes, 1e-12);
-  }
-  return warm;
-}
-
-}  // namespace
-
 EhDiallResult EhDiall::analyze(std::span<const SnpIndex> snps) const {
   EvalScratch scratch;
   return analyze(snps, scratch);
@@ -136,345 +84,11 @@ EhDiallResult EhDiall::analyze(std::span<const SnpIndex> snps) const {
 
 EhDiallResult EhDiall::analyze(std::span<const SnpIndex> snps,
                                EvalScratch& scratch) const {
-  LDGA_EXPECTS(!snps.empty());
-  // The incremental path keys tables by sorted locus set; an unsorted
-  // candidate (legal here, the GA always canonicalizes) would alias a
-  // different bit order, so it takes the fresh path instead.
-  if (cache_ != nullptr && std::is_sorted(snps.begin(), snps.end()) &&
-      std::adjacent_find(snps.begin(), snps.end()) == snps.end()) {
-    return analyze_incremental(snps, scratch);
-  }
-
-  Stopwatch watch;
-  const auto table_a = GenotypePatternTable::build_packed(
-      packed_affected_, snps, config_.missing, scratch.dfs_rows);
-  const auto table_u = GenotypePatternTable::build_packed(
-      packed_unaffected_, snps, config_.missing, scratch.dfs_rows);
-  const auto table_pooled = GenotypePatternTable::merge(table_a, table_u);
-
+  const std::vector<SnpIndex> candidate(snps.begin(), snps.end());
   EhDiallResult result;
-  result.locus_count = static_cast<std::uint32_t>(snps.size());
-  result.affected_individuals = table_a.total_individuals();
-  result.unaffected_individuals = table_u.total_individuals();
-  result.pattern_build_seconds = watch.elapsed_seconds();
-
-  watch.reset();
-  if (compiled_em_) {
-    const EmProgram prog_a = EmProgram::compile(table_a);
-    const EmProgram prog_u = EmProgram::compile(table_u);
-    const EmProgram prog_p = EmProgram::compile(table_pooled);
-    const EmSupportResult sol_a =
-        run_em_program(prog_a, config_, scratch.em, {}, simd_kernels_);
-    const EmSupportResult sol_u =
-        run_em_program(prog_u, config_, scratch.em, {}, simd_kernels_);
-    EmSupportResult sol_p;
-    bool warm_converged = false;
-    if (warm_start_pooled_ && prog_p.total_individuals > 0.0) {
-      const std::vector<double> warm =
-          blend_warm_start(prog_p, prog_a, sol_a, prog_u, sol_u);
-      sol_p = run_em_program(prog_p, config_, scratch.em, warm,
-                             simd_kernels_);
-      warm_converged = sol_p.converged;
-    }
-    if (!warm_converged) {
-      // Cold equilibrium start — exactly the reference result.
-      sol_p = run_em_program(prog_p, config_, scratch.em, {}, simd_kernels_);
-    }
-    result.pooled_warm_started = warm_converged;
-    result.affected = expand_em_result(prog_a, sol_a);
-    result.unaffected = expand_em_result(prog_u, sol_u);
-    result.pooled = expand_em_result(prog_p, sol_p);
-  } else {
-    result.affected = estimate_haplotype_frequencies(table_a, config_);
-    result.unaffected = estimate_haplotype_frequencies(table_u, config_);
-    result.pooled = estimate_haplotype_frequencies(table_pooled, config_);
-  }
-  result.em_seconds = watch.elapsed_seconds();
-
-  const double lrt = 2.0 * (result.affected.log_likelihood +
-                            result.unaffected.log_likelihood -
-                            result.pooled.log_likelihood);
-  result.lrt = std::max(lrt, 0.0);
-  return result;
-}
-
-namespace {
-
-/// Parent EM solution transformed onto a child program's support: the
-/// warm start for the child's run. `removed_pos` is the dropped locus's
-/// sorted position in the PARENT set, `added_pos` the added locus's
-/// position in the CHILD set (either may be absent). Dropping a locus
-/// sums the parent frequencies of the two codes that project onto each
-/// child code; adding one splits each parent frequency by the child's
-/// equilibrium allele frequency at the new locus. Parent codes missing
-/// from the parent support contribute zero; everything is clamped
-/// strictly positive (converged solutions carry exact zeros, and the
-/// child's maximum may sit there).
-std::vector<double> warm_from_parent(const EmProgram& child,
-                                     const EmProgram& parent,
-                                     const EmSupportResult& parent_sol,
-                                     std::optional<std::uint32_t> removed_pos,
-                                     std::optional<std::uint32_t> added_pos) {
-  const auto parent_freq = [&](HaplotypeCode code) {
-    const auto it = std::lower_bound(parent.support.begin(),
-                                     parent.support.end(), code);
-    if (it == parent.support.end() || *it != code) return 0.0;
-    return parent_sol
-        .frequencies[static_cast<std::size_t>(it - parent.support.begin())];
-  };
-
-  std::vector<double> warm(child.support.size());
-  for (std::size_t i = 0; i < child.support.size(); ++i) {
-    const HaplotypeCode code = child.support[i];
-    double scale = 1.0;
-    HaplotypeCode mid = code;
-    if (added_pos) {
-      const double qa = child.locus_freq_two[*added_pos];
-      scale = (code >> *added_pos) & 1u ? qa : 1.0 - qa;
-      mid = compact_mask_bit(code, *added_pos);
-    }
-    double mass;
-    if (removed_pos) {
-      const HaplotypeCode lo = expand_mask_bit(mid, *removed_pos);
-      mass = parent_freq(lo) + parent_freq(lo | (1u << *removed_pos));
-    } else {
-      mass = parent_freq(mid);
-    }
-    warm[i] = std::max(mass * scale, 1e-12);
-  }
-  return warm;
-}
-
-/// Sorted set difference a ∖ b.
-std::vector<SnpIndex> difference(const std::vector<SnpIndex>& a,
-                                 const std::vector<SnpIndex>& b) {
-  std::vector<SnpIndex> out;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
-  return out;
-}
-
-}  // namespace
-
-std::shared_ptr<CandidateTables> EhDiall::build_tables(
-    const std::vector<SnpIndex>& key,
-    const std::shared_ptr<const CandidateTables>& parent,
-    EvalScratch& scratch) const {
-  auto entry = std::make_shared<CandidateTables>();
-  entry->key = key;
-
-  bool built = false;
-  if (parent != nullptr) {
-    const std::vector<SnpIndex> removed = difference(parent->key, key);
-    const std::vector<SnpIndex> added = difference(key, parent->key);
-    // Routes cheaper than a fresh build exist for one-locus edits only
-    // (the GA's reduction / augmentation / SNP replacement); anything
-    // further away re-enumerates.
-    if (removed.size() <= 1 && added.size() <= 1 &&
-        removed.size() + added.size() >= 1) {
-      std::vector<SnpIndex> mid = parent->key;
-      const GroupPatterns* base_a = &parent->affected;
-      const GroupPatterns* base_u = &parent->unaffected;
-      GroupPatterns proj_a;
-      GroupPatterns proj_u;
-      bool ok = true;
-      if (removed.size() == 1) {
-        auto pa = project_group_patterns(parent->affected, parent->key,
-                                         removed[0], config_.missing);
-        auto pu = pa ? project_group_patterns(parent->unaffected,
-                                              parent->key, removed[0],
-                                              config_.missing)
-                     : std::nullopt;
-        if (pa && pu) {
-          proj_a = std::move(*pa);
-          proj_u = std::move(*pu);
-          base_a = &proj_a;
-          base_u = &proj_u;
-          mid.erase(std::find(mid.begin(), mid.end(), removed[0]));
-          cache_->count_projected();
-        } else {
-          ok = false;
-        }
-      }
-      if (ok && added.size() == 1) {
-        entry->affected = extend_group_patterns(
-            *base_a, mid, packed_affected_, added[0], config_.missing);
-        entry->unaffected = extend_group_patterns(
-            *base_u, mid, packed_unaffected_, added[0], config_.missing);
-        cache_->count_extended();
-        built = true;
-      } else if (ok) {
-        entry->affected = std::move(proj_a);
-        entry->unaffected = std::move(proj_u);
-        built = true;
-      }
-    }
-  }
-  if (!built) {
-    entry->affected = build_group_patterns(packed_affected_, key,
-                                           config_.missing, scratch.dfs_rows);
-    entry->unaffected = build_group_patterns(
-        packed_unaffected_, key, config_.missing, scratch.dfs_rows);
-    cache_->count_fresh();
-  }
-  entry->pooled = GenotypePatternTable::merge(entry->affected.table,
-                                              entry->unaffected.table);
-  entry->prog_affected = EmProgram::compile(entry->affected.table);
-  entry->prog_unaffected = EmProgram::compile(entry->unaffected.table);
-  entry->prog_pooled = EmProgram::compile(entry->pooled);
-  return entry;
-}
-
-EhDiallResult EhDiall::analyze_incremental(std::span<const SnpIndex> snps,
-                                           EvalScratch& scratch) const {
-  Stopwatch watch;
-  const std::vector<SnpIndex> key(snps.begin(), snps.end());
-
-  std::shared_ptr<const CandidateTables> cached = cache_->find(key);
-  std::shared_ptr<CandidateTables> entry;
-  std::shared_ptr<const CandidateTables> parent;
-  std::optional<std::uint32_t> removed_pos;  // in the parent's sorted set
-  std::optional<std::uint32_t> added_pos;    // in the child's sorted set
-
-  if (cached == nullptr) {
-    // Route a miss through the cheapest cached ancestor: first the
-    // provenance hint the GA registered, then any (k−1)-subset (the
-    // extension route covers augmentation and most crossover children).
-    const std::vector<SnpIndex> hint = cache_->hint_for(key);
-    if (!hint.empty()) parent = cache_->peek(hint);
-    if (parent == nullptr && key.size() >= 2) {
-      std::vector<SnpIndex> sub(key.size() - 1);
-      for (std::size_t drop = 0; drop < key.size() && parent == nullptr;
-           ++drop) {
-        std::size_t w = 0;
-        for (std::size_t j = 0; j < key.size(); ++j) {
-          if (j != drop) sub[w++] = key[j];
-        }
-        parent = cache_->peek(sub);
-      }
-    }
-    entry = build_tables(key, parent, scratch);
-    if (parent != nullptr && warm_start_parents_) {
-      const std::vector<SnpIndex> removed = difference(parent->key, key);
-      const std::vector<SnpIndex> added = difference(key, parent->key);
-      if (removed.size() <= 1 && added.size() <= 1) {
-        if (removed.size() == 1) {
-          removed_pos = static_cast<std::uint32_t>(
-              std::lower_bound(parent->key.begin(), parent->key.end(),
-                               removed[0]) -
-              parent->key.begin());
-        }
-        if (added.size() == 1) {
-          added_pos = static_cast<std::uint32_t>(
-              std::lower_bound(key.begin(), key.end(), added[0]) -
-              key.begin());
-        }
-      } else {
-        parent = nullptr;  // too far for a meaningful warm start
-      }
-    }
-  }
-  const CandidateTables& tables = cached ? *cached : *entry;
-
-  EhDiallResult result;
-  result.locus_count = static_cast<std::uint32_t>(key.size());
-  result.affected_individuals = tables.affected.table.total_individuals();
-  result.unaffected_individuals =
-      tables.unaffected.table.total_individuals();
-  result.pattern_build_seconds = watch.elapsed_seconds();
-
-  watch.reset();
-  if (cached != nullptr) {
-    // Full reuse: the stored solutions are exactly what this analysis
-    // would recompute.
-    result.pooled_warm_started = cached->pooled_warm_started;
-    result.affected =
-        expand_em_result(cached->prog_affected, cached->sol_affected);
-    result.unaffected =
-        expand_em_result(cached->prog_unaffected, cached->sol_unaffected);
-    result.pooled = expand_em_result(cached->prog_pooled, cached->sol_pooled);
-  } else {
-    const bool warm_parents = warm_start_parents_ && parent != nullptr &&
-                              (removed_pos || added_pos);
-    // Warm runs that fail to converge fall back to the equilibrium
-    // start — the exact cold result — so warm starting can shorten a
-    // run but never change whether it succeeds.
-    const auto run_group = [&](const EmProgram& prog,
-                               const EmProgram& parent_prog,
-                               const EmSupportResult& parent_sol) {
-      if (warm_parents && prog.total_individuals > 0.0) {
-        const std::vector<double> warm = warm_from_parent(
-            prog, parent_prog, parent_sol, removed_pos, added_pos);
-        EmSupportResult sol =
-            run_em_program(prog, config_, scratch.em, warm, simd_kernels_);
-        if (sol.converged) {
-          cache_->count_warm_start();
-          return sol;
-        }
-        cache_->count_warm_fallback();
-      }
-      return run_em_program(prog, config_, scratch.em, {}, simd_kernels_);
-    };
-    entry->sol_affected = run_group(entry->prog_affected,
-                                    parent ? parent->prog_affected
-                                           : entry->prog_affected,
-                                    parent ? parent->sol_affected
-                                           : entry->sol_affected);
-    entry->sol_unaffected = run_group(entry->prog_unaffected,
-                                      parent ? parent->prog_unaffected
-                                             : entry->prog_unaffected,
-                                      parent ? parent->sol_unaffected
-                                             : entry->sol_unaffected);
-
-    bool pooled_done = false;
-    if (warm_parents && entry->prog_pooled.total_individuals > 0.0) {
-      const std::vector<double> warm =
-          warm_from_parent(entry->prog_pooled, parent->prog_pooled,
-                           parent->sol_pooled, removed_pos, added_pos);
-      EmSupportResult sol = run_em_program(entry->prog_pooled, config_,
-                                           scratch.em, warm, simd_kernels_);
-      if (sol.converged) {
-        cache_->count_warm_start();
-        entry->sol_pooled = std::move(sol);
-        entry->pooled_warm_started = true;
-        pooled_done = true;
-      } else {
-        cache_->count_warm_fallback();
-      }
-    }
-    if (!pooled_done && warm_start_pooled_ &&
-        entry->prog_pooled.total_individuals > 0.0) {
-      const std::vector<double> warm = blend_warm_start(
-          entry->prog_pooled, entry->prog_affected, entry->sol_affected,
-          entry->prog_unaffected, entry->sol_unaffected);
-      EmSupportResult sol = run_em_program(entry->prog_pooled, config_,
-                                           scratch.em, warm, simd_kernels_);
-      if (sol.converged) {
-        entry->sol_pooled = std::move(sol);
-        entry->pooled_warm_started = true;
-        pooled_done = true;
-      }
-    }
-    if (!pooled_done) {
-      entry->sol_pooled = run_em_program(entry->prog_pooled, config_,
-                                         scratch.em, {}, simd_kernels_);
-      entry->pooled_warm_started = false;
-    }
-
-    result.pooled_warm_started = entry->pooled_warm_started;
-    result.affected =
-        expand_em_result(entry->prog_affected, entry->sol_affected);
-    result.unaffected =
-        expand_em_result(entry->prog_unaffected, entry->sol_unaffected);
-    result.pooled = expand_em_result(entry->prog_pooled, entry->sol_pooled);
-    cache_->insert(entry);
-  }
-  result.em_seconds = watch.elapsed_seconds();
-
-  const double lrt = 2.0 * (result.affected.log_likelihood +
-                            result.unaffected.log_likelihood -
-                            result.pooled.log_likelihood);
-  result.lrt = std::max(lrt, 0.0);
+  std::string error;
+  analyze_batch({&candidate, 1}, scratch, {&result, 1}, {&error, 1});
+  if (!error.empty()) throw Error(error);
   return result;
 }
 
@@ -486,127 +100,71 @@ void EhDiall::analyze_batch(std::span<const std::vector<SnpIndex>> snps,
   LDGA_EXPECTS(results.size() == snps.size() &&
                errors.size() == snps.size());
 
-  // Batching needs every EM solve cold (warm starts pick per-candidate
-  // start vectors, and a warm solve is not bit-identical to a cold
-  // one), the compiled simd path (batch lanes reproduce the solo simd
-  // run), and the incremental cache (the published entries ARE the
-  // batch's output channel).
-  const bool batchable = compiled_em_ && simd_kernels_ &&
-                         !warm_start_pooled_ && !warm_start_parents_ &&
-                         cache_ != nullptr;
-
-  const auto solo = [&](std::size_t i) {
-    try {
-      results[i] = analyze(snps[i], scratch);
-    } catch (const std::exception& error) {
-      errors[i] = error.what();
-    }
-  };
-  if (!batchable) {
-    for (std::size_t i = 0; i < snps.size(); ++i) solo(i);
-    return;
-  }
-
-  const auto finish = [](EhDiallResult& result) {
-    const double lrt = 2.0 * (result.affected.log_likelihood +
-                              result.unaffected.log_likelihood -
-                              result.pooled.log_likelihood);
-    result.lrt = std::max(lrt, 0.0);
-  };
-
-  // Phase A: route every candidate. Cache hits finish immediately;
-  // misses resolve a parent against the pre-batch cache (deferred
-  // insertion — with cold solves the build route never changes a
-  // value) and compile their three programs.
+  // Phase A: per candidate, count the genotype patterns of each group,
+  // merge them into the pooled table, and compile all three tables
+  // into phase programs. Slots 0/1/2 = affected/unaffected/pooled.
   struct Pending {
     std::size_t index = 0;
-    std::shared_ptr<CandidateTables> entry;
-    double pattern_build_seconds = 0.0;
+    EmProgram programs[3];
+    EmSupportResult solutions[3];
   };
   std::vector<Pending> pending;
   pending.reserve(snps.size());
   for (std::size_t i = 0; i < snps.size(); ++i) {
-    const std::vector<SnpIndex>& key = snps[i];
-    if (key.empty() || !std::is_sorted(key.begin(), key.end()) ||
-        std::adjacent_find(key.begin(), key.end()) != key.end()) {
-      solo(i);  // analyze() handles (or rejects) non-canonical sets
-      continue;
-    }
     try {
       Stopwatch watch;
-      if (const std::shared_ptr<const CandidateTables> cached =
-              cache_->find(key)) {
-        EhDiallResult& result = results[i];
-        result.locus_count = static_cast<std::uint32_t>(key.size());
-        result.affected_individuals =
-            cached->affected.table.total_individuals();
-        result.unaffected_individuals =
-            cached->unaffected.table.total_individuals();
-        result.pattern_build_seconds = watch.elapsed_seconds();
-        Stopwatch em_watch;
-        result.pooled_warm_started = cached->pooled_warm_started;
-        result.affected =
-            expand_em_result(cached->prog_affected, cached->sol_affected);
-        result.unaffected = expand_em_result(cached->prog_unaffected,
-                                             cached->sol_unaffected);
-        result.pooled =
-            expand_em_result(cached->prog_pooled, cached->sol_pooled);
-        result.em_seconds = em_watch.elapsed_seconds();
-        finish(result);
-        continue;
-      }
-      std::shared_ptr<const CandidateTables> parent;
-      const std::vector<SnpIndex> hint = cache_->hint_for(key);
-      if (!hint.empty()) parent = cache_->peek(hint);
-      if (parent == nullptr && key.size() >= 2) {
-        std::vector<SnpIndex> sub(key.size() - 1);
-        for (std::size_t drop = 0;
-             drop < key.size() && parent == nullptr; ++drop) {
-          std::size_t w = 0;
-          for (std::size_t j = 0; j < key.size(); ++j) {
-            if (j != drop) sub[w++] = key[j];
-          }
-          parent = cache_->peek(sub);
-        }
-      }
+      const GenotypePatternTable table_a = GenotypePatternTable::build_packed(
+          packed_affected_, snps[i], config_.missing, scratch.dfs_rows);
+      const GenotypePatternTable table_u = GenotypePatternTable::build_packed(
+          packed_unaffected_, snps[i], config_.missing, scratch.dfs_rows);
       Pending p;
       p.index = i;
-      p.entry = build_tables(key, parent, scratch);
-      p.pattern_build_seconds = watch.elapsed_seconds();
+      p.programs[0] = EmProgram::compile(table_a);
+      p.programs[1] = EmProgram::compile(table_u);
+      p.programs[2] =
+          EmProgram::compile(GenotypePatternTable::merge(table_a, table_u));
+      EhDiallResult& result = results[i];
+      result.locus_count = static_cast<std::uint32_t>(snps[i].size());
+      result.affected_individuals = table_a.total_individuals();
+      result.unaffected_individuals = table_u.total_individuals();
+      result.pattern_build_seconds = watch.elapsed_seconds();
       pending.push_back(std::move(p));
     } catch (const std::exception& error) {
       errors[i] = error.what();
     }
   }
 
-  // Phase B: pool the pending candidates' cold solves, group them by
-  // phase-program shape, and run each group of >= 2 in SoA lockstep.
-  // Programs with no data never group (same-shape requires data) and
-  // run solo, which handles them trivially.
+  // Phase B: solve every program. With the vector kernels, group the
+  // programs by phase-program shape and run each group of >= 2 in SoA
+  // lockstep; programs with no data never group (same-shape requires
+  // data) and run solo, which handles them trivially. Without them,
+  // every program runs solo on the scalar kernel.
   struct Job {
     const EmProgram* program;
     EmSupportResult* solution;
   };
   std::vector<Job> jobs;
   jobs.reserve(pending.size() * 3);
-  for (const Pending& p : pending) {
-    jobs.push_back({&p.entry->prog_affected, &p.entry->sol_affected});
-    jobs.push_back({&p.entry->prog_unaffected, &p.entry->sol_unaffected});
-    jobs.push_back({&p.entry->prog_pooled, &p.entry->sol_pooled});
+  for (Pending& p : pending) {
+    for (std::size_t g = 0; g < 3; ++g) {
+      jobs.push_back({&p.programs[g], &p.solutions[g]});
+    }
   }
   Stopwatch em_watch;
   std::vector<std::vector<std::size_t>> groups;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    bool placed = false;
-    for (auto& group : groups) {
-      if (em_programs_same_shape(*jobs[group.front()].program,
-                                 *jobs[j].program)) {
-        group.push_back(j);
-        placed = true;
-        break;
-      }
+    const auto same_shape = [&](const std::vector<std::size_t>& group) {
+      return em_programs_same_shape(*jobs[group.front()].program,
+                                    *jobs[j].program);
+    };
+    const auto group =
+        simd_kernels_ ? std::find_if(groups.begin(), groups.end(), same_shape)
+                      : groups.end();
+    if (group != groups.end()) {
+      group->push_back(j);
+    } else {
+      groups.push_back({j});
     }
-    if (!placed) groups.push_back({j});
   }
   std::vector<const EmProgram*> programs;
   std::vector<EmSupportResult> solutions;
@@ -628,7 +186,7 @@ void EhDiall::analyze_batch(std::span<const std::vector<SnpIndex>> snps,
     } else {
       const Job& job = jobs[group.front()];
       *job.solution =
-          run_em_program(*job.program, config_, scratch.em, {}, simd_kernels_);
+          run_em_program(*job.program, config_, scratch.em, simd_kernels_);
     }
   }
   // The lockstep runs interleave candidates, so per-candidate EM time
@@ -637,26 +195,17 @@ void EhDiall::analyze_batch(std::span<const std::vector<SnpIndex>> snps,
       pending.empty() ? 0.0 : em_watch.elapsed_seconds() /
                                   static_cast<double>(pending.size());
 
-  // Phase C: expand, derive the LRT, and publish the completed entries.
+  // Phase C: expand the support solutions and derive the LRT.
   for (const Pending& p : pending) {
     EhDiallResult& result = results[p.index];
-    result.locus_count = static_cast<std::uint32_t>(p.entry->key.size());
-    result.affected_individuals =
-        p.entry->affected.table.total_individuals();
-    result.unaffected_individuals =
-        p.entry->unaffected.table.total_individuals();
-    result.pattern_build_seconds = p.pattern_build_seconds;
     result.em_seconds = em_share;
-    p.entry->pooled_warm_started = false;
-    result.pooled_warm_started = false;
-    result.affected =
-        expand_em_result(p.entry->prog_affected, p.entry->sol_affected);
-    result.unaffected =
-        expand_em_result(p.entry->prog_unaffected, p.entry->sol_unaffected);
-    result.pooled =
-        expand_em_result(p.entry->prog_pooled, p.entry->sol_pooled);
-    finish(result);
-    cache_->insert(p.entry);
+    result.affected = expand_em_result(p.programs[0], p.solutions[0]);
+    result.unaffected = expand_em_result(p.programs[1], p.solutions[1]);
+    result.pooled = expand_em_result(p.programs[2], p.solutions[2]);
+    const double lrt = 2.0 * (result.affected.log_likelihood +
+                              result.unaffected.log_likelihood -
+                              result.pooled.log_likelihood);
+    result.lrt = std::max(lrt, 0.0);
   }
 }
 

@@ -10,7 +10,6 @@
 // different objective functions).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "stats/contingency.hpp"
 #include "stats/em_haplotype.hpp"
 #include "stats/eval_scratch.hpp"
-#include "stats/pattern_cache.hpp"
 
 namespace ldga::stats {
 
@@ -42,13 +40,11 @@ struct EhDiallResult {
   double lrt = 0.0;
   std::uint32_t locus_count = 0;
   /// Wall time spent grouping genotype patterns (incl. the pooled
-  /// merge) and running the three EM estimations, for the per-stage
-  /// telemetry (EvaluationResult::timings).
+  /// merge and compiling the phase programs) and running the three EM
+  /// estimations, for the per-stage telemetry
+  /// (EvaluationResult::timings).
   double pattern_build_seconds = 0.0;
   double em_seconds = 0.0;
-  /// True when the pooled run used (and converged from) the blended
-  /// case/control warm start rather than the equilibrium start.
-  bool pooled_warm_started = false;
 
   /// The haplotype × status table CLUMP consumes: row 0 = affected,
   /// row 1 = unaffected; one column per haplotype code; cells are
@@ -61,32 +57,17 @@ class EhDiall {
   /// Captures the affected/unaffected individual lists of the dataset;
   /// individuals with Unknown status are ignored (as in the paper).
   /// Each group is bit-packed once here — a per-group column slice —
-  /// and every analyze() call counts genotype patterns with word-level
-  /// popcounts.
-  /// With `compiled_em` (the default) each table is compiled to a phase
-  /// program (em_kernel.hpp) and EM runs over the support set only —
-  /// again bit-for-bit identical to the visitor-based reference.
-  /// `warm_start_pooled` additionally seeds the pooled run from the
-  /// chromosome-weighted blend of the case/control solutions (compiled
-  /// path only; falls back to the equilibrium start, and therefore to
-  /// the exact cold-start result, when the warm run does not converge).
-  /// A non-null `cache` activates the incremental pipeline for sorted
-  /// candidates (packed + compiled only): tables, phase programs and EM
-  /// solutions are memoized per locus set and children of cached
-  /// parents are constructed by exact extension/projection instead of
-  /// the full code-tree walk — every statistic stays bit-for-bit
-  /// identical to the fresh path. `warm_start_parents` additionally
-  /// seeds each EM run from the cached parent solution transformed onto
-  /// the child support (ulp-level differences possible; non-convergent
-  /// warm runs fall back to the exact cold result).
+  /// and every analysis counts genotype patterns with word-level
+  /// popcounts, compiles each table to a phase program (em_kernel.hpp)
+  /// and runs EM over the support set only.
   /// `simd_kernels` routes the EM E-step through the dispatched vector
-  /// kernels (util/simd.hpp, compiled path only): deterministic per
-  /// dispatch level, equal to the scalar reference to ~1e-9 but not
-  /// bit-for-bit, which is why it defaults off.
+  /// kernels (util/simd.hpp) and lets same-shape solves of a batch run
+  /// in SoA lockstep: deterministic per dispatch level, equal to the
+  /// scalar path to ~1e-9 but not bit-for-bit. The parameter defaults
+  /// to the scalar path — bit-for-bit the reference EM in
+  /// tests/support — while the evaluator passes
+  /// EvaluatorConfig::simd_kernels, which is on by default.
   explicit EhDiall(const genomics::Dataset& dataset, EmConfig config = {},
-                   bool compiled_em = true, bool warm_start_pooled = false,
-                   std::shared_ptr<PatternTableCache> cache = nullptr,
-                   bool warm_start_parents = false,
                    bool simd_kernels = false);
 
   /// As above, but slicing each group straight from any GenotypeStore
@@ -96,12 +77,11 @@ class EhDiall {
   /// this is the genome-scale construction path.
   EhDiall(const genomics::GenotypeStore& store,
           std::span<const genomics::Status> statuses, EmConfig config = {},
-          bool compiled_em = true, bool warm_start_pooled = false,
-          std::shared_ptr<PatternTableCache> cache = nullptr,
-          bool warm_start_parents = false, bool simd_kernels = false);
+          bool simd_kernels = false);
 
   /// Full three-way analysis of a candidate SNP set (ascending order not
-  /// required here, but indices must be distinct and in range).
+  /// required, but indices must be distinct and in range): a batch of
+  /// one. Throws ldga::Error with the pipeline's message on failure.
   EhDiallResult analyze(std::span<const genomics::SnpIndex> snps) const;
 
   /// analyze() with the transient buffers (EM vectors, DFS rows)
@@ -110,22 +90,16 @@ class EhDiall {
   EhDiallResult analyze(std::span<const genomics::SnpIndex> snps,
                         EvalScratch& scratch) const;
 
-  /// Analyzes a whole batch of candidates, grouping their cold EM
-  /// solves by phase-program shape and running each group through
-  /// run_em_program_batch (em_kernel.hpp) — every statistic
-  /// bit-identical to calling analyze() per candidate, at any batch
-  /// size, because cold EM solves are route-independent and each batch
-  /// lane reproduces its solo simd run exactly. Batching applies only
-  /// when every solve is cold (compiled path, simd kernels on, no warm
-  /// starts) with the incremental cache active and sorted duplicate-free
-  /// candidates; anything else falls back to per-candidate analyze() —
-  /// same results, lane counters stay zero. Cache insertions are
-  /// deferred until a candidate's solutions are complete, so
-  /// within-batch subset parents are not visible to later candidates
-  /// (with warm starts off this never changes a value, only the build
-  /// route). A candidate whose pipeline throws reports the message in
-  /// errors[i] (results[i] stays default); others are unaffected.
-  /// `stats`, when non-null, accumulates batching counters.
+  /// The one EH-DIALL body. Builds every candidate's three pattern
+  /// tables and phase programs, then solves all 3 × n EM programs:
+  /// with simd_kernels, programs of the same phase-program shape run
+  /// in SoA lockstep through run_em_program_batch (em_kernel.hpp) and
+  /// the rest run solo on the vector kernel; without it, every program
+  /// runs solo on the scalar kernel. Each lockstep lane equals its
+  /// solo run bit for bit, so every statistic is independent of batch
+  /// size and composition. A candidate whose pipeline throws reports
+  /// the message in errors[i] (results[i] stays default); others are
+  /// unaffected. `stats`, when non-null, accumulates batching counters.
   void analyze_batch(std::span<const std::vector<genomics::SnpIndex>> snps,
                      EvalScratch& scratch,
                      std::span<EhDiallResult> results,
@@ -139,31 +113,13 @@ class EhDiall {
     return static_cast<std::uint32_t>(unaffected_.size());
   }
 
-  /// The shared pattern/program cache (nullptr when inactive).
-  const std::shared_ptr<PatternTableCache>& pattern_cache() const {
-    return cache_;
-  }
-
  private:
-  EhDiallResult analyze_incremental(std::span<const genomics::SnpIndex> snps,
-                                    EvalScratch& scratch) const;
-  std::shared_ptr<CandidateTables> build_tables(
-      const std::vector<genomics::SnpIndex>& key,
-      const std::shared_ptr<const CandidateTables>& parent,
-      EvalScratch& scratch) const;
-
   EmConfig config_;
   std::vector<std::uint32_t> affected_;
   std::vector<std::uint32_t> unaffected_;
-  bool compiled_em_ = true;
-  bool warm_start_pooled_ = false;
-  bool warm_start_parents_ = false;
   bool simd_kernels_ = false;
   genomics::PackedGenotypeMatrix packed_affected_;
   genomics::PackedGenotypeMatrix packed_unaffected_;
-  /// Shared (EhDiall stays copyable, like Clump's pool); nullptr when
-  /// the incremental pipeline is off.
-  std::shared_ptr<PatternTableCache> cache_;
 };
 
 }  // namespace ldga::stats

@@ -1,12 +1,9 @@
 #include "stats/em_haplotype.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
-#include <unordered_map>
 
 #include "util/error.hpp"
-#include "util/numeric.hpp"
 
 namespace ldga::stats {
 
@@ -24,20 +21,6 @@ void EmConfig::validate() const {
 
 namespace {
 
-/// Packs the three 21-bit masks into one map key (kMaxEmLoci <= 20).
-constexpr std::uint64_t pattern_key(std::uint32_t hom_two, std::uint32_t het,
-                                    std::uint32_t missing) {
-  return (static_cast<std::uint64_t>(hom_two) << 42) |
-         (static_cast<std::uint64_t>(het) << 21) | missing;
-}
-
-void unpack_pattern_key(std::uint64_t key, GenotypePattern& p) {
-  constexpr std::uint32_t kMask21 = (1u << 21) - 1;
-  p.hom_two_mask = static_cast<std::uint32_t>(key >> 42) & kMask21;
-  p.het_mask = static_cast<std::uint32_t>(key >> 21) & kMask21;
-  p.missing_mask = static_cast<std::uint32_t>(key) & kMask21;
-}
-
 bool pattern_less(const GenotypePattern& a, const GenotypePattern& b) {
   if (a.hom_two_mask != b.hom_two_mask)
     return a.hom_two_mask < b.hom_two_mask;
@@ -46,11 +29,6 @@ bool pattern_less(const GenotypePattern& a, const GenotypePattern& b) {
 }
 
 }  // namespace
-
-bool GenotypePatternTable::pattern_order(const GenotypePattern& a,
-                                         const GenotypePattern& b) {
-  return pattern_less(a, b);
-}
 
 GenotypePatternTable GenotypePatternTable::from_patterns(
     std::uint32_t locus_count, double total, std::uint32_t excluded,
@@ -63,57 +41,6 @@ GenotypePatternTable GenotypePatternTable::from_patterns(
   table.total_ = total;
   table.excluded_ = excluded;
   table.patterns_ = std::move(patterns);
-  return table;
-}
-
-GenotypePatternTable GenotypePatternTable::build(
-    const genomics::GenotypeMatrix& genotypes,
-    std::span<const SnpIndex> snps,
-    std::span<const std::uint32_t> individuals, MissingPolicy missing) {
-  LDGA_EXPECTS(!snps.empty());
-  LDGA_EXPECTS(snps.size() <= kMaxEmLoci);
-
-  GenotypePatternTable table;
-  table.locus_count_ = static_cast<std::uint32_t>(snps.size());
-
-  std::unordered_map<std::uint64_t, double> grouped;
-  grouped.reserve(individuals.size());
-
-  for (const std::uint32_t individual : individuals) {
-    std::uint32_t hom_two = 0, het = 0, missing_mask = 0;
-    for (std::uint32_t j = 0; j < snps.size(); ++j) {
-      const Genotype g = genotypes.at(individual, snps[j]);
-      switch (g) {
-        case Genotype::HomOne:
-          break;
-        case Genotype::Het:
-          het |= 1u << j;
-          break;
-        case Genotype::HomTwo:
-          hom_two |= 1u << j;
-          break;
-        case Genotype::Missing:
-          missing_mask |= 1u << j;
-          break;
-      }
-    }
-    if (missing_mask != 0 && missing == MissingPolicy::CompleteCase) {
-      ++table.excluded_;
-      continue;
-    }
-    grouped[pattern_key(hom_two, het, missing_mask)] += 1.0;
-    table.total_ += 1.0;
-  }
-
-  table.patterns_.reserve(grouped.size());
-  for (const auto& [key, count] : grouped) {
-    GenotypePattern p;
-    unpack_pattern_key(key, p);
-    p.count = count;
-    table.patterns_.push_back(p);
-  }
-  // Deterministic order regardless of hash-map iteration.
-  std::sort(table.patterns_.begin(), table.patterns_.end(), pattern_less);
   return table;
 }
 
@@ -166,8 +93,8 @@ GenotypePatternTable GenotypePatternTable::merge(
   out.total_ = a.total_ + b.total_;
   out.excluded_ = a.excluded_ + b.excluded_;
 
-  // Both inputs are already sorted by pattern_less (build and
-  // build_packed end on that sort), so a two-pointer merge yields the
+  // Both inputs are already sorted by pattern_less (build_packed ends
+  // on that sort), so a two-pointer merge yields the
   // sorted union directly — no hashing and no re-sort.
   out.patterns_.reserve(a.patterns_.size() + b.patterns_.size());
   auto ia = a.patterns_.begin();
@@ -190,17 +117,35 @@ GenotypePatternTable GenotypePatternTable::merge(
   return out;
 }
 
-namespace {
+std::vector<double> equilibrium_allele_two_frequencies(
+    const GenotypePatternTable& table) {
+  const std::uint32_t k = table.locus_count();
+  std::vector<double> freq_two(k, 0.0);
+  std::vector<double> observed(k, 0.0);
+  for (const auto& p : table.patterns()) {
+    for (std::uint32_t j = 0; j < k; ++j) {
+      const std::uint32_t bit = 1u << j;
+      if (p.missing_mask & bit) continue;
+      observed[j] += 2.0 * p.count;
+      if (p.hom_two_mask & bit) {
+        freq_two[j] += 2.0 * p.count;
+      } else if (p.het_mask & bit) {
+        freq_two[j] += p.count;
+      }
+    }
+  }
+  for (std::uint32_t j = 0; j < k; ++j) {
+    double& f = freq_two[j];
+    f = observed[j] > 0.0 ? f / observed[j] : 0.5;
+    // Keep strictly inside (0,1) so no compatible pair starts at zero.
+    f = std::clamp(f, 1e-6, 1.0 - 1e-6);
+  }
+  return freq_two;
+}
 
-/// Calls visit(h1, h2, multiplicity) for every haplotype pair compatible
-/// with the pattern, such that Σ multiplicity · p(h1) · p(h2) equals the
-/// genotype probability. Without missing loci, unordered pairs are
-/// enumerated with multiplicity 2 (two phase orientations) or 1 (the
-/// homozygous resolution); with missing loci, ordered resolutions over
-/// the free allele assignments are enumerated with multiplicity 1
-/// (2^h · 4^m resolutions).
-template <typename Visitor>
-void for_each_phase(const GenotypePattern& p, Visitor&& visit) {
+void for_each_compatible_pair(
+    const GenotypePattern& p,
+    const std::function<void(HaplotypeCode, HaplotypeCode, double)>& visit) {
   const std::uint32_t het = p.het_mask;
   const std::uint32_t miss = p.missing_mask;
 
@@ -242,150 +187,6 @@ void for_each_phase(const GenotypePattern& p, Visitor&& visit) {
     } while (m1 != 0);
     s = (s - het) & het;
   } while (s != 0);
-}
-
-/// Linkage-equilibrium initialization: product of per-locus allele
-/// frequencies computed from the patterns by allele counting over the
-/// observed (non-missing) chromosomes at each locus.
-std::vector<double> equilibrium_start(const GenotypePatternTable& table) {
-  const std::uint32_t k = table.locus_count();
-  const std::vector<double> freq_two =
-      equilibrium_allele_two_frequencies(table);
-
-  const std::size_t n_haplotypes = std::size_t{1} << k;
-  std::vector<double> p(n_haplotypes, 0.0);
-  for (std::size_t h = 0; h < n_haplotypes; ++h) {
-    double prob = 1.0;
-    for (std::uint32_t j = 0; j < k; ++j) {
-      prob *= (h >> j) & 1u ? freq_two[j] : 1.0 - freq_two[j];
-    }
-    p[h] = prob;
-  }
-  return p;
-}
-
-}  // namespace
-
-std::vector<double> equilibrium_allele_two_frequencies(
-    const GenotypePatternTable& table) {
-  const std::uint32_t k = table.locus_count();
-  std::vector<double> freq_two(k, 0.0);
-  std::vector<double> observed(k, 0.0);
-  for (const auto& p : table.patterns()) {
-    for (std::uint32_t j = 0; j < k; ++j) {
-      const std::uint32_t bit = 1u << j;
-      if (p.missing_mask & bit) continue;
-      observed[j] += 2.0 * p.count;
-      if (p.hom_two_mask & bit) {
-        freq_two[j] += 2.0 * p.count;
-      } else if (p.het_mask & bit) {
-        freq_two[j] += p.count;
-      }
-    }
-  }
-  for (std::uint32_t j = 0; j < k; ++j) {
-    double& f = freq_two[j];
-    f = observed[j] > 0.0 ? f / observed[j] : 0.5;
-    // Keep strictly inside (0,1) so no compatible pair starts at zero.
-    f = std::clamp(f, 1e-6, 1.0 - 1e-6);
-  }
-  return freq_two;
-}
-
-double genotype_log_likelihood(const GenotypePatternTable& table,
-                               std::span<const double> frequencies) {
-  KahanSum ll;
-  for (const auto& p : table.patterns()) {
-    KahanSum prob;
-    for_each_phase(p, [&](HaplotypeCode h1, HaplotypeCode h2, double mult) {
-      prob.add(mult * frequencies[h1] * frequencies[h2]);
-    });
-    const double value = prob.value();
-    ll.add(p.count * std::log(std::max(value, 1e-300)));
-  }
-  return ll.value();
-}
-
-EmResult estimate_haplotype_frequencies(const GenotypePatternTable& table,
-                                        const EmConfig& config) {
-  config.validate();
-  const std::uint32_t k = table.locus_count();
-  LDGA_EXPECTS(k >= 1 && k <= kMaxEmLoci);
-  const std::size_t n_haplotypes = std::size_t{1} << k;
-
-  EmResult result;
-  result.frequencies = equilibrium_start(table);
-  if (table.total_individuals() <= 0.0) {
-    // No data: return the (uniform-ish) start, converged trivially.
-    result.converged = true;
-    result.log_likelihood = 0.0;
-    return result;
-  }
-
-  std::vector<double> expected(n_haplotypes, 0.0);
-  const double chromosomes = 2.0 * table.total_individuals();
-
-  for (std::uint32_t iter = 1; iter <= config.max_iterations; ++iter) {
-    std::fill(expected.begin(), expected.end(), 0.0);
-
-    // E-step: distribute each pattern's mass over compatible pairs.
-    for (const auto& pattern : table.patterns()) {
-      double denom = 0.0;
-      for_each_phase(pattern,
-                     [&](HaplotypeCode h1, HaplotypeCode h2, double mult) {
-                       denom += mult * result.frequencies[h1] *
-                                result.frequencies[h2];
-                     });
-      if (denom <= 0.0) {
-        // Every compatible pair currently has zero probability (can
-        // happen after aggressive convergence); fall back to a uniform
-        // posterior over the compatible pairs.
-        double n_pairs = 0.0;
-        for_each_phase(pattern, [&](HaplotypeCode, HaplotypeCode, double) {
-          n_pairs += 1.0;
-        });
-        const double w = pattern.count / n_pairs;
-        for_each_phase(pattern,
-                       [&](HaplotypeCode h1, HaplotypeCode h2, double) {
-                         expected[h1] += w;
-                         expected[h2] += w;
-                       });
-        continue;
-      }
-      for_each_phase(pattern,
-                     [&](HaplotypeCode h1, HaplotypeCode h2, double mult) {
-                       const double posterior =
-                           mult * result.frequencies[h1] *
-                           result.frequencies[h2] / denom;
-                       const double w = pattern.count * posterior;
-                       expected[h1] += w;
-                       expected[h2] += w;
-                     });
-    }
-
-    // M-step + convergence check.
-    double delta = 0.0;
-    for (std::size_t h = 0; h < n_haplotypes; ++h) {
-      const double updated = expected[h] / chromosomes;
-      delta = std::max(delta, std::abs(updated - result.frequencies[h]));
-      result.frequencies[h] = updated;
-    }
-    result.iterations = iter;
-    if (delta < config.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.log_likelihood =
-      genotype_log_likelihood(table, result.frequencies);
-  return result;
-}
-
-void for_each_compatible_pair(
-    const GenotypePattern& pattern,
-    const std::function<void(HaplotypeCode, HaplotypeCode, double)>& visit) {
-  for_each_phase(pattern, visit);
 }
 
 GenotypePattern pattern_of(const genomics::GenotypeMatrix& genotypes,

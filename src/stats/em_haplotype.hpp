@@ -60,21 +60,14 @@ struct GenotypePattern {
 
 class GenotypePatternTable {
  public:
-  /// Groups the given individuals' genotypes at the selected loci.
+  /// Groups a bit-packed column slice's genotypes (the slice *is* the
+  /// individual group) at the selected loci with word-level popcounts.
   /// Under CompleteCase, individuals missing any selected locus are
   /// excluded and their number recorded; under Marginalize they are
-  /// kept with the missing loci flagged.
-  static GenotypePatternTable build(
-      const genomics::GenotypeMatrix& genotypes,
-      std::span<const genomics::SnpIndex> snps,
-      std::span<const std::uint32_t> individuals,
-      MissingPolicy missing = MissingPolicy::CompleteCase);
-
-  /// Same table from a bit-packed column slice (the slice *is* the
-  /// individual group). Word-level popcount counting instead of a byte
-  /// load per genotype; the resulting table is identical to build()'s
-  /// — same patterns, counts, exclusions and ordering — so every
-  /// downstream statistic is bit-for-bit unchanged.
+  /// kept with the missing loci flagged. Patterns end sorted
+  /// lexicographically by (hom_two, het, missing) mask — identical to
+  /// the per-individual byte-scan reference builder in
+  /// tests/support/reference_em.hpp.
   static GenotypePatternTable build_packed(
       const genomics::PackedGenotypeMatrix& group,
       std::span<const genomics::SnpIndex> snps,
@@ -93,19 +86,13 @@ class GenotypePatternTable {
   static GenotypePatternTable merge(const GenotypePatternTable& a,
                                     const GenotypePatternTable& b);
 
-  /// Assembles a table from already-grouped patterns — the incremental
-  /// construction routes (pattern_cache.hpp) derive a child's patterns
-  /// from a cached parent instead of re-scanning genotypes. `patterns`
-  /// must be in the canonical sorted order build()/build_packed() end
-  /// on (checked); `total` must equal the pattern count sum.
+  /// Assembles a table from already-grouped patterns (the reference
+  /// byte-scan builder's constructor). `patterns` must be in the
+  /// canonical sorted order build_packed() ends on (checked); `total`
+  /// must equal the pattern count sum.
   static GenotypePatternTable from_patterns(
       std::uint32_t locus_count, double total, std::uint32_t excluded,
       std::vector<GenotypePattern> patterns);
-
-  /// The canonical pattern ordering every construction path ends on
-  /// (lexicographic by hom_two, het, missing mask).
-  static bool pattern_order(const GenotypePattern& a,
-                            const GenotypePattern& b);
 
   std::uint32_t locus_count() const { return locus_count_; }
   double total_individuals() const { return total_; }
@@ -140,30 +127,23 @@ struct EmResult {
   }
 };
 
-/// Runs EM to convergence. Initialization is the linkage-equilibrium
-/// product of single-locus allele frequencies (EH's choice), which makes
-/// the result deterministic.
-EmResult estimate_haplotype_frequencies(const GenotypePatternTable& table,
-                                        const EmConfig& config = {});
-
-/// The per-locus Allele::Two frequencies behind the equilibrium start:
-/// allele counting over the observed (non-missing) chromosomes, clamped
-/// to [1e-6, 1 − 1e-6] so no compatible pair starts at zero. The start
-/// itself is the per-haplotype product of these factors; exposed so the
-/// compiled kernel (em_kernel.hpp) reproduces the reference initializer
-/// bit-for-bit.
+/// The per-locus Allele::Two frequencies behind EM's linkage-
+/// equilibrium start (EH's choice, which makes the result
+/// deterministic): allele counting over the observed (non-missing)
+/// chromosomes, clamped to [1e-6, 1 − 1e-6] so no compatible pair
+/// starts at zero. The start itself is the per-haplotype product of
+/// these factors (EmProgram::equilibrium_value, em_kernel.hpp).
 std::vector<double> equilibrium_allele_two_frequencies(
     const GenotypePatternTable& table);
 
-/// Log-likelihood of the patterns under the given haplotype frequencies
-/// (sum over patterns of count · log P(genotype)).
-double genotype_log_likelihood(const GenotypePatternTable& table,
-                               std::span<const double> frequencies);
-
 /// Enumerates the haplotype pairs compatible with one genotype pattern:
 /// calls visit(h1, h2, multiplicity) such that Σ mult · p(h1) · p(h2)
-/// is the genotype probability. Exposed for phase reconstruction and
-/// diagnostics; EM uses the same enumeration internally.
+/// is the genotype probability. Without missing loci, unordered pairs
+/// come with multiplicity 2 (two phase orientations) or 1 (the
+/// homozygous resolution); with missing loci, ordered resolutions over
+/// the free allele assignments come with multiplicity 1 (2^h · 4^m
+/// resolutions). The compiled EM kernel (em_kernel.hpp) and phase
+/// reconstruction both enumerate through this, in this order.
 void for_each_compatible_pair(
     const GenotypePattern& pattern,
     const std::function<void(HaplotypeCode, HaplotypeCode, double)>& visit);

@@ -161,22 +161,14 @@ double max_off_support_start(const EmProgram& program) {
 EmSupportResult run_em_program(const EmProgram& program,
                                const EmConfig& config,
                                EmKernelScratch& scratch,
-                               std::span<const double> warm_start,
                                bool simd_kernels) {
   config.validate();
   const std::size_t support_size = program.support.size();
 
   EmSupportResult result;
   result.frequencies.resize(support_size);
-  if (warm_start.empty()) {
-    for (std::size_t i = 0; i < support_size; ++i) {
-      result.frequencies[i] =
-          program.equilibrium_value(program.support[i]);
-    }
-  } else {
-    LDGA_EXPECTS(warm_start.size() == support_size);
-    std::copy(warm_start.begin(), warm_start.end(),
-              result.frequencies.begin());
+  for (std::size_t i = 0; i < support_size; ++i) {
+    result.frequencies[i] = program.equilibrium_value(program.support[i]);
   }
   if (program.total_individuals <= 0.0) {
     // No data: trivially converged at the start (reference behaviour).
@@ -305,7 +297,7 @@ EmSupportResult run_em_program(const EmProgram& program,
     // Off-support frequencies drop from their equilibrium start to an
     // exact 0.0 on iteration 1; the dense reference sees that in its
     // delta, so fold it in — but only when it could matter.
-    if (iter == 1 && warm_start.empty() && delta < config.tolerance &&
+    if (iter == 1 && delta < config.tolerance &&
         support_size < program.haplotype_count()) {
       delta = std::max(delta, max_off_support_start(program));
     }

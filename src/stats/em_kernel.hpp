@@ -9,7 +9,7 @@
 // Why this is safe: a haplotype outside the support never appears in
 // any compatible pair, so its expected count is exactly 0.0 in every
 // E-step and its frequency is exactly 0.0 from iteration 1 onward in
-// the dense reference (`estimate_haplotype_frequencies`). The only
+// the dense reference (tests/support/reference_em.hpp). The only
 // place off-support entries influence the reference is the iteration-1
 // convergence delta (their equilibrium start values drop to zero); the
 // kernel reproduces that term lazily (see run_em_program), keeping the
@@ -94,22 +94,20 @@ struct EmKernelScratch {
   std::vector<double> products;
 };
 
-/// Runs EM over the compiled program. With an empty `warm_start` the
-/// run starts from the equilibrium product (bit-for-bit identical to
-/// estimate_haplotype_frequencies on the same table); otherwise
-/// `warm_start` supplies one strictly positive frequency per support
-/// entry and convergence is judged over the support only.
+/// Runs EM over the compiled program from the equilibrium product —
+/// bit-for-bit identical to the dense visitor-based reference EM
+/// (tests/support/reference_em.hpp) on the same table.
 ///
 /// With `simd_kernels` the E-step's gather/multiply sweep runs through
 /// the dispatched vector kernels (util/simd.hpp): deterministic
 /// run-to-run and across worker counts for a fixed dispatch level, but
-/// rounded differently from this scalar reference in the last ulps —
-/// results agree to ~1e-9. Default off; the scalar path is the
-/// bit-exact reference (EvaluatorConfig::simd_kernels gates it).
+/// rounded differently from the scalar path in the last ulps — results
+/// agree to ~1e-9. The parameter defaults to the scalar path, the
+/// bit-exact reference; production evaluation follows
+/// EvaluatorConfig::simd_kernels, which is on by default.
 EmSupportResult run_em_program(const EmProgram& program,
                                const EmConfig& config,
                                EmKernelScratch& scratch,
-                               std::span<const double> warm_start = {},
                                bool simd_kernels = false);
 
 /// Expands a support solution to the dense 2^k EmResult the rest of
@@ -144,7 +142,7 @@ struct EmBatchScratch {
 /// batch_weighted_pair_products (util/simd.hpp) and long fans on the
 /// per-candidate kernel lane by lane. Always the simd path: every
 /// lane's result is bit-identical to
-/// run_em_program(program, config, scratch, {}, /*simd_kernels=*/true)
+/// run_em_program(program, config, scratch, /*simd_kernels=*/true)
 /// at the same dispatch level — lanes converge and retire
 /// independently, and no value ever crosses lanes. Requires
 /// em_programs_same_shape for every pair (checked via cheap asserts)

@@ -166,10 +166,10 @@ class ThreadPoolBackend final : public InProcessBackend {
     std::vector<double> results(batch.size());
     if (evaluator_->batch_dispatch_eligible() && batch.size() > 1) {
       // Candidate-batched path: split the batch into one contiguous
-      // slice per worker so each slice runs its EM solves in SoA
-      // lockstep. Fitnesses are bit-identical to the per-candidate
-      // loop at any slice count, so the worker count still never
-      // changes a result.
+      // slice per worker so each slice is one analyze_batch (same-shape
+      // EM solves in SoA lockstep with the vector kernels on).
+      // Fitnesses are bit-identical to the per-candidate loop at any
+      // slice count, so the worker count still never changes a result.
       const std::size_t n_slices =
           std::min<std::size_t>(batch.size(), worker_count());
       const std::span<double> out(results);

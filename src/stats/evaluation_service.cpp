@@ -36,12 +36,6 @@ EvaluationService::EvaluationService(
 
 std::vector<double> EvaluationService::evaluate(
     std::span<const Candidate> batch) {
-  return evaluate(batch, {});
-}
-
-std::vector<double> EvaluationService::evaluate(
-    std::span<const Candidate> batch, std::span<const Candidate> parents) {
-  LDGA_EXPECTS(parents.empty() || parents.size() == batch.size());
   const Stopwatch watch;
   ++stats_.batches;
   stats_.candidates += batch.size();
@@ -77,9 +71,8 @@ std::vector<double> EvaluationService::evaluate(
     // Dispatch the misses ordered by locus-set size (stable, so ties
     // keep batch order — deterministic): same-size candidates sit in
     // contiguous runs, which is what lets the batched backends group
-    // same-shape EM solves, and subsets precede the supersets that can
-    // reuse their cached tables. Task order of the results is restored
-    // by the slot remap, so fitnesses are unaffected.
+    // same-shape EM solves. Task order of the results is restored by
+    // the slot remap, so fitnesses are unaffected.
     std::vector<std::size_t> order(unique.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::stable_sort(order.begin(), order.end(),
@@ -102,20 +95,6 @@ std::vector<double> EvaluationService::evaluate(
   }
   if (!unique.empty()) {
     stats_.dispatched += unique.size();
-    if (!parents.empty()) {
-      // Provenance of the unique misses only — hits and duplicates
-      // never reach a worker. Registering replaces the previous
-      // batch's hints, so this runs even when every pair filters out.
-      std::vector<std::pair<Candidate, Candidate>> hints;
-      hints.reserve(unique.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (dispatch_slot[i] == kUnresolved) continue;
-        if (parents[i].empty() || parents[i] == batch[i]) continue;
-        hints.emplace_back(batch[i], parents[i]);
-      }
-      stats_.hints += hints.size();
-      evaluator_->note_provenance(hints);
-    }
     const std::vector<double> computed = backend_->evaluate_batch(unique);
     LDGA_EXPECTS(computed.size() == unique.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -259,14 +238,13 @@ void EvaluationStream::retire_queues(std::uint32_t base,
 }
 
 bool EvaluationStream::submit(std::uint32_t queue, std::uint64_t ticket,
-                              Candidate candidate, Candidate parent) {
+                              Candidate candidate) {
   LDGA_EXPECTS(queue < completions_.size() &&
                queue_slots_[queue] != kUnboundQueue);
   const std::uint32_t slot = queue_slots_[queue];
   Tenant& tenant = *tenants_[slot];
   if (!tenant.open.load(std::memory_order_relaxed)) return false;
-  Submission submission{queue, slot, ticket, std::move(candidate),
-                        std::move(parent)};
+  Submission submission{queue, slot, ticket, std::move(candidate)};
   // Count before the push: a lane may claim, evaluate and deliver the
   // submission before this thread runs another instruction, and
   // in_flight() (submitted - delivered, unsigned) must never observe
@@ -335,9 +313,7 @@ void EvaluationStream::lane_loop(Lane& lane) {
     // the in-flight computation and is delivered by whichever lane
     // finishes it.
     std::vector<Candidate> claimed;
-    std::vector<Candidate> parents;
     claimed.reserve(batch.size());
-    parents.reserve(batch.size());
     {
       std::lock_guard lock(inflight_mutex_);
       for (Submission& submission : batch) {
@@ -350,7 +326,6 @@ void EvaluationStream::lane_loop(Lane& lane) {
           continue;
         }
         claimed.push_back(std::move(submission.candidate));
-        parents.push_back(std::move(submission.parent));
       }
     }
     if (claimed.empty()) continue;
@@ -358,7 +333,7 @@ void EvaluationStream::lane_loop(Lane& lane) {
     std::vector<double> scores;
     std::vector<bool> failures(claimed.size(), false);
     try {
-      scores = service.evaluate(claimed, parents);
+      scores = service.evaluate(claimed);
     } catch (const std::exception&) {
       // A batch member exhausted its retry ladder. Re-run one by one so
       // its siblings still get real scores; the exhausted candidate is
@@ -369,8 +344,7 @@ void EvaluationStream::lane_loop(Lane& lane) {
       for (std::size_t i = 0; i < claimed.size(); ++i) {
         try {
           scores[i] = service.evaluate(
-              std::span<const Candidate>(&claimed[i], 1),
-              std::span<const Candidate>(&parents[i], 1))[0];
+              std::span<const Candidate>(&claimed[i], 1))[0];
         } catch (const std::exception&) {
           failures[i] = true;
         }
@@ -430,7 +404,6 @@ void EvaluationStream::close() {
       final_service_stats_.cache_hits += s.cache_hits;
       final_service_stats_.duplicates += s.duplicates;
       final_service_stats_.dispatched += s.dispatched;
-      final_service_stats_.hints += s.hints;
       final_service_stats_.batch_seconds += s.batch_seconds;
     }
   }

@@ -33,7 +33,6 @@ struct EvaluationServiceStats {
   std::uint64_t cache_hits = 0;  ///< answered from the fitness cache
   std::uint64_t duplicates = 0;  ///< collapsed within a batch
   std::uint64_t dispatched = 0;  ///< sent to the backend (unique misses)
-  std::uint64_t hints = 0;       ///< provenance hints forwarded
   /// Cumulative wall time inside evaluate() — dedup, cache probes and
   /// backend dispatch. Together with the evaluator's stage_timings()
   /// this separates batching overhead from pipeline cost.
@@ -51,16 +50,6 @@ class EvaluationService {
   /// Scores the batch, in task order. Each distinct candidate costs at
   /// most one cache probe and one pipeline run per call.
   std::vector<double> evaluate(std::span<const Candidate> batch);
-
-  /// Same, with per-task provenance: parents[i] is the (sorted) parent
-  /// candidate batch[i] was derived from by a GA operator, or empty
-  /// when unknown (initial population, immigrants). Before dispatching,
-  /// the child → parent pairs of the unique misses are registered with
-  /// the evaluator's pattern cache so backend workers can construct
-  /// each child's tables incrementally from its parent's cached entry.
-  /// With the incremental pipeline off this degrades to evaluate().
-  std::vector<double> evaluate(std::span<const Candidate> batch,
-                               std::span<const Candidate> parents);
 
   const EvaluationServiceStats& stats() const { return stats_; }
   const EvaluationBackend& backend() const { return *backend_; }
@@ -177,11 +166,10 @@ class EvaluationStream {
   void retire_queues(std::uint32_t base, std::uint32_t count);
 
   /// Enqueues one candidate; its result will appear on `queue` tagged
-  /// with `ticket`. `parent` is the provenance hint (may be empty).
-  /// Returns false when the stream is closed or the queue's tenant is
-  /// retired (the submission is dropped).
+  /// with `ticket`. Returns false when the stream is closed or the
+  /// queue's tenant is retired (the submission is dropped).
   [[nodiscard]] bool submit(std::uint32_t queue, std::uint64_t ticket,
-                            Candidate candidate, Candidate parent = {});
+                            Candidate candidate);
 
   /// All results currently ready on `queue` (possibly none).
   std::vector<StreamResult> poll(std::uint32_t queue);
@@ -216,7 +204,6 @@ class EvaluationStream {
     std::uint32_t slot = 0;  ///< owning tenant (fixed at submit)
     std::uint64_t ticket = 0;
     Candidate candidate;
-    Candidate parent;
   };
   struct Waiter {
     std::uint32_t queue = 0;

@@ -27,7 +27,6 @@ void EvaluatorConfig::validate() const {
         "EvaluatorConfig: cache_shards must be >= 1 (use cache_capacity = 0 "
         "to disable the bound, not shards = 0)");
   }
-  incremental.validate();
 }
 
 EvaluatorConfig EvaluatorConfig::validated() const {
@@ -35,35 +34,12 @@ EvaluatorConfig EvaluatorConfig::validated() const {
   return *this;
 }
 
-namespace {
-
-/// EvaluatorConfig::simd_kernels switches the CLUMP kernels on together
-/// with the EM ones; batch_kernels gates the replicate-batched
-/// Monte-Carlo engine the same way.
-ClumpConfig clump_config_with_simd(ClumpConfig clump, bool simd_kernels,
-                                   bool batch_kernels) {
-  clump.simd_kernels = clump.simd_kernels || simd_kernels;
-  clump.batch_replicates = clump.batch_replicates && batch_kernels;
-  return clump;
-}
-
-}  // namespace
-
 HaplotypeEvaluator::HaplotypeEvaluator(const genomics::Dataset& dataset,
                                        EvaluatorConfig config)
     : dataset_(&dataset),
       config_(config.validated()),
-      pattern_cache_(
-          config.incremental.pattern_cache && config.compiled_em
-              ? std::make_shared<PatternTableCache>(
-                    config.incremental.pattern_cache_capacity,
-                    config.incremental.pattern_cache_shards)
-              : nullptr),
-      eh_diall_(dataset, config.em, config.compiled_em,
-                config.warm_start_pooled, pattern_cache_,
-                config.incremental.warm_start_parents, config.simd_kernels),
-      clump_(clump_config_with_simd(config.clump, config.simd_kernels,
-                                    config.batch_kernels)),
+      eh_diall_(dataset, config.em, config.simd_kernels),
+      clump_(config.clump, config.simd_kernels),
       cache_(config.cache_capacity, config.cache_shards) {}
 
 EvaluationResult HaplotypeEvaluator::evaluate_full(
@@ -157,32 +133,6 @@ void HaplotypeEvaluator::account_monte_carlo(const ClumpResult& clump) const {
                                    std::memory_order_relaxed);
 }
 
-double HaplotypeEvaluator::compute_fitness(std::span<const SnpIndex> snps,
-                                           EvalScratch& scratch) const {
-  // Graceful degradation (DESIGN.md §5): a failed pipeline run must not
-  // poison a whole parallel evaluation phase, so failures are detected
-  // here, recorded in telemetry, and either mapped to the penalty
-  // fitness or surfaced as a typed EvaluationError per the policy.
-  auto reason = EvaluationError::Reason::kPipeline;
-  std::string detail;
-  try {
-    const EvaluationResult result = evaluate_full(snps, scratch);
-    if (config_.require_em_convergence && !result.em_converged) {
-      reason = EvaluationError::Reason::kEmNotConverged;
-      detail = "EM did not converge";
-    } else if (!std::isfinite(result.fitness)) {
-      reason = EvaluationError::Reason::kNonFinite;
-      detail = "non-finite statistic";
-    } else {
-      return result.fitness;
-    }
-  } catch (const Error& error) {
-    reason = EvaluationError::Reason::kPipeline;
-    detail = error.what();
-  }
-  return note_failure(snps, reason, detail);
-}
-
 double HaplotypeEvaluator::note_failure(std::span<const SnpIndex> snps,
                                         EvaluationError::Reason reason,
                                         const std::string& detail) const {
@@ -223,14 +173,9 @@ double HaplotypeEvaluator::fitness_and_cache(
 
 double HaplotypeEvaluator::fitness_and_cache(std::span<const SnpIndex> snps,
                                              EvalScratch& scratch) const {
-  LDGA_EXPECTS(std::is_sorted(snps.begin(), snps.end()));
-  // Several threads may race on the same new key and each run the
-  // pipeline, but the result is deterministic so last-writer-wins is
-  // harmless; the evaluation counter reflects real pipeline executions
-  // either way.
-  const double value = compute_fitness(snps, scratch);
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  cache_.insert(snps, value);
+  const std::vector<SnpIndex> candidate(snps.begin(), snps.end());
+  double value = 0.0;
+  fitness_and_cache_batch({&candidate, 1}, scratch, {&value, 1});
   return value;
 }
 
@@ -243,14 +188,6 @@ void HaplotypeEvaluator::fitness_and_cache_batch(
     std::span<const std::vector<SnpIndex>> candidates, EvalScratch& scratch,
     std::span<double> out) const {
   LDGA_EXPECTS(out.size() == candidates.size());
-  if (!batch_dispatch_eligible() || candidates.size() <= 1) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      out[i] = fitness_and_cache(candidates[i], scratch);
-    }
-    return;
-  }
-  // Same contracts as the per-candidate path (fitness_and_cache +
-  // evaluate_full), checked up front for the whole batch.
   for (const std::vector<SnpIndex>& snps : candidates) {
     LDGA_EXPECTS(!snps.empty());
     LDGA_EXPECTS(snps.size() <= config_.max_loci);
@@ -264,32 +201,39 @@ void HaplotypeEvaluator::fitness_and_cache_batch(
   em_batch_runs_.fetch_add(stats.batch_runs, std::memory_order_relaxed);
   em_batch_lanes_.fetch_add(stats.batch_lanes, std::memory_order_relaxed);
 
+  // Graceful degradation (DESIGN.md §5): a failed pipeline run must not
+  // poison a whole parallel evaluation phase, so failures are detected
+  // here, recorded in telemetry, and either mapped to the penalty
+  // fitness or surfaced as a typed EvaluationError per the policy.
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const std::vector<SnpIndex>& snps = candidates[i];
-    double value;
-    // Mirrors compute_fitness(): eligibility pinned the penalizing
-    // policy, so note_failure() never throws here and a failed batch
-    // member cannot abort its siblings.
-    if (!errors[i].empty()) {
-      value = note_failure(snps, EvaluationError::Reason::kPipeline,
-                           errors[i]);
-    } else {
+    auto reason = EvaluationError::Reason::kPipeline;
+    std::string detail = errors[i];
+    double value = 0.0;
+    if (detail.empty()) {
       try {
         const EvaluationResult result = finish_evaluation(snps, analyses[i]);
         if (config_.require_em_convergence && !result.em_converged) {
-          value = note_failure(snps, EvaluationError::Reason::kEmNotConverged,
-                               "EM did not converge");
+          reason = EvaluationError::Reason::kEmNotConverged;
+          detail = "EM did not converge";
         } else if (!std::isfinite(result.fitness)) {
-          value = note_failure(snps, EvaluationError::Reason::kNonFinite,
-                               "non-finite statistic");
+          reason = EvaluationError::Reason::kNonFinite;
+          detail = "non-finite statistic";
         } else {
           value = result.fitness;
         }
       } catch (const Error& error) {
-        value = note_failure(snps, EvaluationError::Reason::kPipeline,
-                             error.what());
+        detail = error.what();
       }
     }
+    // Under kPropagate this throws, leaving the rest of the batch
+    // unevaluated — which is why such configurations dispatch one
+    // candidate per batch (batch_dispatch_eligible()).
+    if (!detail.empty()) value = note_failure(snps, reason, detail);
+    // Several threads may race on the same new key and each run the
+    // pipeline, but the result is deterministic so last-writer-wins is
+    // harmless; the evaluation counter reflects real pipeline
+    // executions either way.
     evaluations_.fetch_add(1, std::memory_order_relaxed);
     cache_.insert(snps, value);
     out[i] = value;

@@ -16,12 +16,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "genomics/dataset.hpp"
@@ -29,7 +27,6 @@
 #include "stats/eh_diall.hpp"
 #include "stats/eval_scratch.hpp"
 #include "stats/fitness_cache.hpp"
-#include "stats/pattern_cache.hpp"
 
 namespace ldga::stats {
 
@@ -97,43 +94,22 @@ struct EvaluatorConfig {
   /// Lock shards of the fitness cache (>= 1). More shards = less
   /// contention when many backend workers insert at once.
   std::uint32_t cache_shards = 16;
-  /// Run EM through the compiled phase-program kernel (em_kernel.hpp):
-  /// support-set state instead of dense 2^k vectors, bit-for-bit
-  /// identical statistics; the visitor-based path remains as a
-  /// reference implementation.
-  bool compiled_em = true;
-  /// Warm-start the pooled EM run from the blended case/control
-  /// solutions (compiled path only). Saves iterations but may change
-  /// the pooled frequencies in the last ulps, so it is off by default —
-  /// the cold default keeps the pipeline bit-for-bit reproducible
-  /// against the reference. Non-convergent warm runs fall back to the
-  /// exact cold-start result.
-  bool warm_start_pooled = false;
-  /// Route the floating-point hot loops (EM E-step, CLUMP's 2×2 scans
-  /// and Pearson accumulation) through the runtime-dispatched vector
-  /// kernels (util/simd.hpp). Deterministic for a fixed dispatch level
-  /// — pin one with LDGA_SIMD=scalar|avx2|... — and equal to the scalar
-  /// reference to ~1e-9, but not bit-for-bit (fixed-lane-order sums
-  /// instead of the reference order). On by default since the
-  /// candidate-batched evaluation made the vector path pay end to end
-  /// (BENCH_ga_e2e.json); turn it off to reproduce the scalar reference
-  /// bit for bit. The integer pattern kernels are dispatched
-  /// unconditionally; they are bit-exact at every level and need no
-  /// flag. EM vectorization applies to the compiled path only.
+  /// Route the floating-point hot loops through the runtime-dispatched
+  /// vector kernels (util/simd.hpp) — EM's E-step, CLUMP's 2×2 scans
+  /// and Pearson accumulation — and batch that work: same-shape EM
+  /// solves of a dispatch batch run in SoA lockstep
+  /// (EhDiall::analyze_batch) and CLUMP's Monte-Carlo replicates go
+  /// through the replicate-batched engine. Deterministic for a fixed
+  /// dispatch level — pin one with LDGA_SIMD=scalar|avx2|... — and
+  /// equal to the scalar path to ~1e-9, but not bit-for-bit
+  /// (fixed-lane-order sums instead of the reference order). On by
+  /// default since batching made the vector path pay end to end
+  /// (BENCH_ga_e2e.json); turn it off to reproduce the scalar
+  /// reference bit for bit, CLUMP included. The integer pattern
+  /// kernels are dispatched unconditionally; they are bit-exact at
+  /// every level and need no flag. This is the evaluator's only path
+  /// switch.
   bool simd_kernels = true;
-  /// Batch the floating-point work across candidates and Monte-Carlo
-  /// replicates: same-shape cold EM solves run in SoA lockstep
-  /// (EhDiall::analyze_batch) and CLUMP's null replicates go through
-  /// the replicate-batched engine (ClumpConfig::batch_replicates).
-  /// Effective only together with simd_kernels; results are
-  /// bit-identical to the per-candidate path at the same dispatch
-  /// level, which remains the conformance reference. Batched dispatch
-  /// additionally requires the default cold-start/penalize pipeline —
-  /// see batch_dispatch_eligible().
-  bool batch_kernels = true;
-  /// Incremental evaluation pipeline (pattern_cache.hpp): subset-reuse
-  /// pattern/program cache and EM warm-starts from parent candidates.
-  IncrementalConfig incremental;
 
   void validate() const;
   /// Validating factory: returns a copy after rejecting inconsistent
@@ -203,26 +179,22 @@ class HaplotypeEvaluator {
   double fitness_and_cache(std::span<const genomics::SnpIndex> snps,
                            EvalScratch& scratch) const;
 
-  /// True when fitness_and_cache_batch() may take the candidate-batched
-  /// path: batch + simd kernels on, compiled EM, no warm starts (their
-  /// results depend on evaluation order) and the penalizing failure
-  /// policy (a batch member's failure must not abort its siblings).
-  /// The default EvaluatorConfig is eligible.
+  /// True when backends may hand a whole slice of candidates to
+  /// fitness_and_cache_batch(): the penalizing failure policy (the
+  /// default). Under kPropagate a failing candidate throws, which would
+  /// abort the rest of its batch, so backends dispatch one candidate
+  /// at a time and keep the retry ladder per candidate.
   bool batch_dispatch_eligible() const {
-    return config_.batch_kernels && config_.simd_kernels &&
-           config_.compiled_em && !config_.warm_start_pooled &&
-           !config_.incremental.warm_start_parents &&
-           config_.failure_policy == EvaluationFailurePolicy::kPenalize;
+    return config_.failure_policy == EvaluationFailurePolicy::kPenalize;
   }
 
   /// fitness_and_cache() over a whole span of sorted candidates: the
-  /// deduplicated misses of one generation are analyzed together so
-  /// same-shape EM solves run through the SoA batch kernels. Bit-
-  /// identical to calling fitness_and_cache() per candidate, in order —
-  /// that path remains the conformance reference — and falls back to it
-  /// when batch dispatch is ineligible. Counts one evaluation per
-  /// candidate; failures are penalized and recorded exactly like the
-  /// per-candidate path.
+  /// deduplicated misses of one generation are analyzed together
+  /// (EhDiall::analyze_batch), so same-shape EM solves run through the
+  /// SoA batch kernels. Every value is bit-identical to a batch of one
+  /// per candidate, in any batch composition. Counts one evaluation
+  /// per candidate; failures are recorded and penalized — or, under
+  /// kPropagate, the first failure throws EvaluationError.
   void fitness_and_cache_batch(
       std::span<const std::vector<genomics::SnpIndex>> candidates,
       EvalScratch& scratch, std::span<double> out) const;
@@ -254,23 +226,6 @@ class HaplotypeEvaluator {
   /// Hit/miss/eviction counters of the cross-generation fitness cache.
   FitnessCacheStats cache_stats() const { return cache_.stats(); }
 
-  /// Registers child → parent provenance for the next evaluation batch
-  /// so cache misses can be constructed incrementally from their
-  /// parent's cached tables. No-op when the pattern cache is off.
-  /// Thread-safe; the EvaluationService calls this before dispatching.
-  void note_provenance(
-      std::span<const std::pair<std::vector<genomics::SnpIndex>,
-                                std::vector<genomics::SnpIndex>>>
-          hints) const {
-    if (pattern_cache_) pattern_cache_->note_provenance_batch(hints);
-  }
-
-  /// Counters of the incremental pipeline (all zero when inactive).
-  PatternCacheStats incremental_stats() const {
-    return pattern_cache_ ? pattern_cache_->stats() : PatternCacheStats{};
-  }
-  bool incremental_active() const { return pattern_cache_ != nullptr; }
-
   /// Monte-Carlo replicates actually executed / skipped by the
   /// early-stopping scheduler, cumulative since construction (or
   /// reset_counters()). Both zero when Monte Carlo is off.
@@ -300,18 +255,13 @@ class HaplotypeEvaluator {
   const EvaluatorConfig& config() const { return config_; }
 
  private:
-  double fitness_from(const EvaluationResult& result,
-                      const ClumpResult& clump) const;
-  double compute_fitness(std::span<const genomics::SnpIndex> snps,
-                         EvalScratch& scratch) const;
   /// Shared tail of evaluate_full()/fitness_and_cache_batch(): turns a
   /// completed EH-DIALL analysis into the fitness-bearing result
   /// (CLUMP, fitness statistic, clump-stage timing accumulation).
   EvaluationResult finish_evaluation(std::span<const genomics::SnpIndex> snps,
                                      const EhDiallResult& eh) const;
-  /// Failure tail of compute_fitness(), shared with the batched path:
-  /// counts the failure, records last_failure(), then penalizes or
-  /// throws per the policy.
+  /// Failure tail of fitness_and_cache_batch(): counts the failure,
+  /// records last_failure(), then penalizes or throws per the policy.
   double note_failure(std::span<const genomics::SnpIndex> snps,
                       EvaluationError::Reason reason,
                       const std::string& detail) const;
@@ -320,9 +270,6 @@ class HaplotypeEvaluator {
 
   const genomics::Dataset* dataset_;
   EvaluatorConfig config_;
-  /// Created before eh_diall_ (which shares it); nullptr when the
-  /// incremental pipeline is disabled or its kernels are off.
-  std::shared_ptr<PatternTableCache> pattern_cache_;
   EhDiall eh_diall_;
   Clump clump_;
 

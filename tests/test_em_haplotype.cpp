@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "genomics/genotype_matrix.hpp"
+#include "support/reference_em.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -41,7 +42,7 @@ TEST(GenotypePatterns, GroupsIdenticalGenotypes) {
       {Genotype::HomTwo, Genotype::HomOne},
   });
   const auto ids = all_individuals(matrix);
-  const auto table = GenotypePatternTable::build(
+  const auto table = reference::build_pattern_table(
       matrix, std::vector<SnpIndex>{0, 1}, ids);
   EXPECT_EQ(table.locus_count(), 2u);
   EXPECT_DOUBLE_EQ(table.total_individuals(), 3.0);
@@ -60,7 +61,7 @@ TEST(GenotypePatterns, ExcludesMissing) {
       {Genotype::HomOne, Genotype::HomOne},
   });
   const auto ids = all_individuals(matrix);
-  const auto table = GenotypePatternTable::build(
+  const auto table = reference::build_pattern_table(
       matrix, std::vector<SnpIndex>{0, 1}, ids);
   EXPECT_DOUBLE_EQ(table.total_individuals(), 1.0);
   EXPECT_EQ(table.excluded_missing(), 1u);
@@ -75,8 +76,8 @@ TEST(GenotypePatterns, MergeAddsCounts) {
   const std::vector<std::uint32_t> first{0};
   const std::vector<std::uint32_t> rest{1, 2};
   const std::vector<SnpIndex> snps{0};
-  const auto a = GenotypePatternTable::build(matrix, snps, first);
-  const auto b = GenotypePatternTable::build(matrix, snps, rest);
+  const auto a = reference::build_pattern_table(matrix, snps, first);
+  const auto b = reference::build_pattern_table(matrix, snps, rest);
   const auto merged = GenotypePatternTable::merge(a, b);
   EXPECT_DOUBLE_EQ(merged.total_individuals(), 3.0);
   ASSERT_EQ(merged.patterns().size(), 2u);
@@ -89,9 +90,9 @@ TEST(Em, SingleLocusMatchesAlleleCounting) {
       {Genotype::Het},
       {Genotype::HomTwo},
   });
-  const auto table = GenotypePatternTable::build(
+  const auto table = reference::build_pattern_table(
       matrix, std::vector<SnpIndex>{0}, all_individuals(matrix));
-  const auto result = estimate_haplotype_frequencies(table);
+  const auto result = reference::estimate_haplotype_frequencies(table);
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.frequencies[0], 0.5, 1e-8);  // haplotype "1"
   EXPECT_NEAR(result.frequencies[1], 0.5, 1e-8);  // haplotype "2"
@@ -106,9 +107,9 @@ TEST(Em, UnambiguousTwoLocusMatchesDirectCounting) {
       {Genotype::HomTwo, Genotype::HomOne},
       {Genotype::HomTwo, Genotype::HomOne},
   });
-  const auto table = GenotypePatternTable::build(
+  const auto table = reference::build_pattern_table(
       matrix, std::vector<SnpIndex>{0, 1}, all_individuals(matrix));
-  const auto result = estimate_haplotype_frequencies(table);
+  const auto result = reference::estimate_haplotype_frequencies(table);
   EXPECT_NEAR(result.frequencies[0b10], 2.0 / 6.0, 1e-8);
   EXPECT_NEAR(result.frequencies[0b01], 4.0 / 6.0, 1e-8);
   EXPECT_NEAR(result.frequencies[0b00], 0.0, 1e-8);
@@ -125,9 +126,9 @@ TEST(Em, DoubleHeterozygoteResolvedTowardCommonHaplotypes) {
   }
   rows.push_back({Genotype::Het, Genotype::Het});
   const auto matrix = matrix_from_rows(rows);
-  const auto table = GenotypePatternTable::build(
+  const auto table = reference::build_pattern_table(
       matrix, std::vector<SnpIndex>{0, 1}, all_individuals(matrix));
-  const auto result = estimate_haplotype_frequencies(table);
+  const auto result = reference::estimate_haplotype_frequencies(table);
   // cis haplotypes (00 and 11) should absorb nearly all the mass.
   EXPECT_GT(result.frequencies[0b00] + result.frequencies[0b11], 0.97);
   EXPECT_LT(result.frequencies[0b01] + result.frequencies[0b10], 0.03);
@@ -140,8 +141,8 @@ TEST(Em, FrequenciesFormADistribution) {
   for (const std::vector<SnpIndex>& snps :
        {std::vector<SnpIndex>{0, 1}, std::vector<SnpIndex>{2, 5, 7},
         std::vector<SnpIndex>{1, 3, 6, 9}}) {
-    const auto table = GenotypePatternTable::build(matrix, snps, ids);
-    const auto result = estimate_haplotype_frequencies(table);
+    const auto table = reference::build_pattern_table(matrix, snps, ids);
+    const auto result = reference::estimate_haplotype_frequencies(table);
     double sum = 0.0;
     for (const double f : result.frequencies) {
       EXPECT_GE(f, -1e-12);
@@ -157,22 +158,22 @@ TEST(Em, LikelihoodNeverDecreasesFromStart) {
   const auto& matrix = synthetic.dataset.genotypes();
   const auto ids = all_individuals(matrix);
   const std::vector<SnpIndex> snps{0, 2, 4};
-  const auto table = GenotypePatternTable::build(matrix, snps, ids);
+  const auto table = reference::build_pattern_table(matrix, snps, ids);
 
   // One-iteration run vs converged run: converged must be >= single.
   EmConfig one_step;
   one_step.max_iterations = 1;
-  const auto early = estimate_haplotype_frequencies(table, one_step);
-  const auto full = estimate_haplotype_frequencies(table);
+  const auto early = reference::estimate_haplotype_frequencies(table, one_step);
+  const auto full = reference::estimate_haplotype_frequencies(table);
   EXPECT_GE(full.log_likelihood, early.log_likelihood - 1e-9);
 }
 
 TEST(Em, EmptyPatternTableConverges) {
   const GenotypeMatrix matrix(0, 2);
   const std::vector<std::uint32_t> no_ids;
-  const auto table = GenotypePatternTable::build(
+  const auto table = reference::build_pattern_table(
       matrix, std::vector<SnpIndex>{0, 1}, no_ids);
-  const auto result = estimate_haplotype_frequencies(table);
+  const auto result = reference::estimate_haplotype_frequencies(table);
   EXPECT_TRUE(result.converged);
 }
 
@@ -191,10 +192,10 @@ TEST(Em, InvariantToIndividualOrder) {
   std::vector<std::uint32_t> forward = all_individuals(matrix);
   std::vector<std::uint32_t> reversed(forward.rbegin(), forward.rend());
   const std::vector<SnpIndex> snps{0, 3, 7};
-  const auto a = estimate_haplotype_frequencies(
-      GenotypePatternTable::build(matrix, snps, forward));
-  const auto b = estimate_haplotype_frequencies(
-      GenotypePatternTable::build(matrix, snps, reversed));
+  const auto a = reference::estimate_haplotype_frequencies(
+      reference::build_pattern_table(matrix, snps, forward));
+  const auto b = reference::estimate_haplotype_frequencies(
+      reference::build_pattern_table(matrix, snps, reversed));
   for (std::size_t h = 0; h < a.frequencies.size(); ++h) {
     EXPECT_DOUBLE_EQ(a.frequencies[h], b.frequencies[h]);
   }
@@ -210,9 +211,9 @@ TEST(Em, MatchesGridSearchOnTwoLocusProblem) {
       {Genotype::Het, Genotype::HomOne},
       {Genotype::HomOne, Genotype::HomOne},
   });
-  const auto table = GenotypePatternTable::build(
+  const auto table = reference::build_pattern_table(
       matrix, std::vector<SnpIndex>{0, 1}, all_individuals(matrix));
-  const auto em = estimate_haplotype_frequencies(table);
+  const auto em = reference::estimate_haplotype_frequencies(table);
 
   double best_grid = -1e300;
   const int steps = 24;
@@ -225,7 +226,7 @@ TEST(Em, MatchesGridSearchOnTwoLocusProblem) {
         const double p11 = 1.0 - p00 - p01 - p10;
         const std::vector<double> freqs{p00, p01, p10, p11};
         best_grid = std::max(best_grid,
-                             genotype_log_likelihood(table, freqs));
+                             reference::genotype_log_likelihood(table, freqs));
       }
     }
   }
@@ -241,9 +242,9 @@ TEST(EmMissing, MarginalizeKeepsAllIndividuals) {
   });
   const auto ids = all_individuals(matrix);
   const std::vector<SnpIndex> snps{0, 1};
-  const auto complete = GenotypePatternTable::build(
+  const auto complete = reference::build_pattern_table(
       matrix, snps, ids, MissingPolicy::CompleteCase);
-  const auto marginal = GenotypePatternTable::build(
+  const auto marginal = reference::build_pattern_table(
       matrix, snps, ids, MissingPolicy::Marginalize);
   EXPECT_DOUBLE_EQ(complete.total_individuals(), 1.0);
   EXPECT_EQ(complete.excluded_missing(), 1u);
@@ -259,12 +260,12 @@ TEST(EmMissing, PoliciesAgreeWithoutMissingData) {
   const auto& matrix = synthetic.dataset.genotypes();
   const auto ids = all_individuals(matrix);
   const std::vector<SnpIndex> snps{1, 4, 6};
-  const auto a = GenotypePatternTable::build(matrix, snps, ids,
+  const auto a = reference::build_pattern_table(matrix, snps, ids,
                                              MissingPolicy::CompleteCase);
-  const auto b = GenotypePatternTable::build(matrix, snps, ids,
+  const auto b = reference::build_pattern_table(matrix, snps, ids,
                                              MissingPolicy::Marginalize);
-  const auto ra = estimate_haplotype_frequencies(a);
-  const auto rb = estimate_haplotype_frequencies(b);
+  const auto ra = reference::estimate_haplotype_frequencies(a);
+  const auto rb = reference::estimate_haplotype_frequencies(b);
   for (std::size_t h = 0; h < ra.frequencies.size(); ++h) {
     EXPECT_DOUBLE_EQ(ra.frequencies[h], rb.frequencies[h]);
   }
@@ -282,10 +283,10 @@ TEST(EmMissing, MarginalizedFrequenciesSumToOne) {
   const auto ids = all_individuals(matrix);
   EmConfig config;
   config.missing = MissingPolicy::Marginalize;
-  const auto table = GenotypePatternTable::build(
+  const auto table = reference::build_pattern_table(
       matrix, std::vector<SnpIndex>{0, 1, 2}, ids,
       MissingPolicy::Marginalize);
-  const auto result = estimate_haplotype_frequencies(table, config);
+  const auto result = reference::estimate_haplotype_frequencies(table, config);
   double sum = 0.0;
   for (const double f : result.frequencies) {
     EXPECT_GE(f, -1e-12);
@@ -302,13 +303,13 @@ TEST(EmMissing, MissingPullsTowardObservedConsensus) {
   rows.push_back({Genotype::Missing});
   const auto matrix = matrix_from_rows(rows);
   const auto ids = all_individuals(matrix);
-  const auto table = GenotypePatternTable::build(
+  const auto table = reference::build_pattern_table(
       matrix, std::vector<SnpIndex>{0}, ids, MissingPolicy::Marginalize);
   EmConfig config;
   config.missing = MissingPolicy::Marginalize;
   config.max_iterations = 2000;
   config.tolerance = 1e-12;
-  const auto result = estimate_haplotype_frequencies(table, config);
+  const auto result = reference::estimate_haplotype_frequencies(table, config);
   EXPECT_GT(result.frequencies[1], 0.99);
 }
 
@@ -321,13 +322,20 @@ TEST(EmMissing, LikelihoodComparableAcrossPolicies) {
       {Genotype::HomTwo, Genotype::HomTwo},
   });
   const auto ids = all_individuals(matrix);
-  const auto table = GenotypePatternTable::build(
+  const auto table = reference::build_pattern_table(
       matrix, std::vector<SnpIndex>{0, 1}, ids, MissingPolicy::Marginalize);
   EmConfig config;
   config.missing = MissingPolicy::Marginalize;
-  const auto result = estimate_haplotype_frequencies(table, config);
+  const auto result = reference::estimate_haplotype_frequencies(table, config);
   EXPECT_LE(result.log_likelihood, 1e-9);
   EXPECT_TRUE(std::isfinite(result.log_likelihood));
+}
+
+TEST(FromPatterns, RejectsUnsortedPatterns) {
+  std::vector<GenotypePattern> unsorted{{2, 0, 0, 3.0}, {1, 0, 0, 2.0}};
+  EXPECT_DEATH((void)GenotypePatternTable::from_patterns(
+                   2, 5.0, 0, std::move(unsorted)),
+               "precondition");
 }
 
 TEST(HaplotypeLabel, RendersAlleleDigits) {

@@ -1,7 +1,8 @@
 // Property suite for the compiled sparse EM kernel: the phase-program
-// path must be bit-for-bit identical to the visitor-based reference —
-// frequencies, log-likelihood, iteration count and convergence flag —
-// on every table shape the pipeline can produce.
+// path must be bit-for-bit identical to the visitor-based reference EM
+// (tests/support/reference_em.hpp) — frequencies, log-likelihood,
+// iteration count and convergence flag — on every table shape the
+// pipeline can produce.
 #include "stats/em_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "genomics/genotype_matrix.hpp"
 #include "stats/eh_diall.hpp"
+#include "support/reference_em.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -52,7 +54,7 @@ GenotypePatternTable table_of(const GenotypeMatrix& matrix,
   std::iota(ids.begin(), ids.end(), 0);
   std::vector<SnpIndex> snps(matrix.snp_count());
   std::iota(snps.begin(), snps.end(), 0);
-  return GenotypePatternTable::build(matrix, snps, ids, missing);
+  return reference::build_pattern_table(matrix, snps, ids, missing);
 }
 
 EmResult run_compiled(const GenotypePatternTable& table,
@@ -85,9 +87,10 @@ TEST(EmKernel, MatchesReferenceOnRandomTables) {
         const auto table = table_of(matrix, missing);
         EmConfig config;
         config.missing = missing;
-        const auto reference = estimate_haplotype_frequencies(table, config);
+        const auto expected =
+            reference::estimate_haplotype_frequencies(table, config);
         const auto compiled = run_compiled(table, config);
-        expect_bit_identical(reference, compiled);
+        expect_bit_identical(expected, compiled);
       }
     }
   }
@@ -104,9 +107,10 @@ TEST(EmKernel, MatchesReferenceAtMaxLoci) {
     EmConfig config;
     config.missing = missing;
     config.max_iterations = 3;
-    const auto reference = estimate_haplotype_frequencies(table, config);
+    const auto expected =
+        reference::estimate_haplotype_frequencies(table, config);
     const auto compiled = run_compiled(table, config);
-    expect_bit_identical(reference, compiled);
+    expect_bit_identical(expected, compiled);
   }
 }
 
@@ -120,9 +124,10 @@ TEST(EmKernel, MatchesReferenceOnSinglePattern) {
       for (SnpIndex s = 0; s < 3; ++s) matrix.set(i, s, g);
     }
     const auto table = table_of(matrix, MissingPolicy::CompleteCase);
-    const auto reference = estimate_haplotype_frequencies(table, {});
+    const auto expected =
+        reference::estimate_haplotype_frequencies(table, {});
     const auto compiled = run_compiled(table, {});
-    expect_bit_identical(reference, compiled);
+    expect_bit_identical(expected, compiled);
   }
 }
 
@@ -135,9 +140,10 @@ TEST(EmKernel, MatchesReferenceOnAllMissing) {
   {
     const auto table = table_of(matrix, MissingPolicy::CompleteCase);
     ASSERT_EQ(table.total_individuals(), 0.0);
-    const auto reference = estimate_haplotype_frequencies(table, {});
+    const auto expected =
+        reference::estimate_haplotype_frequencies(table, {});
     const auto compiled = run_compiled(table, {});
-    expect_bit_identical(reference, compiled);
+    expect_bit_identical(expected, compiled);
   }
   // Marginalize keeps everyone with every locus free: the support is
   // the full 2^k set and every pair is compatible.
@@ -145,9 +151,10 @@ TEST(EmKernel, MatchesReferenceOnAllMissing) {
     EmConfig config;
     config.missing = MissingPolicy::Marginalize;
     const auto table = table_of(matrix, MissingPolicy::Marginalize);
-    const auto reference = estimate_haplotype_frequencies(table, config);
+    const auto expected =
+        reference::estimate_haplotype_frequencies(table, config);
     const auto compiled = run_compiled(table, config);
-    expect_bit_identical(reference, compiled);
+    expect_bit_identical(expected, compiled);
   }
 }
 
@@ -164,68 +171,27 @@ TEST(EmKernel, SupportSetIsSparseOnStructuredData) {
   const EmProgram program = EmProgram::compile(table);
   EXPECT_EQ(program.support_size(), 2u);
   EXPECT_EQ(program.haplotype_count(), 16u);
-  const auto reference = estimate_haplotype_frequencies(table, {});
+  const auto expected = reference::estimate_haplotype_frequencies(table, {});
   EmKernelScratch scratch;
   const auto compiled = expand_em_result(
       program, run_em_program(program, {}, scratch));
-  expect_bit_identical(reference, compiled);
+  expect_bit_identical(expected, compiled);
 }
 
 TEST(EmKernel, CompiledEhDiallMatchesReferencePath) {
+  // Production EH-DIALL on the scalar kernel against the oracle's
+  // byte-scan tables and dense visitor EM, all three groups.
   const auto synthetic = ldga::testing::small_synthetic(10, 2, 424242);
-  const EhDiall reference(synthetic.dataset, {}, false);
-  const EhDiall compiled(synthetic.dataset, {}, true);
+  const EhDiall compiled(synthetic.dataset);
   for (const std::vector<SnpIndex>& snps :
        {std::vector<SnpIndex>{0, 1}, {2, 5, 7}, {0, 3, 4, 8}}) {
-    const auto ref = reference.analyze(snps);
+    const auto ref = reference::analyze(synthetic.dataset, snps);
     const auto fast = compiled.analyze(snps);
     expect_bit_identical(ref.affected, fast.affected);
     expect_bit_identical(ref.unaffected, fast.unaffected);
     expect_bit_identical(ref.pooled, fast.pooled);
     EXPECT_EQ(ref.lrt, fast.lrt);
   }
-}
-
-TEST(EmKernel, WarmStartedPooledAgreesWithColdSolution) {
-  const auto synthetic = ldga::testing::small_synthetic(10, 2, 99);
-  const EhDiall cold(synthetic.dataset, {}, true, false);
-  const EhDiall warm(synthetic.dataset, {}, true, true);
-  for (const std::vector<SnpIndex>& snps :
-       {std::vector<SnpIndex>{0, 1}, {1, 4, 6}, {2, 3, 5, 9}}) {
-    const auto c = cold.analyze(snps);
-    const auto w = warm.analyze(snps);
-    // Group runs never warm-start: identical by construction.
-    expect_bit_identical(c.affected, w.affected);
-    expect_bit_identical(c.unaffected, w.unaffected);
-    // The pooled run reaches the same maximum from a different start;
-    // agreement is to EM tolerance, not ulps.
-    ASSERT_EQ(c.pooled.frequencies.size(), w.pooled.frequencies.size());
-    for (std::size_t h = 0; h < c.pooled.frequencies.size(); ++h) {
-      EXPECT_NEAR(c.pooled.frequencies[h], w.pooled.frequencies[h], 1e-5);
-    }
-    EXPECT_NEAR(c.lrt, w.lrt, 1e-5);
-    EXPECT_TRUE(w.pooled.converged);
-    // The blend starts near the pooled optimum, so the warm run must
-    // not be slower than the cold one.
-    EXPECT_LE(w.pooled.iterations, c.pooled.iterations);
-  }
-}
-
-TEST(EmKernel, WarmStartFallbackReproducesColdResultExactly) {
-  // An iteration cap of 1 denies the warm run any chance to converge,
-  // forcing the equilibrium-start fallback — which must be bit-for-bit
-  // the cold compiled result.
-  const auto synthetic = ldga::testing::small_synthetic(10, 2, 7);
-  EmConfig config;
-  config.max_iterations = 1;
-  const EhDiall cold(synthetic.dataset, config, true, false);
-  const EhDiall warm(synthetic.dataset, config, true, true);
-  const std::vector<SnpIndex> snps{0, 1, 2};
-  const auto c = cold.analyze(snps);
-  const auto w = warm.analyze(snps);
-  EXPECT_FALSE(w.pooled_warm_started);
-  expect_bit_identical(c.pooled, w.pooled);
-  EXPECT_EQ(c.lrt, w.lrt);
 }
 
 }  // namespace

@@ -448,48 +448,6 @@ TEST(GaEngineValidation, MaxEvaluationsBelowPopulationIsRejected) {
   EXPECT_NO_THROW(config.validated());
 }
 
-TEST(GaEngine, IncrementalPatternCacheLeavesTrajectoryBitIdentical) {
-  // The subset-reuse pattern cache is a pure construction shortcut:
-  // extension, projection and fresh DFS all produce identical tables,
-  // so a run with the cache on must walk the exact trajectory of a
-  // run with it off — same individuals, bit-identical fitness, same
-  // generation count — while actually taking the incremental routes.
-  GaConfig config = fast_config();
-  config.record_history = true;
-
-  stats::EvaluatorConfig off_config;
-  off_config.incremental.pattern_cache = false;
-  const stats::HaplotypeEvaluator off_eval(shared_dataset(), off_config);
-  ASSERT_FALSE(off_eval.incremental_active());
-  const GaResult off = GaEngine(off_eval, config).run();
-
-  const stats::HaplotypeEvaluator on_eval(shared_dataset());
-  ASSERT_TRUE(on_eval.incremental_active());
-  const GaResult on = GaEngine(on_eval, config).run();
-
-  EXPECT_EQ(on.generations, off.generations);
-  ASSERT_EQ(on.best_by_size.size(), off.best_by_size.size());
-  for (std::size_t i = 0; i < on.best_by_size.size(); ++i) {
-    EXPECT_TRUE(on.best_by_size[i].same_snps(off.best_by_size[i]));
-    // Bit-for-bit, not just within tolerance.
-    EXPECT_EQ(on.best_by_size[i].fitness(), off.best_by_size[i].fitness());
-  }
-  ASSERT_EQ(on.history.size(), off.history.size());
-  for (std::size_t g = 0; g < on.history.size(); ++g) {
-    EXPECT_EQ(on.history[g].best_by_size, off.history[g].best_by_size)
-        << "generation " << g;
-  }
-
-  // The identical trajectory must have exercised the cache for real.
-  const auto stats = on_eval.incremental_stats();
-  EXPECT_GT(stats.entry_builds, 0u);
-  EXPECT_GT(stats.provenance_hints, 0u);
-  EXPECT_GT(stats.fresh, 0u);
-  EXPECT_GT(stats.extended + stats.projected, 0u);
-  EXPECT_EQ(on.pattern_cache.entry_builds, stats.entry_builds);
-  EXPECT_EQ(off.pattern_cache.entry_reuses + off.pattern_cache.entry_builds, 0u);
-}
-
 TEST(GaEngine, CacheCountersAreExactUnderThreadPoolBackend) {
   // GaResult's cache counters come from the evaluator's lock-free
   // stats; under the thread-pool backend they must match the serial
@@ -540,21 +498,17 @@ TEST(GaEngine, PerGenerationTelemetryDeltasMatchCumulativeCounters) {
         << "generation " << g;
     EXPECT_EQ(cur.gen_cache_misses, cur.cache_misses - prev.cache_misses)
         << "generation " << g;
-    EXPECT_EQ(cur.gen_pattern_entry_reuses,
-              cur.pattern_cache.entry_reuses - prev.pattern_cache.entry_reuses)
+    EXPECT_EQ(cur.gen_em_batch_runs, cur.em_batch_runs - prev.em_batch_runs)
         << "generation " << g;
-    EXPECT_EQ(cur.gen_pattern_entry_builds,
-              cur.pattern_cache.entry_builds - prev.pattern_cache.entry_builds)
-        << "generation " << g;
-    EXPECT_EQ(cur.gen_warm_starts,
-              cur.pattern_cache.warm_starts - prev.pattern_cache.warm_starts)
+    EXPECT_EQ(cur.gen_em_batch_lanes,
+              cur.em_batch_lanes - prev.em_batch_lanes)
         << "generation " << g;
   }
   const auto& last = result.history.back();
   EXPECT_EQ(last.cache_hits, result.cache_stats.hits);
   EXPECT_EQ(last.cache_misses, result.cache_stats.misses);
-  EXPECT_EQ(last.pattern_cache.entry_reuses, result.pattern_cache.entry_reuses);
-  EXPECT_EQ(last.pattern_cache.entry_builds, result.pattern_cache.entry_builds);
+  EXPECT_EQ(last.em_batch_runs, result.em_batch_runs);
+  EXPECT_EQ(last.em_batch_lanes, result.em_batch_lanes);
   EXPECT_EQ(last.mc_replicates_run, result.mc_replicates_run);
 }
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "parallel/fault_injection.hpp"
@@ -22,10 +24,32 @@ namespace {
 using Factory = std::shared_ptr<EvaluationBackend> (*)(
     const HaplotypeEvaluator&, BackendOptions);
 
+/// The same farm, but with its slaves in forked worker processes over
+/// checksummed Unix-socket frames — the conformance contract must hold
+/// verbatim across the transport swap.
+std::shared_ptr<EvaluationBackend> make_socket_farm_backend(
+    const HaplotypeEvaluator& evaluator, BackendOptions options) {
+  options.transport = FarmTransport::kSocket;
+  return make_farm_backend(evaluator, options);
+}
+
+// gtest prints the parameter into every discovered ctest name
+// ("farm  # GetParam() = 16-byte object <...>"). The case therefore holds
+// its label inline and no pointers — an address would change the
+// registered names with every build — and looks its factory up by label.
 struct BackendCase {
-  const char* label;
-  Factory make;
+  char label[16];
+
+  Factory factory() const {
+    const std::string_view name(label);
+    if (name == "serial") return &make_serial_backend;
+    if (name == "thread_pool") return &make_thread_pool_backend;
+    if (name == "farm") return &make_farm_backend;
+    if (name == "farm_socket") return &make_socket_farm_backend;
+    throw std::invalid_argument("unknown backend case: " + std::string(name));
+  }
 };
+static_assert(sizeof(BackendCase) == 16, "the size is part of every test name");
 
 class BackendConformance : public ::testing::TestWithParam<BackendCase> {
  protected:
@@ -34,7 +58,7 @@ class BackendConformance : public ::testing::TestWithParam<BackendCase> {
         evaluator_(synthetic_.dataset) {}
 
   std::shared_ptr<EvaluationBackend> make(BackendOptions options = {}) const {
-    return GetParam().make(evaluator_, options);
+    return GetParam().factory()(evaluator_, options);
   }
 
   static std::vector<Candidate> sample_batch() {
@@ -138,21 +162,10 @@ TEST_P(BackendConformance, InvalidPolicyIsRejectedAtConstruction) {
   EXPECT_THROW(make(options), ConfigError);
 }
 
-/// The same farm, but with its slaves in forked worker processes over
-/// checksummed Unix-socket frames — the conformance contract must hold
-/// verbatim across the transport swap.
-std::shared_ptr<EvaluationBackend> make_socket_farm_backend(
-    const HaplotypeEvaluator& evaluator, BackendOptions options) {
-  options.transport = FarmTransport::kSocket;
-  return make_farm_backend(evaluator, options);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, BackendConformance,
-    ::testing::Values(BackendCase{"serial", &make_serial_backend},
-                      BackendCase{"thread_pool", &make_thread_pool_backend},
-                      BackendCase{"farm", &make_farm_backend},
-                      BackendCase{"farm_socket", &make_socket_farm_backend}),
+    ::testing::Values(BackendCase{"serial"}, BackendCase{"thread_pool"},
+                      BackendCase{"farm"}, BackendCase{"farm_socket"}),
     [](const ::testing::TestParamInfo<BackendCase>& param_info) {
       return std::string(param_info.param.label);
     });

@@ -120,69 +120,18 @@ TEST_F(EvaluationServiceTest, AccountingHoldsAcrossBackends) {
   EXPECT_EQ(pooled.stats().dispatched, service_.stats().dispatched);
 }
 
-TEST_F(EvaluationServiceTest, ProvenanceHintsCountOnlyDispatchedDerivedChildren) {
-  // Warm {0,1} into the fitness cache so it resolves as a hit below.
-  service_.evaluate(std::vector<Candidate>{{0, 1}});
-
-  // Of the five tasks only {0,1,2} yields a hint: {2,3} has no known
-  // parent, the second {0,1,2} is an in-batch duplicate, {4,5} equals
-  // its parent (no derivation), and {0,1} is a cache hit that never
-  // reaches a worker.
-  const std::vector<Candidate> batch = {
-      {0, 1, 2}, {2, 3}, {0, 1, 2}, {4, 5}, {0, 1}};
-  const std::vector<Candidate> parents = {
-      {0, 1}, {}, {0, 1}, {4, 5}, {0, 1}};
-  const auto results = service_.evaluate(batch, parents);
-  ASSERT_EQ(results.size(), batch.size());
-
-  const auto& stats = service_.stats();
-  EXPECT_EQ(stats.hints, 1u);
-  EXPECT_EQ(stats.dispatched, 1u + 3u);  // {0,1}, then the three misses
-  EXPECT_EQ(evaluator_.incremental_stats().provenance_hints, 1u);
-
-  // Provenance is an optimization hint, never a semantic input: every
-  // position still matches an independent evaluator exactly.
-  const HaplotypeEvaluator reference(synthetic_.dataset);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(results[i], reference.fitness(batch[i])) << "task " << i;
-  }
-}
-
-TEST_F(EvaluationServiceTest, ProvenanceOverloadDegradesToPlainEvaluate) {
-  // The one-argument path forwards with empty provenance — identical
-  // results, no hints registered.
-  const std::vector<Candidate> batch = {{0, 1}, {2, 3, 4}, {5, 6}};
-  const auto plain = service_.evaluate(batch);
-  EXPECT_EQ(service_.stats().hints, 0u);
-  EXPECT_EQ(evaluator_.incremental_stats().provenance_hints, 0u);
-
-  const auto sibling = ldga::testing::small_synthetic(12, 2, 4242);
-  HaplotypeEvaluator evaluator(sibling.dataset);
-  EvaluationService withParents(evaluator, make_serial_backend(evaluator));
-  std::vector<Candidate> parents = {{0, 1, 7}, {2, 4}, {5, 6, 9}};
-  const auto hinted = withParents.evaluate(batch, parents);
-  EXPECT_EQ(hinted, plain);
-  EXPECT_EQ(withParents.stats().hints, 3u);
-}
-
 TEST_F(EvaluationServiceTest, BatchedDispatchIsBitIdenticalAcrossBackends) {
-  // Mixed sizes with duplicates: the service dedups, size-sorts, and —
-  // with the default config — routes the misses through
-  // fitness_and_cache_batch (grouped SoA EM, batched CLUMP
-  // replicates). With batch_kernels off the same service runs the
-  // historical per-candidate loop. Batching is a scheduling decision,
-  // never arithmetic: both routes must agree bit for bit on every
-  // backend, including when a FaultInjector forces the retry ladder
-  // through first-attempt failures.
+  // Mixed sizes with duplicates: the service dedups, size-sorts, and
+  // routes the misses through fitness_and_cache_batch (grouped SoA EM
+  // and batched CLUMP replicates with the vector kernels on, solo
+  // scalar solves with them off). Batching is a scheduling decision,
+  // never arithmetic: every backend must reproduce, bit for bit, a
+  // batch of one on a fresh evaluator per candidate — including when a
+  // FaultInjector forces the retry ladder through first-attempt
+  // failures.
   const std::vector<Candidate> batch = {
       {0, 1}, {4, 5, 6}, {2, 3},    {0, 1},    {1, 2, 3, 4}, {9, 10},
       {7, 8}, {2, 3},    {5, 7, 9}, {0, 2, 4}, {3, 11},      {1, 6, 8, 11}};
-
-  EvaluatorConfig unbatched_config;
-  unbatched_config.batch_kernels = false;
-  const HaplotypeEvaluator reference(synthetic_.dataset, unbatched_config);
-  std::vector<double> expected;
-  for (const auto& snps : batch) expected.push_back(reference.fitness(snps));
 
   using Factory = std::shared_ptr<EvaluationBackend> (*)(
       const HaplotypeEvaluator&, BackendOptions);
@@ -195,43 +144,51 @@ TEST_F(EvaluationServiceTest, BatchedDispatchIsBitIdenticalAcrossBackends) {
       {"serial", &make_serial_backend, true},
       {"thread_pool", &make_thread_pool_backend, true},
       {"farm", &make_farm_backend, false}};
-  for (const auto& test_case : cases) {
-    for (const bool faulted : {false, true}) {
-      HaplotypeEvaluator evaluator(synthetic_.dataset);  // batched default
-      ASSERT_TRUE(evaluator.batch_dispatch_eligible());
-      BackendOptions options;
-      options.workers = 3;
-      if (faulted) {
-        parallel::FaultInjector::Config fault_config;
-        fault_config.throw_on_tasks = {0, 2, 4};
-        options.fault_injector =
-            std::make_shared<parallel::FaultInjector>(fault_config);
-        options.farm_policy.max_task_retries = 2;
-      }
-      EvaluationService service(evaluator, test_case.make(evaluator, options));
-      const auto results = service.evaluate(batch);
-      ASSERT_EQ(results.size(), batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(results[i], expected[i])
-            << test_case.label << (faulted ? " faulted" : "") << " task " << i;
-      }
-      if (test_case.batches) {
-        // The batched path really ran: grouped EM lanes were recorded.
-        EXPECT_GT(evaluator.em_batch_lanes(), 0u) << test_case.label;
-        EXPECT_GE(evaluator.em_batch_lanes(), evaluator.em_batch_runs());
-      }
-      if (faulted) {
-        EXPECT_EQ(options.fault_injector->injected_throws(), 3u)
-            << test_case.label;
+  for (const bool simd : {true, false}) {
+    EvaluatorConfig config;
+    config.simd_kernels = simd;
+    std::vector<double> expected;
+    for (const auto& snps : batch) {
+      const HaplotypeEvaluator fresh(synthetic_.dataset, config);
+      expected.push_back(fresh.fitness(snps));
+    }
+    for (const auto& test_case : cases) {
+      for (const bool faulted : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << test_case.label << (faulted ? " faulted" : "")
+                     << (simd ? " simd" : " scalar"));
+        HaplotypeEvaluator evaluator(synthetic_.dataset, config);
+        ASSERT_TRUE(evaluator.batch_dispatch_eligible());
+        BackendOptions options;
+        options.workers = 3;
+        if (faulted) {
+          parallel::FaultInjector::Config fault_config;
+          fault_config.throw_on_tasks = {0, 2, 4};
+          options.fault_injector =
+              std::make_shared<parallel::FaultInjector>(fault_config);
+          options.farm_policy.max_task_retries = 2;
+        }
+        EvaluationService service(evaluator,
+                                  test_case.make(evaluator, options));
+        const auto results = service.evaluate(batch);
+        ASSERT_EQ(results.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          EXPECT_EQ(results[i], expected[i]) << "task " << i;
+        }
+        if (test_case.batches && simd) {
+          // The lockstep path really ran: grouped EM lanes were recorded.
+          EXPECT_GT(evaluator.em_batch_lanes(), 0u);
+          EXPECT_GE(evaluator.em_batch_lanes(), evaluator.em_batch_runs());
+        }
+        if (!simd) {
+          EXPECT_EQ(evaluator.em_batch_runs(), 0u);
+        }
+        if (faulted) {
+          EXPECT_EQ(options.fault_injector->injected_throws(), 3u);
+        }
       }
     }
   }
-}
-
-TEST_F(EvaluationServiceTest, MismatchedProvenanceLengthIsAPrecondition) {
-  const std::vector<Candidate> batch = {{0, 1}, {2, 3}};
-  const std::vector<Candidate> parents = {{0, 1}};
-  EXPECT_DEATH(service_.evaluate(batch, parents), "precondition");
 }
 
 }  // namespace

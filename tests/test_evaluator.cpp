@@ -252,47 +252,6 @@ TEST(Evaluator, ValidatedRejectsBadEarlyStopSettings) {
   EXPECT_THROW(config.validated(), ConfigError);
   config.clump.mc_error_rate = 1e-3;
   EXPECT_NO_THROW(config.validated());
-
-  config = {};
-  config.incremental.pattern_cache_shards = 0;
-  EXPECT_THROW(config.validated(), ConfigError);
-}
-
-TEST(Evaluator, IncrementalCacheActiveByDefaultAndGated) {
-  const auto synthetic = ldga::testing::small_synthetic();
-  const HaplotypeEvaluator with_cache(synthetic.dataset);
-  EXPECT_TRUE(with_cache.incremental_active());
-
-  EvaluatorConfig off;
-  off.incremental.pattern_cache = false;
-  const HaplotypeEvaluator without(synthetic.dataset, off);
-  EXPECT_FALSE(without.incremental_active());
-  EXPECT_EQ(without.incremental_stats().entry_reuses, 0u);
-
-  // The incremental routes are defined on the compiled EM programs,
-  // so turning those off deactivates it silently.
-  EvaluatorConfig gated_config;
-  gated_config.compiled_em = false;
-  const HaplotypeEvaluator gated(synthetic.dataset, gated_config);
-  EXPECT_FALSE(gated.incremental_active());
-}
-
-TEST(Evaluator, IncrementalCacheMatchesReferenceFitness) {
-  const auto synthetic = ldga::testing::small_synthetic(14, 2, 21);
-  EvaluatorConfig reference_config;
-  reference_config.incremental.pattern_cache = false;
-  const HaplotypeEvaluator reference(synthetic.dataset, reference_config);
-  const HaplotypeEvaluator incremental(synthetic.dataset);
-
-  // Parent, then one-locus neighbours: exercises fresh build,
-  // extension/projection and a repeat hit; fitness must be bit-equal.
-  const std::vector<std::vector<SnpIndex>> sets{
-      {1, 4, 7}, {1, 4, 7, 9}, {1, 4}, {1, 4, 7}, {2, 4, 7}};
-  for (const auto& snps : sets) {
-    EXPECT_EQ(incremental.fitness(snps), reference.fitness(snps))
-        << "set size " << snps.size();
-  }
-  EXPECT_GT(incremental.incremental_stats().entry_builds, 0u);
 }
 
 TEST(Evaluator, MonteCarloReplicateCountersTrackClumpRuns) {

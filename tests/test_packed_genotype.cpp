@@ -11,7 +11,7 @@
 #include "genomics/genotype_matrix.hpp"
 #include "stats/eh_diall.hpp"
 #include "stats/em_haplotype.hpp"
-#include "test_support.hpp"
+#include "support/reference_em.hpp"
 #include "util/rng.hpp"
 
 namespace ldga::genomics {
@@ -178,8 +178,8 @@ TEST(PackedGenotype, PatternTableMatchesBytePathOnRandomDatasets) {
 
     for (const auto policy : {stats::MissingPolicy::CompleteCase,
                               stats::MissingPolicy::Marginalize}) {
-      const auto byte_table =
-          stats::GenotypePatternTable::build(matrix, distinct, group, policy);
+      const auto byte_table = stats::reference::build_pattern_table(
+          matrix, distinct, group, policy);
       const auto packed_table =
           stats::GenotypePatternTable::build_packed(slice, distinct, policy);
       EXPECT_EQ(packed_table.locus_count(), byte_table.locus_count());
@@ -201,32 +201,58 @@ TEST(PackedGenotype, PatternTableMatchesBytePathOnRandomDatasets) {
   }
 }
 
-// End-to-end: the compiled pipeline over the packed tables must leave
-// every statistic bit-for-bit identical to the visitor-based reference,
-// which is what lets the evaluator default to it. (The byte-scanning
-// pipeline and its EvaluatorConfig::packed_kernel toggle are retired;
-// the visitor path is the remaining independent oracle.)
-TEST(PackedGenotype, EhDiallStatisticsAreBitForBitIdentical) {
-  const auto synthetic = ldga::testing::small_synthetic(14, 3, 555);
-  const stats::EhDiall compiled(synthetic.dataset, {}, /*compiled_em=*/true);
-  const stats::EhDiall reference(synthetic.dataset, {},
-                                 /*compiled_em=*/false);
+void expect_bit_identical(const stats::EmResult& expected,
+                          const stats::EmResult& actual) {
+  EXPECT_EQ(actual.frequencies, expected.frequencies);
+  EXPECT_EQ(actual.log_likelihood, expected.log_likelihood);
+  EXPECT_EQ(actual.iterations, expected.iterations);
+  EXPECT_EQ(actual.converged, expected.converged);
+}
 
-  const std::array<std::vector<SnpIndex>, 4> candidates = {
+// End-to-end: production EH-DIALL (packed tables, compiled EM, scalar
+// kernel) must leave every statistic bit-for-bit identical to the test
+// oracle's byte-scan tables and dense visitor EM — under both missing-
+// data policies, at every candidate size the GA uses, and for a
+// candidate given out of ascending order.
+TEST(PackedGenotype, EhDiallStatisticsAreBitForBitIdentical) {
+  // ~15% Missing genotypes; every fifth individual has Unknown status.
+  const auto matrix = random_matrix(90, 14, 2004);
+  std::vector<Status> statuses(90);
+  for (std::uint32_t i = 0; i < statuses.size(); ++i) {
+    statuses[i] = i % 5 == 4   ? Status::Unknown
+                  : i % 2 == 0 ? Status::Affected
+                               : Status::Unaffected;
+  }
+  const Dataset dataset(SnpPanel::uniform(14), matrix, statuses);
+
+  const std::array<std::vector<SnpIndex>, 7> candidates = {
+      std::vector<SnpIndex>{3},
       std::vector<SnpIndex>{0, 1},
       std::vector<SnpIndex>{2, 5, 9},
       std::vector<SnpIndex>{1, 6, 7, 13},
-      std::vector<SnpIndex>{3, 4, 8, 10, 12}};
-  for (const auto& snps : candidates) {
-    const auto a = compiled.analyze(snps);
-    const auto b = reference.analyze(snps);
-    EXPECT_EQ(a.lrt, b.lrt);
-    EXPECT_EQ(a.affected.log_likelihood, b.affected.log_likelihood);
-    EXPECT_EQ(a.unaffected.log_likelihood, b.unaffected.log_likelihood);
-    EXPECT_EQ(a.pooled.log_likelihood, b.pooled.log_likelihood);
-    EXPECT_EQ(a.affected.frequencies, b.affected.frequencies);
-    EXPECT_EQ(a.unaffected.frequencies, b.unaffected.frequencies);
-    EXPECT_EQ(a.pooled.frequencies, b.pooled.frequencies);
+      std::vector<SnpIndex>{3, 4, 8, 10, 12},
+      std::vector<SnpIndex>{0, 2, 5, 7, 11, 13},
+      std::vector<SnpIndex>{9, 2, 12, 5}};  // unsorted
+  for (const auto policy : {stats::MissingPolicy::CompleteCase,
+                            stats::MissingPolicy::Marginalize}) {
+    stats::EmConfig config;
+    config.missing = policy;
+    const stats::EhDiall production(dataset, config);
+    for (const auto& snps : candidates) {
+      SCOPED_TRACE(::testing::Message()
+                   << "policy " << static_cast<int>(policy) << ", "
+                   << snps.size() << " loci, first " << snps.front());
+      const auto expected = stats::reference::analyze(dataset, snps, config);
+      const auto actual = production.analyze(snps);
+      EXPECT_EQ(actual.locus_count, expected.locus_count);
+      EXPECT_EQ(actual.affected_individuals, expected.affected_individuals);
+      EXPECT_EQ(actual.unaffected_individuals,
+                expected.unaffected_individuals);
+      expect_bit_identical(expected.affected, actual.affected);
+      expect_bit_identical(expected.unaffected, actual.unaffected);
+      expect_bit_identical(expected.pooled, actual.pooled);
+      EXPECT_EQ(actual.lrt, expected.lrt);
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "support/reference_em.hpp"
 #include "test_support.hpp"
 
 namespace ldga::stats {
@@ -107,8 +108,8 @@ TEST(PhaseReconstruction, IntegratesWithEmOutput) {
   std::vector<std::uint32_t> ids(matrix.individual_count());
   std::iota(ids.begin(), ids.end(), 0);
   const std::vector<SnpIndex> snps{1, 3, 6};
-  const auto table = GenotypePatternTable::build(matrix, snps, ids);
-  const auto em = estimate_haplotype_frequencies(table);
+  const auto table = reference::build_pattern_table(matrix, snps, ids);
+  const auto em = reference::estimate_haplotype_frequencies(table);
   const auto phased =
       reconstruct_phases(matrix, snps, ids, em.frequencies);
   ASSERT_EQ(phased.size(), ids.size());

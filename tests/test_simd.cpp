@@ -441,21 +441,39 @@ TEST_F(SimdPipeline, PatternTablesBitExactAcrossLevels) {
 TEST_F(SimdPipeline, EvaluatorFlagOffIsBitExactAcrossLevels) {
   // With simd_kernels forced off (the scalar reference configuration —
   // the flag defaults on since the candidate-batched path landed),
-  // fitness must be bit-for-bit identical at every dispatch level:
-  // only integer kernels differ.
+  // every statistic must be bit-for-bit identical at every dispatch
+  // level: only integer kernels differ. The flag covers both halves of
+  // the pipeline, so the second configuration runs CLUMP's T3 fitness
+  // with Monte-Carlo p-values (the per-trial scalar path).
   const auto synthetic = ldga::testing::small_synthetic();
   const std::vector<genomics::SnpIndex> snps{1, 3, 4};
-  stats::EvaluatorConfig config;
-  config.simd_kernels = false;
-  std::vector<double> fitness;
-  for (const SimdLevel level : levels()) {
-    simd_force_level(level);
-    stats::HaplotypeEvaluator evaluator(synthetic.dataset, config);
-    fitness.push_back(evaluator.fitness(snps));
-  }
-  for (std::size_t i = 1; i < fitness.size(); ++i) {
-    EXPECT_EQ(fitness[i], fitness[0])
-        << simd_level_name(levels()[i]);
+  stats::EvaluatorConfig t1_config;
+  t1_config.simd_kernels = false;
+  stats::EvaluatorConfig mc_config = t1_config;
+  mc_config.fitness_statistic = stats::FitnessStatistic::T3;
+  mc_config.clump.monte_carlo_trials = 200;
+  for (const stats::EvaluatorConfig& config : {t1_config, mc_config}) {
+    std::vector<double> fitness;
+    std::vector<stats::ClumpResult> clumps;
+    for (const SimdLevel level : levels()) {
+      simd_force_level(level);
+      stats::HaplotypeEvaluator evaluator(synthetic.dataset, config);
+      fitness.push_back(evaluator.fitness(snps));
+      clumps.push_back(evaluator.clump_analysis(snps));
+    }
+    for (std::size_t i = 1; i < fitness.size(); ++i) {
+      SCOPED_TRACE(simd_level_name(levels()[i]));
+      EXPECT_EQ(fitness[i], fitness[0]);
+      const stats::ClumpResult& got = clumps[i];
+      const stats::ClumpResult& want = clumps[0];
+      for (const auto member :
+           {&stats::ClumpResult::t1, &stats::ClumpResult::t2,
+            &stats::ClumpResult::t3, &stats::ClumpResult::t4}) {
+        EXPECT_EQ((got.*member).statistic, (want.*member).statistic);
+        EXPECT_EQ((got.*member).p_monte_carlo, (want.*member).p_monte_carlo);
+      }
+      EXPECT_EQ(got.mc_replicates_run, want.mc_replicates_run);
+    }
   }
 }
 

@@ -26,10 +26,6 @@ GenerationInfo sample_info(std::uint32_t generation) {
   info.stage_timings.clump_seconds = 0.5;
   info.gen_cache_hits = 9;
   info.gen_cache_misses = 3;
-  info.gen_pattern_entry_reuses = 8;
-  info.gen_pattern_entry_builds = 8;
-  info.gen_warm_starts = 4;
-  info.gen_warm_fallbacks = 0;
   info.mc_replicates_run = 100 * generation;
   info.mc_replicates_saved = 50 * generation;
   info.em_batch_runs = 2 * generation;
@@ -51,9 +47,7 @@ TEST(TelemetryWriter, HeaderMatchesShape) {
                       "evaluations,immigrants,"
                       "cache_hits,cache_misses,cache_evictions,"
                       "pattern_build_seconds,em_seconds,clump_seconds,"
-                      "cache_hit_ratio,pattern_entry_reuses,pattern_entry_builds,"
-                      "pattern_entry_reuse_ratio,warm_starts,warm_fallbacks,"
-                      "warm_hit_ratio,mc_replicates_run,"
+                      "cache_hit_ratio,mc_replicates_run,"
                       "mc_replicates_saved,em_batch_runs,em_batch_lanes,"
                       "em_batch_mean_lanes,mc_batched_replicates"),
             std::string::npos);
@@ -76,26 +70,22 @@ TEST(TelemetryWriter, RowValuesRoundTrip) {
   const std::string text = out.str();
   EXPECT_NE(
       text.find("3,1.5,2.5,0.5,0.2,0.2,0.6,0.3,300,0,30,3,0,0.125,0.25,0.5,"
-                "0.75,8,8,0.5,4,0,1,300,150,6,36,6,300"),
+                "0.75,300,150,6,36,6,300"),
       std::string::npos);
   writer.record(sample_info(4));
   EXPECT_NE(out.str().find(
                 "4,1.5,2.5,0.5,0.2,0.2,0.6,0.3,400,1,40,4,0,0.125,0.25,0.5,"
-                "0.75,8,8,0.5,4,0,1,400,200,8,48,6,400"),
+                "0.75,400,200,8,48,6,400"),
             std::string::npos);
 }
 
 TEST(TelemetryWriter, ZeroTrafficRatiosAreZeroNotNan) {
-  // A generation with no incremental traffic (all gen_* counters zero,
-  // e.g. the pattern cache is disabled) must report 0 ratios, never
-  // NaN from a 0/0 division.
+  // A generation with no cache or batch traffic (all gen_* counters
+  // zero, e.g. simd_kernels off) must report 0 ratios, never NaN from a
+  // 0/0 division.
   auto info = sample_info(2);
   info.gen_cache_hits = 0;
   info.gen_cache_misses = 0;
-  info.gen_pattern_entry_reuses = 0;
-  info.gen_pattern_entry_builds = 0;
-  info.gen_warm_starts = 0;
-  info.gen_warm_fallbacks = 0;
   info.mc_replicates_run = 0;
   info.mc_replicates_saved = 0;
   info.em_batch_runs = 0;
@@ -106,7 +96,7 @@ TEST(TelemetryWriter, ZeroTrafficRatiosAreZeroNotNan) {
   std::ostringstream out;
   TelemetryCsvWriter writer(out);
   writer.record(info);
-  EXPECT_NE(out.str().find("0.125,0.25,0.5,0,0,0,0,0,0,0,0,0,0,0,0,0\n"),
+  EXPECT_NE(out.str().find("0.125,0.25,0.5,0,0,0,0,0,0,0\n"),
             std::string::npos);
   EXPECT_EQ(out.str().find("nan"), std::string::npos);
 }
