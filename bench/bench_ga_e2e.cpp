@@ -6,17 +6,17 @@
 //   1. baseline — simd_kernels off, fixed-replicate Monte Carlo: the
 //      scalar reference pipeline;
 //   2. no-simd  — simd_kernels off, early-stopping Monte Carlo;
-//   3. simd     — the default configuration (vector kernels over
-//      candidate-grouped SoA EM and replicate-batched CLUMP) with
-//      early-stopping Monte Carlo.
+//   3. simd     — the default configuration (CLUMP's vector kernels and
+//      replicate-batched Monte Carlo; EM is the scalar compiled kernel
+//      in every leg) with early-stopping Monte Carlo.
 // ga_speedup = 1 / 3 is the headline against the default configuration
 // (acceptance 2x, CI floor 1.5x); ga_simd_speedup = 2 / 3 is what the
 // simd_kernels default-on decision rests on (acceptance 1.3x, CI floor
 // 1.0x). Statistics of the legs agree to ~1e-9.
 //
 // Gate: every reported best individual of every leg is re-scored on a
-// fresh evaluator of the same configuration — a batch of one — and must
-// reproduce its fitness bit for bit, whatever batch it was scored in
+// fresh evaluator of the same configuration and must reproduce its
+// fitness bit for bit, whatever batch and worker it was scored in
 // during the run. The bench exits nonzero on a mismatch.
 //
 // Results land in BENCH_ga_e2e.json.
@@ -174,15 +174,11 @@ int main() {
       "simd    (default, level %s):   %.1f ms — %.2fx vs baseline "
       "(acceptance 2x, floor 1.5x), %.2fx vs no-simd (acceptance 1.3x, "
       "floor 1x)\n"
-      "  batched EM: %llu runs covering %llu lanes (%.1f lanes/run); "
-      "batched MC replicates: %llu\n"
+      "  batched MC replicates: %llu\n"
       "  fitness cache: %.0f%% hit rate; Monte Carlo: %llu of %llu "
       "replicates run (%.0f%% saved)\n",
       nosimd.ms, util::simd_level_name(util::simd_level()), simd.ms, speedup,
       simd_speedup,
-      static_cast<unsigned long long>(simd.result.em_batch_runs),
-      static_cast<unsigned long long>(simd.result.em_batch_lanes),
-      rate(simd.result.em_batch_lanes, simd.result.em_batch_runs),
       static_cast<unsigned long long>(simd.result.mc_batched_replicates),
       100.0 * rate(cache.hits, cache.hits + cache.misses),
       static_cast<unsigned long long>(simd.result.mc_replicates_run),
@@ -208,8 +204,6 @@ int main() {
       "  \"ga_speedup\": %.3f,\n"
       "  \"ga_simd_speedup\": %.3f,\n"
       "  \"rescored_bests\": %zu,\n"
-      "  \"em_batch_runs\": %llu,\n"
-      "  \"em_batch_lanes\": %llu,\n"
       "  \"mc_batched_replicates\": %llu,\n"
       "  \"fitness_cache_hit_rate\": %.4f,\n"
       "  \"mc_replicates_run\": %llu,\n"
@@ -219,8 +213,6 @@ int main() {
       baseline.result.generations,
       static_cast<unsigned long long>(baseline.result.evaluations),
       baseline.ms, nosimd.ms, simd.ms, speedup, simd_speedup, rescored,
-      static_cast<unsigned long long>(simd.result.em_batch_runs),
-      static_cast<unsigned long long>(simd.result.em_batch_lanes),
       static_cast<unsigned long long>(simd.result.mc_batched_replicates),
       rate(cache.hits, cache.hits + cache.misses),
       static_cast<unsigned long long>(simd.result.mc_replicates_run),

@@ -1,21 +1,19 @@
 // Runtime-dispatched SIMD kernels, measured level by level.
 //
 // For every dispatch level available on this host (always at least
-// scalar) the four kernel families are timed on evaluation-shaped
-// inputs, and the vector levels are compared against the scalar
-// reference in the same binary:
+// scalar) the kernel families are timed on evaluation-shaped inputs,
+// and the vector levels are compared against the scalar reference in
+// the same binary:
 //   1. popcount_words  — bitplane popcount (carrier-row counting);
 //   2. combine_planes_count — the fused DFS plane intersection +
 //      popcount (the kernel every pattern-table build runs per node);
-//   3. EM E-step pair  — weighted_pair_products + scale_values on a
-//      phase-fan-sized gather;
-//   4. CLUMP           — chi_columns 2×2 scan + pearson_row_terms;
-//   5. batched shapes  — batch_weighted_pair_products on a short-fan ×
-//      many-lane SoA block and batch_chi_columns + batch_pearson_2xn
-//      on one replicate sub-batch: the shapes the candidate-batched
-//      evaluation actually dispatches, and the measurements the
-//      AVX-512 FP routing decision (avx512 FP → avx2 bodies) was
-//      re-checked against.
+//   3. CLUMP           — chi_columns 2×2 scan + pearson_row_terms;
+//   4. batched CLUMP   — batch_chi_columns + batch_pearson_2xn on one
+//      replicate sub-batch: the shape the batched Monte-Carlo engine
+//      dispatches, and the measurement the AVX-512 FP routing decision
+//      (avx512 FP → avx2 bodies) was re-checked against.
+// EM has no vector kernel (its scalar compiled loop is the only
+// E-step), so there is no EM leg.
 // Equivalence is asserted inline (integer kernels bit-exact, FP within
 // 1e-9) — a fast wrong kernel aborts the bench.
 //
@@ -42,27 +40,18 @@ using namespace ldga;
 // Cohort-scale shapes: 600 individuals ≈ 10 words per plane is the
 // repo's default workload, but kernel-dominated timing needs longer
 // sweeps, so the word benches run on a 4096-word block (≈ 256k
-// individuals) and the EM/CLUMP benches on fan sizes the 6-locus
-// candidates actually produce.
+// individuals) and the CLUMP bench on a wide table.
 constexpr std::size_t kWords = 4096;
-constexpr std::size_t kPairs = 4096;
 constexpr std::size_t kColumns = 512;
-// Batched shapes: lanes × short fans is what the candidate grouper
-// feeds batch_weighted_pair_products (fans below kSimdMinPairs), and
-// one 64-replicate sub-batch of a 32-column table is what the batched
-// CLUMP Monte-Carlo engine feeds the replicate kernels.
-constexpr std::size_t kBatchLanes = 16;
-constexpr std::size_t kBatchFan = 8;
-constexpr std::size_t kBatchSupport = 64;
+// Batched shape: one 64-replicate sub-batch of a 32-column table is
+// what the batched CLUMP Monte-Carlo engine feeds the replicate
+// kernels.
 constexpr std::size_t kBatchCols = 32;
 constexpr std::size_t kBatchReps = 64;
 
 struct Inputs {
   std::vector<std::uint64_t> parent, lo, hi, out;
-  std::vector<double> freq, products, top, bottom, chi, cells, col_sums;
-  std::vector<std::uint32_t> h1, h2;
-  std::vector<double> batch_freq, batch_products, batch_sums;
-  std::vector<std::uint32_t> bh1, bh2;
+  std::vector<double> top, bottom, chi, cells, col_sums;
   std::vector<double> rep_top, rep_bottom, rep_out, rep_col_sums, rep_pearson;
 };
 
@@ -78,16 +67,6 @@ Inputs make_inputs() {
     in.lo[i] = rng();
     in.hi[i] = rng();
   }
-  const std::size_t support = 1024;
-  in.freq.resize(support);
-  for (double& f : in.freq) f = rng.uniform() + 1e-6;
-  in.h1.resize(kPairs);
-  in.h2.resize(kPairs);
-  for (std::size_t t = 0; t < kPairs; ++t) {
-    in.h1[t] = static_cast<std::uint32_t>(rng.below(support));
-    in.h2[t] = static_cast<std::uint32_t>(rng.below(support));
-  }
-  in.products.resize(kPairs);
   in.top.resize(kColumns);
   in.bottom.resize(kColumns);
   in.chi.resize(kColumns);
@@ -99,16 +78,6 @@ Inputs make_inputs() {
     in.cells[c] = 40.0 * rng.uniform();
     in.col_sums[c] = in.cells[c] + 40.0 * rng.uniform();
   }
-  in.batch_freq.resize(kBatchLanes * kBatchSupport);
-  for (double& f : in.batch_freq) f = rng.uniform() + 1e-6;
-  in.bh1.resize(kBatchFan);
-  in.bh2.resize(kBatchFan);
-  for (std::size_t t = 0; t < kBatchFan; ++t) {
-    in.bh1[t] = static_cast<std::uint32_t>(rng.below(kBatchSupport));
-    in.bh2[t] = static_cast<std::uint32_t>(rng.below(kBatchSupport));
-  }
-  in.batch_products.resize(kBatchFan * kBatchLanes);
-  in.batch_sums.resize(kBatchLanes);
   in.rep_top.resize(kBatchReps * kBatchCols);
   in.rep_bottom.resize(kBatchReps * kBatchCols);
   in.rep_out.resize(kBatchReps * kBatchCols);
@@ -146,9 +115,7 @@ volatile double g_sink = 0.0;
 struct LevelTimes {
   double popcount_ns = 0.0;
   double planes_ns = 0.0;
-  double em_ns = 0.0;
   double clump_ns = 0.0;
-  double batch_em_ns = 0.0;
   double batch_clump_ns = 0.0;
 };
 
@@ -167,13 +134,6 @@ LevelTimes run_level(const util::SimdKernels& kernels, const Inputs& in,
   const double row0 = row_total(in.top);
   const double row1 = row_total(in.bottom);
   const double total = row_total(in.cells) + row_total(in.col_sums);
-  t.em_ns = time_ns(400, [&] {
-    const double denom = kernels.weighted_pair_products(
-        in.freq.data(), in.h1.data(), in.h2.data(), kPairs, 0.5,
-        mut.products.data());
-    kernels.scale_values(mut.products.data(), kPairs, 1.0 / denom);
-    g_sink = g_sink + denom;
-  });
   t.clump_ns = time_ns(400, [&] {
     kernels.chi_columns(in.top.data(), in.bottom.data(), kColumns, 0.0, 0.0,
                         row0, row1, mut.chi.data());
@@ -183,13 +143,6 @@ LevelTimes run_level(const util::SimdKernels& kernels, const Inputs& in,
   const double brow0 = 40.0 * static_cast<double>(kBatchCols);
   const double brow1 = 37.5 * static_cast<double>(kBatchCols);
   const double btotal = row_total(in.rep_col_sums);
-  t.batch_em_ns = time_ns(4000, [&] {
-    kernels.batch_weighted_pair_products(
-        in.batch_freq.data(), kBatchSupport, in.bh1.data(), in.bh2.data(),
-        kBatchFan, 0.5, kBatchLanes, mut.batch_products.data(),
-        mut.batch_sums.data());
-    g_sink = g_sink + mut.batch_sums[0];
-  });
   t.batch_clump_ns = time_ns(400, [&] {
     kernels.batch_chi_columns(in.rep_top.data(), in.rep_bottom.data(),
                               kBatchCols, kBatchReps, nullptr, nullptr, brow0,
@@ -233,24 +186,28 @@ void check_equivalence(const util::SimdKernels& scalar,
     std::exit(1);
   }
   // FP kernels: 1e-9 relative.
-  std::vector<double> ref_products(kPairs), vec_products(kPairs);
-  const double denom_ref = scalar.weighted_pair_products(
-      in.freq.data(), in.h1.data(), in.h2.data(), kPairs, 0.5,
-      ref_products.data());
-  const double denom_vec = vec.weighted_pair_products(
-      in.freq.data(), in.h1.data(), in.h2.data(), kPairs, 0.5,
-      vec_products.data());
-  if (std::abs(denom_ref - denom_vec) > 1e-9 * std::abs(denom_ref)) {
-    std::fprintf(stderr, "FATAL: %s weighted_pair_products denom drift\n",
-                 name);
-    std::exit(1);
-  }
-  for (std::size_t i = 0; i < kPairs; ++i) {
-    if (std::abs(ref_products[i] - vec_products[i]) >
-        1e-9 * std::abs(ref_products[i]) + 1e-300) {
-      std::fprintf(stderr, "FATAL: %s products[%zu] drift\n", name, i);
+  const double row0 = row_total(in.top);
+  const double row1 = row_total(in.bottom);
+  const double total = row_total(in.cells) + row_total(in.col_sums);
+  std::vector<double> chi_ref(kColumns);
+  scalar.chi_columns(in.top.data(), in.bottom.data(), kColumns, 0.0, 0.0,
+                     row0, row1, chi_ref.data());
+  vec.chi_columns(in.top.data(), in.bottom.data(), kColumns, 0.0, 0.0, row0,
+                  row1, mut.chi.data());
+  for (std::size_t c = 0; c < kColumns; ++c) {
+    if (std::abs(chi_ref[c] - mut.chi[c]) >
+        1e-9 * std::abs(chi_ref[c]) + 1e-300) {
+      std::fprintf(stderr, "FATAL: %s chi_columns[%zu] drift\n", name, c);
       std::exit(1);
     }
+  }
+  const double pearson_ref = scalar.pearson_row_terms(
+      in.cells.data(), in.col_sums.data(), kColumns, row0, total);
+  const double pearson_vec = vec.pearson_row_terms(
+      in.cells.data(), in.col_sums.data(), kColumns, row0, total);
+  if (std::abs(pearson_ref - pearson_vec) > 1e-9 * std::abs(pearson_ref)) {
+    std::fprintf(stderr, "FATAL: %s pearson_row_terms drift\n", name);
+    std::exit(1);
   }
 }
 
@@ -273,16 +230,13 @@ int main() {
   std::fprintf(json, "{\n");
   ldga::bench::write_machine_context(json);
   std::fprintf(json,
-               "  \"workload\": \"%zu-word planes, %zu-pair E-step, "
-               "%zu-column CLUMP scan; batched: %zu lanes x %zu-pair "
-               "E-step, %zu reps x %zu-column CLUMP\",\n",
-               kWords, kPairs, kColumns, kBatchLanes, kBatchFan, kBatchReps,
-               kBatchCols);
+               "  \"workload\": \"%zu-word planes, %zu-column CLUMP scan; "
+               "batched: %zu reps x %zu-column CLUMP\",\n",
+               kWords, kColumns, kBatchReps, kBatchCols);
 
   LevelTimes scalar_times;
   double best_popcount_speedup = 1.0;
   double best_planes_speedup = 1.0;
-  double best_batch_em_speedup = 1.0;
   double best_batch_clump_speedup = 1.0;
   std::string best_level = "scalar";
   for (const util::SimdLevel level : levels) {
@@ -299,41 +253,32 @@ int main() {
         popcount_speedup > best_popcount_speedup) {
       best_popcount_speedup = popcount_speedup;
       best_planes_speedup = planes_speedup;
-      best_batch_em_speedup = scalar_times.batch_em_ns / t.batch_em_ns;
       best_batch_clump_speedup = scalar_times.batch_clump_ns / t.batch_clump_ns;
       best_level = name;
     }
     std::printf(
         "%-7s popcount %7.0f ns (%5.2fx)  planes %7.0f ns (%5.2fx)  "
-        "em %7.0f ns (%5.2fx)  clump %7.0f ns (%5.2fx)\n"
-        "        batch-em %6.0f ns (%5.2fx)  batch-clump %7.0f ns (%5.2fx)\n",
+        "clump %7.0f ns (%5.2fx)  batch-clump %7.0f ns (%5.2fx)\n",
         name, t.popcount_ns, popcount_speedup, t.planes_ns, planes_speedup,
-        t.em_ns, scalar_times.em_ns / t.em_ns, t.clump_ns,
-        scalar_times.clump_ns / t.clump_ns, t.batch_em_ns,
-        scalar_times.batch_em_ns / t.batch_em_ns, t.batch_clump_ns,
+        t.clump_ns, scalar_times.clump_ns / t.clump_ns, t.batch_clump_ns,
         scalar_times.batch_clump_ns / t.batch_clump_ns);
     std::fprintf(json,
                  "  \"%s_popcount_ns\": %.1f,\n"
                  "  \"%s_planes_ns\": %.1f,\n"
-                 "  \"%s_em_estep_ns\": %.1f,\n"
                  "  \"%s_clump_ns\": %.1f,\n"
-                 "  \"%s_batch_em_ns\": %.1f,\n"
                  "  \"%s_batch_clump_ns\": %.1f,\n",
-                 name, t.popcount_ns, name, t.planes_ns, name, t.em_ns,
-                 name, t.clump_ns, name, t.batch_em_ns, name,
-                 t.batch_clump_ns);
+                 name, t.popcount_ns, name, t.planes_ns, name, t.clump_ns,
+                 name, t.batch_clump_ns);
   }
 
   std::fprintf(json,
                "  \"best_vector_level\": \"%s\",\n"
                "  \"popcount_speedup\": %.3f,\n"
                "  \"planes_speedup\": %.3f,\n"
-               "  \"batch_em_speedup\": %.3f,\n"
                "  \"batch_clump_speedup\": %.3f\n"
                "}\n",
                best_level.c_str(), best_popcount_speedup,
-               best_planes_speedup, best_batch_em_speedup,
-               best_batch_clump_speedup);
+               best_planes_speedup, best_batch_clump_speedup);
   std::fclose(json);
   std::printf("\nwrote BENCH_simd_kernels.json (best vector level: %s)\n",
               best_level.c_str());

@@ -1,9 +1,6 @@
 #!/usr/bin/env bash
 # Build and run the perf-acceptance benchmarks, leaving BENCH_*.json at
 # the repo root:
-#   - bench_em_kernel    — production EH-DIALL timings (scalar vs simd
-#     batched) and CLUMP Monte Carlo by worker count, with the
-#     worker-invariance gate of the p-values;
 #   - bench_ga_e2e       — GA wall time of the scalar fixed-replicate
 #     baseline vs the default configuration (2x, hard floor 1.5x) and
 #     of no-simd vs simd (floor 1x), including the gate that re-scores
@@ -20,13 +17,11 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${BUILD_DIR:-$root/build}"
 
 cmake -B "$build" -S "$root" -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$build" --target bench_em_kernel --target bench_ga_e2e \
-  --target bench_simd_kernels -j "$(nproc)"
+cmake --build "$build" --target bench_ga_e2e --target bench_simd_kernels \
+  -j "$(nproc)"
 
 cd "$root"
 "$build/bench/bench_simd_kernels"
 echo "BENCH_simd_kernels.json written to $root"
-"$build/bench/bench_em_kernel"
-echo "BENCH_em_kernel.json written to $root"
 "$build/bench/bench_ga_e2e"
 echo "BENCH_ga_e2e.json written to $root"

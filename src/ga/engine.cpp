@@ -275,8 +275,6 @@ GaResult GaEngine::run() {
   // Counter snapshots for the per-generation telemetry deltas (the
   // evaluator's counters are cumulative and may carry earlier traffic).
   stats::FitnessCacheStats prev_cache = evaluator_->cache_stats();
-  std::uint64_t prev_em_batch_runs = evaluator_->em_batch_runs();
-  std::uint64_t prev_em_batch_lanes = evaluator_->em_batch_lanes();
 
   for (std::uint32_t generation = start_generation;
        generation <= config_.max_generations; ++generation) {
@@ -544,15 +542,9 @@ GaResult GaEngine::run() {
       info.stage_timings = evaluator_->stage_timings();
       info.mc_replicates_run = evaluator_->mc_replicates_run();
       info.mc_replicates_saved = evaluator_->mc_replicates_saved();
-      info.em_batch_runs = evaluator_->em_batch_runs();
-      info.em_batch_lanes = evaluator_->em_batch_lanes();
       info.mc_batched_replicates = evaluator_->mc_batched_replicates();
       info.gen_cache_hits = cache.hits - prev_cache.hits;
       info.gen_cache_misses = cache.misses - prev_cache.misses;
-      info.gen_em_batch_runs = info.em_batch_runs - prev_em_batch_runs;
-      info.gen_em_batch_lanes = info.em_batch_lanes - prev_em_batch_lanes;
-      prev_em_batch_runs = info.em_batch_runs;
-      prev_em_batch_lanes = info.em_batch_lanes;
       prev_cache = cache;
       if (callback_) callback_(info);
       if (config_.record_history) result.history.push_back(std::move(info));
@@ -602,8 +594,6 @@ GaResult GaEngine::run() {
   result.stage_timings = evaluator_->stage_timings();
   result.mc_replicates_run = evaluator_->mc_replicates_run();
   result.mc_replicates_saved = evaluator_->mc_replicates_saved();
-  result.em_batch_runs = evaluator_->em_batch_runs();
-  result.em_batch_lanes = evaluator_->em_batch_lanes();
   result.mc_batched_replicates = evaluator_->mc_batched_replicates();
   return result;
 }

@@ -112,19 +112,13 @@ struct GenerationInfo {
   /// early-stopping CLUMP scheduler.
   std::uint64_t mc_replicates_run = 0;
   std::uint64_t mc_replicates_saved = 0;
-  /// Cumulative batched-kernel effectiveness: same-shape EM group
-  /// solves / EM lanes inside them / Monte-Carlo replicates through the
-  /// replicate-batched CLUMP engine (all zero when simd_kernels is
-  /// off).
-  std::uint64_t em_batch_runs = 0;
-  std::uint64_t em_batch_lanes = 0;
+  /// Cumulative Monte-Carlo replicates through the replicate-batched
+  /// CLUMP engine (zero when simd_kernels is off).
   std::uint64_t mc_batched_replicates = 0;
   /// This generation's deltas of the cumulative counters above — the
   /// telemetry CSV derives its per-generation hit ratios from these.
   std::uint64_t gen_cache_hits = 0;
   std::uint64_t gen_cache_misses = 0;
-  std::uint64_t gen_em_batch_runs = 0;
-  std::uint64_t gen_em_batch_lanes = 0;
 };
 
 struct GaResult {
@@ -150,11 +144,8 @@ struct GaResult {
   /// Monte-Carlo replicates executed / skipped over the whole run.
   std::uint64_t mc_replicates_run = 0;
   std::uint64_t mc_replicates_saved = 0;
-  /// Batched-kernel effectiveness over the whole run: same-shape EM
-  /// group solves / lanes inside them / replicates through the batched
-  /// Monte-Carlo engine.
-  std::uint64_t em_batch_runs = 0;
-  std::uint64_t em_batch_lanes = 0;
+  /// Replicates through the batched Monte-Carlo engine over the whole
+  /// run.
   std::uint64_t mc_batched_replicates = 0;
   std::vector<GenerationInfo> history;  ///< when record_history is set
 };

@@ -58,8 +58,10 @@ struct IslandConfig {
   /// Evaluation dispatcher lanes shared by all islands — the async
   /// analogue of the synchronous backend's worker count.
   std::uint32_t lanes = 4;
-  /// Max submissions one lane claims per dispatch round (cross-island
-  /// coalescing width for the SoA batch kernels).
+  /// Max submissions one lane claims per dispatch round. A claim
+  /// gathers one island's pending submissions (it is keyed by the
+  /// island's completion queue), so this bounds how many of an
+  /// island's results come back in one delivery.
   std::uint32_t max_coalesce = 16;
   /// In-flight evaluations each island keeps outstanding. Bounds
   /// selection-lag: an island breeds at most this far ahead of its own

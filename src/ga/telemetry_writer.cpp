@@ -22,9 +22,7 @@ void TelemetryCsvWriter::write_header(const GenerationInfo& info) {
   *out_ << ",evaluations,immigrants,cache_hits,cache_misses,"
            "cache_evictions,pattern_build_seconds,em_seconds,"
            "clump_seconds,cache_hit_ratio,mc_replicates_run,"
-           "mc_replicates_saved,"
-           "em_batch_runs,em_batch_lanes,em_batch_mean_lanes,"
-           "mc_batched_replicates\n";
+           "mc_replicates_saved,mc_batched_replicates\n";
   header_written_ = true;
 }
 
@@ -53,14 +51,7 @@ void TelemetryCsvWriter::record(const GenerationInfo& info) {
         << info.stage_timings.clump_seconds << ','
         << ratio(info.gen_cache_hits, info.gen_cache_misses) << ','
         << info.mc_replicates_run << ',' << info.mc_replicates_saved << ','
-        << info.em_batch_runs << ',' << info.em_batch_lanes << ','
-        // Mean lanes per batched EM run this generation: the batch-size
-        // telemetry the default-on decision was made on.
-        << (info.gen_em_batch_runs == 0
-                ? 0.0
-                : static_cast<double>(info.gen_em_batch_lanes) /
-                      static_cast<double>(info.gen_em_batch_runs))
-        << ',' << info.mc_batched_replicates << '\n';
+        << info.mc_batched_replicates << '\n';
   ++rows_;
   if (!*out_) throw DataError("TelemetryCsvWriter: stream write failed");
 }

@@ -2,13 +2,16 @@
 // straggler-tolerant scheduling primitive under the asynchronous
 // evaluation stream.
 //
-// Consumers pop *batches*: whatever is queued right now, up to a cap.
-// With several consumer threads, a slow item (a straggling evaluation)
-// delays only the batch its consumer claimed; the other consumers keep
-// draining, so queue latency degrades gracefully under heavy-tailed
-// service times instead of collapsing behind one barrier. Producers
-// never block (the queue is unbounded; callers bound their own
-// in-flight counts, as the island engine does per island).
+// Consumers claim *grouped batches*: the oldest queued item plus up to
+// a cap of further items that share its grouping key, gathered from
+// anywhere in the queue. The evaluation stream keys by completion queue
+// (one island of one tenant), so each claim is one island's pending
+// work. With several consumer threads, a slow item (a straggling
+// evaluation) delays only the batch its consumer claimed; the other
+// consumers keep draining, so queue latency degrades gracefully under
+// heavy-tailed service times instead of collapsing behind one barrier.
+// Producers never block (the queue is unbounded; callers bound their
+// own in-flight counts, as the island engine does per island).
 //
 // Close semantics mirror Mailbox: after close() producers get false and
 // consumers drain what remains, then receive empty batches — so a
@@ -16,7 +19,6 @@
 // empty, never dropping accepted work.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -41,32 +43,13 @@ class CoalescingQueue {
     return true;
   }
 
-  /// Blocks until at least one item is available (or the queue closes),
-  /// then takes up to `max_items` in FIFO order. An empty result means
-  /// closed-and-drained: the consumer should exit.
-  std::vector<T> pop_batch(std::size_t max_items) {
-    std::unique_lock lock(mutex_);
-    arrived_.wait(lock, [&] { return !queue_.empty() || closed_; });
-    return take_locked(max_items);
-  }
-
-  /// pop_batch with a deadline; an empty result after timeout means "no
-  /// work yet", distinguishable from shutdown via closed().
-  std::vector<T> pop_batch_for(std::size_t max_items,
-                               std::chrono::milliseconds timeout) {
-    std::unique_lock lock(mutex_);
-    arrived_.wait_for(lock, timeout,
-                      [&] { return !queue_.empty() || closed_; });
-    return take_locked(max_items);
-  }
-
-  /// Blocks like pop_batch, then claims the oldest item plus up to
-  /// `max_items - 1` more items with the same grouping key, searched
-  /// across the whole queue. Downstream batch processors that group
-  /// same-shaped work (the SoA evaluation kernels) get full-width
-  /// batches this way even when producers interleave shapes. No key
-  /// starves: the overall front of the queue anchors every claim, and
-  /// items the claim skips keep their relative order.
+  /// Blocks until at least one item is available (or the queue
+  /// closes), then claims the oldest item plus up to `max_items - 1`
+  /// more items with the same grouping key, searched across the whole
+  /// queue. No key starves: the overall front of the queue anchors
+  /// every claim, and items the claim skips keep their relative order.
+  /// An empty result means closed-and-drained: the consumer should
+  /// exit.
   template <typename KeyFn>
   std::vector<T> pop_batch_grouped(std::size_t max_items, KeyFn&& key) {
     std::unique_lock lock(mutex_);
@@ -99,30 +82,8 @@ class CoalescingQueue {
     arrived_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return queue_.size();
-  }
-
  private:
-  std::vector<T> take_locked(std::size_t max_items) {
-    std::vector<T> batch;
-    const std::size_t take = queue_.size() < max_items ? queue_.size()
-                                                       : max_items;
-    batch.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    return batch;
-  }
-
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable arrived_;
   std::deque<T> queue_;
   bool closed_ = false;

@@ -11,24 +11,14 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "genomics/dataset.hpp"
-#include "genomics/genotype_store.hpp"
 #include "stats/contingency.hpp"
 #include "stats/em_haplotype.hpp"
 #include "stats/eval_scratch.hpp"
 
 namespace ldga::stats {
-
-/// Batched-EM effectiveness counters of one analyze_batch call.
-struct EhDiallBatchStats {
-  /// run_em_program_batch invocations (same-shape groups of >= 2).
-  std::uint64_t batch_runs = 0;
-  /// EM solves executed inside those batched invocations.
-  std::uint64_t batch_lanes = 0;
-};
 
 struct EhDiallResult {
   EmResult affected;
@@ -59,52 +49,22 @@ class EhDiall {
   /// Each group is bit-packed once here — a per-group column slice —
   /// and every analysis counts genotype patterns with word-level
   /// popcounts, compiles each table to a phase program (em_kernel.hpp)
-  /// and runs EM over the support set only.
-  /// `simd_kernels` routes the EM E-step through the dispatched vector
-  /// kernels (util/simd.hpp) and lets same-shape solves of a batch run
-  /// in SoA lockstep: deterministic per dispatch level, equal to the
-  /// scalar path to ~1e-9 but not bit-for-bit. The parameter defaults
-  /// to the scalar path — bit-for-bit the reference EM in
-  /// tests/support — while the evaluator passes
-  /// EvaluatorConfig::simd_kernels, which is on by default.
-  explicit EhDiall(const genomics::Dataset& dataset, EmConfig config = {},
-                   bool simd_kernels = false);
-
-  /// As above, but slicing each group straight from any GenotypeStore
-  /// (in-memory packed matrix or mmap'd on-disk store) — no byte matrix
-  /// is ever materialized. `statuses` assigns store row i its group.
-  /// A slice of an mmap'd store touches only the pages of its loci, so
-  /// this is the genome-scale construction path.
-  EhDiall(const genomics::GenotypeStore& store,
-          std::span<const genomics::Status> statuses, EmConfig config = {},
-          bool simd_kernels = false);
+  /// and runs the scalar EM over the support set only — bit for bit
+  /// the reference EM in tests/support.
+  explicit EhDiall(const genomics::Dataset& dataset, EmConfig config = {});
 
   /// Full three-way analysis of a candidate SNP set (ascending order not
-  /// required, but indices must be distinct and in range): a batch of
-  /// one. Throws ldga::Error with the pipeline's message on failure.
+  /// required, but indices must be distinct and in range). Throws on
+  /// failure (ldga::Error for bad input).
   EhDiallResult analyze(std::span<const genomics::SnpIndex> snps) const;
 
-  /// analyze() with the transient buffers (EM vectors, DFS rows)
-  /// borrowed from the caller's arena — same result, bit for bit. The
-  /// arena must not be shared across threads.
+  /// The one EH-DIALL body: analyze() with the transient buffers (EM
+  /// vectors, DFS rows) borrowed from the caller's arena — same result,
+  /// bit for bit. Builds the three pattern tables and phase programs,
+  /// then solves the three EM programs. The arena must not be shared
+  /// across threads.
   EhDiallResult analyze(std::span<const genomics::SnpIndex> snps,
                         EvalScratch& scratch) const;
-
-  /// The one EH-DIALL body. Builds every candidate's three pattern
-  /// tables and phase programs, then solves all 3 × n EM programs:
-  /// with simd_kernels, programs of the same phase-program shape run
-  /// in SoA lockstep through run_em_program_batch (em_kernel.hpp) and
-  /// the rest run solo on the vector kernel; without it, every program
-  /// runs solo on the scalar kernel. Each lockstep lane equals its
-  /// solo run bit for bit, so every statistic is independent of batch
-  /// size and composition. A candidate whose pipeline throws reports
-  /// the message in errors[i] (results[i] stays default); others are
-  /// unaffected. `stats`, when non-null, accumulates batching counters.
-  void analyze_batch(std::span<const std::vector<genomics::SnpIndex>> snps,
-                     EvalScratch& scratch,
-                     std::span<EhDiallResult> results,
-                     std::span<std::string> errors,
-                     EhDiallBatchStats* stats = nullptr) const;
 
   std::uint32_t affected_count() const {
     return static_cast<std::uint32_t>(affected_.size());
@@ -117,7 +77,6 @@ class EhDiall {
   EmConfig config_;
   std::vector<std::uint32_t> affected_;
   std::vector<std::uint32_t> unaffected_;
-  bool simd_kernels_ = false;
   genomics::PackedGenotypeMatrix packed_affected_;
   genomics::PackedGenotypeMatrix packed_unaffected_;
 };

@@ -7,7 +7,6 @@
 
 #include "util/error.hpp"
 #include "util/numeric.hpp"
-#include "util/simd.hpp"
 
 namespace ldga::stats {
 
@@ -118,13 +117,6 @@ double EmProgram::equilibrium_value(HaplotypeCode code) const {
 
 namespace {
 
-/// Fan length below which the vectorized E-step keeps the inline
-/// reference loop: under ~2 vector strides the gather setup and the
-/// indirect call cost more than they save. Shared by run_em_program
-/// and run_em_program_batch — the batch path must split fans at the
-/// same threshold to stay bit-identical per lane.
-constexpr std::uint32_t kSimdMinPairs = 16;
-
 /// Largest equilibrium start value over haplotypes OUTSIDE the support
 /// — the only off-support term the dense reference folds into its
 /// iteration-1 convergence delta. The global maximizer is the code
@@ -160,8 +152,7 @@ double max_off_support_start(const EmProgram& program) {
 
 EmSupportResult run_em_program(const EmProgram& program,
                                const EmConfig& config,
-                               EmKernelScratch& scratch,
-                               bool simd_kernels) {
+                               EmKernelScratch& scratch) {
   config.validate();
   const std::size_t support_size = program.support.size();
 
@@ -194,96 +185,38 @@ EmSupportResult run_em_program(const EmProgram& program,
   double* freq = result.frequencies.data();
   const std::size_t n_patterns = program.pattern_count.size();
 
-  const util::SimdKernels& kernels = util::simd();
-
   for (std::uint32_t iter = 1; iter <= config.max_iterations; ++iter) {
     std::fill_n(expected, support_size, 0.0);
 
-    if (simd_kernels) {
-      // Vectorized E-step: pass 1 (gather + multiply + fixed-lane-order
-      // denominator) and the posterior scaling run through the dispatch
-      // table; the scatter stays scalar because repeated support
-      // indices within one pattern would collide in vector lanes.
-      // Rounding differs from the reference (vector lane sums; weights
-      // as products[t] * (count/denom) instead of count * (p/denom)),
-      // but deterministically so — see the contract in em_kernel.hpp.
-      // Small fans stay on the inline reference loop (kSimdMinPairs),
-      // and most patterns of a k-locus candidate have far fewer
-      // compatible pairs than the 2^(k-1) maximum — which is exactly
-      // why run_em_program_batch exists: it turns those short fans
-      // into cross-candidate vectors.
-      for (std::size_t p = 0; p < n_patterns; ++p) {
-        const std::uint32_t first = program.pattern_first[p];
-        const std::uint32_t n = program.pattern_pairs[p];
-        const double count = program.pattern_count[p];
-        const double mult = program.pattern_mult[p];
-        double denom;
-        if (n >= kSimdMinPairs) {
-          denom = kernels.weighted_pair_products(
-              freq, idx1 + first, idx2 + first, n, mult, products);
-        } else {
-          denom = 0.0;
-          for (std::uint32_t t = 0; t < n; ++t) {
-            const double prod =
-                mult * freq[idx1[first + t]] * freq[idx2[first + t]];
-            products[t] = prod;
-            denom += prod;
-          }
-        }
-        if (denom <= 0.0) {
-          const double w = count / static_cast<double>(n);
-          for (std::uint32_t t = 0; t < n; ++t) {
-            expected[idx1[first + t]] += w;
-            expected[idx2[first + t]] += w;
-          }
-          continue;
-        }
-        if (n >= kSimdMinPairs) {
-          kernels.scale_values(products, n, count / denom);
-          for (std::uint32_t t = 0; t < n; ++t) {
-            expected[idx1[first + t]] += products[t];
-            expected[idx2[first + t]] += products[t];
-          }
-        } else {
-          const double scale = count / denom;
-          for (std::uint32_t t = 0; t < n; ++t) {
-            const double w = products[t] * scale;
-            expected[idx1[first + t]] += w;
-            expected[idx2[first + t]] += w;
-          }
-        }
+    // E-step: one contiguous sweep; the pass-1 products are cached so
+    // pass 2 only divides (identical rounding to recomputation).
+    for (std::size_t p = 0; p < n_patterns; ++p) {
+      const std::uint32_t first = program.pattern_first[p];
+      const std::uint32_t n = program.pattern_pairs[p];
+      const double count = program.pattern_count[p];
+      const double mult = program.pattern_mult[p];
+      double denom = 0.0;
+      for (std::uint32_t t = 0; t < n; ++t) {
+        const double prod =
+            mult * freq[idx1[first + t]] * freq[idx2[first + t]];
+        products[t] = prod;
+        denom += prod;
       }
-    } else {
-      // E-step: one contiguous sweep; the pass-1 products are cached so
-      // pass 2 only divides (identical rounding to recomputation).
-      for (std::size_t p = 0; p < n_patterns; ++p) {
-        const std::uint32_t first = program.pattern_first[p];
-        const std::uint32_t n = program.pattern_pairs[p];
-        const double count = program.pattern_count[p];
-        const double mult = program.pattern_mult[p];
-        double denom = 0.0;
+      if (denom <= 0.0) {
+        // Uniform posterior over the compatible pairs (reference's
+        // zero-probability fallback).
+        const double w = count / static_cast<double>(n);
         for (std::uint32_t t = 0; t < n; ++t) {
-          const double prod =
-              mult * freq[idx1[first + t]] * freq[idx2[first + t]];
-          products[t] = prod;
-          denom += prod;
-        }
-        if (denom <= 0.0) {
-          // Uniform posterior over the compatible pairs (reference's
-          // zero-probability fallback).
-          const double w = count / static_cast<double>(n);
-          for (std::uint32_t t = 0; t < n; ++t) {
-            expected[idx1[first + t]] += w;
-            expected[idx2[first + t]] += w;
-          }
-          continue;
-        }
-        for (std::uint32_t t = 0; t < n; ++t) {
-          const double posterior = products[t] / denom;
-          const double w = count * posterior;
           expected[idx1[first + t]] += w;
           expected[idx2[first + t]] += w;
         }
+        continue;
+      }
+      for (std::uint32_t t = 0; t < n; ++t) {
+        const double posterior = products[t] / denom;
+        const double w = count * posterior;
+        expected[idx1[first + t]] += w;
+        expected[idx2[first + t]] += w;
       }
     }
 
@@ -348,182 +281,6 @@ EmResult expand_em_result(const EmProgram& program,
     result.frequencies[program.support[i]] = solution.frequencies[i];
   }
   return result;
-}
-
-bool em_programs_same_shape(const EmProgram& a, const EmProgram& b) {
-  // Cheap scalar comparisons first; the pair arrays only when sizes
-  // already agree (they are small for GA candidates).
-  return a.total_individuals > 0.0 && b.total_individuals > 0.0 &&
-         a.support.size() == b.support.size() &&
-         a.pair_h1.size() == b.pair_h1.size() &&
-         a.pattern_pairs == b.pattern_pairs &&
-         a.pattern_mult == b.pattern_mult && a.pair_h1 == b.pair_h1 &&
-         a.pair_h2 == b.pair_h2;
-}
-
-void run_em_program_batch(std::span<const EmProgram* const> programs,
-                          const EmConfig& config, EmBatchScratch& scratch,
-                          std::span<EmSupportResult> results) {
-  config.validate();
-  const std::size_t batch = programs.size();
-  LDGA_EXPECTS(batch >= 1 && results.size() == batch);
-  const EmProgram& shape = *programs[0];
-  const std::size_t support_size = shape.support.size();
-  for (const EmProgram* program : programs) {
-    LDGA_EXPECTS(program != nullptr &&
-                 program->support.size() == support_size &&
-                 program->pair_count() == shape.pair_count() &&
-                 program->total_individuals > 0.0);
-  }
-
-  std::size_t max_pairs = 0;
-  for (const std::uint32_t n : shape.pattern_pairs) {
-    max_pairs = std::max<std::size_t>(max_pairs, n);
-  }
-  // The t-major slab only ever holds short fans (< kSimdMinPairs); long
-  // fans reuse the buffer one lane at a time, so one allocation covers
-  // both layouts.
-  const std::size_t short_cap =
-      std::min<std::size_t>(max_pairs, kSimdMinPairs - 1);
-  scratch.freq.resize(batch * support_size);
-  scratch.expected.resize(batch * support_size);
-  scratch.products.resize(std::max(max_pairs, short_cap * batch));
-  scratch.sums.resize(batch);
-  scratch.active.assign(batch, 1);
-
-  double* freq = scratch.freq.data();
-  double* expected = scratch.expected.data();
-  double* products = scratch.products.data();
-  double* sums = scratch.sums.data();
-  std::uint8_t* active = scratch.active.data();
-
-  for (std::size_t b = 0; b < batch; ++b) {
-    const EmProgram& program = *programs[b];
-    double* lane = freq + b * support_size;
-    for (std::size_t i = 0; i < support_size; ++i) {
-      lane[i] = program.equilibrium_value(program.support[i]);
-    }
-    results[b] = EmSupportResult{};
-  }
-
-  const std::uint32_t* idx1 = shape.pair_h1.data();
-  const std::uint32_t* idx2 = shape.pair_h2.data();
-  const std::size_t n_patterns = shape.pattern_pairs.size();
-  const util::SimdKernels& kernels = util::simd();
-  std::size_t remaining = batch;
-
-  for (std::uint32_t iter = 1;
-       iter <= config.max_iterations && remaining > 0; ++iter) {
-    std::fill_n(expected, batch * support_size, 0.0);
-
-    for (std::size_t p = 0; p < n_patterns; ++p) {
-      const std::uint32_t first = shape.pattern_first[p];
-      const std::uint32_t n = shape.pattern_pairs[p];
-      const double mult = shape.pattern_mult[p];
-
-      if (n >= kSimdMinPairs) {
-        // Long fans are already vector-wide in the per-candidate
-        // kernel; run them lane by lane exactly as run_em_program does.
-        for (std::size_t b = 0; b < batch; ++b) {
-          if (active[b] == 0) continue;
-          double* lane_freq = freq + b * support_size;
-          double* lane_exp = expected + b * support_size;
-          const double count = programs[b]->pattern_count[p];
-          const double denom = kernels.weighted_pair_products(
-              lane_freq, idx1 + first, idx2 + first, n, mult, products);
-          if (denom <= 0.0) {
-            const double w = count / static_cast<double>(n);
-            for (std::uint32_t t = 0; t < n; ++t) {
-              lane_exp[idx1[first + t]] += w;
-              lane_exp[idx2[first + t]] += w;
-            }
-            continue;
-          }
-          kernels.scale_values(products, n, count / denom);
-          for (std::uint32_t t = 0; t < n; ++t) {
-            lane_exp[idx1[first + t]] += products[t];
-            lane_exp[idx2[first + t]] += products[t];
-          }
-        }
-      } else {
-        // Short fans — where the per-candidate path degrades to the
-        // inline scalar loop — vectorize across the batch dimension.
-        // Retired lanes ride along in the kernel (their frozen
-        // frequencies are valid inputs) and are skipped in the
-        // scatter, so their state never changes.
-        kernels.batch_weighted_pair_products(freq, support_size,
-                                             idx1 + first, idx2 + first, n,
-                                             mult, batch, products, sums);
-        for (std::size_t b = 0; b < batch; ++b) {
-          if (active[b] == 0) continue;
-          double* lane_exp = expected + b * support_size;
-          const double count = programs[b]->pattern_count[p];
-          const double denom = sums[b];
-          if (denom <= 0.0) {
-            const double w = count / static_cast<double>(n);
-            for (std::uint32_t t = 0; t < n; ++t) {
-              lane_exp[idx1[first + t]] += w;
-              lane_exp[idx2[first + t]] += w;
-            }
-            continue;
-          }
-          const double scale = count / denom;
-          for (std::uint32_t t = 0; t < n; ++t) {
-            const double w = products[t * batch + b] * scale;
-            lane_exp[idx1[first + t]] += w;
-            lane_exp[idx2[first + t]] += w;
-          }
-        }
-      }
-    }
-
-    // M-step + convergence per active lane; converged lanes freeze.
-    for (std::size_t b = 0; b < batch; ++b) {
-      if (active[b] == 0) continue;
-      const EmProgram& program = *programs[b];
-      const double chromosomes = 2.0 * program.total_individuals;
-      double* lane_freq = freq + b * support_size;
-      const double* lane_exp = expected + b * support_size;
-      double delta = 0.0;
-      for (std::size_t i = 0; i < support_size; ++i) {
-        const double updated = lane_exp[i] / chromosomes;
-        delta = std::max(delta, std::abs(updated - lane_freq[i]));
-        lane_freq[i] = updated;
-      }
-      if (iter == 1 && delta < config.tolerance &&
-          support_size < program.haplotype_count()) {
-        delta = std::max(delta, max_off_support_start(program));
-      }
-      results[b].iterations = iter;
-      if (delta < config.tolerance) {
-        results[b].converged = true;
-        active[b] = 0;
-        --remaining;
-      }
-    }
-  }
-
-  // Per-lane log-likelihood and copy-out, in the reference's exact
-  // summation order.
-  for (std::size_t b = 0; b < batch; ++b) {
-    const EmProgram& program = *programs[b];
-    const double* lane_freq = freq + b * support_size;
-    KahanSum ll;
-    for (std::size_t p = 0; p < n_patterns; ++p) {
-      const std::uint32_t first = shape.pattern_first[p];
-      const std::uint32_t n = shape.pattern_pairs[p];
-      const double mult = shape.pattern_mult[p];
-      KahanSum prob;
-      for (std::uint32_t t = 0; t < n; ++t) {
-        prob.add(mult * lane_freq[idx1[first + t]] *
-                 lane_freq[idx2[first + t]]);
-      }
-      ll.add(program.pattern_count[p] *
-             std::log(std::max(prob.value(), 1e-300)));
-    }
-    results[b].log_likelihood = ll.value();
-    results[b].frequencies.assign(lane_freq, lane_freq + support_size);
-  }
 }
 
 }  // namespace ldga::stats

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "stats/em_haplotype.hpp"
@@ -96,19 +95,12 @@ struct EmKernelScratch {
 
 /// Runs EM over the compiled program from the equilibrium product —
 /// bit-for-bit identical to the dense visitor-based reference EM
-/// (tests/support/reference_em.hpp) on the same table.
-///
-/// With `simd_kernels` the E-step's gather/multiply sweep runs through
-/// the dispatched vector kernels (util/simd.hpp): deterministic
-/// run-to-run and across worker counts for a fixed dispatch level, but
-/// rounded differently from the scalar path in the last ulps — results
-/// agree to ~1e-9. The parameter defaults to the scalar path, the
-/// bit-exact reference; production evaluation follows
-/// EvaluatorConfig::simd_kernels, which is on by default.
+/// (tests/support/reference_em.hpp) on the same table. This scalar
+/// sweep is the only E-step; docs/algorithms.md §10 gives the
+/// measurements behind that.
 EmSupportResult run_em_program(const EmProgram& program,
                                const EmConfig& config,
-                               EmKernelScratch& scratch,
-                               bool simd_kernels = false);
+                               EmKernelScratch& scratch);
 
 /// Expands a support solution to the dense 2^k EmResult the rest of
 /// the pipeline consumes (off-support frequencies are exactly 0.0; the
@@ -116,39 +108,5 @@ EmSupportResult run_em_program(const EmProgram& program,
 /// equilibrium start).
 EmResult expand_em_result(const EmProgram& program,
                           const EmSupportResult& solution);
-
-/// True when two compiled programs have the same *shape* — identical
-/// pair/pattern structure (pair_h1, pair_h2, pattern_pairs,
-/// pattern_mult) and support size, with data in both — so their cold
-/// EM runs can execute in SoA lockstep. Pattern counts, per-locus
-/// frequencies and support contents may differ: the sweep only reads
-/// those per lane. Realistic groups form when the same candidate's
-/// case/control/pooled tables (or different candidates of one locus
-/// count on a dense panel) observe the same pattern set.
-bool em_programs_same_shape(const EmProgram& a, const EmProgram& b);
-
-/// SoA slabs for a batched EM run: lane b's frequency/expected state
-/// lives at offset b * support_size. Capacity-only, like EvalScratch.
-struct EmBatchScratch {
-  std::vector<double> freq;
-  std::vector<double> expected;
-  std::vector<double> products;  ///< t-major short-fan slab / long-fan lane
-  std::vector<double> sums;      ///< per-lane E-step denominators
-  std::vector<std::uint8_t> active;
-};
-
-/// Cold-start EM over B same-shape programs in lockstep, with the
-/// short-fan E-step sweeps batched across lanes through
-/// batch_weighted_pair_products (util/simd.hpp) and long fans on the
-/// per-candidate kernel lane by lane. Always the simd path: every
-/// lane's result is bit-identical to
-/// run_em_program(program, config, scratch, /*simd_kernels=*/true)
-/// at the same dispatch level — lanes converge and retire
-/// independently, and no value ever crosses lanes. Requires
-/// em_programs_same_shape for every pair (checked via cheap asserts)
-/// and total_individuals > 0 in every program.
-void run_em_program_batch(std::span<const EmProgram* const> programs,
-                          const EmConfig& config, EmBatchScratch& scratch,
-                          std::span<EmSupportResult> results);
 
 }  // namespace ldga::stats

@@ -24,8 +24,6 @@ namespace ldga::stats {
 struct EvalScratch {
   /// EM iteration buffers (expected counts, per-pattern products).
   EmKernelScratch em;
-  /// SoA slabs for batched same-shape EM runs (run_em_program_batch).
-  EmBatchScratch em_batch;
   /// DFS row block for the packed pattern enumeration:
   /// (loci + 1) * words_per_snp words at high-water mark.
   std::vector<std::uint64_t> dfs_rows;

@@ -1,6 +1,5 @@
 #include "stats/evaluation_backend.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <string>
 #include <utility>
@@ -69,37 +68,6 @@ class InProcessBackend : public EvaluationBackend {
     }
   }
 
-  /// The injector half of evaluate_with_retry, for the batched
-  /// dispatch: batching requires the penalizing failure policy, so the
-  /// evaluation itself never throws and the retry ladder reduces to
-  /// consulting the injector (same (phase, index) coordinates, same
-  /// counters, same exhaustion error) before the batch runs.
-  void consult_injector_with_retry(std::uint64_t phase,
-                                   std::uint64_t index) const {
-    if (injector_ == nullptr) return;
-    std::vector<parallel::TaskAttempt> attempts;
-    for (;;) {
-      try {
-        parallel::FaultInjector::apply_before_work(
-            injector_->decide(phase, index));
-        return;
-      } catch (const std::exception& error) {
-        failures_.fetch_add(1, std::memory_order_relaxed);
-        attempts.push_back({0, error.what()});
-        if (attempts.size() >
-            static_cast<std::size_t>(policy_.max_task_retries)) {
-          std::string what =
-              std::string(name()) + " backend: task " + std::to_string(index) +
-              " failed " + std::to_string(attempts.size()) +
-              " time(s): " + attempts.back().message;
-          throw parallel::FarmPhaseError(std::move(what), phase, index,
-                                         std::move(attempts));
-        }
-        retries_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
   std::uint64_t begin_phase() const {
     return phase_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
@@ -124,17 +92,8 @@ class SerialBackend final : public InProcessBackend {
       std::span<const Candidate> batch) override {
     const std::uint64_t phase = begin_phase();
     std::vector<double> results(batch.size());
-    if (evaluator_->batch_dispatch_eligible() && batch.size() > 1) {
-      // Candidate-batched path: same injector ladder per task, then one
-      // batched evaluation — fitnesses bit-identical to the loop below.
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        consult_injector_with_retry(phase, i);
-      }
-      evaluator_->fitness_and_cache_batch(batch, scratch_, results);
-    } else {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        results[i] = evaluate_with_retry(batch[i], phase, i, scratch_);
-      }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      results[i] = evaluate_with_retry(batch[i], phase, i, scratch_);
     }
     end_phase();
     return results;
@@ -164,36 +123,14 @@ class ThreadPoolBackend final : public InProcessBackend {
       std::span<const Candidate> batch) override {
     const std::uint64_t phase = begin_phase();
     std::vector<double> results(batch.size());
-    if (evaluator_->batch_dispatch_eligible() && batch.size() > 1) {
-      // Candidate-batched path: split the batch into one contiguous
-      // slice per worker so each slice is one analyze_batch (same-shape
-      // EM solves in SoA lockstep with the vector kernels on).
-      // Fitnesses are bit-identical to the per-candidate loop at any
-      // slice count, so the worker count still never changes a result.
-      const std::size_t n_slices =
-          std::min<std::size_t>(batch.size(), worker_count());
-      const std::span<double> out(results);
-      pool_->parallel_for_chunked(
-          0, n_slices, [&](std::size_t chunk, std::size_t s) {
-            const std::size_t begin = s * batch.size() / n_slices;
-            const std::size_t end = (s + 1) * batch.size() / n_slices;
-            for (std::size_t i = begin; i < end; ++i) {
-              consult_injector_with_retry(phase, i);
-            }
-            evaluator_->fitness_and_cache_batch(
-                batch.subspan(begin, end - begin), scratches_[chunk],
-                out.subspan(begin, end - begin));
-          });
-    } else {
-      // parallel_for_chunked runs each chunk on exactly one thread
-      // (chunk 0 on the caller), so indexing the arenas by chunk gives
-      // every worker a private scratch with no locking.
-      pool_->parallel_for_chunked(
-          0, batch.size(), [&](std::size_t chunk, std::size_t i) {
-            results[i] =
-                evaluate_with_retry(batch[i], phase, i, scratches_[chunk]);
-          });
-    }
+    // parallel_for_chunked runs each chunk on exactly one thread (chunk
+    // 0 on the caller), so indexing the arenas by chunk gives every
+    // worker a private scratch with no locking.
+    pool_->parallel_for_chunked(
+        0, batch.size(), [&](std::size_t chunk, std::size_t i) {
+          results[i] =
+              evaluate_with_retry(batch[i], phase, i, scratches_[chunk]);
+        });
     end_phase();
     return results;
   }

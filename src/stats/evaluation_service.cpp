@@ -1,6 +1,5 @@
 #include "stats/evaluation_service.hpp"
 
-#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -67,32 +66,6 @@ std::vector<double> EvaluationService::evaluate(
     unique.push_back(batch[i]);
   }
 
-  if (unique.size() > 1) {
-    // Dispatch the misses ordered by locus-set size (stable, so ties
-    // keep batch order — deterministic): same-size candidates sit in
-    // contiguous runs, which is what lets the batched backends group
-    // same-shape EM solves. Task order of the results is restored by
-    // the slot remap, so fitnesses are unaffected.
-    std::vector<std::size_t> order(unique.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return unique[a].size() < unique[b].size();
-                     });
-    std::vector<std::size_t> inverse(order.size());
-    std::vector<Candidate> sorted;
-    sorted.reserve(unique.size());
-    for (std::size_t pos = 0; pos < order.size(); ++pos) {
-      inverse[order[pos]] = pos;
-      sorted.push_back(std::move(unique[order[pos]]));
-    }
-    unique = std::move(sorted);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (dispatch_slot[i] != kUnresolved) {
-        dispatch_slot[i] = inverse[dispatch_slot[i]];
-      }
-    }
-  }
   if (!unique.empty()) {
     stats_.dispatched += unique.size();
     const std::vector<double> computed = backend_->evaluate_batch(unique);
@@ -125,10 +98,9 @@ void EvaluationStreamConfig::validate() const {
 /// One dispatcher lane: per tenant, a private serial backend (own
 /// scratch arena, own retry ladder and fault-injection phase counter)
 /// wrapped in a private EvaluationService, so every lane keeps the
-/// probe-once / compute-once accounting and the SoA batched dispatch of
-/// the synchronous path. Services are created lazily at the first batch
-/// of a tenant this lane claims; only the lane's own thread touches the
-/// map.
+/// probe-once / compute-once accounting of the synchronous path.
+/// Services are created lazily at the first batch of a tenant this lane
+/// claims; only the lane's own thread touches the map.
 struct EvaluationStream::Lane {
   static BackendOptions lane_options(const EvaluationStreamConfig& config) {
     BackendOptions options = config.backend;
@@ -286,23 +258,21 @@ void EvaluationStream::deliver(const Waiter& waiter, double fitness,
 
 void EvaluationStream::lane_loop(Lane& lane) {
   for (;;) {
-    // Claim same-(tenant, size) submissions from anywhere in the queue:
-    // the SoA EM kernels batch same-shape candidates, and islands of
-    // different sizes interleave their offspring, so a plain FIFO claim
-    // would hand the kernels batches with ~1-wide shape groups. The
-    // tenant half of the key keeps a batch on one evaluator — a
-    // candidate only means something against its own window's dataset.
+    // Claim the oldest submission plus more from its completion queue,
+    // gathered from anywhere in the stream queue. A queue belongs to
+    // one island of one tenant, so a batch never mixes evaluators (a
+    // candidate only means something against its own window's
+    // dataset), and an island's results come back in one delivery. A
+    // plain FIFO claim interleaves islands and measured 24-39% slower
+    // end to end on the async region workload (docs/algorithms.md §16).
     std::vector<Submission> batch = queue_.pop_batch_grouped(
-        config_.max_coalesce, [](const Submission& s) {
-          return (static_cast<std::size_t>(s.slot) << 40) |
-                 s.candidate.size();
-        });
+        config_.max_coalesce, [](const Submission& s) { return s.queue; });
     if (batch.empty()) return;  // closed and drained
     dispatch_rounds_.fetch_add(1, std::memory_order_relaxed);
 
-    // The grouped claim is key-homogeneous, so the whole batch belongs
-    // to one tenant. Its registry entry was published before any of
-    // its submissions could be queued.
+    // The grouped claim is queue-homogeneous, so the whole batch
+    // belongs to one tenant. Its registry entry was published before
+    // any of its submissions could be queued.
     const std::uint32_t slot = batch.front().slot;
     Tenant& tenant = *tenants_[slot];
     EvaluationService& service =

@@ -69,10 +69,10 @@ class EvaluationService {
 // candidate) and pull finished results from their own completion queue
 // whenever they like. Between the two sides sits a small pool of
 // dispatcher lanes that
-//   - coalesce submissions across ALL islands into one service batch,
-//     claiming same-size candidates from anywhere in the queue (so
-//     PR 8's SoA same-shape batching keeps paying full-width even
-//     though no single island batches a generation any more),
+//   - coalesce submissions into one service batch per claim, gathering
+//     the oldest submission's completion queue (one island) from
+//     anywhere in the stream queue, so an island's results come back
+//     in one delivery,
 //   - deduplicate against computations already in flight on another
 //     lane (late submitters latch onto the running computation instead
 //     of recomputing),
@@ -99,10 +99,11 @@ struct EvaluationStreamConfig {
   /// serially with a private scratch arena.
   std::uint32_t lanes = 2;
   /// Max submissions one lane claims per dispatch round. Claims are
-  /// grouped by candidate size (the oldest submission anchors, same
-  /// sizes are gathered from across the queue) so the SoA kernels see
-  /// full-width shape groups; keep it small enough that one slow batch
-  /// member cannot hold many results hostage.
+  /// grouped by completion queue (the oldest submission anchors, more
+  /// submissions of its island are gathered from across the queue), so
+  /// one claim never mixes tenants and returns an island's results in
+  /// one delivery; keep it small enough that one slow batch member
+  /// cannot hold many results hostage.
   std::uint32_t max_coalesce = 16;
   /// Retry ladder and (optional) fault injection, applied per attempt
   /// at (lane-local phase, submission index) coordinates exactly like
@@ -141,8 +142,9 @@ class EvaluationStream {
   /// retire_queues(), so one long-lived lane pool serves many
   /// short-lived engines instead of each spinning up its own. Lanes
   /// never mix tenants within a dispatch batch (the coalescing key is
-  /// (tenant, size)), and each lane keeps one serial service per tenant,
-  /// so the probe-once / compute-once accounting holds per evaluator.
+  /// the completion queue, which belongs to one tenant), and each lane
+  /// keeps one serial service per tenant, so the probe-once /
+  /// compute-once accounting holds per evaluator.
   EvaluationStream(std::uint32_t queue_capacity,
                    EvaluationStreamConfig config);
   ~EvaluationStream();

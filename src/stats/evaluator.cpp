@@ -38,7 +38,7 @@ HaplotypeEvaluator::HaplotypeEvaluator(const genomics::Dataset& dataset,
                                        EvaluatorConfig config)
     : dataset_(&dataset),
       config_(config.validated()),
-      eh_diall_(dataset, config.em, config.simd_kernels),
+      eh_diall_(dataset, config.em),
       clump_(config.clump, config.simd_kernels),
       cache_(config.cache_capacity, config.cache_shards) {}
 
@@ -173,71 +173,45 @@ double HaplotypeEvaluator::fitness_and_cache(
 
 double HaplotypeEvaluator::fitness_and_cache(std::span<const SnpIndex> snps,
                                              EvalScratch& scratch) const {
-  const std::vector<SnpIndex> candidate(snps.begin(), snps.end());
+  LDGA_EXPECTS(!snps.empty());
+  LDGA_EXPECTS(snps.size() <= config_.max_loci);
+  LDGA_EXPECTS(std::is_sorted(snps.begin(), snps.end()));
+
+  // Graceful degradation (DESIGN.md §5): a failed pipeline run must not
+  // poison a whole parallel evaluation phase, so failures are detected
+  // here, recorded in telemetry, and either mapped to the penalty
+  // fitness or surfaced as a typed EvaluationError per the policy.
+  auto reason = EvaluationError::Reason::kPipeline;
+  std::string detail;
   double value = 0.0;
-  fitness_and_cache_batch({&candidate, 1}, scratch, {&value, 1});
+  try {
+    const EvaluationResult result =
+        finish_evaluation(snps, eh_diall_.analyze(snps, scratch));
+    if (config_.require_em_convergence && !result.em_converged) {
+      reason = EvaluationError::Reason::kEmNotConverged;
+      detail = "EM did not converge";
+    } else if (!std::isfinite(result.fitness)) {
+      reason = EvaluationError::Reason::kNonFinite;
+      detail = "non-finite statistic";
+    } else {
+      value = result.fitness;
+    }
+  } catch (const std::exception& error) {
+    detail = error.what();
+  }
+  if (!detail.empty()) value = note_failure(snps, reason, detail);
+  // Several threads may race on the same new key and each run the
+  // pipeline, but the result is deterministic so last-writer-wins is
+  // harmless; the evaluation counter reflects real pipeline executions
+  // either way.
+  evaluations_.fetch_add(1, std::memory_order_relaxed);
+  cache_.insert(snps, value);
   return value;
 }
 
 double HaplotypeEvaluator::fitness(std::span<const SnpIndex> snps) const {
   if (const auto cached = cached_fitness(snps)) return *cached;
   return fitness_and_cache(snps);
-}
-
-void HaplotypeEvaluator::fitness_and_cache_batch(
-    std::span<const std::vector<SnpIndex>> candidates, EvalScratch& scratch,
-    std::span<double> out) const {
-  LDGA_EXPECTS(out.size() == candidates.size());
-  for (const std::vector<SnpIndex>& snps : candidates) {
-    LDGA_EXPECTS(!snps.empty());
-    LDGA_EXPECTS(snps.size() <= config_.max_loci);
-    LDGA_EXPECTS(std::is_sorted(snps.begin(), snps.end()));
-  }
-
-  std::vector<EhDiallResult> analyses(candidates.size());
-  std::vector<std::string> errors(candidates.size());
-  EhDiallBatchStats stats;
-  eh_diall_.analyze_batch(candidates, scratch, analyses, errors, &stats);
-  em_batch_runs_.fetch_add(stats.batch_runs, std::memory_order_relaxed);
-  em_batch_lanes_.fetch_add(stats.batch_lanes, std::memory_order_relaxed);
-
-  // Graceful degradation (DESIGN.md §5): a failed pipeline run must not
-  // poison a whole parallel evaluation phase, so failures are detected
-  // here, recorded in telemetry, and either mapped to the penalty
-  // fitness or surfaced as a typed EvaluationError per the policy.
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const std::vector<SnpIndex>& snps = candidates[i];
-    auto reason = EvaluationError::Reason::kPipeline;
-    std::string detail = errors[i];
-    double value = 0.0;
-    if (detail.empty()) {
-      try {
-        const EvaluationResult result = finish_evaluation(snps, analyses[i]);
-        if (config_.require_em_convergence && !result.em_converged) {
-          reason = EvaluationError::Reason::kEmNotConverged;
-          detail = "EM did not converge";
-        } else if (!std::isfinite(result.fitness)) {
-          reason = EvaluationError::Reason::kNonFinite;
-          detail = "non-finite statistic";
-        } else {
-          value = result.fitness;
-        }
-      } catch (const Error& error) {
-        detail = error.what();
-      }
-    }
-    // Under kPropagate this throws, leaving the rest of the batch
-    // unevaluated — which is why such configurations dispatch one
-    // candidate per batch (batch_dispatch_eligible()).
-    if (!detail.empty()) value = note_failure(snps, reason, detail);
-    // Several threads may race on the same new key and each run the
-    // pipeline, but the result is deterministic so last-writer-wins is
-    // harmless; the evaluation counter reflects real pipeline
-    // executions either way.
-    evaluations_.fetch_add(1, std::memory_order_relaxed);
-    cache_.insert(snps, value);
-    out[i] = value;
-  }
 }
 
 void HaplotypeEvaluator::accumulate_timings(
@@ -273,8 +247,6 @@ void HaplotypeEvaluator::reset_counters() const {
   clump_ns_.store(0, std::memory_order_relaxed);
   mc_replicates_run_.store(0, std::memory_order_relaxed);
   mc_replicates_saved_.store(0, std::memory_order_relaxed);
-  em_batch_runs_.store(0, std::memory_order_relaxed);
-  em_batch_lanes_.store(0, std::memory_order_relaxed);
   mc_batched_replicates_.store(0, std::memory_order_relaxed);
 }
 

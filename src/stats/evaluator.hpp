@@ -94,21 +94,20 @@ struct EvaluatorConfig {
   /// Lock shards of the fitness cache (>= 1). More shards = less
   /// contention when many backend workers insert at once.
   std::uint32_t cache_shards = 16;
-  /// Route the floating-point hot loops through the runtime-dispatched
-  /// vector kernels (util/simd.hpp) — EM's E-step, CLUMP's 2×2 scans
-  /// and Pearson accumulation — and batch that work: same-shape EM
-  /// solves of a dispatch batch run in SoA lockstep
-  /// (EhDiall::analyze_batch) and CLUMP's Monte-Carlo replicates go
+  /// Route CLUMP's floating-point loops — its 2×2 column scans and
+  /// Pearson accumulation — through the runtime-dispatched vector
+  /// kernels (util/simd.hpp), and run its Monte-Carlo replicates
   /// through the replicate-batched engine. Deterministic for a fixed
   /// dispatch level — pin one with LDGA_SIMD=scalar|avx2|... — and
   /// equal to the scalar path to ~1e-9, but not bit-for-bit
   /// (fixed-lane-order sums instead of the reference order). On by
-  /// default since batching made the vector path pay end to end
-  /// (BENCH_ga_e2e.json); turn it off to reproduce the scalar
-  /// reference bit for bit, CLUMP included. The integer pattern
-  /// kernels are dispatched unconditionally; they are bit-exact at
-  /// every level and need no flag. This is the evaluator's only path
-  /// switch.
+  /// default: Monte-Carlo CLUMP runs ~3× slower without it. EM is not
+  /// affected — it always runs the scalar compiled kernel, bit for bit
+  /// the reference — so with the LRT as fitness the flag changes no
+  /// value. Turn it off to reproduce the scalar reference bit for bit,
+  /// CLUMP included. The integer pattern kernels are dispatched
+  /// unconditionally; they are bit-exact at every level and need no
+  /// flag. This is the evaluator's only path switch.
   bool simd_kernels = true;
 
   void validate() const;
@@ -175,29 +174,11 @@ class HaplotypeEvaluator {
   /// backend workers call.
   double fitness_and_cache(std::span<const genomics::SnpIndex> snps) const;
 
-  /// fitness_and_cache() with an arena (see evaluate_full overload).
+  /// fitness_and_cache() with an arena (see evaluate_full overload):
+  /// the one body every backend runs — analyze, finish, apply the
+  /// failure policy, insert into the cache.
   double fitness_and_cache(std::span<const genomics::SnpIndex> snps,
                            EvalScratch& scratch) const;
-
-  /// True when backends may hand a whole slice of candidates to
-  /// fitness_and_cache_batch(): the penalizing failure policy (the
-  /// default). Under kPropagate a failing candidate throws, which would
-  /// abort the rest of its batch, so backends dispatch one candidate
-  /// at a time and keep the retry ladder per candidate.
-  bool batch_dispatch_eligible() const {
-    return config_.failure_policy == EvaluationFailurePolicy::kPenalize;
-  }
-
-  /// fitness_and_cache() over a whole span of sorted candidates: the
-  /// deduplicated misses of one generation are analyzed together
-  /// (EhDiall::analyze_batch), so same-shape EM solves run through the
-  /// SoA batch kernels. Every value is bit-identical to a batch of one
-  /// per candidate, in any batch composition. Counts one evaluation
-  /// per candidate; failures are recorded and penalized — or, under
-  /// kPropagate, the first failure throws EvaluationError.
-  void fitness_and_cache_batch(
-      std::span<const std::vector<genomics::SnpIndex>> candidates,
-      EvalScratch& scratch, std::span<double> out) const;
 
   /// Pipeline executions performed (cache misses). This is the paper's
   /// "# of evaluations" column.
@@ -236,17 +217,14 @@ class HaplotypeEvaluator {
     return mc_replicates_saved_.load(std::memory_order_relaxed);
   }
 
-  /// Batched-kernel effectiveness counters, cumulative since
-  /// construction (or reset_counters()): same-shape EM group solves
-  /// executed / EM lanes inside them (3 solves per candidate, so lanes
-  /// / 3 candidates rode a batch), and Monte-Carlo replicates that ran
-  /// through the replicate-batched CLUMP engine.
-  std::uint64_t em_batch_runs() const {
-    return em_batch_runs_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t em_batch_lanes() const {
-    return em_batch_lanes_.load(std::memory_order_relaxed);
-  }
+  /// Retired EM-batching counters (EM no longer batches across
+  /// candidates), kept only because the repository benchmark reads
+  /// them for its stats.em_lanes_per_batch metric: always 0; remove
+  /// together with that metric.
+  std::uint64_t em_batch_runs() const { return 0; }
+  std::uint64_t em_batch_lanes() const { return 0; }
+  /// Monte-Carlo replicates that ran through the replicate-batched
+  /// CLUMP engine, cumulative since construction (or reset_counters()).
   std::uint64_t mc_batched_replicates() const {
     return mc_batched_replicates_.load(std::memory_order_relaxed);
   }
@@ -255,12 +233,12 @@ class HaplotypeEvaluator {
   const EvaluatorConfig& config() const { return config_; }
 
  private:
-  /// Shared tail of evaluate_full()/fitness_and_cache_batch(): turns a
+  /// Shared tail of evaluate_full()/fitness_and_cache(): turns a
   /// completed EH-DIALL analysis into the fitness-bearing result
   /// (CLUMP, fitness statistic, clump-stage timing accumulation).
   EvaluationResult finish_evaluation(std::span<const genomics::SnpIndex> snps,
                                      const EhDiallResult& eh) const;
-  /// Failure tail of fitness_and_cache_batch(): counts the failure,
+  /// Failure tail of fitness_and_cache(): counts the failure,
   /// records last_failure(), then penalizes or throws per the policy.
   double note_failure(std::span<const genomics::SnpIndex> snps,
                       EvaluationError::Reason reason,
@@ -285,8 +263,6 @@ class HaplotypeEvaluator {
   mutable std::atomic<std::uint64_t> clump_ns_{0};
   mutable std::atomic<std::uint64_t> mc_replicates_run_{0};
   mutable std::atomic<std::uint64_t> mc_replicates_saved_{0};
-  mutable std::atomic<std::uint64_t> em_batch_runs_{0};
-  mutable std::atomic<std::uint64_t> em_batch_lanes_{0};
   mutable std::atomic<std::uint64_t> mc_batched_replicates_{0};
   mutable std::mutex failure_mutex_;
   mutable std::string last_failure_;

@@ -78,23 +78,6 @@ void plane_counts_scalar(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[2] = missing;
 }
 
-double weighted_pair_products_scalar(const double* freq,
-                                     const std::uint32_t* h1,
-                                     const std::uint32_t* h2, std::size_t n,
-                                     double mult, double* products) {
-  double sum = 0.0;
-  for (std::size_t t = 0; t < n; ++t) {
-    const double product = mult * freq[h1[t]] * freq[h2[t]];
-    products[t] = product;
-    sum += product;
-  }
-  return sum;
-}
-
-void scale_values_scalar(double* values, std::size_t n, double factor) {
-  for (std::size_t t = 0; t < n; ++t) values[t] *= factor;
-}
-
 void chi_columns_scalar(const double* top, const double* bottom,
                         std::size_t n, double add_top, double add_bottom,
                         double row0, double row1, double* out) {
@@ -124,22 +107,6 @@ double pearson_row_terms_scalar(const double* cells, const double* col_sums,
     sum += diff * diff / expected;
   }
   return sum;
-}
-
-void batch_weighted_pair_products_scalar(
-    const double* freq, std::size_t freq_stride, const std::uint32_t* h1,
-    const std::uint32_t* h2, std::size_t n, double mult, std::size_t batch,
-    double* products, double* sums) {
-  for (std::size_t b = 0; b < batch; ++b) {
-    const double* lane = freq + b * freq_stride;
-    double sum = 0.0;
-    for (std::size_t t = 0; t < n; ++t) {
-      const double product = mult * lane[h1[t]] * lane[h2[t]];
-      products[t * batch + b] = product;
-      sum += product;
-    }
-    sums[b] = sum;
-  }
 }
 
 void batch_chi_columns_scalar(const double* top, const double* bottom,
@@ -184,12 +151,8 @@ const SimdKernels& scalar_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_scalar,       &combine_planes_scalar,
       &combine_planes_count_scalar, &plane_counts_scalar,
-      &weighted_pair_products_scalar,
-      &scale_values_scalar,         &chi_columns_scalar,
-      &pearson_row_terms_scalar,
-      &batch_weighted_pair_products_scalar,
-      &batch_chi_columns_scalar,
-      &batch_pearson_2xn_scalar,
+      &chi_columns_scalar,          &pearson_row_terms_scalar,
+      &batch_chi_columns_scalar,    &batch_pearson_2xn_scalar,
   };
   return kTable;
 }
@@ -232,17 +195,14 @@ bool cpu_has(SimdLevel level) {
 #if defined(LDGA_SIMD_AVX512)
 /// The table dispatched at the kAvx512 level. Integer kernels use the
 /// full 512-bit variants — their sweeps are long and the vpopcntq win
-/// (>20x) dwarfs any license cost. The floating-point kernels run the
-/// 256-bit AVX2 variants instead: the evaluator calls them in short
+/// (>20x) dwarfs any license cost. The floating-point kernels (CLUMP's
+/// column scans and Pearson sums, per table and replicate-batched) run
+/// the 256-bit AVX2 variants instead: the evaluator calls them in short
 /// bursts between scalar code, and heavy 512-bit FP instructions move
 /// Skylake-class cores into a lower frequency license that slows all
 /// the surrounding scalar work — measured as a net e2e regression,
-/// while the 256-bit path is a net win. The batch kernels were
-/// re-measured on batched SoA shapes (bench_simd_kernels, DESIGN.md):
-/// even with the longer slab sweeps the 512-bit FP variants did not
-/// recover the license cost on the end-to-end GA, so the whole FP
-/// family — per-candidate and batch — stays on the 256-bit variants.
-/// Routing them together is also what keeps batch_pearson_2xn's
+/// while the 256-bit path is a net win. Routing the per-table and batch
+/// variants together is also what keeps batch_pearson_2xn's
 /// per-replicate delegation bit-identical to the dispatched
 /// pearson_row_terms at this level.
 const SimdKernels& avx512_dispatch_kernels() {
@@ -250,11 +210,8 @@ const SimdKernels& avx512_dispatch_kernels() {
     SimdKernels merged = detail::avx512_kernels();
 #if defined(LDGA_SIMD_AVX2)
     const SimdKernels& fp = detail::avx2_kernels();
-    merged.weighted_pair_products = fp.weighted_pair_products;
-    merged.scale_values = fp.scale_values;
     merged.chi_columns = fp.chi_columns;
     merged.pearson_row_terms = fp.pearson_row_terms;
-    merged.batch_weighted_pair_products = fp.batch_weighted_pair_products;
     merged.batch_chi_columns = fp.batch_chi_columns;
     merged.batch_pearson_2xn = fp.batch_pearson_2xn;
 #endif

@@ -11,18 +11,19 @@
 // Determinism contract (docs/algorithms.md §12):
 //   * Integer kernels (popcount_words, combine_planes, plane_counts)
 //     are bit-exact by construction at every level; they are always on.
-//   * Floating-point kernels (weighted_pair_products, scale_values,
-//     chi_columns, pearson_row_terms) use a fixed lane order, so for a
-//     fixed dispatch level the result is deterministic run-to-run and
-//     across worker counts — but the last-ulp rounding differs from
-//     the scalar reference. Callers gate them behind
-//     EvaluatorConfig::simd_kernels and keep the scalar path as the
-//     bit-exact reference (pin LDGA_SIMD=scalar to reproduce it).
-//   * Batch kernels (batch_weighted_pair_products, batch_chi_columns,
-//     batch_pearson_2xn) vectorize across independent candidates or
-//     Monte-Carlo replicates instead of along one short fan; each lane
-//     is bit-identical to the per-candidate kernel path at the same
-//     level, so batching is purely a throughput decision.
+//   * Floating-point kernels (chi_columns, pearson_row_terms) are
+//     CLUMP's: they use a fixed lane order, so for a fixed dispatch
+//     level the result is deterministic run-to-run and across worker
+//     counts — but the last-ulp rounding differs from the scalar
+//     reference. Callers gate them behind EvaluatorConfig::simd_kernels
+//     and keep the scalar path as the bit-exact reference (pin
+//     LDGA_SIMD=scalar to reproduce it). EM has no vector kernel: its
+//     compiled scalar loop is the only E-step.
+//   * Batch kernels (batch_chi_columns, batch_pearson_2xn) vectorize
+//     across independent Monte-Carlo replicates instead of along one
+//     short row; each replicate is bit-identical to the per-table
+//     kernel path at the same level, so batching is purely a
+//     throughput decision.
 #pragma once
 
 #include <cstddef>
@@ -79,17 +80,6 @@ struct SimdKernels {
   void (*plane_counts)(const std::uint64_t* lo, const std::uint64_t* hi,
                        std::size_t n, std::uint64_t counts[3]);
 
-  /// products[t] = mult * freq[h1[t]] * freq[h2[t]] for t in [0, n);
-  /// returns Σ products in fixed lane order. The EM E-step's
-  /// gather/multiply sweep. Indices must be < the freq array length.
-  double (*weighted_pair_products)(const double* freq,
-                                   const std::uint32_t* h1,
-                                   const std::uint32_t* h2, std::size_t n,
-                                   double mult, double* products);
-
-  /// values[t] *= factor for t in [0, n).
-  void (*scale_values)(double* values, std::size_t n, double factor);
-
   /// CLUMP 2×2 column scan: for each column c, the chi-square of the
   /// split whose first column has cells (top[c] + add_top,
   /// bottom[c] + add_bottom) against the rest of a table with row
@@ -106,32 +96,14 @@ struct SimdKernels {
                               std::size_t n, double row_sum, double total);
 
   // -----------------------------------------------------------------
-  // Candidate-batched (SoA) kernels. The per-candidate FP kernels
-  // above vectorize along a fan that is often shorter than one vector
-  // register; these variants move the vector dimension to a batch of
-  // independent problems instead. Contract: every lane/replicate b is
-  // bit-identical to what the corresponding per-candidate code path
-  // produces for b alone at the same dispatch level, so batching is a
-  // pure scheduling decision — grouping never changes a statistic.
+  // Replicate-batched kernels. The per-table FP kernels above
+  // vectorize along a row that is often shorter than a few vector
+  // registers; these variants sweep a whole slab of independent
+  // Monte-Carlo replicates per call instead. Contract: every replicate
+  // r is bit-identical to what the per-table code path produces for r
+  // alone at the same dispatch level, so batching is a pure scheduling
+  // decision — it never changes a statistic.
   // -----------------------------------------------------------------
-
-  /// Batched EM E-step products for `batch` same-shape candidates whose
-  /// frequency vectors are laid out SoA: lane b reads
-  /// freq[b * freq_stride + i]. For every pair t and lane b:
-  ///   products[t * batch + b] = mult * freq_b[h1[t]] * freq_b[h2[t]]
-  /// (t-major so a vector of lanes stores contiguously), and
-  ///   sums[b] = Σ_t products over ascending t,
-  /// which is exactly the per-candidate short-fan accumulation order —
-  /// so every lane matches the unbatched E-step bit for bit at every
-  /// level. Vector variants vectorize across b with a sequential t
-  /// loop; fans long enough for weighted_pair_products should keep
-  /// using that kernel per lane instead.
-  void (*batch_weighted_pair_products)(const double* freq,
-                                       std::size_t freq_stride,
-                                       const std::uint32_t* h1,
-                                       const std::uint32_t* h2, std::size_t n,
-                                       double mult, std::size_t batch,
-                                       double* products, double* sums);
 
   /// chi_columns over a replicate-major slab of `reps` Monte-Carlo
   /// tables: replicate r reads top/bottom [r*cols, (r+1)*cols) and

@@ -161,43 +161,6 @@ void plane_counts_avx2(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[2] = missing;
 }
 
-double weighted_pair_products_avx2(const double* freq,
-                                   const std::uint32_t* h1,
-                                   const std::uint32_t* h2, std::size_t n,
-                                   double mult, double* products) {
-  const __m256d vmult = _mm256_set1_pd(mult);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t t = 0;
-  for (; t + 4 <= n; t += 4) {
-    const __m128i idx1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(h1 + t));
-    const __m128i idx2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(h2 + t));
-    const __m256d f1 = _mm256_i32gather_pd(freq, idx1, 8);
-    const __m256d f2 = _mm256_i32gather_pd(freq, idx2, 8);
-    const __m256d product = _mm256_mul_pd(_mm256_mul_pd(vmult, f1), f2);
-    _mm256_storeu_pd(products + t, product);
-    acc = _mm256_add_pd(acc, product);
-  }
-  double sum = horizontal_sum_pd(acc);
-  for (; t < n; ++t) {
-    const double product = mult * freq[h1[t]] * freq[h2[t]];
-    products[t] = product;
-    sum += product;
-  }
-  return sum;
-}
-
-void scale_values_avx2(double* values, std::size_t n, double factor) {
-  const __m256d vfactor = _mm256_set1_pd(factor);
-  std::size_t t = 0;
-  for (; t + 4 <= n; t += 4) {
-    _mm256_storeu_pd(values + t,
-                     _mm256_mul_pd(_mm256_loadu_pd(values + t), vfactor));
-  }
-  for (; t < n; ++t) values[t] *= factor;
-}
-
 void chi_columns_avx2(const double* top, const double* bottom, std::size_t n,
                       double add_top, double add_bottom, double row0,
                       double row1, double* out) {
@@ -274,47 +237,6 @@ double pearson_row_terms_avx2(const double* cells, const double* col_sums,
   return sum;
 }
 
-void batch_weighted_pair_products_avx2(
-    const double* freq, std::size_t freq_stride, const std::uint32_t* h1,
-    const std::uint32_t* h2, std::size_t n, double mult, std::size_t batch,
-    double* products, double* sums) {
-  const __m256d vmult = _mm256_set1_pd(mult);
-  std::size_t b = 0;
-  for (; b + 4 <= batch; b += 4) {
-    // Four lanes of the batch at once: gather the same haplotype pair
-    // from four SoA frequency blocks. Lane sums accumulate one product
-    // per t, so each stays the exact ascending-t sequence the scalar
-    // lane (and the per-candidate short-fan loop) computes.
-    const int stride = static_cast<int>(freq_stride);
-    const int base = static_cast<int>(b) * stride;
-    const __m128i vbase = _mm_setr_epi32(base, base + stride,
-                                         base + 2 * stride, base + 3 * stride);
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t t = 0; t < n; ++t) {
-      const __m128i i1 =
-          _mm_add_epi32(vbase, _mm_set1_epi32(static_cast<int>(h1[t])));
-      const __m128i i2 =
-          _mm_add_epi32(vbase, _mm_set1_epi32(static_cast<int>(h2[t])));
-      const __m256d f1 = _mm256_i32gather_pd(freq, i1, 8);
-      const __m256d f2 = _mm256_i32gather_pd(freq, i2, 8);
-      const __m256d product = _mm256_mul_pd(_mm256_mul_pd(vmult, f1), f2);
-      _mm256_storeu_pd(products + t * batch + b, product);
-      acc = _mm256_add_pd(acc, product);
-    }
-    _mm256_storeu_pd(sums + b, acc);
-  }
-  for (; b < batch; ++b) {
-    const double* lane = freq + b * freq_stride;
-    double sum = 0.0;
-    for (std::size_t t = 0; t < n; ++t) {
-      const double product = mult * lane[h1[t]] * lane[h2[t]];
-      products[t * batch + b] = product;
-      sum += product;
-    }
-    sums[b] = sum;
-  }
-}
-
 void batch_chi_columns_avx2(const double* top, const double* bottom,
                             std::size_t cols, std::size_t reps,
                             const double* add_top, const double* add_bottom,
@@ -351,12 +273,8 @@ const SimdKernels& avx2_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_avx2,       &combine_planes_avx2,
       &combine_planes_count_avx2, &plane_counts_avx2,
-      &weighted_pair_products_avx2,
-      &scale_values_avx2,         &chi_columns_avx2,
-      &pearson_row_terms_avx2,
-      &batch_weighted_pair_products_avx2,
-      &batch_chi_columns_avx2,
-      &batch_pearson_2xn_avx2,
+      &chi_columns_avx2,          &pearson_row_terms_avx2,
+      &batch_chi_columns_avx2,    &batch_pearson_2xn_avx2,
   };
   return kTable;
 }

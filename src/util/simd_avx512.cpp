@@ -138,49 +138,6 @@ void plane_counts_avx512(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[2] = missing;
 }
 
-double weighted_pair_products_avx512(const double* freq,
-                                     const std::uint32_t* h1,
-                                     const std::uint32_t* h2, std::size_t n,
-                                     double mult, double* products) {
-  const __m512d vmult = _mm512_set1_pd(mult);
-  __m512d acc = _mm512_setzero_pd();
-  std::size_t t = 0;
-  for (; t + 8 <= n; t += 8) {
-    const __m256i idx1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h1 + t));
-    const __m256i idx2 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h2 + t));
-    // GCC's gather builtin narrows the __mmask8 operand through char
-    // inside the intrinsic macro itself, so -Wsign-conversion fires on
-    // any spelling; silence it for exactly these two calls.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wsign-conversion"
-    const __m512d f1 = _mm512_i32gather_pd(idx1, freq, 8);
-    const __m512d f2 = _mm512_i32gather_pd(idx2, freq, 8);
-#pragma GCC diagnostic pop
-    const __m512d product = _mm512_mul_pd(_mm512_mul_pd(vmult, f1), f2);
-    _mm512_storeu_pd(products + t, product);
-    acc = _mm512_add_pd(acc, product);
-  }
-  double sum = horizontal_sum_pd(acc);
-  for (; t < n; ++t) {
-    const double product = mult * freq[h1[t]] * freq[h2[t]];
-    products[t] = product;
-    sum += product;
-  }
-  return sum;
-}
-
-void scale_values_avx512(double* values, std::size_t n, double factor) {
-  const __m512d vfactor = _mm512_set1_pd(factor);
-  std::size_t t = 0;
-  for (; t + 8 <= n; t += 8) {
-    _mm512_storeu_pd(values + t,
-                     _mm512_mul_pd(_mm512_loadu_pd(values + t), vfactor));
-  }
-  for (; t < n; ++t) values[t] *= factor;
-}
-
 void chi_columns_avx512(const double* top, const double* bottom,
                         std::size_t n, double add_top, double add_bottom,
                         double row0, double row1, double* out) {
@@ -258,50 +215,6 @@ double pearson_row_terms_avx512(const double* cells, const double* col_sums,
   return sum;
 }
 
-void batch_weighted_pair_products_avx512(
-    const double* freq, std::size_t freq_stride, const std::uint32_t* h1,
-    const std::uint32_t* h2, std::size_t n, double mult, std::size_t batch,
-    double* products, double* sums) {
-  const __m512d vmult = _mm512_set1_pd(mult);
-  std::size_t b = 0;
-  for (; b + 8 <= batch; b += 8) {
-    // Eight batch lanes at once; each lane's sum accumulates one
-    // product per t, matching the per-candidate ascending-t order.
-    const int stride = static_cast<int>(freq_stride);
-    const int base = static_cast<int>(b) * stride;
-    const __m256i vbase = _mm256_setr_epi32(
-        base, base + stride, base + 2 * stride, base + 3 * stride,
-        base + 4 * stride, base + 5 * stride, base + 6 * stride,
-        base + 7 * stride);
-    __m512d acc = _mm512_setzero_pd();
-    for (std::size_t t = 0; t < n; ++t) {
-      const __m256i i1 = _mm256_add_epi32(
-          vbase, _mm256_set1_epi32(static_cast<int>(h1[t])));
-      const __m256i i2 = _mm256_add_epi32(
-          vbase, _mm256_set1_epi32(static_cast<int>(h2[t])));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wsign-conversion"
-      const __m512d f1 = _mm512_i32gather_pd(i1, freq, 8);
-      const __m512d f2 = _mm512_i32gather_pd(i2, freq, 8);
-#pragma GCC diagnostic pop
-      const __m512d product = _mm512_mul_pd(_mm512_mul_pd(vmult, f1), f2);
-      _mm512_storeu_pd(products + t * batch + b, product);
-      acc = _mm512_add_pd(acc, product);
-    }
-    _mm512_storeu_pd(sums + b, acc);
-  }
-  for (; b < batch; ++b) {
-    const double* lane = freq + b * freq_stride;
-    double sum = 0.0;
-    for (std::size_t t = 0; t < n; ++t) {
-      const double product = mult * lane[h1[t]] * lane[h2[t]];
-      products[t * batch + b] = product;
-      sum += product;
-    }
-    sums[b] = sum;
-  }
-}
-
 void batch_chi_columns_avx512(const double* top, const double* bottom,
                               std::size_t cols, std::size_t reps,
                               const double* add_top, const double* add_bottom,
@@ -338,12 +251,8 @@ const SimdKernels& avx512_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_avx512,       &combine_planes_avx512,
       &combine_planes_count_avx512, &plane_counts_avx512,
-      &weighted_pair_products_avx512,
-      &scale_values_avx512,         &chi_columns_avx512,
-      &pearson_row_terms_avx512,
-      &batch_weighted_pair_products_avx512,
-      &batch_chi_columns_avx512,
-      &batch_pearson_2xn_avx512,
+      &chi_columns_avx512,          &pearson_row_terms_avx512,
+      &batch_chi_columns_avx512,    &batch_pearson_2xn_avx512,
   };
   return kTable;
 }

@@ -120,41 +120,6 @@ void plane_counts_neon(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[2] = missing;
 }
 
-double weighted_pair_products_neon(const double* freq,
-                                   const std::uint32_t* h1,
-                                   const std::uint32_t* h2, std::size_t n,
-                                   double mult, double* products) {
-  // NEON has no gather; keep the loads scalar but the multiply/add in
-  // two fixed lanes so the reduction order matches the contract.
-  const float64x2_t vmult = vdupq_n_f64(mult);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t t = 0;
-  for (; t + 2 <= n; t += 2) {
-    const double f1[2] = {freq[h1[t]], freq[h1[t + 1]]};
-    const double f2[2] = {freq[h2[t]], freq[h2[t + 1]]};
-    const float64x2_t product =
-        vmulq_f64(vmulq_f64(vmult, vld1q_f64(f1)), vld1q_f64(f2));
-    vst1q_f64(products + t, product);
-    acc = vaddq_f64(acc, product);
-  }
-  double sum = vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1);
-  for (; t < n; ++t) {
-    const double product = mult * freq[h1[t]] * freq[h2[t]];
-    products[t] = product;
-    sum += product;
-  }
-  return sum;
-}
-
-void scale_values_neon(double* values, std::size_t n, double factor) {
-  const float64x2_t vfactor = vdupq_n_f64(factor);
-  std::size_t t = 0;
-  for (; t + 2 <= n; t += 2) {
-    vst1q_f64(values + t, vmulq_f64(vld1q_f64(values + t), vfactor));
-  }
-  for (; t < n; ++t) values[t] *= factor;
-}
-
 void chi_columns_neon(const double* top, const double* bottom, std::size_t n,
                       double add_top, double add_bottom, double row0,
                       double row1, double* out) {
@@ -230,41 +195,6 @@ double pearson_row_terms_neon(const double* cells, const double* col_sums,
   return sum;
 }
 
-void batch_weighted_pair_products_neon(
-    const double* freq, std::size_t freq_stride, const std::uint32_t* h1,
-    const std::uint32_t* h2, std::size_t n, double mult, std::size_t batch,
-    double* products, double* sums) {
-  const float64x2_t vmult = vdupq_n_f64(mult);
-  std::size_t b = 0;
-  for (; b + 2 <= batch; b += 2) {
-    // Two batch lanes at once (scalar gathers, as in the per-candidate
-    // kernel); each lane's sum accumulates one product per t, matching
-    // the per-candidate ascending-t order.
-    const double* lane0 = freq + b * freq_stride;
-    const double* lane1 = lane0 + freq_stride;
-    float64x2_t acc = vdupq_n_f64(0.0);
-    for (std::size_t t = 0; t < n; ++t) {
-      const double f1[2] = {lane0[h1[t]], lane1[h1[t]]};
-      const double f2[2] = {lane0[h2[t]], lane1[h2[t]]};
-      const float64x2_t product =
-          vmulq_f64(vmulq_f64(vmult, vld1q_f64(f1)), vld1q_f64(f2));
-      vst1q_f64(products + t * batch + b, product);
-      acc = vaddq_f64(acc, product);
-    }
-    vst1q_f64(sums + b, acc);
-  }
-  for (; b < batch; ++b) {
-    const double* lane = freq + b * freq_stride;
-    double sum = 0.0;
-    for (std::size_t t = 0; t < n; ++t) {
-      const double product = mult * lane[h1[t]] * lane[h2[t]];
-      products[t * batch + b] = product;
-      sum += product;
-    }
-    sums[b] = sum;
-  }
-}
-
 void batch_chi_columns_neon(const double* top, const double* bottom,
                             std::size_t cols, std::size_t reps,
                             const double* add_top, const double* add_bottom,
@@ -300,13 +230,9 @@ void batch_pearson_2xn_neon(const double* top, const double* bottom,
 const SimdKernels& neon_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_neon,       &combine_planes_neon,
-      &combine_planes_count_neon,
-      &plane_counts_neon,         &weighted_pair_products_neon,
-      &scale_values_neon,         &chi_columns_neon,
-      &pearson_row_terms_neon,
-      &batch_weighted_pair_products_neon,
-      &batch_chi_columns_neon,
-      &batch_pearson_2xn_neon,
+      &combine_planes_count_neon, &plane_counts_neon,
+      &chi_columns_neon,          &pearson_row_terms_neon,
+      &batch_chi_columns_neon,    &batch_pearson_2xn_neon,
   };
   return kTable;
 }

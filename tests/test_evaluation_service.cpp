@@ -121,14 +121,14 @@ TEST_F(EvaluationServiceTest, AccountingHoldsAcrossBackends) {
 }
 
 TEST_F(EvaluationServiceTest, BatchedDispatchIsBitIdenticalAcrossBackends) {
-  // Mixed sizes with duplicates: the service dedups, size-sorts, and
-  // routes the misses through fitness_and_cache_batch (grouped SoA EM
-  // and batched CLUMP replicates with the vector kernels on, solo
-  // scalar solves with them off). Batching is a scheduling decision,
-  // never arithmetic: every backend must reproduce, bit for bit, a
-  // batch of one on a fresh evaluator per candidate — including when a
-  // FaultInjector forces the retry ladder through first-attempt
-  // failures.
+  // Mixed sizes with duplicates: the service dedups and dispatches the
+  // misses to the backend, whose workers run fitness_and_cache per
+  // candidate (batched CLUMP replicates with the vector kernels on,
+  // per-replicate scalar CLUMP with them off). Dispatch is a
+  // scheduling decision, never arithmetic: every backend must
+  // reproduce, bit for bit, a batch of one on a fresh evaluator per
+  // candidate — including when a FaultInjector forces the retry ladder
+  // through first-attempt failures.
   const std::vector<Candidate> batch = {
       {0, 1}, {4, 5, 6}, {2, 3},    {0, 1},    {1, 2, 3, 4}, {9, 10},
       {7, 8}, {2, 3},    {5, 7, 9}, {0, 2, 4}, {3, 11},      {1, 6, 8, 11}};
@@ -138,12 +138,10 @@ TEST_F(EvaluationServiceTest, BatchedDispatchIsBitIdenticalAcrossBackends) {
   struct BackendCase {
     const char* label;
     Factory make;
-    bool batches;  // farm workers evaluate per task — no batched runs
   };
-  const BackendCase cases[] = {
-      {"serial", &make_serial_backend, true},
-      {"thread_pool", &make_thread_pool_backend, true},
-      {"farm", &make_farm_backend, false}};
+  const BackendCase cases[] = {{"serial", &make_serial_backend},
+                               {"thread_pool", &make_thread_pool_backend},
+                               {"farm", &make_farm_backend}};
   for (const bool simd : {true, false}) {
     EvaluatorConfig config;
     config.simd_kernels = simd;
@@ -158,7 +156,6 @@ TEST_F(EvaluationServiceTest, BatchedDispatchIsBitIdenticalAcrossBackends) {
                      << test_case.label << (faulted ? " faulted" : "")
                      << (simd ? " simd" : " scalar"));
         HaplotypeEvaluator evaluator(synthetic_.dataset, config);
-        ASSERT_TRUE(evaluator.batch_dispatch_eligible());
         BackendOptions options;
         options.workers = 3;
         if (faulted) {
@@ -174,14 +171,6 @@ TEST_F(EvaluationServiceTest, BatchedDispatchIsBitIdenticalAcrossBackends) {
         ASSERT_EQ(results.size(), batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
           EXPECT_EQ(results[i], expected[i]) << "task " << i;
-        }
-        if (test_case.batches && simd) {
-          // The lockstep path really ran: grouped EM lanes were recorded.
-          EXPECT_GT(evaluator.em_batch_lanes(), 0u);
-          EXPECT_GE(evaluator.em_batch_lanes(), evaluator.em_batch_runs());
-        }
-        if (!simd) {
-          EXPECT_EQ(evaluator.em_batch_runs(), 0u);
         }
         if (faulted) {
           EXPECT_EQ(options.fault_injector->injected_throws(), 3u);

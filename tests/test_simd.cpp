@@ -10,14 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "genomics/packed_genotype.hpp"
+#include "genomics/synthetic.hpp"
+#include "stats/em_kernel.hpp"
 #include "stats/eval_scratch.hpp"
 #include "stats/evaluator.hpp"
+#include "support/reference_em.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -195,33 +199,9 @@ TEST(SimdKernelsTest, PlaneCountsTails) {
 TEST(SimdKernelsTest, FloatKernelsMatchScalarTo1e9) {
   const SimdKernels& scalar = simd_kernels_for(SimdLevel::kScalar);
   Rng rng(404);
-  const std::size_t support = 97;
-  std::vector<double> freq(support);
-  for (auto& f : freq) f = rng.uniform() + 1e-6;
   for (const SimdLevel level : levels()) {
     const SimdKernels& kernels = simd_kernels_for(level);
     for (const std::size_t n : kSizes) {
-      std::vector<std::uint32_t> h1(n), h2(n);
-      for (std::size_t t = 0; t < n; ++t) {
-        h1[t] = static_cast<std::uint32_t>(rng.below(support));
-        h2[t] = static_cast<std::uint32_t>(rng.below(support));
-      }
-      std::vector<double> ref(n), vec(n);
-      const double sum_ref = scalar.weighted_pair_products(
-          freq.data(), h1.data(), h2.data(), n, 0.5, ref.data());
-      const double sum_vec = kernels.weighted_pair_products(
-          freq.data(), h1.data(), h2.data(), n, 0.5, vec.data());
-      EXPECT_NEAR(sum_vec, sum_ref, 1e-9 * std::abs(sum_ref) + 1e-300)
-          << simd_level_name(level) << " n=" << n;
-      for (std::size_t t = 0; t < n; ++t) {
-        EXPECT_NEAR(vec[t], ref[t], 1e-12 * std::abs(ref[t]) + 1e-300);
-      }
-      scalar.scale_values(ref.data(), n, 3.25);
-      kernels.scale_values(vec.data(), n, 3.25);
-      for (std::size_t t = 0; t < n; ++t) {
-        EXPECT_NEAR(vec[t], ref[t], 1e-12 * std::abs(ref[t]) + 1e-300);
-      }
-
       std::vector<double> top(n), bottom(n), cells(n), cols(n);
       for (std::size_t c = 0; c < n; ++c) {
         top[c] = 30.0 * rng.uniform();
@@ -260,19 +240,15 @@ TEST(SimdKernelsTest, FloatKernelsMatchScalarTo1e9) {
 
 TEST(SimdKernelsTest, BatchKernelsMatchPerCandidatePathBitForBit) {
   // The batch kernels carry a stronger contract than the 1e-9 envelope
-  // of the per-candidate FP kernels: every lane/replicate must
-  // reproduce the per-candidate code path bit for bit at the same
-  // dispatch level, so grouping candidates is a pure scheduling
-  // decision. batch_weighted_pair_products lanes replay the scalar
-  // ascending-t short-fan order (that is the per-candidate path for
-  // fans below kSimdMinPairs at every level); batch_chi_columns and
-  // batch_pearson_2xn replicates replay this level's own chi_columns /
-  // pearson_row_terms. Sweep every batch/replicate count 1–33 against
-  // every fan/column count 0–67: the cross covers empty shapes, both
-  // vector widths' body/tail boundaries, and odd remainders on both
-  // axes. Mismatches are counted with plain compares (tens of millions
-  // of lanes) and only reported through ADD_FAILURE, capped per level.
-  const SimdKernels& scalar = simd_kernels_for(SimdLevel::kScalar);
+  // of the per-table FP kernels: every replicate must reproduce the
+  // per-table code path bit for bit at the same dispatch level, so
+  // batching replicates is a pure scheduling decision.
+  // batch_chi_columns and batch_pearson_2xn replicates replay this
+  // level's own chi_columns / pearson_row_terms. Sweep every replicate
+  // count 1–33 against every column count 0–67: the cross covers empty
+  // shapes, both vector widths' body/tail boundaries, and odd
+  // remainders on both axes. Mismatches are counted with plain compares
+  // and only reported through ADD_FAILURE, capped per level.
   for (const SimdLevel level : levels()) {
     const SimdKernels& kernels = simd_kernels_for(level);
     int failures = 0;
@@ -290,33 +266,6 @@ TEST(SimdKernelsTest, BatchKernelsMatchPerCandidatePathBitForBit) {
     for (std::size_t batch = 1; batch <= 33 && failures <= 8; ++batch) {
       for (std::size_t n = 0; n <= 67; ++n) {
         Rng rng(1000003 * batch + n);
-
-        // batch_weighted_pair_products: SoA freq lanes (deliberately
-        // padded stride), t-major products, per-lane ascending-t sums.
-        const std::size_t support = 19;
-        const std::size_t stride = support + batch % 3;
-        std::vector<double> freq(batch * stride);
-        for (auto& f : freq) f = rng.uniform() + 1e-6;
-        std::vector<std::uint32_t> h1(n), h2(n);
-        for (std::size_t t = 0; t < n; ++t) {
-          h1[t] = static_cast<std::uint32_t>(rng.below(support));
-          h2[t] = static_cast<std::uint32_t>(rng.below(support));
-        }
-        std::vector<double> products(n * batch, -1.0), sums(batch, -1.0);
-        kernels.batch_weighted_pair_products(freq.data(), stride, h1.data(),
-                                             h2.data(), n, 0.75, batch,
-                                             products.data(), sums.data());
-        std::vector<double> lane_products(n);
-        for (std::size_t b = 0; b < batch; ++b) {
-          const double lane_sum = scalar.weighted_pair_products(
-              freq.data() + b * stride, h1.data(), h2.data(), n, 0.75,
-              lane_products.data());
-          expect_bits(sums[b], lane_sum, "batch_weighted sum", batch, n, b, 0);
-          for (std::size_t t = 0; t < n; ++t) {
-            expect_bits(products[t * batch + b], lane_products[t],
-                        "batch_weighted product", batch, n, b, t);
-          }
-        }
 
         // batch_chi_columns: replicate-major slab, each replicate
         // bit-identical to a standalone chi_columns call at this level
@@ -473,6 +422,69 @@ TEST_F(SimdPipeline, EvaluatorFlagOffIsBitExactAcrossLevels) {
         EXPECT_EQ((got.*member).p_monte_carlo, (want.*member).p_monte_carlo);
       }
       EXPECT_EQ(got.mc_replicates_run, want.mc_replicates_run);
+    }
+  }
+}
+
+TEST_F(SimdPipeline, EhDiallFlagOnIsBitExactToReferenceAtEveryLevel) {
+  // simd_kernels only switches CLUMP's kernels: EM always runs the
+  // scalar compiled loop. So with the flag on and the LRT as fitness,
+  // every EH-DIALL output must equal the dense test oracle bit for bit
+  // at every dispatch level. Missing genotypes, marginalized, give
+  // phase fans of 16+ pairs — long enough for any vector E-step.
+  genomics::SyntheticConfig cohort;
+  cohort.snp_count = 10;
+  cohort.affected_count = 60;
+  cohort.unaffected_count = 60;
+  cohort.unknown_count = 0;
+  cohort.active_snp_count = 2;
+  cohort.missing_rate = 0.08;
+  Rng rng(1);
+  const auto synthetic = genomics::generate_synthetic(cohort, rng);
+  const genomics::Dataset& dataset = synthetic.dataset;
+  const std::vector<std::vector<genomics::SnpIndex>> candidates{
+      {0, 3}, {1, 4, 7}, {0, 2, 5, 9}, {1, 3, 4, 6, 8}, {0, 2, 3, 5, 7, 9}};
+
+  for (const stats::MissingPolicy policy :
+       {stats::MissingPolicy::CompleteCase,
+        stats::MissingPolicy::Marginalize}) {
+    stats::EvaluatorConfig config;
+    config.simd_kernels = true;
+    config.fitness_statistic = stats::FitnessStatistic::Lrt;
+    config.em.missing = policy;
+
+    std::vector<stats::EhDiallResult> want;
+    std::uint32_t longest_fan = 0;
+    for (const auto& snps : candidates) {
+      want.push_back(stats::reference::analyze(dataset, snps, config.em));
+      const stats::EmProgram program =
+          stats::EmProgram::compile(stats::reference::build_pattern_table(
+              dataset.genotypes(), snps,
+              dataset.individuals_with(genomics::Status::Affected), policy));
+      for (const std::uint32_t pairs : program.pattern_pairs) {
+        longest_fan = std::max(longest_fan, pairs);
+      }
+    }
+    if (policy == stats::MissingPolicy::Marginalize) {
+      ASSERT_GE(longest_fan, 16u);
+    }
+
+    for (const SimdLevel level : levels()) {
+      simd_force_level(level);
+      const stats::HaplotypeEvaluator evaluator(dataset, config);
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        SCOPED_TRACE(::testing::Message()
+                     << simd_level_name(level) << " size "
+                     << candidates[c].size() << " marginalize "
+                     << (policy == stats::MissingPolicy::Marginalize));
+        const stats::EvaluationResult got =
+            evaluator.evaluate_full(candidates[c]);
+        EXPECT_EQ(evaluator.fitness(candidates[c]), want[c].lrt);
+        EXPECT_EQ(got.lrt, want[c].lrt);
+        EXPECT_EQ(got.em_iterations_total, want[c].affected.iterations +
+                                               want[c].unaffected.iterations +
+                                               want[c].pooled.iterations);
+      }
     }
   }
 }
