@@ -10,13 +10,11 @@
 //   --engine sync|async       per-window engine [sync]: async runs each
 //                             window's size classes as steady-state
 //                             islands over a shared evaluation stream
-//   --concurrent-windows N    window GAs in flight at once [1]; with
-//                             sync + 1 the scan is the sequential
-//                             bit-exact reference, anything else runs
-//                             the pipelined scheduler and overlaps the
-//                             prefilter with the GA stage
-//   --prefilter-workers N     LD-sweep worker threads [1; 0 = hardware]
-//   --keep N                  windows that get a GA run [4]
+//   --concurrent-windows N    window GAs in flight at once [1]; sync + 1
+//                             is the deterministic configuration
+//   --prefilter-workers N     LD-sweep worker threads, each scoring
+//                             whole windows [1; 0 = hardware]
+//   --keep N                  windows that get a GA run [4; >= 1]
 //   --snps N                  synthetic panel width [20000]
 //   --seed S                  scan seed [3]
 #include <cstdio>
@@ -24,7 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/genome_pipeline.hpp"
+#include "analysis/ld_prefilter.hpp"
+#include "ga/window_scan.hpp"
 #include "genomics/packed_store.hpp"
 #include "genomics/synthetic.hpp"
 #include "util/cli.hpp"
@@ -35,31 +34,55 @@
 int main(int argc, char** argv) {
   using namespace ldga;
   try {
+    // --- 0. Flags, checked before anything touches the disk.
     const CliArgs args(argc, argv);
     const std::string engine_name = args.get("engine", "sync");
     if (engine_name != "sync" && engine_name != "async") {
       throw ConfigError("--engine must be sync|async, got '" + engine_name +
                         "'");
     }
+    const std::uint32_t keep = args.get_count("keep", 4);
+    if (keep == 0) throw ConfigError("--keep must be >= 1");
 
-    const std::string store_path =
-        (std::filesystem::temp_directory_path() / "ldga_genome_scan.pgs")
-            .string();
+    analysis::LdPrefilterConfig prefilter;
+    prefilter.workers = args.get_count("prefilter-workers", 1);
+    prefilter.validate();
 
-    // --- 1. Stream a synthetic panel to disk. The first 64 markers are
-    // the signal chunk carrying a planted 3-SNP risk haplotype; the rest
-    // are independent null LD blocks, written chunk by chunk so memory
-    // stays O(chunk) however wide the panel.
+    ga::WindowScanConfig scan;
+    scan.engine = engine_name == "async" ? ga::ScanEngine::kAsync
+                                         : ga::ScanEngine::kSync;
+    scan.concurrent_windows = args.get_count("concurrent-windows", 1);
+    scan.ga.min_size = 2;
+    scan.ga.max_size = 4;
+    scan.ga.population_size = 60;
+    scan.ga.min_subpopulation = 10;
+    scan.ga.stagnation_generations = 30;
+    scan.ga.max_generations = 120;
+    scan.ga.seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+    scan.validate();
+
     genomics::SyntheticStoreConfig data;
     data.cohort.snp_count = 64;
     data.cohort.affected_count = 100;
     data.cohort.unaffected_count = 100;
     data.cohort.unknown_count = 0;
     data.cohort.active_snp_count = 3;
-    data.total_snps = static_cast<std::uint32_t>(args.get_int("snps", 20'000));
+    data.total_snps = args.get_count("snps", 20'000);
     data.chunk_snps = 2048;
-    Rng rng(11);
 
+    for (const auto& unknown : args.unused()) {
+      std::fprintf(stderr, "warning: unknown flag --%s ignored\n",
+                   unknown.c_str());
+    }
+
+    // --- 1. Stream a synthetic panel to disk. The first 64 markers are
+    // the signal chunk carrying a planted 3-SNP risk haplotype; the rest
+    // are independent null LD blocks, written chunk by chunk so memory
+    // stays O(chunk) however wide the panel.
+    const std::string store_path =
+        (std::filesystem::temp_directory_path() / "ldga_genome_scan.pgs")
+            .string();
+    Rng rng(11);
     Stopwatch build_watch;
     const auto written =
         genomics::write_synthetic_store(store_path, data, rng);
@@ -74,61 +97,33 @@ int main(int argc, char** argv) {
     // plane words are paged in on demand from here on.
     const auto store = genomics::PackedGenotypeStore::open(store_path);
 
-    // --- 3+4. Prefilter + windowed GA through the pipeline driver.
-    // Sequential when nothing is concurrent (the reference chain);
-    // otherwise the LD sweep feeds streaming admissions to GA workers
-    // already in flight.
-    analysis::GenomePipelineConfig pipeline;
-    pipeline.prefilter.workers =
-        static_cast<std::uint32_t>(args.get_int("prefilter-workers", 1));
-    pipeline.keep_windows =
-        static_cast<std::uint32_t>(args.get_int("keep", 4));
-    pipeline.scan.engine = engine_name == "async" ? ga::ScanEngine::kAsync
-                                                  : ga::ScanEngine::kSync;
-    pipeline.scan.concurrent_windows =
-        static_cast<std::uint32_t>(args.get_int("concurrent-windows", 1));
-    pipeline.mode = pipeline.scan.engine == ga::ScanEngine::kSync &&
-                            pipeline.scan.concurrent_windows == 1
-                        ? analysis::PipelineMode::kSequential
-                        : analysis::PipelineMode::kPipelined;
-    pipeline.scan.ga.min_size = 2;
-    pipeline.scan.ga.max_size = 4;
-    pipeline.scan.ga.population_size = 60;
-    pipeline.scan.ga.min_subpopulation = 10;
-    pipeline.scan.ga.stagnation_generations = 30;
-    pipeline.scan.ga.max_generations = 120;
-    pipeline.scan.ga.seed =
-        static_cast<std::uint64_t>(args.get_int("seed", 3));
-
-    for (const auto& unknown : args.unused()) {
-      std::fprintf(stderr, "warning: unknown flag --%s ignored\n",
-                   unknown.c_str());
-    }
-
+    // --- 3. Prefilter: score every window's LD, keep the best `keep`.
     const std::vector<ga::WindowSpec> tiling =
         ga::plan_windows(store.snp_count(), 64, 48);
-    const analysis::GenomePipelineResult result = analysis::run_genome_pipeline(
-        store, store.panel(), store.statuses(), tiling, pipeline);
-
-    std::printf("prefilter: %zu windows scored in %.0f ms%s; GA budget "
+    Stopwatch prefilter_watch;
+    const std::vector<analysis::WindowScore> scores =
+        analysis::score_windows(store, tiling, prefilter);
+    const std::vector<ga::WindowSpec> selected =
+        analysis::top_windows(scores, keep);
+    std::printf("prefilter: %zu windows scored in %.0f ms; GA budget "
                 "went to:\n",
-                result.scores.size(), result.prefilter_seconds * 1e3,
-                pipeline.mode == analysis::PipelineMode::kPipelined
-                    ? " (GA windows in flight meanwhile)"
-                    : "");
-    for (const auto& window : result.selected) {
+                scores.size(), prefilter_watch.elapsed_ms());
+    for (const auto& window : selected) {
       std::printf("  [%6u, %6u)\n", window.begin,
                   window.begin + window.count);
     }
     std::printf("\n");
 
-    std::printf("scan: %llu evaluations, %.1f s total (%.1f s after the "
-                "sweep)\n",
-                static_cast<unsigned long long>(result.scan.evaluations),
-                result.total_seconds, result.scan_tail_seconds);
+    // --- 4. Windowed GA over the survivors.
+    Stopwatch scan_watch;
+    const ga::WindowScanResult result = ga::run_window_scan(
+        store, store.panel(), store.statuses(), selected, scan);
+    std::printf("scan: %llu evaluations in %.1f s\n",
+                static_cast<unsigned long long>(result.evaluations),
+                scan_watch.elapsed_seconds());
     std::printf("%-18s %-26s %s\n", "window", "best haplotype (1-based)",
                 "fitness");
-    for (const auto& window : result.scan.windows) {
+    for (const auto& window : result.windows) {
       std::string snps;
       for (const auto snp : window.best_snps) {
         if (!snps.empty()) snps += ' ';
@@ -141,8 +136,8 @@ int main(int argc, char** argv) {
     }
 
     std::printf("\nscan champion (1-based):");
-    for (const auto snp : result.scan.best_snps) std::printf(" %u", snp + 1);
-    std::printf("  fitness %.3f\n", result.scan.best_fitness);
+    for (const auto snp : result.best_snps) std::printf(" %u", snp + 1);
+    std::printf("  fitness %.3f\n", result.best_fitness);
 
     std::filesystem::remove(store_path);
     return 0;

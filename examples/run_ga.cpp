@@ -118,9 +118,8 @@ int main(int argc, char** argv) {
     } else {
       args.has("simulate");  // optional, implied
       genomics::SyntheticConfig config;
-      config.snp_count = static_cast<std::uint32_t>(args.get_int("snps", 51));
-      config.active_snp_count =
-          static_cast<std::uint32_t>(args.get_int("active", 3));
+      config.snp_count = args.get_count("snps", 51);
+      config.active_snp_count = args.get_count("active", 3);
       Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)) ^
               0x5eedULL);
       auto synthetic = genomics::generate_synthetic(config, rng);
@@ -157,23 +156,17 @@ int main(int argc, char** argv) {
 
     // --- GA config -----------------------------------------------------
     ga::GaConfig config;
-    config.min_size =
-        static_cast<std::uint32_t>(args.get_int("min-size", 2));
-    config.max_size =
-        static_cast<std::uint32_t>(args.get_int("max-size", 6));
-    config.population_size =
-        static_cast<std::uint32_t>(args.get_int("population", 150));
-    config.stagnation_generations =
-        static_cast<std::uint32_t>(args.get_int("stagnation", 100));
-    config.random_immigrant_stagnation =
-        static_cast<std::uint32_t>(args.get_int("immigrants", 20));
+    config.min_size = args.get_count("min-size", 2);
+    config.max_size = args.get_count("max-size", 6);
+    config.population_size = args.get_count("population", 150);
+    config.stagnation_generations = args.get_count("stagnation", 100);
+    config.random_immigrant_stagnation = args.get_count("immigrants", 20);
     const std::string engine_name = args.get("engine", "sync");
     if (engine_name != "sync" && engine_name != "async") {
       throw ConfigError("--engine must be sync|async, got '" + engine_name +
                         "'");
     }
-    const auto workers =
-        static_cast<std::uint32_t>(args.get_int("workers", 0));
+    const auto workers = args.get_count("workers", 0);
     // One backend for all runs: pool threads / farm slaves spawn once
     // and the evaluator's cache is shared across the whole series. The
     // async engine owns its evaluation lanes instead.
@@ -184,11 +177,10 @@ int main(int argc, char** argv) {
                              workers);
     }
     const bool trace = args.get_bool("trace");
-    const auto runs = static_cast<std::uint32_t>(args.get_int("runs", 1));
+    const auto runs = args.get_count("runs", 1);
     const auto base_seed =
         static_cast<std::uint64_t>(args.get_int("seed", 1));
-    const auto permutations =
-        static_cast<std::uint32_t>(args.get_int("permutations", 0));
+    const auto permutations = args.get_count("permutations", 0);
 
     for (const auto& unknown : args.unused()) {
       std::fprintf(stderr, "warning: unknown flag --%s ignored\n",

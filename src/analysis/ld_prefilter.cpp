@@ -154,9 +154,9 @@ PairLd composite_pair_ld(const genomics::GenotypeStore& store, SnpIndex a,
 
 namespace {
 
-/// One tile's accumulators. Tiles are summed independently and reduced
-/// in fixed tile order, so the sweep's scores do not depend on which
-/// thread ran which tile — or on whether a pool ran at all.
+/// One tile's accumulators. A window folds its tiles' partials in fixed
+/// tile order, so tile size reorders the pair sums but nothing else
+/// does.
 struct TilePartial {
   double sum_r2 = 0.0;
   double sum_dprime = 0.0;
@@ -165,22 +165,18 @@ struct TilePartial {
   std::uint64_t strong = 0;
 };
 
-/// A tile of the upper-triangle (a, b) index square of one window.
-struct TileSpec {
-  std::uint32_t ta = 0;
-  std::uint32_t tb = 0;
-};
-
+/// The tile of the upper-triangle (a, b) index square of one window
+/// whose corner is (ta, tb).
 TilePartial sweep_tile(const util::SimdKernels& kernels,
                        const WindowPlanes& planes, std::uint32_t count,
-                       std::uint32_t tile, const TileSpec& spec,
-                       std::size_t words, double strong_r2,
+                       std::uint32_t tile, std::uint32_t ta,
+                       std::uint32_t tb, std::size_t words, double strong_r2,
                        std::uint64_t* joint, std::uint64_t* tmp) {
   TilePartial partial;
-  const std::uint32_t a_end = std::min(spec.ta + tile, count);
-  const std::uint32_t b_end = std::min(spec.tb + tile, count);
-  for (std::uint32_t a = spec.ta; a < a_end; ++a) {
-    const std::uint32_t b_first = std::max(a + 1, spec.tb);
+  const std::uint32_t a_end = std::min(ta + tile, count);
+  const std::uint32_t b_end = std::min(tb + tile, count);
+  for (std::uint32_t a = ta; a < a_end; ++a) {
+    const std::uint32_t b_first = std::max(a + 1, tb);
     for (std::uint32_t b = b_first; b < b_end; ++b) {
       const PairLd ld = pair_ld_from_planes(
           kernels, planes.lo[a], planes.hi[a], planes.valid_of(a, words),
@@ -196,24 +192,51 @@ TilePartial sweep_tile(const util::SimdKernels& kernels,
   return partial;
 }
 
+/// One window's LD summary; `joint` and `tmp` are the calling worker's
+/// word buffers.
+WindowScore score_window(const util::SimdKernels& kernels,
+                         const genomics::GenotypeStore& store,
+                         const ga::WindowSpec& window,
+                         std::span<const std::uint64_t> everyone,
+                         const LdPrefilterConfig& config,
+                         std::uint64_t* joint, std::uint64_t* tmp) {
+  LDGA_EXPECTS(window.begin < store.snp_count() &&
+               window.count <= store.snp_count() - window.begin);
+  const WindowPlanes planes(store, window, everyone);
+  const std::size_t words = everyone.size();
+  WindowScore score;
+  score.window = window;
+  double sum_r2 = 0.0;
+  double sum_dprime = 0.0;
+  // Blocked pair sweep: tiles of the (a, b) index square, upper
+  // triangle only, so both tiles' plane words stay cache-hot across
+  // the inner loops.
+  const std::uint32_t tile = config.tile_snps;
+  for (std::uint32_t ta = 0; ta < window.count; ta += tile) {
+    for (std::uint32_t tb = ta; tb < window.count; tb += tile) {
+      const TilePartial partial =
+          sweep_tile(kernels, planes, window.count, tile, ta, tb, words,
+                     config.strong_r2, joint, tmp);
+      score.pairs += partial.pairs;
+      score.strong_pairs += partial.strong;
+      sum_r2 += partial.sum_r2;
+      sum_dprime += partial.sum_dprime;
+      score.max_r2 = std::max(score.max_r2, partial.max_r2);
+    }
+  }
+  if (score.pairs > 0) {
+    score.mean_r2 = sum_r2 / static_cast<double>(score.pairs);
+    score.mean_abs_d_prime = sum_dprime / static_cast<double>(score.pairs);
+  }
+  score.score = score.mean_r2;
+  return score;
+}
+
 }  // namespace
 
 std::vector<WindowScore> score_windows(const genomics::GenotypeStore& store,
                                        std::span<const ga::WindowSpec> windows,
                                        const LdPrefilterConfig& config) {
-  std::vector<WindowScore> scores;
-  scores.reserve(windows.size());
-  score_windows_streaming(store, windows, config,
-                          [&](const WindowScore& score) {
-                            scores.push_back(score);
-                          });
-  return scores;
-}
-
-void score_windows_streaming(
-    const genomics::GenotypeStore& store,
-    std::span<const ga::WindowSpec> windows, const LdPrefilterConfig& config,
-    const std::function<void(const WindowScore&)>& sink) {
   config.validate();
   const std::uint32_t words = store.words_per_snp();
   const std::vector<std::uint64_t> everyone =
@@ -223,7 +246,7 @@ void score_windows_streaming(
   const std::uint32_t n_workers =
       config.workers > 0 ? config.workers : parallel::default_thread_count();
   std::optional<parallel::ThreadPool> pool;
-  if (n_workers > 1) pool.emplace(n_workers);
+  if (n_workers > 1 && windows.size() > 1) pool.emplace(n_workers);
   /// One {joint, tmp} scratch pair per parallel_for chunk (threads +
   /// the calling thread); index 0 doubles as the serial scratch.
   std::vector<std::vector<std::uint64_t>> joints(
@@ -232,53 +255,17 @@ void score_windows_streaming(
   std::vector<std::vector<std::uint64_t>> tmps(joints.size(),
                                                std::vector<std::uint64_t>(words));
 
-  std::vector<TileSpec> tiles;
-  std::vector<TilePartial> partials;
-  for (const ga::WindowSpec& window : windows) {
-    LDGA_EXPECTS(window.begin < store.snp_count() &&
-                 window.count <= store.snp_count() - window.begin);
-    const WindowPlanes planes(store, window, everyone);
-
-    // Blocked pair sweep: tiles of the (a, b) index square, upper
-    // triangle only, so both tiles' plane words stay cache-hot across
-    // the inner loops.
-    const std::uint32_t tile = config.tile_snps;
-    tiles.clear();
-    for (std::uint32_t ta = 0; ta < window.count; ta += tile) {
-      for (std::uint32_t tb = ta; tb < window.count; tb += tile) {
-        tiles.push_back({ta, tb});
-      }
-    }
-    partials.assign(tiles.size(), TilePartial{});
-    const auto run_tile = [&](std::size_t chunk, std::size_t t) {
-      partials[t] = sweep_tile(kernels, planes, window.count, tile, tiles[t],
-                               words, config.strong_r2, joints[chunk].data(),
-                               tmps[chunk].data());
-    };
-    if (pool && tiles.size() > 1) {
-      pool->parallel_for_chunked(0, tiles.size(), run_tile);
-    } else {
-      for (std::size_t t = 0; t < tiles.size(); ++t) run_tile(0, t);
-    }
-
-    WindowScore score;
-    score.window = window;
-    double sum_r2 = 0.0;
-    double sum_dprime = 0.0;
-    for (const TilePartial& partial : partials) {
-      score.pairs += partial.pairs;
-      score.strong_pairs += partial.strong;
-      sum_r2 += partial.sum_r2;
-      sum_dprime += partial.sum_dprime;
-      score.max_r2 = std::max(score.max_r2, partial.max_r2);
-    }
-    if (score.pairs > 0) {
-      score.mean_r2 = sum_r2 / static_cast<double>(score.pairs);
-      score.mean_abs_d_prime = sum_dprime / static_cast<double>(score.pairs);
-    }
-    score.score = score.mean_r2;
-    sink(score);
+  std::vector<WindowScore> scores(windows.size());
+  const auto run_window = [&](std::size_t chunk, std::size_t w) {
+    scores[w] = score_window(kernels, store, windows[w], everyone, config,
+                             joints[chunk].data(), tmps[chunk].data());
+  };
+  if (pool) {
+    pool->parallel_for_chunked(0, windows.size(), run_window);
+  } else {
+    for (std::size_t w = 0; w < windows.size(); ++w) run_window(0, w);
   }
+  return scores;
 }
 
 std::vector<ga::WindowSpec> top_windows(std::span<const WindowScore> scores,
@@ -298,63 +285,6 @@ std::vector<ga::WindowSpec> top_windows(std::span<const WindowScore> scores,
   kept.reserve(order.size());
   for (const std::uint32_t i : order) kept.push_back(scores[i].window);
   return kept;
-}
-
-StreamingTopK::StreamingTopK(std::uint32_t total, std::uint32_t keep,
-                             double max_score)
-    : total_(total), keep_(keep), max_score_(max_score) {
-  if (!(max_score >= 0.0)) {
-    throw ConfigError("StreamingTopK: max_score must be a bound, >= 0");
-  }
-  scored_.reserve(total);
-}
-
-std::uint32_t StreamingTopK::rivals_above(const WindowScore& score) const {
-  std::uint32_t above = 0;
-  for (const auto& [rival_score, rival_begin] : scored_) {
-    if (rival_score > score.score ||
-        (rival_score == score.score && rival_begin < score.window.begin)) {
-      ++above;
-    }
-  }
-  return above;
-}
-
-std::vector<WindowScore> StreamingTopK::offer(const WindowScore& score) {
-  LDGA_EXPECTS(offered_ < total_);
-  LDGA_EXPECTS(score.score <= max_score_);
-  ++offered_;
-  scored_.emplace_back(score.score, score.window.begin);
-  pending_.push_back(score);
-
-  // Resolve what this observation settled. Every unscored window could
-  // still score the ceiling with an earlier begin, so it counts as a
-  // potential rival of everyone; scored rivals are exact. Both counts
-  // are monotone in offers, so a decision made here is final.
-  const std::uint32_t unscored = total_ - offered_;
-  std::vector<WindowScore> released;
-  for (std::size_t i = 0; i < pending_.size();) {
-    const std::uint32_t definite = rivals_above(pending_[i]);
-    if (definite >= keep_) {
-      // keep_ windows already rank above it — provably rejected.
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      continue;
-    }
-    // Even a ceiling-scoring window cannot shed the unscored rivals:
-    // a tie at max_score could still fall to an earlier begin.
-    if (definite + unscored < keep_) {
-      released.push_back(pending_[i]);
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      ++admitted_;
-      continue;
-    }
-    ++i;
-  }
-  std::sort(released.begin(), released.end(),
-            [](const WindowScore& a, const WindowScore& b) {
-              return a.window.begin < b.window.begin;
-            });
-  return released;
 }
 
 }  // namespace ldga::analysis

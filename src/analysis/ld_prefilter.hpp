@@ -30,9 +30,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "ga/window_scan.hpp"
@@ -49,11 +47,10 @@ struct LdPrefilterConfig {
   /// A pair with r² at or above this counts as a "strong" pair in
   /// WindowScore::strong_pairs (block-structure evidence).
   double strong_r2 = 0.2;
-  /// Worker threads for the tile sweep (tiles are independent): 1 runs
-  /// inline on the caller, 0 means hardware concurrency. Every tile
-  /// accumulates into its own partial and partials are reduced in
-  /// fixed tile order — the serial path folds the same partials — so
-  /// scores are bit-for-bit identical at any worker count.
+  /// Worker threads for the sweep: 1 runs inline on the caller, 0 means
+  /// hardware concurrency. Windows are the unit of parallel work — one
+  /// worker scores a whole window, its tiles in fixed order — so a
+  /// window's score never depends on the worker count, bit for bit.
   std::uint32_t workers = 1;
 
   void validate() const;
@@ -81,82 +78,16 @@ genomics::PairLd composite_pair_ld(const genomics::GenotypeStore& store,
                                    genomics::SnpIndex b);
 
 /// Tiled sweep: every intra-window pair of every window, one
-/// WindowScore per WindowSpec (same order).
+/// WindowScore per WindowSpec (same order). The windows are shared out
+/// over `config.workers` threads.
 std::vector<WindowScore> score_windows(const genomics::GenotypeStore& store,
                                        std::span<const ga::WindowSpec> windows,
                                        const LdPrefilterConfig& config = {});
 
-/// The same sweep, emitting each window's score to `sink` the moment
-/// it is final (window order, same worker pool across the whole sweep).
-/// This is the producing end of the pipelined scan: the sink feeds a
-/// StreamingTopK while the GA stage is already consuming admissions,
-/// so prefilter and GA wall-clock overlap. Scores are bit-identical to
-/// score_windows at any worker count.
-void score_windows_streaming(const genomics::GenotypeStore& store,
-                             std::span<const ga::WindowSpec> windows,
-                             const LdPrefilterConfig& config,
-                             const std::function<void(const WindowScore&)>& sink);
-
 /// The `keep` highest-scoring windows, re-sorted into genomic order so
-/// the result feeds run_window_scan's adjacency-based elite migration
+/// the result feeds run_window_scan's overlap-based elite migration
 /// directly. Ties break toward the earlier window (deterministic).
 std::vector<ga::WindowSpec> top_windows(std::span<const WindowScore> scores,
                                         std::uint32_t keep);
-
-/// Streaming admission of the prefilter ranking — the piece that lets
-/// the pipelined genome scan overlap window scoring with the GA stage
-/// instead of waiting for the full sweep before the first GA starts.
-///
-/// Scores are offered one window at a time, in any order. A window is
-/// *admitted* — released downstream — the moment the cutoff is
-/// provable: window scores are bounded above by `max_score` (mean r²
-/// <= 1), so once fewer than `keep` windows could still rank above it
-/// (scored rivals that already do, plus every still-unscored window
-/// assumed to score the ceiling with the most favorable tie-break), no
-/// future observation can displace it. Dually, a window with `keep`
-/// scored rivals above it is rejected outright. The admitted set
-/// therefore always equals top_windows(all scores, keep) exactly —
-/// streaming changes *when* windows are released, never *which*
-/// (tests/test_ld_prefilter.cpp holds this across admission orders).
-///
-/// The honest corollary: against a tight ceiling every unscored window
-/// is a potential rival, so admissions necessarily trickle until the
-/// sweep's tail (the last offers release in bulk). The pipeline's win
-/// is the overlap itself plus early *rejections*, not early certainty
-/// about the winners.
-class StreamingTopK {
- public:
-  /// `total` windows will be offered; the best `keep` survive.
-  StreamingTopK(std::uint32_t total, std::uint32_t keep,
-                double max_score = 1.0);
-
-  /// Records one scored window and returns every window this
-  /// observation newly proved into the top `keep` (possibly including
-  /// `score` itself, possibly windows offered earlier), in genomic
-  /// order. Each window is returned at most once.
-  std::vector<WindowScore> offer(const WindowScore& score);
-
-  std::uint32_t offered() const { return offered_; }
-  std::uint32_t admitted() const { return admitted_; }
-  /// True once all `total` windows were offered — every admission
-  /// decision is then final and offer() may not be called again.
-  bool complete() const { return offered_ == total_; }
-
- private:
-  /// Scored rivals ranking above (score desc, begin asc — the
-  /// top_windows order).
-  std::uint32_t rivals_above(const WindowScore& score) const;
-
-  std::uint32_t total_;
-  std::uint32_t keep_;
-  double max_score_;
-  std::uint32_t offered_ = 0;
-  std::uint32_t admitted_ = 0;
-  /// (score, begin) of every offered window — the ranking's ground
-  /// truth.
-  std::vector<std::pair<double, genomics::SnpIndex>> scored_;
-  /// Offered windows neither admitted nor provably rejected yet.
-  std::vector<WindowScore> pending_;
-};
 
 }  // namespace ldga::analysis

@@ -851,7 +851,7 @@ IslandRunResult IslandEngine::run() {
   stream_config.backend.farm_policy = config_.farm_policy;
   stream_config.backend.fault_injector = config_.fault_injector;
   // Private lane pool unless a shared multi-tenant stream was attached
-  // (pipelined scan): then this run borrows its block of completion
+  // (window scan): then this run borrows its block of completion
   // queues and retires them at the end.
   std::optional<stats::EvaluationStream> own_stream;
   stats::EvaluationStream* stream = external_stream_;

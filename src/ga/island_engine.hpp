@@ -158,7 +158,7 @@ class IslandEngine {
 
   /// Runs the islands against an externally owned multi-tenant
   /// EvaluationStream instead of constructing a private one — how the
-  /// pipelined genome scan amortizes one lane pool across many
+  /// concurrent window scan amortizes one lane pool across many
   /// short-lived window engines. `queue_base` is what
   /// stream.open_queues(evaluator, island_count) returned, where
   /// island_count == ga.max_size - ga.min_size + 1 and the evaluator is

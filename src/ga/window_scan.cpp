@@ -1,8 +1,6 @@
 #include "ga/window_scan.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -158,106 +156,29 @@ std::shared_ptr<parallel::ThreadPool> make_scan_pool(
   return std::make_shared<parallel::ThreadPool>(workers);
 }
 
-/// The original serial chain — window i's warm starts come from window
-/// i-1's elites and nothing runs concurrently. Kept as its own loop
-/// (rather than the scheduler with one worker) so the reference stays
-/// bit-exact: identical iteration order, identical donor rule,
-/// identical champion updates.
-WindowScanResult run_sequential_scan(const genomics::GenotypeStore& store,
-                                     const genomics::SnpPanel& panel,
-                                     std::span<const genomics::Status> statuses,
-                                     std::span<const WindowSpec> windows,
-                                     const WindowScanConfig& config) {
-  WindowScanResult scan;
-  const std::shared_ptr<parallel::ThreadPool> pool = make_scan_pool(config);
-  // Elites awaiting migration — always the previous window's crop.
+/// A finished window's contribution to later claims.
+struct FinishedWindow {
+  WindowSpec window;
   std::vector<EliteRecord> elites;
+};
 
-  std::uint32_t index = 0;
-  for (const WindowSpec& window : windows) {
-    LDGA_EXPECTS(window.begin < store.snp_count() &&
-                 window.count >= 2 &&
-                 window.count <= store.snp_count() - window.begin);
-
-    // The window's slice becomes a self-contained small Dataset — the
-    // mmap'd store only pages in these loci's plane words.
-    const genomics::Dataset window_data = genomics::materialize_window(
-        store, panel, statuses, window.begin, window.count);
-    const stats::HaplotypeEvaluator evaluator(window_data, config.evaluator);
-
-    GaConfig ga = config.ga;
-    ga.seed = window_seed(config.ga.seed, window.begin);
-    // The engine's search space is the window; clamp the size range to
-    // it (the engine needs at least one spare SNP for mutation, so a
-    // window must exceed min_size).
-    LDGA_EXPECTS(window.count > ga.min_size);
-    ga.max_size = std::min(ga.max_size, window.count - 1);
-
-    WindowResult out;
-    out.window = window;
-    out.completion_rank = index;
-    out.migrants_in =
-        migrate_into(ga, window, elites, config.migrate_elites,
-                     out.donor_windows);
-
-    std::shared_ptr<stats::EvaluationBackend> backend;
-    if (pool != nullptr) {
-      stats::BackendOptions options;
-      options.pool = pool;
-      backend = stats::make_thread_pool_backend(evaluator, options);
-    }
-    GaEngine engine(evaluator, ga, std::move(backend));
-    const GaResult result = engine.run();
-
-    out.generations = result.generations;
-    out.evaluations = result.evaluations;
-    scan.evaluations += result.evaluations;
-
-    elites = harvest_elites(result.best_by_size, window, index);
-    if (const HaplotypeIndividual* best = champion(result.best_by_size)) {
-      out.best_fitness = best->fitness();
-      out.best_snps.resize(best->snps().size());
-      std::transform(best->snps().begin(), best->snps().end(),
-                     out.best_snps.begin(),
-                     [&](SnpIndex s) { return window.begin + s; });
-      if (scan.best_snps.empty() || out.best_fitness > scan.best_fitness) {
-        scan.best_fitness = out.best_fitness;
-        scan.best_snps = out.best_snps;
-      }
-    }
-    scan.windows.push_back(std::move(out));
-    ++index;
-  }
-  return scan;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------
-// Pipelined scheduler.
-
-struct WindowScanScheduler::Impl {
-  struct Task {
-    WindowSpec window;
-    std::uint32_t index = 0;  ///< scan (enqueue) position
-  };
-
-  /// A finished window's contribution to later arrivals.
-  struct Done {
-    WindowSpec window;
-    std::vector<EliteRecord> elites;
-  };
-
-  Impl(const genomics::GenotypeStore& scan_store,
-       const genomics::SnpPanel& scan_panel,
-       std::span<const genomics::Status> scan_statuses,
-       const WindowScanConfig& scan_config, std::uint32_t window_limit)
+/// The one scan loop. Workers claim windows in list order under
+/// `mutex`; a claim's donors are the elites of every overlapping window
+/// finished by then. The first error stops further claims and is
+/// rethrown once every worker has joined.
+struct Scheduler {
+  Scheduler(const genomics::GenotypeStore& scan_store,
+            const genomics::SnpPanel& scan_panel,
+            std::span<const genomics::Status> scan_statuses,
+            std::span<const WindowSpec> scan_windows,
+            const WindowScanConfig& scan_config)
       : store(scan_store),
         panel(scan_panel),
         statuses(scan_statuses),
+        windows(scan_windows),
         config(scan_config),
-        max_windows(window_limit),
-        pool(make_scan_pool(config)) {
+        pool(make_scan_pool(config)),
+        results(windows.size()) {
     if (config.engine == ScanEngine::kAsync) {
       // Every async window opens one completion queue per island; the
       // clamp can only shrink a window's island count, so the
@@ -266,47 +187,30 @@ struct WindowScanScheduler::Impl {
           config.ga.max_size - config.ga.min_size + 1;
       stats::EvaluationStreamConfig stream_config;
       stream_config.lanes = config.stream_lanes;
-      stream.emplace(max_windows * islands_per_window,
-                     std::move(stream_config));
-    }
-    const std::uint32_t workers =
-        std::min(config.concurrent_windows, std::max(max_windows, 1u));
-    threads.reserve(workers);
-    for (std::uint32_t i = 0; i < workers; ++i) {
-      threads.emplace_back([this] { worker_loop(); });
+      stream.emplace(
+          static_cast<std::uint32_t>(windows.size()) * islands_per_window,
+          std::move(stream_config));
     }
   }
 
-  void enqueue(const WindowSpec& window) {
+  WindowScanResult run() {
+    // The caller is a worker too, so one window in flight starts no
+    // thread.
+    const std::size_t workers =
+        std::min<std::size_t>(config.concurrent_windows, windows.size());
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      LDGA_EXPECTS(!closed);
-      LDGA_EXPECTS(results.size() < max_windows);
-      LDGA_EXPECTS(window.begin < store.snp_count() &&
-                   window.count >= 2 &&
-                   window.count <= store.snp_count() - window.begin);
-      LDGA_EXPECTS(window.count > config.ga.min_size);
-      queue.push_back({window, static_cast<std::uint32_t>(results.size())});
-      results.emplace_back();
-    }
-    work_cv.notify_one();
-  }
-
-  WindowScanResult finish() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      closed = true;
-    }
-    work_cv.notify_all();
-    for (std::thread& thread : threads) thread.join();
-    threads.clear();
+      std::vector<std::jthread> threads;
+      for (std::size_t i = 1; i < workers; ++i) {
+        threads.emplace_back([this] { worker_loop(); });
+      }
+      worker_loop();
+    }  // joins every worker
     if (error != nullptr) std::rethrow_exception(error);
 
     WindowScanResult scan;
     scan.windows.reserve(results.size());
-    // Champion chosen by walking scan order — the same comparison as
-    // the sequential reference, so the pick cannot depend on which
-    // window happened to finish first.
+    // Champion chosen by walking scan order, so the pick cannot depend
+    // on which window happened to finish first.
     for (std::optional<WindowResult>& result : results) {
       LDGA_EXPECTS(result.has_value());
       scan.evaluations += result->evaluations;
@@ -322,60 +226,53 @@ struct WindowScanScheduler::Impl {
   }
 
   void worker_loop() {
-    for (;;) {
-      Task task;
-      std::vector<EliteRecord> donors;
-      std::vector<WindowSpec> readahead;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        work_cv.wait(lock, [&] {
-          return aborted || closed || !queue.empty();
-        });
-        if (aborted || queue.empty()) return;  // closed && empty, or error
-        task = queue.front();
-        queue.pop_front();
-        // Donors: every overlapping window already finished at claim
-        // time, in completion order (which migrate_into's stable sort
-        // preserves across equal fitness) — the record that makes the
-        // pipelined migration deterministic given completion order.
-        for (const Done& done : finished) {
-          if (!windows_overlap(done.window, task.window)) continue;
-          donors.insert(donors.end(), done.elites.begin(),
-                        done.elites.end());
+    try {
+      for (;;) {
+        std::size_t index = 0;
+        std::vector<EliteRecord> donors;
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (aborted || next == windows.size()) return;
+          index = next++;
+          // Donors: every overlapping window already finished at claim
+          // time, in completion order (which migrate_into's stable sort
+          // preserves across equal fitness) — the record that makes a
+          // concurrent scan's migration deterministic given completion
+          // order.
+          for (const FinishedWindow& done : finished) {
+            if (!windows_overlap(done.window, windows[index])) continue;
+            donors.insert(donors.end(), done.elites.begin(),
+                          done.elites.end());
+          }
         }
-        const std::uint32_t ahead = static_cast<std::uint32_t>(
-            std::min<std::size_t>(config.readahead_windows, queue.size()));
-        for (std::uint32_t i = 0; i < ahead; ++i) {
-          readahead.push_back(queue[i].window);
+        // Page the claimed window in first, then hint the next unclaimed
+        // one so an mmap'd store streams it in off the critical path.
+        store.prefetch_loci(windows[index].begin, windows[index].count);
+        if (index + 1 < windows.size()) {
+          store.prefetch_loci(windows[index + 1].begin,
+                              windows[index + 1].count);
         }
+        run_window(static_cast<std::uint32_t>(index), std::move(donors));
       }
-      // Page the claimed window in first, then hint the queue's head so
-      // an mmap'd store streams upcoming windows off the critical path.
-      store.prefetch_loci(task.window.begin, task.window.count);
-      for (const WindowSpec& upcoming : readahead) {
-        store.prefetch_loci(upcoming.begin, upcoming.count);
-      }
-      try {
-        run_window(task, std::move(donors));
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (error == nullptr) error = std::current_exception();
-        aborted = true;
-        queue.clear();
-        work_cv.notify_all();
-        return;
-      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (error == nullptr) error = std::current_exception();
+      aborted = true;
     }
   }
 
-  void run_window(const Task& task, std::vector<EliteRecord> donors) {
-    const WindowSpec& window = task.window;
+  void run_window(std::uint32_t index, std::vector<EliteRecord> donors) {
+    const WindowSpec& window = windows[index];
+    // The window's slice becomes a self-contained small Dataset — the
+    // mmap'd store only pages in these loci's plane words.
     const genomics::Dataset window_data = genomics::materialize_window(
         store, panel, statuses, window.begin, window.count);
     const stats::HaplotypeEvaluator evaluator(window_data, config.evaluator);
 
     GaConfig ga = config.ga;
     ga.seed = window_seed(config.ga.seed, window.begin);
+    // The engine's search space is the window; clamp the size range to
+    // it (run_window_scan checked that the window exceeds min_size).
     ga.max_size = std::min(ga.max_size, window.count - 1);
 
     WindowResult out;
@@ -421,67 +318,33 @@ struct WindowScanScheduler::Impl {
     }
 
     std::vector<EliteRecord> elites =
-        harvest_elites(best_by_size, window, task.index);
+        harvest_elites(best_by_size, window, index);
     {
       std::lock_guard<std::mutex> lock(mutex);
       out.completion_rank = completions++;
       finished.push_back({window, std::move(elites)});
-      results[task.index] = std::move(out);
+      results[index] = std::move(out);
     }
   }
 
   const genomics::GenotypeStore& store;
   const genomics::SnpPanel& panel;
   std::span<const genomics::Status> statuses;
-  const WindowScanConfig config;
-  const std::uint32_t max_windows;
+  std::span<const WindowSpec> windows;
+  const WindowScanConfig& config;
   std::shared_ptr<parallel::ThreadPool> pool;
   std::optional<stats::EvaluationStream> stream;
 
   std::mutex mutex;
-  std::condition_variable work_cv;
-  std::deque<Task> queue;
-  std::vector<Done> finished;               ///< completion order
-  std::vector<std::optional<WindowResult>> results;  ///< enqueue order
+  std::size_t next = 0;                     ///< next window to claim
+  std::vector<FinishedWindow> finished;     ///< completion order
+  std::vector<std::optional<WindowResult>> results;  ///< scan order
   std::uint32_t completions = 0;
-  bool closed = false;
   bool aborted = false;
   std::exception_ptr error;
-  std::vector<std::thread> threads;
 };
 
-WindowScanScheduler::WindowScanScheduler(
-    const genomics::GenotypeStore& store, const genomics::SnpPanel& panel,
-    std::span<const genomics::Status> statuses, const WindowScanConfig& config,
-    std::uint32_t max_windows) {
-  config.validate();
-  LDGA_EXPECTS(panel.size() == store.snp_count());
-  LDGA_EXPECTS(statuses.size() == store.individual_count());
-  impl_ = std::make_unique<Impl>(store, panel, statuses, config, max_windows);
-}
-
-WindowScanScheduler::~WindowScanScheduler() {
-  if (impl_ == nullptr) return;
-  // finish() never ran — drop queued work and let the workers drain.
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->closed = true;
-    impl_->aborted = true;
-    impl_->queue.clear();
-  }
-  impl_->work_cv.notify_all();
-  for (std::thread& thread : impl_->threads) thread.join();
-}
-
-void WindowScanScheduler::enqueue(const WindowSpec& window) {
-  impl_->enqueue(window);
-}
-
-WindowScanResult WindowScanScheduler::finish() {
-  WindowScanResult result = impl_->finish();
-  impl_.reset();
-  return result;
-}
+}  // namespace
 
 WindowScanResult run_window_scan(const genomics::GenotypeStore& store,
                                  const genomics::SnpPanel& panel,
@@ -491,14 +354,15 @@ WindowScanResult run_window_scan(const genomics::GenotypeStore& store,
   config.validate();
   LDGA_EXPECTS(panel.size() == store.snp_count());
   LDGA_EXPECTS(statuses.size() == store.individual_count());
-
-  if (config.engine == ScanEngine::kSync && config.concurrent_windows == 1) {
-    return run_sequential_scan(store, panel, statuses, windows, config);
+  for (const WindowSpec& window : windows) {
+    LDGA_EXPECTS(window.begin < store.snp_count() && window.count >= 2 &&
+                 window.count <= store.snp_count() - window.begin);
+    // The engine needs at least one spare SNP for mutation, so a window
+    // must exceed min_size.
+    LDGA_EXPECTS(window.count > config.ga.min_size);
   }
-  WindowScanScheduler scheduler(store, panel, statuses, config,
-                                static_cast<std::uint32_t>(windows.size()));
-  for (const WindowSpec& window : windows) scheduler.enqueue(window);
-  return scheduler.finish();
+  if (windows.empty()) return {};
+  return Scheduler(store, panel, statuses, windows, config).run();
 }
 
 }  // namespace ldga::ga

@@ -10,34 +10,32 @@
 // straddle a window boundary get a second chance in the neighbour that
 // contains them whole, which is why overlap >= stride matters.
 //
-// Two execution modes share one result shape:
+// One scheduler runs every scan. `concurrent_windows` workers (the
+// caller is one of them) claim windows in list order and run each
+// window's GA over shared evaluation infrastructure: one thread pool
+// for sync engines, one multi-tenant EvaluationStream for async
+// islands. A window's donors are the elites of every overlapping
+// window that had finished when it was claimed, in completion order;
+// WindowResult::completion_rank and donor_windows record both, so the
+// migration of any scan can be replayed after the fact.
 //
-//   * sequential reference — engine = kSync, concurrent_windows = 1:
-//     windows run one after another and window i's warm starts come
-//     from window i-1's elites, exactly the original serial chain.
-//     This mode is the bit-exact reference: for a fixed config it
-//     reproduces the same champions, fitness doubles and evaluation
-//     counts on every run (and the evaluation backend never changes a
-//     GA trajectory, so eval_workers may still be > 1).
-//   * pipelined — anything else: a scheduler keeps up to
-//     concurrent_windows window GAs in flight at once over shared
-//     evaluation infrastructure (one thread pool for sync engines, one
-//     multi-tenant EvaluationStream for async islands). Windows finish
-//     out of order, so a window's immigrants come from whichever
-//     overlapping predecessors have already finished — dependency-
-//     tracked and deterministic given the completion order recorded in
-//     the telemetry (WindowResult::completion_rank / donor_windows).
+// engine = kSync with concurrent_windows = 1 is the deterministic
+// configuration: windows finish in list order, so a window's donors
+// are every overlapping earlier window, and a fixed config reproduces
+// the same champions, fitness doubles and evaluation counts on every
+// run (the evaluation backend never changes a GA trajectory, so
+// eval_workers may still be > 1). While stride >= window / 2 (the
+// 48-of-64 tiling of examples/genome_scan, say), a window overlaps only
+// its neighbours, so its donor is the previous window alone; a tighter
+// stride also draws on the windows before that one.
 //
 // Window *selection* (which windows deserve a GA at all) is not this
 // layer's job: the tiled LD prefilter in analysis/ld_prefilter.hpp
-// scores windows, and callers pass the survivors here — either as a
-// batch (run_window_scan) or incrementally (WindowScanScheduler, which
-// is how analysis/genome_pipeline.hpp overlaps the prefilter with the
-// GA stage).
+// scores windows, top_windows keeps the best, and callers pass the
+// survivors here.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -77,15 +75,15 @@ struct WindowScanConfig {
   stats::EvaluatorConfig evaluator;
   /// Best individuals carried from finished windows into the warm
   /// starts of an overlapping window (only those whose SNPs all fall
-  /// inside the receiving window survive the move). 0 disables
-  /// migration. The sequential reference takes donors only from the
-  /// immediately preceding window, in scan order.
+  /// inside the receiving window survive the move), taken best-first
+  /// from every overlapping window finished when it was claimed. 0
+  /// disables migration.
   std::uint32_t migrate_elites = 3;
   /// Engine per window. kSync with concurrent_windows = 1 is the
-  /// sequential bit-exact reference; every other combination runs the
-  /// pipelined scheduler.
+  /// deterministic configuration.
   ScanEngine engine = ScanEngine::kSync;
-  /// Window GAs in flight at once (scheduler worker threads).
+  /// Window GAs in flight at once (scheduler workers, the calling
+  /// thread included).
   std::uint32_t concurrent_windows = 1;
   /// Workers of the scan-wide evaluation thread pool serving
   /// sync-engine windows: the pool spins up once per scan and is
@@ -98,10 +96,6 @@ struct WindowScanConfig {
   /// Dispatcher lanes of the scan-wide multi-tenant EvaluationStream
   /// serving async-engine windows.
   std::uint32_t stream_lanes = 2;
-  /// Queued windows ahead of a dispatch to issue store readahead for
-  /// (GenotypeStore::prefetch_loci), so an mmap'd store pages upcoming
-  /// windows in off the GA's critical path. 0 disables.
-  std::uint32_t readahead_windows = 1;
 
   void validate() const;
 };
@@ -116,8 +110,8 @@ struct WindowResult {
   /// Warm starts this window received from finished predecessors.
   std::uint32_t migrants_in = 0;
   /// 0-based position in the order windows *finished* — the record
-  /// that makes a pipelined scan's migration deterministic after the
-  /// fact (sequential mode: equals the scan position).
+  /// that makes a concurrent scan's migration deterministic after the
+  /// fact (at concurrent_windows = 1 it equals the scan position).
   std::uint32_t completion_rank = 0;
   /// Scan positions of the overlapping windows that had finished when
   /// this one started and therefore donated elites to its warm starts.
@@ -125,7 +119,7 @@ struct WindowResult {
 };
 
 struct WindowScanResult {
-  std::vector<WindowResult> windows;  ///< in scan (enqueue) order
+  std::vector<WindowResult> windows;  ///< in scan (list) order
   /// Scan-wide champion (global indices; empty only if `windows` is).
   /// Chosen by walking windows in scan order, so the pick does not
   /// depend on completion order.
@@ -136,42 +130,15 @@ struct WindowScanResult {
 
 /// Runs the GA over each window. `panel` and `statuses` describe the
 /// full store (a PackedGenotypeStore carries both; an in-memory matrix
-/// takes them from its Dataset). Windows should be passed in genomic
-/// order when elite migration is on — overlap relations are computed
-/// from the spans, but the sequential reference donates strictly from
-/// the previous list position.
+/// takes them from its Dataset). Windows are claimed in list order, so
+/// pass them in genomic order (as plan_windows and top_windows return
+/// them) for elites to flow from each window into the next. Every
+/// worker pages its claimed window and the next unclaimed one in
+/// (GenotypeStore::prefetch_loci).
 WindowScanResult run_window_scan(const genomics::GenotypeStore& store,
                                  const genomics::SnpPanel& panel,
                                  std::span<const genomics::Status> statuses,
                                  std::span<const WindowSpec> windows,
                                  const WindowScanConfig& config);
-
-/// The pipelined scan's front half, exposed so a caller can feed
-/// windows as another stage discovers them (streaming prefilter
-/// admission) instead of batching the whole list first. Construction
-/// starts `concurrent_windows` workers and the shared evaluation
-/// infrastructure; enqueue() hands over one window (thread-safe);
-/// finish() waits for everything and returns results in enqueue order.
-/// At most `max_windows` may ever be enqueued (the bound preallocates
-/// the shared stream's completion queues).
-class WindowScanScheduler {
- public:
-  WindowScanScheduler(const genomics::GenotypeStore& store,
-                      const genomics::SnpPanel& panel,
-                      std::span<const genomics::Status> statuses,
-                      const WindowScanConfig& config,
-                      std::uint32_t max_windows);
-  ~WindowScanScheduler();
-
-  WindowScanScheduler(const WindowScanScheduler&) = delete;
-  WindowScanScheduler& operator=(const WindowScanScheduler&) = delete;
-
-  void enqueue(const WindowSpec& window);
-  WindowScanResult finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace ldga::ga

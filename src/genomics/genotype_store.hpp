@@ -74,8 +74,9 @@ class GenotypeStore {
   /// Purely advisory — correctness never depends on it. The default is
   /// a no-op (in-memory stores are always resident); the mmap'd store
   /// issues madvise(WILLNEED) so the kernel pages the window in ahead
-  /// of the faulting reader. The pipelined genome scan calls this for
-  /// upcoming windows, keeping page faults off the GA's critical path.
+  /// of the faulting reader. The window scan calls this for each
+  /// claimed window and the next one, keeping page faults off the GA's
+  /// critical path.
   virtual void prefetch_loci(SnpIndex first, std::uint32_t count) const {
     (void)first;
     (void)count;

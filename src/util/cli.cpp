@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cstdlib>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -49,6 +50,18 @@ std::int64_t CliArgs::get_int(const std::string& name,
                       found->second + "'");
   }
   return value;
+}
+
+std::uint32_t CliArgs::get_count(const std::string& name,
+                                 std::uint32_t fallback) const {
+  constexpr std::int64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::int64_t value = get_int(name, fallback);
+  if (value < 0 || value > kMax) {
+    throw ConfigError("cli: --" + name + " expects a count in [0, " +
+                      std::to_string(kMax) + "], got " +
+                      std::to_string(value));
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {

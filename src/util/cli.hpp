@@ -22,6 +22,10 @@ class CliArgs {
   std::string get(const std::string& name,
                   const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int for counts (sizes, workers, budgets): throws ConfigError
+  /// unless the value fits [0, 2^32 - 1].
+  std::uint32_t get_count(const std::string& name,
+                          std::uint32_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
 

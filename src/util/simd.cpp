@@ -196,25 +196,28 @@ bool cpu_has(SimdLevel level) {
 /// The table dispatched at the kAvx512 level. Integer kernels use the
 /// full 512-bit variants — their sweeps are long and the vpopcntq win
 /// (>20x) dwarfs any license cost. The floating-point kernels (CLUMP's
-/// column scans and Pearson sums, per table and replicate-batched) run
-/// the 256-bit AVX2 variants instead: the evaluator calls them in short
-/// bursts between scalar code, and heavy 512-bit FP instructions move
-/// Skylake-class cores into a lower frequency license that slows all
-/// the surrounding scalar work — measured as a net e2e regression,
-/// while the 256-bit path is a net win. Routing the per-table and batch
-/// variants together is also what keeps batch_pearson_2xn's
-/// per-replicate delegation bit-identical to the dispatched
-/// pearson_row_terms at this level.
+/// column scans and Pearson sums, per table and replicate-batched) have
+/// no 512-bit bodies and take the AVX2 table's: the evaluator calls
+/// them in short bursts between scalar code, and heavy 512-bit FP
+/// instructions move Skylake-class cores into a lower frequency license
+/// that slows all the surrounding scalar work — measured as a net e2e
+/// regression, while the 256-bit path is a net win. Taking the
+/// per-table and batch entries from one table is also what keeps
+/// batch_pearson_2xn's per-replicate delegation bit-identical to the
+/// dispatched pearson_row_terms at this level. A build without AVX2
+/// falls back to the scalar FP entries, so no entry is ever null.
 const SimdKernels& avx512_dispatch_kernels() {
   static const SimdKernels table = [] {
     SimdKernels merged = detail::avx512_kernels();
 #if defined(LDGA_SIMD_AVX2)
     const SimdKernels& fp = detail::avx2_kernels();
+#else
+    const SimdKernels& fp = detail::scalar_kernels();
+#endif
     merged.chi_columns = fp.chi_columns;
     merged.pearson_row_terms = fp.pearson_row_terms;
     merged.batch_chi_columns = fp.batch_chi_columns;
     merged.batch_pearson_2xn = fp.batch_pearson_2xn;
-#endif
     return merged;
   }();
   return table;

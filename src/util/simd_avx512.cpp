@@ -4,10 +4,9 @@
 // CPUID check in simd.cpp verifies every required feature bit.
 //
 // vpopcntq counts all eight 64-bit lanes in one instruction, so the
-// bitplane kernels are pure load/logic/popcount/add chains. The
-// floating-point kernels use eight fixed accumulator lanes with a
-// fixed-order final reduction and masked loads are avoided on tails
-// (scalar tail loops instead) to keep the operation order obvious.
+// bitplane kernels are pure load/logic/popcount/add chains. Only the
+// integer kernels have 512-bit bodies: the kAvx512 dispatch table in
+// simd.cpp takes its floating-point entries from the AVX2 table.
 #include "util/simd_internal.hpp"
 
 #if defined(LDGA_SIMD_AVX512)
@@ -22,15 +21,6 @@ namespace {
 
 inline __m512i loadu512(const std::uint64_t* p) {
   return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
-}
-
-/// Fixed-order reduction of an 8-lane double accumulator:
-/// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
-inline double horizontal_sum_pd(__m512d v) {
-  alignas(64) double lanes[8];
-  _mm512_store_pd(lanes, v);
-  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
 }
 
 std::uint64_t popcount_words_avx512(const std::uint64_t* words,
@@ -138,121 +128,15 @@ void plane_counts_avx512(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[2] = missing;
 }
 
-void chi_columns_avx512(const double* top, const double* bottom,
-                        std::size_t n, double add_top, double add_bottom,
-                        double row0, double row1, double* out) {
-  const double grand = row0 + row1;
-  if (row0 <= 0.0 || row1 <= 0.0) {
-    for (std::size_t c = 0; c < n; ++c) out[c] = 0.0;
-    return;
-  }
-  const __m512d vat = _mm512_set1_pd(add_top);
-  const __m512d vab = _mm512_set1_pd(add_bottom);
-  const __m512d vrow0 = _mm512_set1_pd(row0);
-  const __m512d vrow1 = _mm512_set1_pd(row1);
-  const __m512d vgrand = _mm512_set1_pd(grand);
-  const __m512d vzero = _mm512_setzero_pd();
-  const __m512d vrr = _mm512_mul_pd(vrow0, vrow1);
-  std::size_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    const __m512d a = _mm512_add_pd(_mm512_loadu_pd(top + c), vat);
-    const __m512d b = _mm512_add_pd(_mm512_loadu_pd(bottom + c), vab);
-    const __m512d col0 = _mm512_add_pd(a, b);
-    const __m512d col1 = _mm512_sub_pd(vgrand, col0);
-    const __m512d cross =
-        _mm512_sub_pd(_mm512_mul_pd(a, _mm512_sub_pd(vrow1, b)),
-                      _mm512_mul_pd(b, _mm512_sub_pd(vrow0, a)));
-    const __m512d numer =
-        _mm512_mul_pd(vgrand, _mm512_mul_pd(cross, cross));
-    const __m512d denom = _mm512_mul_pd(vrr, _mm512_mul_pd(col0, col1));
-    const __mmask8 live =
-        _mm512_cmp_pd_mask(col0, vzero, _CMP_GT_OQ) &
-        _mm512_cmp_pd_mask(col1, vzero, _CMP_GT_OQ);
-    const __m512d chi =
-        _mm512_maskz_div_pd(live, numer, denom);
-    _mm512_storeu_pd(out + c, chi);
-  }
-  for (; c < n; ++c) {
-    const double a = top[c] + add_top;
-    const double b = bottom[c] + add_bottom;
-    const double col0 = a + b;
-    const double col1 = grand - col0;
-    if (col0 <= 0.0 || col1 <= 0.0) {
-      out[c] = 0.0;
-      continue;
-    }
-    const double cross = a * (row1 - b) - b * (row0 - a);
-    out[c] = grand * cross * cross / (row0 * row1 * col0 * col1);
-  }
-}
-
-double pearson_row_terms_avx512(const double* cells, const double* col_sums,
-                                std::size_t n, double row_sum,
-                                double total) {
-  const __m512d vrow = _mm512_set1_pd(row_sum);
-  const __m512d vtotal = _mm512_set1_pd(total);
-  const __m512d vzero = _mm512_setzero_pd();
-  __m512d acc = _mm512_setzero_pd();
-  std::size_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    const __m512d col = _mm512_loadu_pd(col_sums + c);
-    const __m512d expected =
-        _mm512_div_pd(_mm512_mul_pd(vrow, col), vtotal);
-    const __m512d diff =
-        _mm512_sub_pd(_mm512_loadu_pd(cells + c), expected);
-    const __mmask8 live = _mm512_cmp_pd_mask(col, vzero, _CMP_GT_OQ);
-    const __m512d term =
-        _mm512_maskz_div_pd(live, _mm512_mul_pd(diff, diff), expected);
-    acc = _mm512_add_pd(acc, term);
-  }
-  double sum = horizontal_sum_pd(acc);
-  for (; c < n; ++c) {
-    if (col_sums[c] <= 0.0) continue;
-    const double expected = row_sum * col_sums[c] / total;
-    const double diff = cells[c] - expected;
-    sum += diff * diff / expected;
-  }
-  return sum;
-}
-
-void batch_chi_columns_avx512(const double* top, const double* bottom,
-                              std::size_t cols, std::size_t reps,
-                              const double* add_top, const double* add_bottom,
-                              double row0, double row1, double* out) {
-  for (std::size_t r = 0; r < reps; ++r) {
-    chi_columns_avx512(top + r * cols, bottom + r * cols, cols,
-                       add_top != nullptr ? add_top[r] : 0.0,
-                       add_bottom != nullptr ? add_bottom[r] : 0.0, row0,
-                       row1, out + r * cols);
-  }
-}
-
-void batch_pearson_2xn_avx512(const double* top, const double* bottom,
-                              const double* col_sums, std::size_t cols,
-                              std::size_t reps, double row0_sum,
-                              double row1_sum, double total, double* out) {
-  for (std::size_t r = 0; r < reps; ++r) {
-    double statistic = 0.0;
-    if (row0_sum > 0.0) {
-      statistic += pearson_row_terms_avx512(top + r * cols, col_sums, cols,
-                                            row0_sum, total);
-    }
-    if (row1_sum > 0.0) {
-      statistic += pearson_row_terms_avx512(bottom + r * cols, col_sums,
-                                            cols, row1_sum, total);
-    }
-    out[r] = statistic;
-  }
-}
-
 }  // namespace
 
 const SimdKernels& avx512_kernels() {
+  // The floating-point entries stay null here; simd.cpp fills them.
   static constexpr SimdKernels kTable{
       &popcount_words_avx512,       &combine_planes_avx512,
       &combine_planes_count_avx512, &plane_counts_avx512,
-      &chi_columns_avx512,          &pearson_row_terms_avx512,
-      &batch_chi_columns_avx512,    &batch_pearson_2xn_avx512,
+      nullptr,                      nullptr,
+      nullptr,                      nullptr,
   };
   return kTable;
 }

@@ -16,6 +16,7 @@ const SimdKernels& avx2_kernels();
 #endif
 
 #if defined(LDGA_SIMD_AVX512)
+/// Integer entries only; the floating-point ones are null.
 const SimdKernels& avx512_kernels();
 #endif
 

@@ -59,6 +59,20 @@ TEST(Cli, BadNumberThrows) {
   EXPECT_THROW(parse({"--flag", "maybe"}).get_bool("flag"), ConfigError);
 }
 
+TEST(Cli, CountsAreRangeChecked) {
+  EXPECT_EQ(parse({}).get_count("workers", 4), 4u);
+  EXPECT_EQ(parse({"--workers", "0"}).get_count("workers", 4), 0u);
+  EXPECT_EQ(parse({"--workers", "4294967295"}).get_count("workers", 4),
+            4294967295u);
+  // -1 must not wrap around to 2^32 - 1.
+  EXPECT_THROW(parse({"--workers", "-1"}).get_count("workers", 4),
+               ConfigError);
+  EXPECT_THROW(parse({"--workers", "4294967296"}).get_count("workers", 4),
+               ConfigError);
+  EXPECT_THROW(parse({"--workers", "x"}).get_count("workers", 4),
+               ConfigError);
+}
+
 TEST(Cli, UnusedFlagsAreReported) {
   const auto args = parse({"--known", "1", "--typo", "2"});
   args.get_int("known", 0);

@@ -208,7 +208,7 @@ TEST(EvaluationStream, StragglersDelayButNeverCorrupt) {
 
 TEST(EvaluationStream, MultiTenantQueuesScoreAgainstTheirOwnEvaluator) {
   // Two evaluators over DIFFERENT datasets share one stream — the
-  // pipelined genome scan's shape, where every in-flight window engine
+  // concurrent window scan's shape, where every in-flight window engine
   // rents a queue block from the scan-wide lane pool. Each result must
   // come from the submitting tenant's evaluator, even though one lane
   // serves both.

@@ -89,6 +89,25 @@ TEST(SimdDispatch, UnavailableLevelThrows) {
   }
 }
 
+TEST(SimdDispatch, Avx512TakesTheAvx2FloatKernels) {
+  // The kAvx512 table has no floating-point bodies of its own: CLUMP's
+  // four kernels are the AVX2 table's, pointer for pointer.
+  const auto available = levels();
+  const auto has = [&](SimdLevel level) {
+    return std::find(available.begin(), available.end(), level) !=
+           available.end();
+  };
+  if (!has(SimdLevel::kAvx2) || !has(SimdLevel::kAvx512)) {
+    GTEST_SKIP() << "needs both the avx2 and avx512 levels";
+  }
+  const SimdKernels& avx512 = simd_kernels_for(SimdLevel::kAvx512);
+  const SimdKernels& avx2 = simd_kernels_for(SimdLevel::kAvx2);
+  EXPECT_EQ(avx512.chi_columns, avx2.chi_columns);
+  EXPECT_EQ(avx512.pearson_row_terms, avx2.pearson_row_terms);
+  EXPECT_EQ(avx512.batch_chi_columns, avx2.batch_chi_columns);
+  EXPECT_EQ(avx512.batch_pearson_2xn, avx2.batch_pearson_2xn);
+}
+
 TEST(SimdDispatch, LevelNamesRoundTrip) {
   for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2,
                                 SimdLevel::kAvx512, SimdLevel::kNeon}) {

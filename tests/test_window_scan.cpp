@@ -251,9 +251,10 @@ TEST(WindowScan, SequentialTelemetryRecordsScanOrderAndDonor) {
   }
 }
 
-/// Disjoint windows have no donors in any mode, so every window's GA
-/// is a pure function of the scan seed — concurrency cannot move a
-/// bit, which pins the scheduler against the sequential reference.
+/// Disjoint windows have no donors at any concurrency, so every
+/// window's GA is a pure function of the scan seed — concurrency cannot
+/// move a bit, which pins concurrent scans to the deterministic
+/// configuration.
 std::vector<WindowSpec> disjoint_windows() { return {{0, 6}, {6, 6}, {12, 6}}; }
 
 TEST(WindowScan, PipelinedScanMatchesSequentialOnDisjointWindows) {
@@ -285,23 +286,10 @@ TEST(WindowScan, PipelinedScanMatchesSequentialOnDisjointWindows) {
   }
 }
 
-TEST(WindowScan, PipelinedScanTracksOverlapDependencies) {
-  const ScanFixture fixture;
-  WindowScanConfig config = fixture.config;
-  config.concurrent_windows = 2;
-  const WindowScanResult result =
-      run_window_scan(fixture.store, fixture.dataset.panel(),
-                      fixture.dataset.statuses(), fixture.windows, config);
-  ASSERT_EQ(result.windows.size(), fixture.windows.size());
-
-  // Completion ranks are a permutation of the scan positions.
-  std::vector<bool> seen(result.windows.size(), false);
+/// Every donor of every window must be an overlapping window that
+/// finished before it.
+void expect_donors_overlap_and_finished_first(const WindowScanResult& result) {
   for (const WindowResult& window : result.windows) {
-    ASSERT_LT(window.completion_rank, result.windows.size());
-    EXPECT_FALSE(seen[window.completion_rank]);
-    seen[window.completion_rank] = true;
-
-    // A donor must be an overlapping window that finished earlier.
     for (const std::uint32_t donor : window.donor_windows) {
       ASSERT_LT(donor, result.windows.size());
       const WindowResult& source = result.windows[donor];
@@ -311,15 +299,73 @@ TEST(WindowScan, PipelinedScanTracksOverlapDependencies) {
       EXPECT_LT(window.window.begin,
                 source.window.begin + source.window.count);
     }
-    EXPECT_LE(window.migrants_in, config.migrate_elites);
-    ASSERT_FALSE(window.best_snps.empty());
-    for (const SnpIndex s : window.best_snps) {
-      EXPECT_GE(s, window.window.begin);
-      EXPECT_LT(s, window.window.begin + window.window.count);
-    }
   }
-  EXPECT_GT(result.evaluations, 0u);
-  EXPECT_FALSE(result.best_snps.empty());
+}
+
+TEST(WindowScan, PipelinedScanTracksOverlapDependencies) {
+  const ScanFixture fixture;
+  for (const std::uint32_t concurrency : {1u, 2u}) {
+    WindowScanConfig config = fixture.config;
+    config.concurrent_windows = concurrency;
+    const WindowScanResult result =
+        run_window_scan(fixture.store, fixture.dataset.panel(),
+                        fixture.dataset.statuses(), fixture.windows, config);
+    ASSERT_EQ(result.windows.size(), fixture.windows.size());
+
+    // Completion ranks are a permutation of the scan positions — the
+    // identity when one window is in flight at a time.
+    std::vector<bool> seen(result.windows.size(), false);
+    for (std::size_t w = 0; w < result.windows.size(); ++w) {
+      const WindowResult& window = result.windows[w];
+      ASSERT_LT(window.completion_rank, result.windows.size());
+      EXPECT_FALSE(seen[window.completion_rank]);
+      seen[window.completion_rank] = true;
+      if (concurrency == 1) {
+        EXPECT_EQ(window.completion_rank, w);
+      }
+
+      EXPECT_LE(window.migrants_in, config.migrate_elites);
+      ASSERT_FALSE(window.best_snps.empty());
+      for (const SnpIndex s : window.best_snps) {
+        EXPECT_GE(s, window.window.begin);
+        EXPECT_LT(s, window.window.begin + window.window.count);
+      }
+    }
+    expect_donors_overlap_and_finished_first(result);
+    EXPECT_GT(result.evaluations, 0u);
+    EXPECT_FALSE(result.best_snps.empty());
+  }
+}
+
+TEST(WindowScan, TightStrideDrawsDonorsFromEveryOverlappingEarlierWindow) {
+  // Stride 2 < window 8 / 2: each window overlaps up to three windows
+  // before it, and with one window in flight all of them have finished
+  // when it starts. The scan stays deterministic.
+  ScanFixture fixture;
+  fixture.windows = plan_windows(18, 8, 2);
+  fixture.config.migrate_elites = 3;
+  const WindowScanResult first = fixture.run();
+  const WindowScanResult second = fixture.run();
+  ASSERT_EQ(first.windows.size(), fixture.windows.size());
+  ASSERT_EQ(second.windows.size(), first.windows.size());
+  EXPECT_EQ(first.best_fitness, second.best_fitness);
+  EXPECT_EQ(first.best_snps, second.best_snps);
+  EXPECT_EQ(first.evaluations, second.evaluations);
+  bool several_donors = false;
+  for (std::size_t w = 0; w < first.windows.size(); ++w) {
+    EXPECT_EQ(first.windows[w].best_fitness, second.windows[w].best_fitness);
+    EXPECT_EQ(first.windows[w].best_snps, second.windows[w].best_snps);
+    EXPECT_EQ(first.windows[w].evaluations, second.windows[w].evaluations);
+    EXPECT_EQ(first.windows[w].donor_windows,
+              second.windows[w].donor_windows);
+    EXPECT_EQ(first.windows[w].completion_rank, w);
+    several_donors =
+        several_donors || first.windows[w].donor_windows.size() > 1;
+  }
+  expect_donors_overlap_and_finished_first(first);
+  // This seed's scan has a window fed by two earlier windows, which a
+  // previous-window-only rule could not produce.
+  EXPECT_TRUE(several_donors);
 }
 
 TEST(WindowScan, AsyncEngineScansOverSharedStream) {
@@ -344,32 +390,6 @@ TEST(WindowScan, AsyncEngineScansOverSharedStream) {
   }
   EXPECT_FALSE(result.best_snps.empty());
   EXPECT_GT(result.best_fitness, 0.0);
-}
-
-TEST(WindowScan, SchedulerIncrementalEnqueueMatchesBatch) {
-  // The pipeline driver feeds windows one at a time as admissions
-  // arrive; the result must match handing the same list over at once.
-  const ScanFixture fixture;
-  const std::vector<WindowSpec> windows = disjoint_windows();
-  WindowScanConfig config = fixture.config;
-  config.concurrent_windows = 2;
-  const WindowScanResult batch =
-      run_window_scan(fixture.store, fixture.dataset.panel(),
-                      fixture.dataset.statuses(), windows, config);
-
-  WindowScanScheduler scheduler(fixture.store, fixture.dataset.panel(),
-                                fixture.dataset.statuses(), config,
-                                static_cast<std::uint32_t>(windows.size()));
-  for (const WindowSpec& window : windows) scheduler.enqueue(window);
-  const WindowScanResult incremental = scheduler.finish();
-
-  EXPECT_EQ(incremental.best_fitness, batch.best_fitness);
-  EXPECT_EQ(incremental.best_snps, batch.best_snps);
-  EXPECT_EQ(incremental.evaluations, batch.evaluations);
-  ASSERT_EQ(incremental.windows.size(), batch.windows.size());
-  for (std::size_t w = 0; w < batch.windows.size(); ++w) {
-    EXPECT_EQ(incremental.windows[w].best_snps, batch.windows[w].best_snps);
-  }
 }
 
 TEST(WindowScan, MigrationOffStillScans) {
