@@ -1,7 +1,7 @@
 // Genome-scale scan: the full data path beyond the paper's 249-SNP
 // "larger files" experiments. A 20,000-SNP synthetic panel is streamed
 // into an on-disk packed genotype store chunk by chunk, memory-mapped
-// back, swept by the tiled composite-LD prefilter, and the top-ranked
+// back, swept by the composite-LD prefilter, and the top-ranked
 // windows are searched by the windowed GA driver — the multipopulation
 // engine runs inside each window against a column slice of the store,
 // migrating elite haplotypes into overlapping windows' warm starts.
@@ -12,8 +12,8 @@
 //                             islands over a shared evaluation stream
 //   --concurrent-windows N    window GAs in flight at once [1]; sync + 1
 //                             is the deterministic configuration
-//   --prefilter-workers N     LD-sweep worker threads, each scoring
-//                             whole windows [1; 0 = hardware]
+//   --prefilter-workers N     LD-sweep threads, the caller among them,
+//                             each scoring whole windows [1; 0 = hardware]
 //   --keep N                  windows that get a GA run [4; >= 1]
 //   --snps N                  synthetic panel width [20000]
 //   --seed S                  scan seed [3]

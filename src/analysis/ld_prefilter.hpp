@@ -1,4 +1,4 @@
-// Tiled pairwise-LD prefilter over a GenotypeStore.
+// Pairwise-LD prefilter over a GenotypeStore.
 //
 // Which windows of a genome-scale panel deserve a GA run? Regions of
 // elevated pairwise disequilibrium — haplotype-block structure — are
@@ -8,25 +8,31 @@
 // budget on the top of the ranking.
 //
 // The pair statistic is composite (genotype-dosage) LD, computed
-// entirely from the 2-bit plane words with the fused popcount kernels
-// of util/simd.hpp — no EM, no phase: over individuals typed at both
-// loci, the dosage g = lo + 2·hi ∈ {0,1,2} gives
+// entirely from plane words with popcounts — no EM, no phase. A window
+// first splits each locus' 2-bit planes into three disjoint *clean*
+// planes, het H = lo∧¬hi, hom-two T = hi∧¬lo and missing M = lo∧hi,
+// with the padding cleared, and keeps their popcounts. A cross term of
+// H or T planes already leaves out anyone missing at either locus, so
+// no joint mask is needed: over the n individuals typed at both loci,
+// with dosage g ∈ {0,1,2} and N individuals in all,
 //
-//   Σ g_a       =   cnt(V∧lo_a) + 2·cnt(V∧hi_a)
-//   Σ g_a²      =   cnt(V∧lo_a) + 4·cnt(V∧hi_a)
-//   Σ g_a·g_b   =   cnt(V∧lo_a∧lo_b) + 2·cnt(V∧lo_a∧hi_b)
-//                 + 2·cnt(V∧hi_a∧lo_b) + 4·cnt(V∧hi_a∧hi_b)
+//   n           =  N − |M_a| − |M_b| + |M_a∧M_b|
+//   h_a, t_a    =  |H_a| − |H_a∧M_b|,  |T_a| − |T_a∧M_b|
+//   Σ g_a       =  h_a + 2·t_a,        Σ g_a² = h_a + 4·t_a
+//   Σ g_a·g_b   =  |H_a∧H_b| + 2·|H_a∧T_b| + 2·|T_a∧H_b| + 4·|T_a∧T_b|
 //
-// (V = jointly-valid mask), from which r² is the squared dosage
-// correlation and D = cov/2 with Lewontin's normalization for D'.
-// Composite r² equals the EM-based haplotypic r² under random mating
-// and approximates it otherwise — exactly the right fidelity for a
-// prefilter whose output is a ranking, not a statistic.
+// (b symmetrically). One dosage_pair call (util/simd.hpp) returns the
+// cross sum and the five missing overlaps of a pair in a single pass.
+// r² is the squared dosage correlation, and D = cov/2 with Lewontin's
+// normalization for D'. Every count is an exact integer, so no result
+// depends on the SIMD dispatch level. Composite r² equals the EM-based
+// haplotypic r² under random mating and approximates it otherwise —
+// exactly the right fidelity for a prefilter whose output is a ranking,
+// not a statistic.
 //
-// Pairs are processed in tiles (tile × tile index blocks) so both
-// columns' plane words stay cache-resident across the inner loop; on an
-// mmap'd store a tile touches only its own pages, keeping the sweep's
-// resident set at O(tile) regardless of panel size.
+// A window is one pass over its pairs, a-major with b ascending, on its
+// own clean-plane copy (3 × words per locus); on an mmap'd store a
+// window touches only its own pages.
 #pragma once
 
 #include <cstdint>
@@ -41,15 +47,12 @@
 namespace ldga::analysis {
 
 struct LdPrefilterConfig {
-  /// Tile edge of the blocked pair sweep (cache locality knob; the
-  /// result is independent of it).
-  std::uint32_t tile_snps = 256;
   /// A pair with r² at or above this counts as a "strong" pair in
   /// WindowScore::strong_pairs (block-structure evidence).
   double strong_r2 = 0.2;
-  /// Worker threads for the sweep: 1 runs inline on the caller, 0 means
-  /// hardware concurrency. Windows are the unit of parallel work — one
-  /// worker scores a whole window, its tiles in fixed order — so a
+  /// Threads sweeping the windows, the caller among them: 1 runs inline
+  /// on the caller, 0 means hardware concurrency. Windows are the unit
+  /// of parallel work — one thread scores a whole window — so a
   /// window's score never depends on the worker count, bit for bit.
   std::uint32_t workers = 1;
 
@@ -77,9 +80,9 @@ genomics::PairLd composite_pair_ld(const genomics::GenotypeStore& store,
                                    genomics::SnpIndex a,
                                    genomics::SnpIndex b);
 
-/// Tiled sweep: every intra-window pair of every window, one
-/// WindowScore per WindowSpec (same order). The windows are shared out
-/// over `config.workers` threads.
+/// Every intra-window pair of every window, one WindowScore per
+/// WindowSpec (same order). The windows are shared out over
+/// `config.workers` threads.
 std::vector<WindowScore> score_windows(const genomics::GenotypeStore& store,
                                        std::span<const ga::WindowSpec> windows,
                                        const LdPrefilterConfig& config = {});

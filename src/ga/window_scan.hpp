@@ -30,7 +30,7 @@
 // stride also draws on the windows before that one.
 //
 // Window *selection* (which windows deserve a GA at all) is not this
-// layer's job: the tiled LD prefilter in analysis/ld_prefilter.hpp
+// layer's job: the LD prefilter in analysis/ld_prefilter.hpp
 // scores windows, top_windows keeps the best, and callers pass the
 // survivors here.
 #pragma once

@@ -1,7 +1,7 @@
 // The unified genotype-storage interface.
 //
 // Every consumer of genotype data — the EH-DIALL group kernels, the
-// tiled LD prefilter, the windowed GA driver — works against one
+// LD prefilter, the windowed GA driver — works against one
 // abstraction: a store of 2-bit genotypes in SNP-major bitplanes (the
 // packed_genotype.hpp layout) that can answer per-locus counting
 // questions and hand out *column slices*: a locus range × individual

@@ -78,6 +78,30 @@ void plane_counts_scalar(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[2] = missing;
 }
 
+void dosage_pair_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                        std::size_t n, std::uint64_t counts[6]) {
+  const std::uint64_t* het_a = a;
+  const std::uint64_t* two_a = a + n;
+  const std::uint64_t* mis_a = a + 2 * n;
+  const std::uint64_t* het_b = b;
+  const std::uint64_t* two_b = b + n;
+  const std::uint64_t* mis_b = b + 2 * n;
+  std::uint64_t sum[6] = {0, 0, 0, 0, 0, 0};
+  for (std::size_t i = 0; i < n; ++i) {
+    sum[0] +=
+        static_cast<std::uint64_t>(std::popcount(het_a[i] & het_b[i])) +
+        2 * static_cast<std::uint64_t>(std::popcount(
+                (het_a[i] & two_b[i]) | (two_a[i] & het_b[i]))) +
+        4 * static_cast<std::uint64_t>(std::popcount(two_a[i] & two_b[i]));
+    sum[1] += static_cast<std::uint64_t>(std::popcount(het_a[i] & mis_b[i]));
+    sum[2] += static_cast<std::uint64_t>(std::popcount(two_a[i] & mis_b[i]));
+    sum[3] += static_cast<std::uint64_t>(std::popcount(het_b[i] & mis_a[i]));
+    sum[4] += static_cast<std::uint64_t>(std::popcount(two_b[i] & mis_a[i]));
+    sum[5] += static_cast<std::uint64_t>(std::popcount(mis_a[i] & mis_b[i]));
+  }
+  for (int k = 0; k < 6; ++k) counts[k] = sum[k];
+}
+
 void chi_columns_scalar(const double* top, const double* bottom,
                         std::size_t n, double add_top, double add_bottom,
                         double row0, double row1, double* out) {
@@ -151,8 +175,9 @@ const SimdKernels& scalar_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_scalar,       &combine_planes_scalar,
       &combine_planes_count_scalar, &plane_counts_scalar,
-      &chi_columns_scalar,          &pearson_row_terms_scalar,
-      &batch_chi_columns_scalar,    &batch_pearson_2xn_scalar,
+      &dosage_pair_scalar,          &chi_columns_scalar,
+      &pearson_row_terms_scalar,    &batch_chi_columns_scalar,
+      &batch_pearson_2xn_scalar,
   };
   return kTable;
 }

@@ -9,8 +9,9 @@
 // codebase keeps the portable baseline flags.
 //
 // Determinism contract (docs/algorithms.md §12):
-//   * Integer kernels (popcount_words, combine_planes, plane_counts)
-//     are bit-exact by construction at every level; they are always on.
+//   * Integer kernels (popcount_words, combine_planes,
+//     combine_planes_count, plane_counts, dosage_pair) are bit-exact by
+//     construction at every level; they are always on.
 //   * Floating-point kernels (chi_columns, pearson_row_terms) are
 //     CLUMP's: they use a fixed lane order, so for a fixed dispatch
 //     level the result is deterministic run-to-run and across worker
@@ -79,6 +80,20 @@ struct SimdKernels {
   /// Counts are written, not accumulated.
   void (*plane_counts)(const std::uint64_t* lo, const std::uint64_t* hi,
                        std::size_t n, std::uint64_t counts[3]);
+
+  /// The composite-LD prefilter's pair kernel: one fused pass over two
+  /// loci's clean planes. `a` and `b` each hold one locus' three
+  /// disjoint planes back to back — het at [0, n), hom_two at [n, 2n),
+  /// missing M at [2n, 3n). Writes (not accumulates)
+  ///   counts[0] = Σ g_a·g_b = cnt(het_a∧het_b) + 2·cnt(het_a∧two_b)
+  ///               + 2·cnt(two_a∧het_b) + 4·cnt(two_a∧two_b),
+  ///   counts[1] = cnt(het_a∧M_b),  counts[2] = cnt(two_a∧M_b),
+  ///   counts[3] = cnt(het_b∧M_a),  counts[4] = cnt(two_b∧M_a),
+  ///   counts[5] = cnt(M_a∧M_b).
+  /// het and two of one locus are disjoint, so the two middle terms of
+  /// counts[0] share one popcount of their union.
+  void (*dosage_pair)(const std::uint64_t* a, const std::uint64_t* b,
+                      std::size_t n, std::uint64_t counts[6]);
 
   /// CLUMP 2×2 column scan: for each column c, the chi-square of the
   /// split whose first column has cells (top[c] + add_top,

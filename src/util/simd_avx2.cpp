@@ -161,6 +161,54 @@ void plane_counts_avx2(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[2] = missing;
 }
 
+void dosage_pair_avx2(const std::uint64_t* a, const std::uint64_t* b,
+                      std::size_t n, std::uint64_t counts[6]) {
+  const std::uint64_t* het_a = a;
+  const std::uint64_t* two_a = a + n;
+  const std::uint64_t* mis_a = a + 2 * n;
+  const std::uint64_t* het_b = b;
+  const std::uint64_t* two_b = b + n;
+  const std::uint64_t* mis_b = b + 2 * n;
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i acc[6] = {zero, zero, zero, zero, zero, zero};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i ha = loadu(het_a + i);
+    const __m256i ta = loadu(two_a + i);
+    const __m256i ma = loadu(mis_a + i);
+    const __m256i hb = loadu(het_b + i);
+    const __m256i tb = loadu(two_b + i);
+    const __m256i mb = loadu(mis_b + i);
+    // The weighted byte count ones + 2·twos + 4·fours is at most 56,
+    // so the three dosage products share one psadbw.
+    const __m256i ones = popcount_bytes(_mm256_and_si256(ha, hb));
+    const __m256i twos = popcount_bytes(_mm256_or_si256(
+        _mm256_and_si256(ha, tb), _mm256_and_si256(ta, hb)));
+    const __m256i fours = popcount_bytes(_mm256_and_si256(ta, tb));
+    __m256i weighted = _mm256_add_epi8(twos, _mm256_add_epi8(fours, fours));
+    weighted = _mm256_add_epi8(ones, _mm256_add_epi8(weighted, weighted));
+    acc[0] = _mm256_add_epi64(acc[0], _mm256_sad_epu8(weighted, zero));
+    acc[1] = _mm256_add_epi64(acc[1], popcount_lanes(_mm256_and_si256(ha, mb)));
+    acc[2] = _mm256_add_epi64(acc[2], popcount_lanes(_mm256_and_si256(ta, mb)));
+    acc[3] = _mm256_add_epi64(acc[3], popcount_lanes(_mm256_and_si256(hb, ma)));
+    acc[4] = _mm256_add_epi64(acc[4], popcount_lanes(_mm256_and_si256(tb, ma)));
+    acc[5] = _mm256_add_epi64(acc[5], popcount_lanes(_mm256_and_si256(ma, mb)));
+  }
+  for (int k = 0; k < 6; ++k) counts[k] = horizontal_sum_u64(acc[k]);
+  for (; i < n; ++i) {
+    counts[0] +=
+        static_cast<std::uint64_t>(std::popcount(het_a[i] & het_b[i])) +
+        2 * static_cast<std::uint64_t>(std::popcount(
+                (het_a[i] & two_b[i]) | (two_a[i] & het_b[i]))) +
+        4 * static_cast<std::uint64_t>(std::popcount(two_a[i] & two_b[i]));
+    counts[1] += static_cast<std::uint64_t>(std::popcount(het_a[i] & mis_b[i]));
+    counts[2] += static_cast<std::uint64_t>(std::popcount(two_a[i] & mis_b[i]));
+    counts[3] += static_cast<std::uint64_t>(std::popcount(het_b[i] & mis_a[i]));
+    counts[4] += static_cast<std::uint64_t>(std::popcount(two_b[i] & mis_a[i]));
+    counts[5] += static_cast<std::uint64_t>(std::popcount(mis_a[i] & mis_b[i]));
+  }
+}
+
 void chi_columns_avx2(const double* top, const double* bottom, std::size_t n,
                       double add_top, double add_bottom, double row0,
                       double row1, double* out) {
@@ -273,8 +321,9 @@ const SimdKernels& avx2_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_avx2,       &combine_planes_avx2,
       &combine_planes_count_avx2, &plane_counts_avx2,
-      &chi_columns_avx2,          &pearson_row_terms_avx2,
-      &batch_chi_columns_avx2,    &batch_pearson_2xn_avx2,
+      &dosage_pair_avx2,          &chi_columns_avx2,
+      &pearson_row_terms_avx2,    &batch_chi_columns_avx2,
+      &batch_pearson_2xn_avx2,
   };
   return kTable;
 }

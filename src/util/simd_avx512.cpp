@@ -128,6 +128,52 @@ void plane_counts_avx512(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[2] = missing;
 }
 
+void dosage_pair_avx512(const std::uint64_t* a, const std::uint64_t* b,
+                        std::size_t n, std::uint64_t counts[6]) {
+  const std::uint64_t* het_a = a;
+  const std::uint64_t* two_a = a + n;
+  const std::uint64_t* mis_a = a + 2 * n;
+  const std::uint64_t* het_b = b;
+  const std::uint64_t* two_b = b + n;
+  const std::uint64_t* mis_b = b + 2 * n;
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i acc[6] = {zero, zero, zero, zero, zero, zero};
+  // The tail is a masked load, not a scalar loop: a prefilter locus is
+  // often shorter than one vector (300 individuals are 5 words), and
+  // masked-off lanes load as zero without touching memory.
+  for (std::size_t i = 0; i < n; i += 8) {
+    const auto live = static_cast<__mmask8>(
+        n - i >= 8 ? 0xFF : (1u << (n - i)) - 1);
+    const __m512i ha = _mm512_maskz_loadu_epi64(live, het_a + i);
+    const __m512i ta = _mm512_maskz_loadu_epi64(live, two_a + i);
+    const __m512i ma = _mm512_maskz_loadu_epi64(live, mis_a + i);
+    const __m512i hb = _mm512_maskz_loadu_epi64(live, het_b + i);
+    const __m512i tb = _mm512_maskz_loadu_epi64(live, two_b + i);
+    const __m512i mb = _mm512_maskz_loadu_epi64(live, mis_b + i);
+    const __m512i ones = _mm512_popcnt_epi64(_mm512_and_si512(ha, hb));
+    const __m512i twos = _mm512_popcnt_epi64(_mm512_or_si512(
+        _mm512_and_si512(ha, tb), _mm512_and_si512(ta, hb)));
+    const __m512i fours = _mm512_popcnt_epi64(_mm512_and_si512(ta, tb));
+    acc[0] = _mm512_add_epi64(
+        acc[0], _mm512_add_epi64(
+                    ones, _mm512_add_epi64(_mm512_slli_epi64(twos, 1),
+                                           _mm512_slli_epi64(fours, 2))));
+    acc[1] = _mm512_add_epi64(acc[1],
+                              _mm512_popcnt_epi64(_mm512_and_si512(ha, mb)));
+    acc[2] = _mm512_add_epi64(acc[2],
+                              _mm512_popcnt_epi64(_mm512_and_si512(ta, mb)));
+    acc[3] = _mm512_add_epi64(acc[3],
+                              _mm512_popcnt_epi64(_mm512_and_si512(hb, ma)));
+    acc[4] = _mm512_add_epi64(acc[4],
+                              _mm512_popcnt_epi64(_mm512_and_si512(tb, ma)));
+    acc[5] = _mm512_add_epi64(acc[5],
+                              _mm512_popcnt_epi64(_mm512_and_si512(ma, mb)));
+  }
+  for (int k = 0; k < 6; ++k) {
+    counts[k] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc[k]));
+  }
+}
+
 }  // namespace
 
 const SimdKernels& avx512_kernels() {
@@ -135,8 +181,9 @@ const SimdKernels& avx512_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_avx512,       &combine_planes_avx512,
       &combine_planes_count_avx512, &plane_counts_avx512,
+      &dosage_pair_avx512,          nullptr,
       nullptr,                      nullptr,
-      nullptr,                      nullptr,
+      nullptr,
   };
   return kTable;
 }

@@ -120,6 +120,32 @@ void plane_counts_neon(const std::uint64_t* lo, const std::uint64_t* hi,
   counts[2] = missing;
 }
 
+/// A plain loop: the prefilter's planes are a few words per locus, so
+/// the scalar popcounts are the whole kernel.
+void dosage_pair_neon(const std::uint64_t* a, const std::uint64_t* b,
+                      std::size_t n, std::uint64_t counts[6]) {
+  const std::uint64_t* het_a = a;
+  const std::uint64_t* two_a = a + n;
+  const std::uint64_t* mis_a = a + 2 * n;
+  const std::uint64_t* het_b = b;
+  const std::uint64_t* two_b = b + n;
+  const std::uint64_t* mis_b = b + 2 * n;
+  std::uint64_t sum[6] = {0, 0, 0, 0, 0, 0};
+  for (std::size_t i = 0; i < n; ++i) {
+    sum[0] +=
+        static_cast<std::uint64_t>(std::popcount(het_a[i] & het_b[i])) +
+        2 * static_cast<std::uint64_t>(std::popcount(
+                (het_a[i] & two_b[i]) | (two_a[i] & het_b[i]))) +
+        4 * static_cast<std::uint64_t>(std::popcount(two_a[i] & two_b[i]));
+    sum[1] += static_cast<std::uint64_t>(std::popcount(het_a[i] & mis_b[i]));
+    sum[2] += static_cast<std::uint64_t>(std::popcount(two_a[i] & mis_b[i]));
+    sum[3] += static_cast<std::uint64_t>(std::popcount(het_b[i] & mis_a[i]));
+    sum[4] += static_cast<std::uint64_t>(std::popcount(two_b[i] & mis_a[i]));
+    sum[5] += static_cast<std::uint64_t>(std::popcount(mis_a[i] & mis_b[i]));
+  }
+  for (int k = 0; k < 6; ++k) counts[k] = sum[k];
+}
+
 void chi_columns_neon(const double* top, const double* bottom, std::size_t n,
                       double add_top, double add_bottom, double row0,
                       double row1, double* out) {
@@ -231,8 +257,9 @@ const SimdKernels& neon_kernels() {
   static constexpr SimdKernels kTable{
       &popcount_words_neon,       &combine_planes_neon,
       &combine_planes_count_neon, &plane_counts_neon,
-      &chi_columns_neon,          &pearson_row_terms_neon,
-      &batch_chi_columns_neon,    &batch_pearson_2xn_neon,
+      &dosage_pair_neon,          &chi_columns_neon,
+      &pearson_row_terms_neon,    &batch_chi_columns_neon,
+      &batch_pearson_2xn_neon,
   };
   return kTable;
 }

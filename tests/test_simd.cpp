@@ -56,12 +56,29 @@ std::vector<std::uint64_t> edge_words() {
           1};
 }
 
+/// One locus' clean planes (het | hom_two | missing, n words each) of
+/// random genotypes, each individual missing with `missing_rate`.
+std::vector<std::uint64_t> random_clean_planes(std::size_t n,
+                                               double missing_rate,
+                                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> planes(3 * n, 0);
+  for (std::size_t bit = 0; bit < 64 * n; ++bit) {
+    const std::uint64_t genotype =
+        rng.uniform() < missing_rate ? 3 : rng.below(3);
+    if (genotype == 0) continue;  // HomOne sets no plane
+    planes[(genotype - 1) * n + bit / 64] |= std::uint64_t{1} << (bit % 64);
+  }
+  return planes;
+}
+
 TEST(SimdDispatch, ScalarAlwaysAvailable) {
   const auto available = levels();
   ASSERT_FALSE(available.empty());
   EXPECT_EQ(available.front(), SimdLevel::kScalar);
   EXPECT_NE(simd().popcount_words, nullptr);
   EXPECT_NE(simd().combine_planes_count, nullptr);
+  EXPECT_NE(simd().dosage_pair, nullptr);
 }
 
 TEST(SimdDispatch, ForceLevelRoundTrip) {
@@ -211,6 +228,30 @@ TEST(SimdKernelsTest, PlaneCountsTails) {
       EXPECT_EQ(vec[0], ref[0]) << simd_level_name(level) << " n=" << n;
       EXPECT_EQ(vec[1], ref[1]) << simd_level_name(level) << " n=" << n;
       EXPECT_EQ(vec[2], ref[2]) << simd_level_name(level) << " n=" << n;
+    }
+  }
+}
+
+TEST(SimdKernelsTest, DosagePairTails) {
+  const SimdKernels& scalar = simd_kernels_for(SimdLevel::kScalar);
+  const double kMissingRates[] = {0.0, 0.3, 1.0};  // none, some, everyone
+  for (const SimdLevel level : levels()) {
+    const SimdKernels& kernels = simd_kernels_for(level);
+    for (std::size_t n = 0; n <= 17; ++n) {
+      for (const double rate_a : kMissingRates) {
+        for (const double rate_b : kMissingRates) {
+          const auto a = random_clean_planes(n, rate_a, 7 * n + 1);
+          const auto b = random_clean_planes(n, rate_b, 7 * n + 2);
+          std::uint64_t ref[6], vec[6];
+          scalar.dosage_pair(a.data(), b.data(), n, ref);
+          kernels.dosage_pair(a.data(), b.data(), n, vec);
+          for (int k = 0; k < 6; ++k) {
+            EXPECT_EQ(vec[k], ref[k])
+                << simd_level_name(level) << " n=" << n << " k=" << k
+                << " missing " << rate_a << "/" << rate_b;
+          }
+        }
+      }
     }
   }
 }
