@@ -4,7 +4,9 @@
 // scalar) the kernel families are timed on evaluation-shaped inputs,
 // and the vector levels are compared against the scalar reference in
 // the same binary:
-//   1. popcount_words  — bitplane popcount (carrier-row counting);
+//   1. dosage_pair     — the LD prefilter's fused pair kernel over two
+//      loci's clean het / hom-two / missing planes (one call per SNP
+//      pair of every window);
 //   2. combine_planes_count — the fused DFS plane intersection +
 //      popcount (the kernel every pattern-table build runs per node);
 //   3. CLUMP           — chi_columns 2×2 scan + pearson_row_terms;
@@ -18,7 +20,7 @@
 // 1e-9) — a fast wrong kernel aborts the bench.
 //
 // Results land in BENCH_simd_kernels.json with the machine context.
-// Acceptance: popcount and plane speedups >= 4x vs scalar on AVX2-or-
+// Acceptance: dosage_pair and plane speedups >= 4x vs scalar on AVX2-or-
 // better hosts. CI only checks the floor when the stored machine
 // context matches the runner's (bench_context.hpp).
 #include <algorithm>
@@ -51,6 +53,8 @@ constexpr std::size_t kBatchReps = 64;
 
 struct Inputs {
   std::vector<std::uint64_t> parent, lo, hi, out;
+  /// Two loci's clean planes, het | hom_two | missing, kWords each.
+  std::vector<std::uint64_t> locus_a, locus_b;
   std::vector<double> top, bottom, chi, cells, col_sums;
   std::vector<double> rep_top, rep_bottom, rep_out, rep_col_sums, rep_pearson;
 };
@@ -66,6 +70,18 @@ Inputs make_inputs() {
     in.parent[i] = rng();
     in.lo[i] = rng();
     in.hi[i] = rng();
+  }
+  // Clean planes from random 2-bit codes: het lo&~hi, hom_two ~lo&hi,
+  // missing lo&hi — disjoint by construction.
+  for (auto* locus : {&in.locus_a, &in.locus_b}) {
+    locus->resize(3 * kWords);
+    for (std::size_t i = 0; i < kWords; ++i) {
+      const std::uint64_t lo = rng();
+      const std::uint64_t hi = rng();
+      (*locus)[i] = lo & ~hi;
+      (*locus)[kWords + i] = hi & ~lo;
+      (*locus)[2 * kWords + i] = lo & hi;
+    }
   }
   in.top.resize(kColumns);
   in.bottom.resize(kColumns);
@@ -113,7 +129,7 @@ double time_ns(std::size_t reps, Fn&& fn) {
 volatile double g_sink = 0.0;
 
 struct LevelTimes {
-  double popcount_ns = 0.0;
+  double dosage_pair_ns = 0.0;
   double planes_ns = 0.0;
   double clump_ns = 0.0;
   double batch_clump_ns = 0.0;
@@ -122,9 +138,10 @@ struct LevelTimes {
 LevelTimes run_level(const util::SimdKernels& kernels, const Inputs& in,
                      Inputs& mut) {
   LevelTimes t;
-  t.popcount_ns = time_ns(400, [&] {
-    g_sink = g_sink + static_cast<double>(
-        kernels.popcount_words(in.parent.data(), kWords));
+  t.dosage_pair_ns = time_ns(400, [&] {
+    std::uint64_t counts[6];
+    kernels.dosage_pair(in.locus_a.data(), in.locus_b.data(), kWords, counts);
+    g_sink = g_sink + static_cast<double>(counts[0] + counts[5]);
   });
   t.planes_ns = time_ns(400, [&] {
     g_sink = g_sink + static_cast<double>(kernels.combine_planes_count(
@@ -158,23 +175,15 @@ LevelTimes run_level(const util::SimdKernels& kernels, const Inputs& in,
 void check_equivalence(const util::SimdKernels& scalar,
                        const util::SimdKernels& vec, const char* name,
                        const Inputs& in, Inputs& mut) {
-  // Integer kernels: bit-exact, including the pruning signal.
-  if (scalar.popcount_words(in.parent.data(), kWords) !=
-      vec.popcount_words(in.parent.data(), kWords)) {
-    std::fprintf(stderr, "FATAL: %s popcount_words mismatch\n", name);
+  // Integer kernels: bit-exact.
+  std::uint64_t pair_ref[6], pair_vec[6];
+  scalar.dosage_pair(in.locus_a.data(), in.locus_b.data(), kWords, pair_ref);
+  vec.dosage_pair(in.locus_a.data(), in.locus_b.data(), kWords, pair_vec);
+  if (!std::equal(pair_ref, pair_ref + 6, pair_vec)) {
+    std::fprintf(stderr, "FATAL: %s dosage_pair mismatch\n", name);
     std::exit(1);
   }
   std::vector<std::uint64_t> ref(kWords);
-  const std::uint64_t any_ref =
-      scalar.combine_planes(in.parent.data(), in.lo.data(), in.hi.data(),
-                            ~std::uint64_t{0}, 0, kWords, ref.data());
-  const std::uint64_t any_vec =
-      vec.combine_planes(in.parent.data(), in.lo.data(), in.hi.data(),
-                         ~std::uint64_t{0}, 0, kWords, mut.out.data());
-  if (any_ref != any_vec || ref != mut.out) {
-    std::fprintf(stderr, "FATAL: %s combine_planes mismatch\n", name);
-    std::exit(1);
-  }
   const std::uint64_t count_ref = scalar.combine_planes_count(
       in.parent.data(), in.lo.data(), in.hi.data(), ~std::uint64_t{0}, 0,
       kWords, ref.data());
@@ -230,12 +239,13 @@ int main() {
   std::fprintf(json, "{\n");
   ldga::bench::write_machine_context(json);
   std::fprintf(json,
-               "  \"workload\": \"%zu-word planes, %zu-column CLUMP scan; "
-               "batched: %zu reps x %zu-column CLUMP\",\n",
+               "  \"workload\": \"%zu-word planes (dosage_pair: two loci of "
+               "3 clean planes each), %zu-column CLUMP scan; batched: %zu "
+               "reps x %zu-column CLUMP\",\n",
                kWords, kColumns, kBatchReps, kBatchCols);
 
   LevelTimes scalar_times;
-  double best_popcount_speedup = 1.0;
+  double best_dosage_pair_speedup = 1.0;
   double best_planes_speedup = 1.0;
   double best_batch_clump_speedup = 1.0;
   std::string best_level = "scalar";
@@ -247,43 +257,44 @@ int main() {
     }
     const LevelTimes t = run_level(kernels, in, mut);
     if (level == util::SimdLevel::kScalar) scalar_times = t;
-    const double popcount_speedup = scalar_times.popcount_ns / t.popcount_ns;
+    const double dosage_pair_speedup =
+        scalar_times.dosage_pair_ns / t.dosage_pair_ns;
     const double planes_speedup = scalar_times.planes_ns / t.planes_ns;
     if (level != util::SimdLevel::kScalar &&
-        popcount_speedup > best_popcount_speedup) {
-      best_popcount_speedup = popcount_speedup;
+        dosage_pair_speedup > best_dosage_pair_speedup) {
+      best_dosage_pair_speedup = dosage_pair_speedup;
       best_planes_speedup = planes_speedup;
       best_batch_clump_speedup = scalar_times.batch_clump_ns / t.batch_clump_ns;
       best_level = name;
     }
     std::printf(
-        "%-7s popcount %7.0f ns (%5.2fx)  planes %7.0f ns (%5.2fx)  "
+        "%-7s dosage_pair %7.0f ns (%5.2fx)  planes %7.0f ns (%5.2fx)  "
         "clump %7.0f ns (%5.2fx)  batch-clump %7.0f ns (%5.2fx)\n",
-        name, t.popcount_ns, popcount_speedup, t.planes_ns, planes_speedup,
-        t.clump_ns, scalar_times.clump_ns / t.clump_ns, t.batch_clump_ns,
-        scalar_times.batch_clump_ns / t.batch_clump_ns);
+        name, t.dosage_pair_ns, dosage_pair_speedup, t.planes_ns,
+        planes_speedup, t.clump_ns, scalar_times.clump_ns / t.clump_ns,
+        t.batch_clump_ns, scalar_times.batch_clump_ns / t.batch_clump_ns);
     std::fprintf(json,
-                 "  \"%s_popcount_ns\": %.1f,\n"
+                 "  \"%s_dosage_pair_ns\": %.1f,\n"
                  "  \"%s_planes_ns\": %.1f,\n"
                  "  \"%s_clump_ns\": %.1f,\n"
                  "  \"%s_batch_clump_ns\": %.1f,\n",
-                 name, t.popcount_ns, name, t.planes_ns, name, t.clump_ns,
+                 name, t.dosage_pair_ns, name, t.planes_ns, name, t.clump_ns,
                  name, t.batch_clump_ns);
   }
 
   std::fprintf(json,
                "  \"best_vector_level\": \"%s\",\n"
-               "  \"popcount_speedup\": %.3f,\n"
+               "  \"dosage_pair_speedup\": %.3f,\n"
                "  \"planes_speedup\": %.3f,\n"
                "  \"batch_clump_speedup\": %.3f\n"
                "}\n",
-               best_level.c_str(), best_popcount_speedup,
+               best_level.c_str(), best_dosage_pair_speedup,
                best_planes_speedup, best_batch_clump_speedup);
   std::fclose(json);
   std::printf("\nwrote BENCH_simd_kernels.json (best vector level: %s)\n",
               best_level.c_str());
   if (levels.size() > 1 &&
-      (best_popcount_speedup < 4.0 || best_planes_speedup < 4.0)) {
+      (best_dosage_pair_speedup < 4.0 || best_planes_speedup < 4.0)) {
     std::fprintf(stderr,
                  "WARNING: integer-kernel speedup below the 4x acceptance "
                  "floor\n");

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Build and run the perf-acceptance benchmarks, leaving BENCH_*.json at
 # the repo root:
-#   - bench_ga_e2e       — GA wall time of the scalar fixed-replicate
-#     baseline vs the default configuration (2x, hard floor 1.5x) and
-#     of no-simd vs simd (floor 1x), including the gate that re-scores
-#     every reported best bit-for-bit on a fresh evaluator;
+#   - bench_ga_e2e       — GA wall time of the fixed-replicate baseline
+#     at the scalar dispatch level vs the default configuration (2x,
+#     hard floor 1.5x) and of early-stop at the scalar level vs the
+#     native level (floor 1x), including the gate that re-scores every
+#     reported best bit-for-bit on a fresh evaluator;
 #   - bench_simd_kernels — per-dispatch-level kernel timings with
-#     inline equivalence checks (4x popcount/planes floor on vector
+#     inline equivalence checks (4x dosage_pair/planes floor on vector
 #     hosts).
 # Every JSON carries the machine context (bench/bench_context.hpp); the
 # CI bench job refuses ratio comparisons when the committed baseline

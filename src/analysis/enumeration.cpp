@@ -61,10 +61,6 @@ EnumerationResult enumerate_all(const stats::HaplotypeEvaluator& evaluator,
   LDGA_EXPECTS(haplotype_size >= 1 && haplotype_size <= n);
   check_tractable(n, haplotype_size, config.max_candidates);
 
-  const std::uint32_t workers = config.workers > 0
-                                    ? config.workers
-                                    : parallel::default_thread_count();
-
   EnumerationResult result;
   result.haplotype_size = haplotype_size;
 
@@ -98,12 +94,8 @@ EnumerationResult enumerate_all(const stats::HaplotypeEvaluator& evaluator,
     }
   };
 
-  if (workers <= 1) {
-    for (std::size_t first = 0; first < n; ++first) process_block(first);
-  } else {
-    parallel::ThreadPool pool(workers);
-    pool.parallel_for(0, n, process_block);
-  }
+  const auto pool = parallel::make_worker_pool(config.workers);
+  parallel::parallel_for(pool.get(), 0, n, process_block);
 
   TopN merged(config.top_n);
   for (std::uint32_t first = 0; first < n; ++first) {

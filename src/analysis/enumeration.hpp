@@ -31,7 +31,8 @@ struct EnumerationConfig {
   std::uint32_t top_n = 10;
   /// Refuse enumerations larger than this many candidates.
   std::uint64_t max_candidates = 50'000'000;
-  /// Worker threads; 0 = hardware concurrency, 1 = serial.
+  /// Worker threads, the caller among them; 0 = hardware concurrency,
+  /// 1 = serial on the caller.
   std::uint32_t workers = 0;
 };
 

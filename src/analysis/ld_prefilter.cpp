@@ -170,21 +170,14 @@ std::vector<WindowScore> score_windows(const genomics::GenotypeStore& store,
                                        const LdPrefilterConfig& config) {
   config.validate();
   const util::SimdKernels& kernels = util::simd();
-  const std::uint32_t n_workers =
-      config.workers > 0 ? config.workers : parallel::default_thread_count();
-
   std::vector<WindowScore> scores(windows.size());
   const auto run_window = [&](std::size_t w) {
     scores[w] = score_window(kernels, store, windows[w], config.strong_r2);
   };
-  if (n_workers > 1 && windows.size() > 1) {
-    // parallel_for runs one chunk on the caller, which makes the caller
-    // the n_workers-th thread.
-    parallel::ThreadPool pool(n_workers - 1);
-    pool.parallel_for(0, windows.size(), run_window);
-  } else {
-    for (std::size_t w = 0; w < windows.size(); ++w) run_window(w);
-  }
+  const auto pool = windows.size() > 1
+                        ? parallel::make_worker_pool(config.workers)
+                        : nullptr;
+  parallel::parallel_for(pool.get(), 0, windows.size(), run_window);
   return scores;
 }
 

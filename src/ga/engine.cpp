@@ -542,7 +542,6 @@ GaResult GaEngine::run() {
       info.stage_timings = evaluator_->stage_timings();
       info.mc_replicates_run = evaluator_->mc_replicates_run();
       info.mc_replicates_saved = evaluator_->mc_replicates_saved();
-      info.mc_batched_replicates = evaluator_->mc_batched_replicates();
       info.gen_cache_hits = cache.hits - prev_cache.hits;
       info.gen_cache_misses = cache.misses - prev_cache.misses;
       prev_cache = cache;
@@ -594,7 +593,6 @@ GaResult GaEngine::run() {
   result.stage_timings = evaluator_->stage_timings();
   result.mc_replicates_run = evaluator_->mc_replicates_run();
   result.mc_replicates_saved = evaluator_->mc_replicates_saved();
-  result.mc_batched_replicates = evaluator_->mc_batched_replicates();
   return result;
 }
 

@@ -112,9 +112,6 @@ struct GenerationInfo {
   /// early-stopping CLUMP scheduler.
   std::uint64_t mc_replicates_run = 0;
   std::uint64_t mc_replicates_saved = 0;
-  /// Cumulative Monte-Carlo replicates through the replicate-batched
-  /// CLUMP engine (zero when simd_kernels is off).
-  std::uint64_t mc_batched_replicates = 0;
   /// This generation's deltas of the cumulative counters above — the
   /// telemetry CSV derives its per-generation hit ratios from these.
   std::uint64_t gen_cache_hits = 0;
@@ -144,9 +141,6 @@ struct GaResult {
   /// Monte-Carlo replicates executed / skipped over the whole run.
   std::uint64_t mc_replicates_run = 0;
   std::uint64_t mc_replicates_saved = 0;
-  /// Replicates through the batched Monte-Carlo engine over the whole
-  /// run.
-  std::uint64_t mc_batched_replicates = 0;
   std::vector<GenerationInfo> history;  ///< when record_history is set
 };
 

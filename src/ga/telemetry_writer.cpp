@@ -22,7 +22,7 @@ void TelemetryCsvWriter::write_header(const GenerationInfo& info) {
   *out_ << ",evaluations,immigrants,cache_hits,cache_misses,"
            "cache_evictions,pattern_build_seconds,em_seconds,"
            "clump_seconds,cache_hit_ratio,mc_replicates_run,"
-           "mc_replicates_saved,mc_batched_replicates\n";
+           "mc_replicates_saved\n";
   header_written_ = true;
 }
 
@@ -50,8 +50,8 @@ void TelemetryCsvWriter::record(const GenerationInfo& info) {
         << info.stage_timings.em_seconds << ','
         << info.stage_timings.clump_seconds << ','
         << ratio(info.gen_cache_hits, info.gen_cache_misses) << ','
-        << info.mc_replicates_run << ',' << info.mc_replicates_saved << ','
-        << info.mc_batched_replicates << '\n';
+        << info.mc_replicates_run << ',' << info.mc_replicates_saved
+        << '\n';
   ++rows_;
   if (!*out_) throw DataError("TelemetryCsvWriter: stream write failed");
 }

@@ -107,4 +107,19 @@ std::uint32_t default_thread_count() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+std::unique_ptr<ThreadPool> make_worker_pool(std::uint32_t workers) {
+  if (workers == 0) workers = default_thread_count();
+  if (workers <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(workers - 1);
+}
+
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(begin, end, fn);
+    return;
+  }
+  for (std::size_t i = begin; i < end; ++i) fn(i);
+}
+
 }  // namespace ldga::parallel

@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -60,5 +61,16 @@ class ThreadPool {
 
 /// A sensible default worker count: hardware concurrency, at least 1.
 std::uint32_t default_thread_count();
+
+/// The pool for a `workers`-wide parallel_for. `workers` counts the
+/// caller, which runs chunk 0 itself, and 0 means
+/// default_thread_count(): the pool gets workers − 1 threads, and there
+/// is none when that resolves to a single worker.
+std::unique_ptr<ThreadPool> make_worker_pool(std::uint32_t workers);
+
+/// pool->parallel_for(begin, end, fn), or fn(i) for each i in order on
+/// the caller when `pool` is null.
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace ldga::parallel

@@ -40,16 +40,10 @@ void ClumpConfig::validate() const {
   }
 }
 
-Clump::Clump(ClumpConfig config, bool simd_kernels)
-    : config_(config), simd_kernels_(simd_kernels) {
+Clump::Clump(ClumpConfig config) : config_(config) {
   config_.validate();
-  if (config_.monte_carlo_trials > 0 && config_.monte_carlo_workers != 1) {
-    const std::uint32_t workers = config_.monte_carlo_workers == 0
-                                      ? parallel::default_thread_count()
-                                      : config_.monte_carlo_workers;
-    if (workers > 1) {
-      pool_ = std::make_shared<parallel::ThreadPool>(workers);
-    }
+  if (config_.monte_carlo_trials > 0) {
+    pool_ = parallel::make_worker_pool(config_.monte_carlo_workers);
   }
 }
 
@@ -72,141 +66,84 @@ ContingencyTable clump_rare(const ContingencyTable& table, double threshold) {
   return table.clump_columns(kept);
 }
 
-/// Cached marginals for the T3/T4 scans. A candidate column group's
-/// 2×2 split [a, R0−a; b, R1−b] is determined by its two row sums
-/// (a, b) alone, so the chi-square follows in O(1) from the closed
-/// form N(ad−bc)² / (R0 R1 C0 C1) — no per-candidate collapse_to_two
-/// table materialization. A zero marginal leaves fewer than two live
-/// rows or columns, which pearson_chi_square scores as 0.
-class TwoByTwoScanner {
- public:
-  explicit TwoByTwoScanner(const ContingencyTable& table)
-      : row0_(table.row_total(0)), row1_(table.row_total(1)) {
-    grand_ = row0_ + row1_;
-    top_.reserve(table.cols());
-    bottom_.reserve(table.cols());
+/// The observed table's two rows and row totals, the input of the
+/// T3/T4 scans. A candidate column group's 2×2 split [a, R0−a; b, R1−b]
+/// is determined by its two row sums (a, b) alone, so one chi_columns
+/// sweep shifted by the group's running sums scores every one-column
+/// extension — no per-candidate collapse_to_two table.
+struct TwoRows {
+  explicit TwoRows(const ContingencyTable& table)
+      : row0(table.row_total(0)), row1(table.row_total(1)) {
+    top.reserve(table.cols());
+    bottom.reserve(table.cols());
     for (std::uint32_t c = 0; c < table.cols(); ++c) {
-      top_.push_back(table.at(0, c));
-      bottom_.push_back(table.at(1, c));
+      top.push_back(table.at(0, c));
+      bottom.push_back(table.at(1, c));
     }
   }
 
-  std::uint32_t cols() const {
-    return static_cast<std::uint32_t>(top_.size());
-  }
-  double top(std::uint32_t c) const { return top_[c]; }
-  double bottom(std::uint32_t c) const { return bottom_[c]; }
-  const double* top_data() const { return top_.data(); }
-  const double* bottom_data() const { return bottom_.data(); }
-  double row0() const { return row0_; }
-  double row1() const { return row1_; }
+  std::uint32_t cols() const { return static_cast<std::uint32_t>(top.size()); }
 
-  /// Chi-square of the split whose first column has cells (a, b).
-  double chi(double a, double b) const {
-    const double col0 = a + b;
-    const double col1 = grand_ - col0;
-    if (row0_ <= 0.0 || row1_ <= 0.0 || col0 <= 0.0 || col1 <= 0.0) {
-      return 0.0;
-    }
-    const double cross = a * (row1_ - b) - b * (row0_ - a);
-    return grand_ * cross * cross / (row0_ * row1_ * col0 * col1);
-  }
-
- private:
-  double row0_ = 0.0;
-  double row1_ = 0.0;
-  double grand_ = 0.0;
-  std::vector<double> top_;
-  std::vector<double> bottom_;
+  std::vector<double> top;
+  std::vector<double> bottom;
+  double row0 = 0.0;
+  double row1 = 0.0;
 };
 
 /// Statistic value of the best single-column 2×2 split (T3), also
-/// returning the winning column. With `simd` the per-column chi-squares
-/// are filled by the dispatched chi_columns kernel and a scalar argmax
-/// keeps the first-maximum tie-breaking; the column values round
-/// differently from the scalar closed form in the last ulps.
-std::pair<double, std::uint32_t> best_single_column(
-    const TwoByTwoScanner& scan, bool simd) {
+/// returning the winning column: one chi_columns sweep, then a scalar
+/// argmax that keeps the first maximum.
+std::pair<double, std::uint32_t> best_single_column(const TwoRows& rows) {
+  std::vector<double> chi(rows.cols());
+  util::simd().chi_columns(rows.top.data(), rows.bottom.data(), rows.cols(),
+                           0.0, 0.0, rows.row0, rows.row1, chi.data());
   double best = 0.0;
   std::uint32_t best_col = 0;
-  if (simd) {
-    // Thread-local: this runs once per Monte-Carlo trial, so a heap
-    // allocation per call would dominate the kernel itself.
-    thread_local std::vector<double> chi;
-    chi.resize(scan.cols());
-    util::simd().chi_columns(scan.top_data(), scan.bottom_data(),
-                             scan.cols(), 0.0, 0.0, scan.row0(),
-                             scan.row1(), chi.data());
-    for (std::uint32_t c = 0; c < scan.cols(); ++c) {
-      if (chi[c] > best) {
-        best = chi[c];
-        best_col = c;
-      }
-    }
-    return {best, best_col};
-  }
-  for (std::uint32_t c = 0; c < scan.cols(); ++c) {
-    const double chi = scan.chi(scan.top(c), scan.bottom(c));
-    if (chi > best) {
-      best = chi;
+  for (std::uint32_t c = 0; c < rows.cols(); ++c) {
+    if (chi[c] > best) {
+      best = chi[c];
       best_col = c;
     }
   }
   return {best, best_col};
 }
 
-/// T4: greedy growth of a column group maximizing the 2×2 chi-square.
-/// The group's running row sums make each candidate extension O(1).
-/// With `simd` every round's extension scan is one chi_columns sweep
-/// (shifted by the group's running sums); used columns are skipped in
-/// the scalar argmax, so the greedy decisions keep their order.
+/// T4: greedy growth of a column group maximizing the 2×2 chi-square,
+/// seeded with T3's statistic and column. Every round's extension scan
+/// is one chi_columns sweep shifted by the group's running row sums;
+/// used columns are skipped in the scalar argmax, so the greedy
+/// decisions keep their order.
 std::pair<double, std::vector<std::uint32_t>> best_column_group(
-    const TwoByTwoScanner& scan, bool simd) {
-  auto [best, seed] = best_single_column(scan, simd);
+    const TwoRows& rows, double best, std::uint32_t seed) {
   std::vector<std::uint32_t> group{seed};
-  std::vector<bool> used(scan.cols(), false);
+  std::vector<bool> used(rows.cols(), false);
   used[seed] = true;
-  double group_top = scan.top(seed);
-  double group_bottom = scan.bottom(seed);
-
-  thread_local std::vector<double> chi;
-  if (simd) chi.resize(scan.cols());
+  double group_top = rows.top[seed];
+  double group_bottom = rows.bottom[seed];
+  std::vector<double> chi(rows.cols());
 
   bool improved = true;
-  while (improved && group.size() + 1 < scan.cols()) {
+  while (improved && group.size() + 1 < rows.cols()) {
     improved = false;
     double round_best = best;
     std::uint32_t round_col = 0;
-    if (simd) {
-      util::simd().chi_columns(scan.top_data(), scan.bottom_data(),
-                               scan.cols(), group_top, group_bottom,
-                               scan.row0(), scan.row1(), chi.data());
-      for (std::uint32_t c = 0; c < scan.cols(); ++c) {
-        if (used[c]) continue;
-        if (chi[c] > round_best) {
-          round_best = chi[c];
-          round_col = c;
-          improved = true;
-        }
-      }
-    } else {
-      for (std::uint32_t c = 0; c < scan.cols(); ++c) {
-        if (used[c]) continue;
-        const double chi_c = scan.chi(group_top + scan.top(c),
-                                      group_bottom + scan.bottom(c));
-        if (chi_c > round_best) {
-          round_best = chi_c;
-          round_col = c;
-          improved = true;
-        }
+    util::simd().chi_columns(rows.top.data(), rows.bottom.data(),
+                             rows.cols(), group_top, group_bottom, rows.row0,
+                             rows.row1, chi.data());
+    for (std::uint32_t c = 0; c < rows.cols(); ++c) {
+      if (used[c]) continue;
+      if (chi[c] > round_best) {
+        round_best = chi[c];
+        round_col = c;
+        improved = true;
       }
     }
     if (improved) {
       best = round_best;
       group.push_back(round_col);
       used[round_col] = true;
-      group_top += scan.top(round_col);
-      group_bottom += scan.bottom(round_col);
+      group_top += rows.top[round_col];
+      group_bottom += rows.bottom[round_col];
     }
   }
   std::sort(group.begin(), group.end());
@@ -219,18 +156,21 @@ std::pair<double, std::vector<std::uint32_t>> best_column_group(
 constexpr std::uint32_t kRepBatch = 64;
 
 /// Everything about a Monte-Carlo replicate that does NOT depend on the
-/// trial's shuffle, hoisted out of the trial loop. sample_null rounds
-/// the observed marginals identically every call, so the rounded
-/// quotas, the column-label template, the dealt row totals (quotas
-/// clamped by the label count when the rounding fix truncated a
-/// column), the zero-statistic flags of the degenerate cases and T2's
-/// clump set (expected counts under the null depend on marginals only)
-/// are all pure functions of the observed table.
+/// trial's shuffle, hoisted out of the trial loop. A null table is the
+/// observed marginals, rounded to integers, with the observations'
+/// column labels shuffled and dealt to the rows by quota (the
+/// permutation null; reference_clump's sample_null is the per-trial
+/// oracle). The rounding is the same every trial, so the quotas, the
+/// column-label template, the dealt row totals (quotas clamped by the
+/// label count when the rounding fix truncated a column), the
+/// zero-statistic flags of the degenerate cases and T2's clump set
+/// (expected counts under the null depend on marginals only) are all
+/// pure functions of the observed table.
 struct NullReplicateInvariants {
   std::uint32_t cols = 0;
   std::int64_t row_quota[2] = {0, 0};
-  /// One label per observation (its column), column-ascending — the
-  /// exact layout sample_null builds before shuffling.
+  /// One label per observation (its column), column-ascending: the
+  /// template every trial shuffles.
   std::vector<std::uint32_t> labels;
   /// Column totals of every replicate (the quotas, as doubles).
   std::vector<double> col_sums;
@@ -253,8 +193,8 @@ NullReplicateInvariants build_null_invariants(const ContingencyTable& table,
   NullReplicateInvariants inv;
   inv.cols = table.cols();
 
-  // Marginal rounding — the same arithmetic as sample_null, which
-  // repeats it per trial with identical results.
+  // Marginal rounding: estimated counts are near-integers in total, so
+  // the rounding error goes to the largest column.
   std::vector<std::int64_t> col_quota(inv.cols);
   std::int64_t row_sum_total = 0, col_sum_total = 0;
   for (std::uint32_t r = 0; r < 2; ++r) {
@@ -347,10 +287,12 @@ struct NullBatchScratch {
   std::vector<std::uint8_t> used;
 };
 
-/// Runs trials [begin, end) of the pre-drawn seed sequence through the
-/// batched engine, writing the same outcome bits the per-trial
-/// run_trial produces (bit-identical statistics at the same dispatch
-/// level — see the kernel contracts in util/simd.hpp).
+/// Runs trials [begin, end) of the pre-drawn seed sequence: deals each
+/// replicate's null table into the slabs, scores the four statistics
+/// through the batch kernels, and sets outcome bit k when statistic k+1
+/// of the null reaches the observed one. Each replicate's statistics
+/// are bit-identical to the per-table kernels on that replicate alone
+/// (the batch-kernel contract in util/simd.hpp).
 void run_trials_batched(const NullReplicateInvariants& inv,
                         const ClumpResult& observed,
                         std::span<const std::uint64_t> seeds,
@@ -363,8 +305,8 @@ void run_trials_batched(const NullReplicateInvariants& inv,
   const util::SimdKernels& kernels = util::simd();
 
   // Deal every replicate into the slabs: per trial one label-template
-  // copy, one shuffle (the trial stream's only consumption, exactly as
-  // sample_null), one row-quota deal.
+  // copy, one shuffle (the trial stream's only consumption), one
+  // row-quota deal.
   s.top.assign(std::size_t{reps} * cols, 0.0);
   s.bottom.assign(std::size_t{reps} * cols, 0.0);
   for (std::uint32_t r = 0; r < reps; ++r) {
@@ -451,11 +393,11 @@ void run_trials_batched(const NullReplicateInvariants& inv,
     if (best >= observed.t3.statistic) outcomes[begin + r] |= 4u;
   }
 
-  // T4: the greedy growth seeds from T3's winner (best_column_group
-  // recomputes the identical scan). Round 1 is uniform across
-  // replicates — every group is one seed column — so it runs lockstep
-  // through the per-replicate shift pairs; later rounds diverge and
-  // continue per replicate on this level's chi_columns.
+  // T4: the greedy growth seeds from T3's winner, as best_column_group
+  // does. Round 1 is uniform across replicates — every group is one
+  // seed column — so it runs lockstep through the per-replicate shift
+  // pairs; later rounds diverge and continue per replicate on this
+  // level's chi_columns.
   const bool t4_rounds = cols > 2;  // group.size() + 1 < cols at size 1
   if (t4_rounds) {
     s.add_top.resize(reps);
@@ -520,38 +462,32 @@ void run_trials_batched(const NullReplicateInvariants& inv,
 }  // namespace
 
 ChiSquare Clump::t1(const ContingencyTable& table) const {
-  return table.drop_empty_columns().pearson_chi_square(simd_kernels_);
+  return table.drop_empty_columns().pearson_chi_square();
 }
 
 ClumpResult Clump::analyze(const ContingencyTable& raw, Rng& rng) const {
   LDGA_EXPECTS(raw.rows() == 2);
   const ContingencyTable table = raw.drop_empty_columns();
-  const bool simd = simd_kernels_;
 
   ClumpResult result;
 
   // Observed statistics.
   {
-    const auto chi = table.pearson_chi_square(simd);
+    const auto chi = table.pearson_chi_square();
     result.t1 = {chi.statistic, chi.df, chi.p_value, std::nullopt};
   }
   {
     const auto chi = clump_rare(table, config_.rare_expected_threshold)
-                         .pearson_chi_square(simd);
+                         .pearson_chi_square();
     result.t2 = {chi.statistic, chi.df, chi.p_value, std::nullopt};
   }
   {
-    const TwoByTwoScanner scan(table);
-    {
-      const auto [stat, col] = best_single_column(scan, simd);
-      result.t3 = {stat, 1, chi_square_sf(stat, 1.0), std::nullopt};
-      (void)col;
-    }
-    {
-      auto [stat, group] = best_column_group(scan, simd);
-      result.t4 = {stat, 1, chi_square_sf(stat, 1.0), std::nullopt};
-      result.t4_group = std::move(group);
-    }
+    const TwoRows rows(table);
+    const auto [t3, t3_col] = best_single_column(rows);
+    result.t3 = {t3, 1, chi_square_sf(t3, 1.0), std::nullopt};
+    auto [t4, group] = best_column_group(rows, t3, t3_col);
+    result.t4 = {t4, 1, chi_square_sf(t4, 1.0), std::nullopt};
+    result.t4_group = std::move(group);
   }
 
   // Monte-Carlo resampling: each replicate recomputes all four
@@ -570,72 +506,21 @@ ClumpResult Clump::analyze(const ContingencyTable& raw, Rng& rng) const {
     for (auto& seed : seeds) seed = rng();
     std::vector<std::uint8_t> outcomes(trials, 0);
 
-    const auto run_trial = [&](std::size_t trial) {
-      Rng trial_rng(seeds[trial]);
-      const ContingencyTable null = table.sample_null(trial_rng);
-      std::uint8_t hits = 0;
-      if (null.pearson_chi_square(simd).statistic >=
-          result.t1.statistic) {
-        hits |= 1u;
-      }
-      if (clump_rare(null, config_.rare_expected_threshold)
-              .pearson_chi_square(simd)
-              .statistic >= result.t2.statistic) {
-        hits |= 2u;
-      }
-      const TwoByTwoScanner null_scan(null);
-      if (best_single_column(null_scan, simd).first >=
-          result.t3.statistic) {
-        hits |= 4u;
-      }
-      if (best_column_group(null_scan, simd).first >=
-          result.t4.statistic) {
-        hits |= 8u;
-      }
-      outcomes[trial] = hits;
-    };
-
-    // Batched engine: hoist the trial-invariant null structure once,
-    // then deal/score replicates in sub-batches through the batch
-    // kernels. Runs whenever the vector kernels are on (each lane is
-    // bit-identical to the per-trial vector path at the same dispatch
-    // level); without them the per-trial scalar reference runs.
-    NullReplicateInvariants invariants;
-    if (simd) {
-      invariants =
-          build_null_invariants(table, config_.rare_expected_threshold);
-    }
-    const auto run_batched_range = [&](std::uint32_t begin,
-                                       std::uint32_t end) {
+    // Hoist the trial-invariant null structure once, then deal and
+    // score trials [begin, end) in kRepBatch sub-batches over the pool.
+    const NullReplicateInvariants invariants =
+        build_null_invariants(table, config_.rare_expected_threshold);
+    const auto run_range = [&](std::uint32_t begin, std::uint32_t end) {
       const std::uint32_t n_chunks =
           (end - begin + kRepBatch - 1) / kRepBatch;
-      const auto run_chunk = [&](std::size_t chunk) {
+      parallel::parallel_for(pool_.get(), 0, n_chunks, [&](std::size_t chunk) {
         const auto chunk_begin = static_cast<std::uint32_t>(
             begin + chunk * std::uint64_t{kRepBatch});
         const std::uint32_t chunk_end =
             std::min(chunk_begin + kRepBatch, end);
-        run_trials_batched(invariants, result, seeds, chunk_begin,
-                           chunk_end, outcomes.data());
-      };
-      if (pool_ != nullptr && n_chunks > 1) {
-        pool_->parallel_for(0, n_chunks, run_chunk);
-      } else {
-        for (std::uint32_t chunk = 0; chunk < n_chunks; ++chunk) {
-          run_chunk(chunk);
-        }
-      }
-    };
-
-    const auto run_range = [&](std::uint32_t begin, std::uint32_t end) {
-      if (simd) {
-        run_batched_range(begin, end);
-      } else if (pool_ != nullptr) {
-        pool_->parallel_for(begin, end, run_trial);
-      } else {
-        for (std::uint32_t trial = begin; trial < end; ++trial) {
-          run_trial(trial);
-        }
-      }
+        run_trials_batched(invariants, result, seeds, chunk_begin, chunk_end,
+                           outcomes.data());
+      });
     };
 
     std::uint32_t run = 0;
@@ -689,7 +574,6 @@ ClumpResult Clump::analyze(const ContingencyTable& raw, Rng& rng) const {
       }
     }
     result.mc_replicates_run = run;
-    result.mc_batched_replicates = simd ? run : 0;
 
     std::uint32_t ge1 = 0, ge2 = 0, ge3 = 0, ge4 = 0;
     for (std::uint32_t t = 0; t < run; ++t) {

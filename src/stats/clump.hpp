@@ -34,11 +34,12 @@ struct ClumpConfig {
   std::uint32_t monte_carlo_trials = 0;
   /// Expected-count threshold below which T2 clumps a column.
   double rare_expected_threshold = 5.0;
-  /// Threads for the Monte-Carlo replicates (Sham & Curtis's sampling
-  /// is embarrassingly parallel): 1 runs inline on the caller, 0 means
-  /// hardware concurrency. Every replicate draws from its own child
-  /// stream seeded sequentially off the caller's RNG, so the p-values
-  /// depend on seed and trial count only — never on the worker count.
+  /// Threads for the Monte-Carlo replicates, the caller among them
+  /// (Sham & Curtis's sampling is embarrassingly parallel): 1 runs
+  /// inline on the caller, 0 means hardware concurrency. Every
+  /// replicate draws from its own child stream seeded sequentially off
+  /// the caller's RNG, so the p-values depend on seed and trial count
+  /// only — never on the worker count.
   std::uint32_t monte_carlo_workers = 1;
   /// Sequential early stopping: run replicates in doubling batches and
   /// stop once every statistic's significance call at mc_significance
@@ -88,27 +89,21 @@ struct ClumpResult {
   /// True when the early stopper decided all four calls before the
   /// replicate ceiling.
   bool mc_early_stopped = false;
-  /// Replicates executed through the replicate-batched engine
-  /// (== mc_replicates_run with the vector kernels on, 0 otherwise).
-  std::uint32_t mc_batched_replicates = 0;
 };
 
 class Clump {
  public:
-  /// `simd_kernels` runs the 2×2 column scans (T3/T4) and Pearson
-  /// accumulation through the dispatched vector kernels (util/simd.hpp)
-  /// and the Monte-Carlo replicates through the replicate-batched
-  /// engine: the trial-invariant null structure (rounded marginals,
-  /// label template, T2's clump set, zero-statistic flags) is hoisted
-  /// out of the trial loop, replicates are dealt into replicate-major
-  /// slabs in sub-batches, and the four statistics run through the
-  /// batch kernels (batch_pearson_2xn, batch_chi_columns). Deterministic
-  /// for a fixed dispatch level but rounded differently from the scalar
-  /// per-trial path in the last ulps (fixed-lane-order sums instead of
-  /// Kahan); statistics agree to ~1e-9. The parameter defaults to the
-  /// scalar path, the bit-exact reference; the evaluator passes
-  /// EvaluatorConfig::simd_kernels, which is on by default.
-  explicit Clump(ClumpConfig config = {}, bool simd_kernels = false);
+  /// The 2×2 column scans (T3/T4) and Pearson accumulation run through
+  /// the dispatched vector kernels (util/simd.hpp), and the Monte-Carlo
+  /// replicates through the replicate-batched engine: the
+  /// trial-invariant null structure (rounded marginals, label template,
+  /// T2's clump set, zero-statistic flags) is hoisted out of the trial
+  /// loop, replicates are dealt into replicate-major slabs in
+  /// sub-batches, and the four statistics run through the batch kernels
+  /// (batch_pearson_2xn, batch_chi_columns). Deterministic for a fixed
+  /// dispatch level; statistics agree with the Kahan-summed per-trial
+  /// test oracle (reference_clump) to ~1e-9.
+  explicit Clump(ClumpConfig config = {});
 
   /// Analyzes a 2 × M table of (estimated) counts. Monte-Carlo draws, if
   /// enabled, consume the provided RNG; pass a deterministically seeded
@@ -120,12 +115,11 @@ class Clump {
 
  private:
   ClumpConfig config_;
-  bool simd_kernels_ = false;
-  /// Lazily absent: created only when Monte Carlo is enabled with more
-  /// than one worker. Shared so Clump stays copyable (copies reuse the
-  /// pool; analyze() may be called from several threads at once — the
-  /// pool's queue is internally synchronized and each call drains only
-  /// its own futures).
+  /// Absent unless Monte Carlo is enabled with more than one worker.
+  /// Shared so Clump stays copyable (copies reuse the pool; analyze()
+  /// may be called from several threads at once — the pool's queue is
+  /// internally synchronized and each call drains only its own
+  /// futures).
   std::shared_ptr<parallel::ThreadPool> pool_;
 };
 

@@ -1,8 +1,5 @@
 #include "stats/contingency.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "stats/special.hpp"
 #include "util/error.hpp"
 #include "util/numeric.hpp"
@@ -57,12 +54,12 @@ double ContingencyTable::expected(std::uint32_t r, std::uint32_t c) const {
   return row_total(r) * col_total(c) / total;
 }
 
-ChiSquare ContingencyTable::pearson_chi_square(bool simd_kernels) const {
+ChiSquare ContingencyTable::pearson_chi_square() const {
   const double total = grand_total();
   ChiSquare result;
   if (total <= 0.0) return result;
 
-  // Thread-local: one call per Monte-Carlo trial; every element is
+  // Thread-local: one call per CLUMP statistic; every element is
   // written below before it is read.
   thread_local std::vector<double> row_sums, col_sums;
   row_sums.resize(rows_);
@@ -78,32 +75,17 @@ ChiSquare ContingencyTable::pearson_chi_square(bool simd_kernels) const {
   }
   if (live_rows < 2 || live_cols < 2) return result;
 
-  if (simd_kernels) {
-    // Cells are row-major, so each row's terms are one contiguous
-    // kernel sweep; rows combine left to right. Fixed lane order, not
-    // Kahan — see the contract in the header.
-    const util::SimdKernels& kernels = util::simd();
-    double statistic = 0.0;
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      if (row_sums[r] <= 0.0) continue;
-      statistic += kernels.pearson_row_terms(
-          cells_.data() + static_cast<std::size_t>(r) * cols_,
-          col_sums.data(), cols_, row_sums[r], total);
-    }
-    result.statistic = statistic;
-  } else {
-    KahanSum statistic;
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      if (row_sums[r] <= 0.0) continue;
-      for (std::uint32_t c = 0; c < cols_; ++c) {
-        if (col_sums[c] <= 0.0) continue;
-        const double e = row_sums[r] * col_sums[c] / total;
-        const double diff = at(r, c) - e;
-        statistic.add(diff * diff / e);
-      }
-    }
-    result.statistic = statistic.value();
+  // Cells are row-major, so each row's terms are one contiguous kernel
+  // sweep; rows combine left to right.
+  const util::SimdKernels& kernels = util::simd();
+  double statistic = 0.0;
+  for (std::uint32_t r = 0; r < rows_; ++r) {
+    if (row_sums[r] <= 0.0) continue;
+    statistic += kernels.pearson_row_terms(
+        cells_.data() + static_cast<std::size_t>(r) * cols_, col_sums.data(),
+        cols_, row_sums[r], total);
   }
+  result.statistic = statistic;
   result.df = (live_rows - 1) * (live_cols - 1);
   result.p_value = chi_square_sf(result.statistic,
                                  static_cast<double>(result.df));
@@ -158,48 +140,6 @@ ContingencyTable ContingencyTable::drop_empty_columns(double epsilon) const {
   for (std::uint32_t i = 0; i < live.size(); ++i) {
     for (std::uint32_t r = 0; r < rows_; ++r) {
       out.set(r, i, at(r, live[i]));
-    }
-  }
-  return out;
-}
-
-ContingencyTable ContingencyTable::sample_null(Rng& rng) const {
-  // Round marginals to integers (estimated counts are near-integers in
-  // total; rounding error is redistributed to the largest marginal).
-  std::vector<std::int64_t> row_sums(rows_), col_sums(cols_);
-  std::int64_t row_sum_total = 0, col_sum_total = 0;
-  for (std::uint32_t r = 0; r < rows_; ++r) {
-    row_sums[r] = std::llround(row_total(r));
-    row_sum_total += row_sums[r];
-  }
-  for (std::uint32_t c = 0; c < cols_; ++c) {
-    col_sums[c] = std::llround(col_total(c));
-    col_sum_total += col_sums[c];
-  }
-  // Fix any rounding mismatch on the largest column.
-  if (col_sum_total != row_sum_total && cols_ > 0) {
-    const auto biggest = static_cast<std::uint32_t>(
-        std::max_element(col_sums.begin(), col_sums.end()) -
-        col_sums.begin());
-    col_sums[biggest] += row_sum_total - col_sum_total;
-    if (col_sums[biggest] < 0) col_sums[biggest] = 0;
-  }
-
-  // Permutation null: lay out one label per observation (its column),
-  // shuffle, and deal them to rows in order of the row quotas. Both
-  // marginals are preserved exactly.
-  std::vector<std::uint32_t> labels;
-  labels.reserve(static_cast<std::size_t>(row_sum_total));
-  for (std::uint32_t c = 0; c < cols_; ++c) {
-    for (std::int64_t i = 0; i < col_sums[c]; ++i) labels.push_back(c);
-  }
-  rng.shuffle(std::span<std::uint32_t>(labels));
-
-  ContingencyTable out(rows_, cols_);
-  std::size_t next = 0;
-  for (std::uint32_t r = 0; r < rows_; ++r) {
-    for (std::int64_t i = 0; i < row_sums[r] && next < labels.size(); ++i) {
-      out.add(r, labels[next++], 1.0);
     }
   }
   return out;

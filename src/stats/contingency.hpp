@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace ldga::stats {
 
 struct ChiSquare {
@@ -40,12 +38,11 @@ class ContingencyTable {
   /// effective counts exclude all-zero rows/columns. The analytic
   /// p-value comes from the chi-square survival function.
   ///
-  /// With `simd_kernels` the per-cell accumulation runs through the
-  /// dispatched vector kernels (util/simd.hpp) in fixed lane order
-  /// instead of the reference's Kahan sum: deterministic for a fixed
-  /// dispatch level, equal to the reference to ~1e-9 but not
-  /// bit-for-bit, which is why it defaults off.
-  ChiSquare pearson_chi_square(bool simd_kernels = false) const;
+  /// Each row's terms are one dispatched pearson_row_terms sweep
+  /// (util/simd.hpp) in fixed lane order: deterministic for a fixed
+  /// dispatch level, and equal to the Kahan-summed test oracle
+  /// (reference_clump) to ~1e-9 but not bit for bit.
+  ChiSquare pearson_chi_square() const;
 
   /// New table keeping only the listed columns, with every other column
   /// summed into one trailing "rest" column (CLUMP's clumping step).
@@ -59,13 +56,6 @@ class ContingencyTable {
   /// Drops all-zero columns (EM gives many haplotypes frequency ~0).
   /// Columns whose total is <= epsilon are removed entirely.
   ContingencyTable drop_empty_columns(double epsilon = 1e-12) const;
-
-  /// Random table with (approximately integer) marginals equal to this
-  /// table's, drawn under the independence null — CLUMP's Monte-Carlo
-  /// step. Marginals are rounded to integers first; sampling fills cells
-  /// row by row with conditional binomial draws so that both row and
-  /// column totals are preserved exactly.
-  ContingencyTable sample_null(Rng& rng) const;
 
  private:
   std::uint32_t rows_ = 0;

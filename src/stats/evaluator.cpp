@@ -39,7 +39,7 @@ HaplotypeEvaluator::HaplotypeEvaluator(const genomics::Dataset& dataset,
     : dataset_(&dataset),
       config_(config.validated()),
       eh_diall_(dataset, config.em),
-      clump_(config.clump, config.simd_kernels),
+      clump_(config.clump),
       cache_(config.cache_capacity, config.cache_shards) {}
 
 EvaluationResult HaplotypeEvaluator::evaluate_full(
@@ -129,8 +129,6 @@ void HaplotypeEvaluator::account_monte_carlo(const ClumpResult& clump) const {
   mc_replicates_saved_.fetch_add(
       config_.clump.monte_carlo_trials - clump.mc_replicates_run,
       std::memory_order_relaxed);
-  mc_batched_replicates_.fetch_add(clump.mc_batched_replicates,
-                                   std::memory_order_relaxed);
 }
 
 double HaplotypeEvaluator::note_failure(std::span<const SnpIndex> snps,
@@ -247,7 +245,6 @@ void HaplotypeEvaluator::reset_counters() const {
   clump_ns_.store(0, std::memory_order_relaxed);
   mc_replicates_run_.store(0, std::memory_order_relaxed);
   mc_replicates_saved_.store(0, std::memory_order_relaxed);
-  mc_batched_replicates_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ldga::stats

@@ -12,6 +12,12 @@
 // synchronized. The GA's "number of evaluations" metric counts cache
 // misses only — re-requesting a known haplotype is free, matching the
 // paper's accounting where the cost lives in the statistical pipeline.
+//
+// Each stage has one code path. Pattern tables and EM are bit-identical
+// at every SIMD dispatch level; CLUMP's floating-point sums run on the
+// dispatched vector kernels (util/simd.hpp), so a CLUMP statistic is
+// deterministic for a fixed level and agrees across levels to ~1e-9.
+// Pin LDGA_SIMD=scalar for fitness bits that do not depend on the host.
 #pragma once
 
 #include <atomic>
@@ -94,21 +100,6 @@ struct EvaluatorConfig {
   /// Lock shards of the fitness cache (>= 1). More shards = less
   /// contention when many backend workers insert at once.
   std::uint32_t cache_shards = 16;
-  /// Route CLUMP's floating-point loops — its 2×2 column scans and
-  /// Pearson accumulation — through the runtime-dispatched vector
-  /// kernels (util/simd.hpp), and run its Monte-Carlo replicates
-  /// through the replicate-batched engine. Deterministic for a fixed
-  /// dispatch level — pin one with LDGA_SIMD=scalar|avx2|... — and
-  /// equal to the scalar path to ~1e-9, but not bit-for-bit
-  /// (fixed-lane-order sums instead of the reference order). On by
-  /// default: Monte-Carlo CLUMP runs ~3× slower without it. EM is not
-  /// affected — it always runs the scalar compiled kernel, bit for bit
-  /// the reference — so with the LRT as fitness the flag changes no
-  /// value. Turn it off to reproduce the scalar reference bit for bit,
-  /// CLUMP included. The integer pattern kernels are dispatched
-  /// unconditionally; they are bit-exact at every level and need no
-  /// flag. This is the evaluator's only path switch.
-  bool simd_kernels = true;
 
   void validate() const;
   /// Validating factory: returns a copy after rejecting inconsistent
@@ -223,11 +214,6 @@ class HaplotypeEvaluator {
   /// together with that metric.
   std::uint64_t em_batch_runs() const { return 0; }
   std::uint64_t em_batch_lanes() const { return 0; }
-  /// Monte-Carlo replicates that ran through the replicate-batched
-  /// CLUMP engine, cumulative since construction (or reset_counters()).
-  std::uint64_t mc_batched_replicates() const {
-    return mc_batched_replicates_.load(std::memory_order_relaxed);
-  }
 
   const genomics::Dataset& dataset() const { return *dataset_; }
   const EvaluatorConfig& config() const { return config_; }
@@ -263,7 +249,6 @@ class HaplotypeEvaluator {
   mutable std::atomic<std::uint64_t> clump_ns_{0};
   mutable std::atomic<std::uint64_t> mc_replicates_run_{0};
   mutable std::atomic<std::uint64_t> mc_replicates_saved_{0};
-  mutable std::atomic<std::uint64_t> mc_batched_replicates_{0};
   mutable std::mutex failure_mutex_;
   mutable std::string last_failure_;
 };

@@ -69,15 +69,8 @@ PermutationResult permutation_test(const Dataset& dataset,
     statistics[p] = evaluator.evaluate_full(key).fitness;
   };
 
-  const std::uint32_t workers = config.workers > 0
-                                    ? config.workers
-                                    : parallel::default_thread_count();
-  if (workers <= 1) {
-    for (std::size_t p = 0; p < statistics.size(); ++p) evaluate_one(p);
-  } else {
-    parallel::ThreadPool pool(workers);
-    pool.parallel_for(0, statistics.size(), evaluate_one);
-  }
+  const auto pool = parallel::make_worker_pool(config.workers);
+  parallel::parallel_for(pool.get(), 0, statistics.size(), evaluate_one);
 
   KahanSum sum;
   for (const double s : statistics) {

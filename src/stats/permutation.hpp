@@ -20,7 +20,8 @@ namespace ldga::stats {
 struct PermutationConfig {
   std::uint32_t permutations = 200;
   std::uint64_t seed = 1;
-  /// Worker threads; 0 = hardware concurrency, 1 = serial.
+  /// Worker threads, the caller among them; 0 = hardware concurrency,
+  /// 1 = serial on the caller.
   std::uint32_t workers = 1;
 
   void validate() const;

@@ -22,31 +22,6 @@ namespace {
 // floating-point ones.
 // -------------------------------------------------------------------
 
-std::uint64_t popcount_words_scalar(const std::uint64_t* words,
-                                    std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::uint64_t>(std::popcount(words[i]));
-  }
-  return total;
-}
-
-std::uint64_t combine_planes_scalar(const std::uint64_t* parent,
-                                    const std::uint64_t* lo,
-                                    const std::uint64_t* hi,
-                                    std::uint64_t flip_lo,
-                                    std::uint64_t flip_hi, std::size_t n,
-                                    std::uint64_t* out) {
-  std::uint64_t any = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t word = parent[i] & (lo[i] ^ flip_lo) &
-                               (hi[i] ^ flip_hi);
-    out[i] = word;
-    any |= word;
-  }
-  return any;
-}
-
 std::uint64_t combine_planes_count_scalar(const std::uint64_t* parent,
                                           const std::uint64_t* lo,
                                           const std::uint64_t* hi,
@@ -173,7 +148,6 @@ void batch_pearson_2xn_scalar(const double* top, const double* bottom,
 
 const SimdKernels& scalar_kernels() {
   static constexpr SimdKernels kTable{
-      &popcount_words_scalar,       &combine_planes_scalar,
       &combine_planes_count_scalar, &plane_counts_scalar,
       &dosage_pair_scalar,          &chi_columns_scalar,
       &pearson_row_terms_scalar,    &batch_chi_columns_scalar,

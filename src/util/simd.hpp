@@ -9,17 +9,16 @@
 // codebase keeps the portable baseline flags.
 //
 // Determinism contract (docs/algorithms.md §12):
-//   * Integer kernels (popcount_words, combine_planes,
-//     combine_planes_count, plane_counts, dosage_pair) are bit-exact by
-//     construction at every level; they are always on.
+//   * Integer kernels (combine_planes_count, plane_counts, dosage_pair)
+//     are bit-exact by construction at every level.
 //   * Floating-point kernels (chi_columns, pearson_row_terms) are
-//     CLUMP's: they use a fixed lane order, so for a fixed dispatch
-//     level the result is deterministic run-to-run and across worker
-//     counts — but the last-ulp rounding differs from the scalar
-//     reference. Callers gate them behind EvaluatorConfig::simd_kernels
-//     and keep the scalar path as the bit-exact reference (pin
-//     LDGA_SIMD=scalar to reproduce it). EM has no vector kernel: its
-//     compiled scalar loop is the only E-step.
+//     CLUMP's, and CLUMP always runs them: they use a fixed lane order,
+//     so for a fixed dispatch level the result is deterministic
+//     run-to-run and across worker counts — but the last-ulp rounding
+//     differs between levels. Pin LDGA_SIMD=scalar for CLUMP bits that
+//     do not depend on the host. The Kahan-summed scalar CLUMP they are
+//     held to (to 1e-9) is the test oracle reference_clump. EM has no
+//     vector kernel: its compiled scalar loop is the only E-step.
 //   * Batch kernels (batch_chi_columns, batch_pearson_2xn) vectorize
 //     across independent Monte-Carlo replicates instead of along one
 //     short row; each replicate is bit-identical to the per-table
@@ -48,26 +47,13 @@ enum class SimdLevel : std::uint8_t {
 /// The kernel table. Each entry is total (handles n == 0 and arbitrary
 /// tails); pointers are never null once a table is published.
 struct SimdKernels {
-  /// Σ popcount(words[0..n)).
-  std::uint64_t (*popcount_words)(const std::uint64_t* words, std::size_t n);
-
   /// out[i] = parent[i] & (lo[i] ^ flip_lo) & (hi[i] ^ flip_hi) for
-  /// i in [0, n); returns the OR of all out words (the DFS pruning
-  /// signal). flip_lo / flip_hi must be 0 or ~0: the four combinations
-  /// select the four genotype classes of the 2-bit plane encoding
-  /// (HomOne ~lo&~hi, Het lo&~hi, HomTwo ~lo&hi, Missing lo&hi).
-  std::uint64_t (*combine_planes)(const std::uint64_t* parent,
-                                  const std::uint64_t* lo,
-                                  const std::uint64_t* hi,
-                                  std::uint64_t flip_lo,
-                                  std::uint64_t flip_hi, std::size_t n,
-                                  std::uint64_t* out);
-
-  /// combine_planes fused with the popcount of the result: writes the
-  /// same out words and returns Σ popcount(out) instead of the OR. The
-  /// DFS runs on this one — the count doubles as the pruning signal
-  /// (count != 0 ⟺ non-empty) and, on the last level, as the leaf's
-  /// pattern count, replacing the separate popcount_words sweep.
+  /// i in [0, n); returns Σ popcount(out). flip_lo / flip_hi must be 0
+  /// or ~0: the four combinations select the four genotype classes of
+  /// the 2-bit plane encoding (HomOne ~lo&~hi, Het lo&~hi, HomTwo
+  /// ~lo&hi, Missing lo&hi). The pattern DFS runs on it: the count
+  /// doubles as the pruning signal (count != 0 ⟺ non-empty) and, on
+  /// the last level, as the leaf's pattern count.
   std::uint64_t (*combine_planes_count)(const std::uint64_t* parent,
                                         const std::uint64_t* lo,
                                         const std::uint64_t* hi,

@@ -44,12 +44,6 @@ inline std::uint64_t horizontal_sum_u64(__m256i v) {
   return lanes[0] + lanes[1] + lanes[2] + lanes[3];
 }
 
-inline std::uint64_t horizontal_or_u64(__m256i v) {
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-  return lanes[0] | lanes[1] | lanes[2] | lanes[3];
-}
-
 /// Fixed-order reduction of a 4-lane double accumulator:
 /// (lane0 + lane1) + (lane2 + lane3).
 inline double horizontal_sum_pd(__m256d v) {
@@ -60,48 +54,6 @@ inline double horizontal_sum_pd(__m256d v) {
 
 inline __m256i loadu(const std::uint64_t* p) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-
-std::uint64_t popcount_words_avx2(const std::uint64_t* words,
-                                  std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_epi64(acc, popcount_lanes(loadu(words + i)));
-  }
-  std::uint64_t total = horizontal_sum_u64(acc);
-  for (; i < n; ++i) {
-    total += static_cast<std::uint64_t>(std::popcount(words[i]));
-  }
-  return total;
-}
-
-std::uint64_t combine_planes_avx2(const std::uint64_t* parent,
-                                  const std::uint64_t* lo,
-                                  const std::uint64_t* hi,
-                                  std::uint64_t flip_lo,
-                                  std::uint64_t flip_hi, std::size_t n,
-                                  std::uint64_t* out) {
-  const __m256i vfl = _mm256_set1_epi64x(static_cast<long long>(flip_lo));
-  const __m256i vfh = _mm256_set1_epi64x(static_cast<long long>(flip_hi));
-  __m256i any = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i word = _mm256_and_si256(
-        loadu(parent + i),
-        _mm256_and_si256(_mm256_xor_si256(loadu(lo + i), vfl),
-                         _mm256_xor_si256(loadu(hi + i), vfh)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), word);
-    any = _mm256_or_si256(any, word);
-  }
-  std::uint64_t any_bits = horizontal_or_u64(any);
-  for (; i < n; ++i) {
-    const std::uint64_t word =
-        parent[i] & (lo[i] ^ flip_lo) & (hi[i] ^ flip_hi);
-    out[i] = word;
-    any_bits |= word;
-  }
-  return any_bits;
 }
 
 std::uint64_t combine_planes_count_avx2(const std::uint64_t* parent,
@@ -319,7 +271,6 @@ void batch_pearson_2xn_avx2(const double* top, const double* bottom,
 
 const SimdKernels& avx2_kernels() {
   static constexpr SimdKernels kTable{
-      &popcount_words_avx2,       &combine_planes_avx2,
       &combine_planes_count_avx2, &plane_counts_avx2,
       &dosage_pair_avx2,          &chi_columns_avx2,
       &pearson_row_terms_avx2,    &batch_chi_columns_avx2,

@@ -23,50 +23,6 @@ inline __m512i loadu512(const std::uint64_t* p) {
   return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
 }
 
-std::uint64_t popcount_words_avx512(const std::uint64_t* words,
-                                    std::size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(loadu512(words + i)));
-  }
-  std::uint64_t total = static_cast<std::uint64_t>(
-      _mm512_reduce_add_epi64(acc));
-  for (; i < n; ++i) {
-    total += static_cast<std::uint64_t>(std::popcount(words[i]));
-  }
-  return total;
-}
-
-std::uint64_t combine_planes_avx512(const std::uint64_t* parent,
-                                    const std::uint64_t* lo,
-                                    const std::uint64_t* hi,
-                                    std::uint64_t flip_lo,
-                                    std::uint64_t flip_hi, std::size_t n,
-                                    std::uint64_t* out) {
-  const __m512i vfl = _mm512_set1_epi64(static_cast<long long>(flip_lo));
-  const __m512i vfh = _mm512_set1_epi64(static_cast<long long>(flip_hi));
-  __m512i any = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i word = _mm512_and_si512(
-        loadu512(parent + i),
-        _mm512_and_si512(_mm512_xor_si512(loadu512(lo + i), vfl),
-                         _mm512_xor_si512(loadu512(hi + i), vfh)));
-    _mm512_storeu_si512(reinterpret_cast<void*>(out + i), word);
-    any = _mm512_or_si512(any, word);
-  }
-  std::uint64_t any_bits =
-      static_cast<std::uint64_t>(_mm512_reduce_or_epi64(any));
-  for (; i < n; ++i) {
-    const std::uint64_t word =
-        parent[i] & (lo[i] ^ flip_lo) & (hi[i] ^ flip_hi);
-    out[i] = word;
-    any_bits |= word;
-  }
-  return any_bits;
-}
-
 std::uint64_t combine_planes_count_avx512(const std::uint64_t* parent,
                                           const std::uint64_t* lo,
                                           const std::uint64_t* hi,
@@ -179,7 +135,6 @@ void dosage_pair_avx512(const std::uint64_t* a, const std::uint64_t* b,
 const SimdKernels& avx512_kernels() {
   // The floating-point entries stay null here; simd.cpp fills them.
   static constexpr SimdKernels kTable{
-      &popcount_words_avx512,       &combine_planes_avx512,
       &combine_planes_count_avx512, &plane_counts_avx512,
       &dosage_pair_avx512,          nullptr,
       nullptr,                      nullptr,

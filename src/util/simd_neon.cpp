@@ -21,48 +21,6 @@ inline uint64x2_t popcount_lanes(uint64x2_t v) {
   return vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(bytes)));
 }
 
-std::uint64_t popcount_words_neon(const std::uint64_t* words,
-                                  std::size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    acc = vaddq_u64(acc, popcount_lanes(vld1q_u64(words + i)));
-  }
-  std::uint64_t total = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; i < n; ++i) {
-    total += static_cast<std::uint64_t>(std::popcount(words[i]));
-  }
-  return total;
-}
-
-std::uint64_t combine_planes_neon(const std::uint64_t* parent,
-                                  const std::uint64_t* lo,
-                                  const std::uint64_t* hi,
-                                  std::uint64_t flip_lo,
-                                  std::uint64_t flip_hi, std::size_t n,
-                                  std::uint64_t* out) {
-  const uint64x2_t vfl = vdupq_n_u64(flip_lo);
-  const uint64x2_t vfh = vdupq_n_u64(flip_hi);
-  uint64x2_t any = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t word = vandq_u64(
-        vld1q_u64(parent + i),
-        vandq_u64(veorq_u64(vld1q_u64(lo + i), vfl),
-                  veorq_u64(vld1q_u64(hi + i), vfh)));
-    vst1q_u64(out + i, word);
-    any = vorrq_u64(any, word);
-  }
-  std::uint64_t any_bits = vgetq_lane_u64(any, 0) | vgetq_lane_u64(any, 1);
-  for (; i < n; ++i) {
-    const std::uint64_t word =
-        parent[i] & (lo[i] ^ flip_lo) & (hi[i] ^ flip_hi);
-    out[i] = word;
-    any_bits |= word;
-  }
-  return any_bits;
-}
-
 std::uint64_t combine_planes_count_neon(const std::uint64_t* parent,
                                         const std::uint64_t* lo,
                                         const std::uint64_t* hi,
@@ -255,7 +213,6 @@ void batch_pearson_2xn_neon(const double* top, const double* bottom,
 
 const SimdKernels& neon_kernels() {
   static constexpr SimdKernels kTable{
-      &popcount_words_neon,       &combine_planes_neon,
       &combine_planes_count_neon, &plane_counts_neon,
       &dosage_pair_neon,          &chi_columns_neon,
       &pearson_row_terms_neon,    &batch_chi_columns_neon,

@@ -9,6 +9,7 @@
 #include "stats/evaluation_backend.hpp"
 #include "stats/evaluator.hpp"
 #include "test_support.hpp"
+#include "util/simd.hpp"
 
 namespace ldga::stats {
 namespace {
@@ -19,6 +20,8 @@ class EvaluationServiceTest : public ::testing::Test {
       : synthetic_(ldga::testing::small_synthetic(12, 2, 4242)),
         evaluator_(synthetic_.dataset),
         service_(evaluator_, make_serial_backend(evaluator_)) {}
+
+  void TearDown() override { util::simd_force_level(std::nullopt); }
 
   genomics::SyntheticDataset synthetic_;
   HaplotypeEvaluator evaluator_;
@@ -123,12 +126,14 @@ TEST_F(EvaluationServiceTest, AccountingHoldsAcrossBackends) {
 TEST_F(EvaluationServiceTest, BatchedDispatchIsBitIdenticalAcrossBackends) {
   // Mixed sizes with duplicates: the service dedups and dispatches the
   // misses to the backend, whose workers run fitness_and_cache per
-  // candidate (batched CLUMP replicates with the vector kernels on,
-  // per-replicate scalar CLUMP with them off). Dispatch is a
-  // scheduling decision, never arithmetic: every backend must
-  // reproduce, bit for bit, a batch of one on a fresh evaluator per
-  // candidate — including when a FaultInjector forces the retry ladder
-  // through first-attempt failures.
+  // candidate. T3 fitness with Monte Carlo puts CLUMP's batched
+  // replicates on every dispatch: 150 trials end in a partial
+  // 64-replicate sub-batch, and two Monte-Carlo workers mean the
+  // backend's workers share the evaluator's CLUMP pool. Dispatch is a
+  // scheduling decision, never arithmetic: at every SIMD level, every
+  // backend must reproduce, bit for bit, a batch of one on a fresh
+  // evaluator per candidate — including when a FaultInjector forces
+  // the retry ladder through first-attempt failures.
   const std::vector<Candidate> batch = {
       {0, 1}, {4, 5, 6}, {2, 3},    {0, 1},    {1, 2, 3, 4}, {9, 10},
       {7, 8}, {2, 3},    {5, 7, 9}, {0, 2, 4}, {3, 11},      {1, 6, 8, 11}};
@@ -142,9 +147,12 @@ TEST_F(EvaluationServiceTest, BatchedDispatchIsBitIdenticalAcrossBackends) {
   const BackendCase cases[] = {{"serial", &make_serial_backend},
                                {"thread_pool", &make_thread_pool_backend},
                                {"farm", &make_farm_backend}};
-  for (const bool simd : {true, false}) {
-    EvaluatorConfig config;
-    config.simd_kernels = simd;
+  EvaluatorConfig config;
+  config.fitness_statistic = FitnessStatistic::T3;
+  config.clump.monte_carlo_trials = 150;
+  config.clump.monte_carlo_workers = 2;
+  for (const util::SimdLevel level : util::simd_available_levels()) {
+    util::simd_force_level(level);
     std::vector<double> expected;
     for (const auto& snps : batch) {
       const HaplotypeEvaluator fresh(synthetic_.dataset, config);
@@ -153,8 +161,8 @@ TEST_F(EvaluationServiceTest, BatchedDispatchIsBitIdenticalAcrossBackends) {
     for (const auto& test_case : cases) {
       for (const bool faulted : {false, true}) {
         SCOPED_TRACE(::testing::Message()
-                     << test_case.label << (faulted ? " faulted" : "")
-                     << (simd ? " simd" : " scalar"));
+                     << test_case.label << (faulted ? " faulted" : "") << ' '
+                     << util::simd_level_name(level));
         HaplotypeEvaluator evaluator(synthetic_.dataset, config);
         BackendOptions options;
         options.workers = 3;
@@ -172,6 +180,8 @@ TEST_F(EvaluationServiceTest, BatchedDispatchIsBitIdenticalAcrossBackends) {
         for (std::size_t i = 0; i < batch.size(); ++i) {
           EXPECT_EQ(results[i], expected[i]) << "task " << i;
         }
+        EXPECT_EQ(evaluator.mc_replicates_run(),
+                  std::uint64_t{150} * evaluator.evaluation_count());
         if (faulted) {
           EXPECT_EQ(options.fault_injector->injected_throws(), 3u);
         }

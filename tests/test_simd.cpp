@@ -1,11 +1,10 @@
 // Runtime-dispatched SIMD kernels (util/simd.hpp): every vector level
 // available on the host must reproduce the scalar reference — bit for
-// bit for the integer kernels (which are always on) and to 1e-9 for
-// the flag-gated floating-point kernels. Tail handling gets its own
-// sweep: the cohort word counts the evaluator actually produces are
-// rarely multiples of the vector width, and the per-word bit counts
-// 0, 1, 63, 64 sit exactly on the carry edges of the nibble-LUT and
-// vpopcnt paths.
+// bit for the integer kernels and to 1e-9 for CLUMP's floating-point
+// kernels. Tail handling gets its own sweep: the cohort word counts
+// the evaluator actually produces are rarely multiples of the vector
+// width, and the per-word bit counts 0, 1, 63, 64 sit exactly on the
+// carry edges of the nibble-LUT and vpopcnt paths.
 #include "util/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +20,7 @@
 #include "stats/em_kernel.hpp"
 #include "stats/eval_scratch.hpp"
 #include "stats/evaluator.hpp"
+#include "support/reference_clump.hpp"
 #include "support/reference_em.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
@@ -76,9 +76,17 @@ TEST(SimdDispatch, ScalarAlwaysAvailable) {
   const auto available = levels();
   ASSERT_FALSE(available.empty());
   EXPECT_EQ(available.front(), SimdLevel::kScalar);
-  EXPECT_NE(simd().popcount_words, nullptr);
-  EXPECT_NE(simd().combine_planes_count, nullptr);
-  EXPECT_NE(simd().dosage_pair, nullptr);
+  for (const SimdLevel level : available) {
+    SCOPED_TRACE(simd_level_name(level));
+    const SimdKernels& kernels = simd_kernels_for(level);
+    EXPECT_NE(kernels.combine_planes_count, nullptr);
+    EXPECT_NE(kernels.plane_counts, nullptr);
+    EXPECT_NE(kernels.dosage_pair, nullptr);
+    EXPECT_NE(kernels.chi_columns, nullptr);
+    EXPECT_NE(kernels.pearson_row_terms, nullptr);
+    EXPECT_NE(kernels.batch_chi_columns, nullptr);
+    EXPECT_NE(kernels.batch_pearson_2xn, nullptr);
+  }
 }
 
 TEST(SimdDispatch, ForceLevelRoundTrip) {
@@ -135,58 +143,51 @@ TEST(SimdDispatch, LevelNamesRoundTrip) {
   EXPECT_FALSE(simd_level_from_name("sse9").has_value());
 }
 
-TEST(SimdKernelsTest, PopcountTails) {
-  const SimdKernels& scalar = simd_kernels_for(SimdLevel::kScalar);
-  for (const SimdLevel level : levels()) {
-    const SimdKernels& kernels = simd_kernels_for(level);
-    for (const std::size_t n : kSizes) {
-      const auto words = random_words(n, 11 + n);
-      EXPECT_EQ(kernels.popcount_words(words.data(), n),
-                scalar.popcount_words(words.data(), n))
-          << simd_level_name(level) << " n=" << n;
-    }
-    const auto edges = edge_words();
-    for (std::size_t n = 0; n <= edges.size(); ++n) {
-      EXPECT_EQ(kernels.popcount_words(edges.data(), n),
-                scalar.popcount_words(edges.data(), n))
-          << simd_level_name(level) << " edge n=" << n;
-    }
-  }
-}
-
 TEST(SimdKernelsTest, CombinePlanesTails) {
+  // Random planes at every tail size, plus parent words whose popcounts
+  // sit on the carry edges (0, 1, 63, 64 bits). The count must equal
+  // the popcount of the words written, and both must match scalar.
   const SimdKernels& scalar = simd_kernels_for(SimdLevel::kScalar);
   constexpr std::uint64_t kKeep = 0;
   constexpr std::uint64_t kFlip = ~std::uint64_t{0};
+  struct Planes {
+    std::vector<std::uint64_t> parent, lo, hi;
+  };
+  std::vector<Planes> inputs;
+  for (const std::size_t n : kSizes) {
+    inputs.push_back({random_words(n, 3 * n + 1), random_words(n, 3 * n + 2),
+                      random_words(n, 3 * n + 3)});
+  }
+  const auto edges = edge_words();
+  for (std::size_t n = 0; n <= edges.size(); ++n) {
+    // All-zero lo/hi planes: flipping both keeps every parent bit.
+    inputs.push_back({std::vector<std::uint64_t>(
+                          edges.begin(),
+                          edges.begin() + static_cast<std::ptrdiff_t>(n)),
+                      std::vector<std::uint64_t>(n, 0),
+                      std::vector<std::uint64_t>(n, 0)});
+  }
   for (const SimdLevel level : levels()) {
     const SimdKernels& kernels = simd_kernels_for(level);
-    for (const std::size_t n : kSizes) {
-      const auto parent = random_words(n, 3 * n + 1);
-      const auto lo = random_words(n, 3 * n + 2);
-      const auto hi = random_words(n, 3 * n + 3);
+    for (const Planes& in : inputs) {
+      const std::size_t n = in.parent.size();
       std::vector<std::uint64_t> out_ref(n), out_vec(n);
       for (const std::uint64_t fl : {kKeep, kFlip}) {
         for (const std::uint64_t fh : {kKeep, kFlip}) {
-          const std::uint64_t any_ref = scalar.combine_planes(
-              parent.data(), lo.data(), hi.data(), fl, fh, n,
-              out_ref.data());
-          const std::uint64_t any_vec = kernels.combine_planes(
-              parent.data(), lo.data(), hi.data(), fl, fh, n,
-              out_vec.data());
-          EXPECT_EQ(any_vec, any_ref)
-              << simd_level_name(level) << " n=" << n;
-          EXPECT_EQ(out_vec, out_ref) << simd_level_name(level) << " n=" << n;
-
           const std::uint64_t count_ref = scalar.combine_planes_count(
-              parent.data(), lo.data(), hi.data(), fl, fh, n,
+              in.parent.data(), in.lo.data(), in.hi.data(), fl, fh, n,
               out_ref.data());
           const std::uint64_t count_vec = kernels.combine_planes_count(
-              parent.data(), lo.data(), hi.data(), fl, fh, n,
+              in.parent.data(), in.lo.data(), in.hi.data(), fl, fh, n,
               out_vec.data());
+          std::uint64_t written = 0;
+          for (const std::uint64_t word : out_vec) {
+            written += static_cast<std::uint64_t>(std::popcount(word));
+          }
           EXPECT_EQ(count_vec, count_ref)
               << simd_level_name(level) << " n=" << n;
-          EXPECT_EQ(count_ref,
-                    scalar.popcount_words(out_ref.data(), n));
+          EXPECT_EQ(count_vec, written)
+              << simd_level_name(level) << " n=" << n;
           EXPECT_EQ(out_vec, out_ref) << simd_level_name(level) << " n=" << n;
         }
       }
@@ -447,51 +448,12 @@ TEST_F(SimdPipeline, PatternTablesBitExactAcrossLevels) {
   }
 }
 
-TEST_F(SimdPipeline, EvaluatorFlagOffIsBitExactAcrossLevels) {
-  // With simd_kernels forced off (the scalar reference configuration —
-  // the flag defaults on since the candidate-batched path landed),
-  // every statistic must be bit-for-bit identical at every dispatch
-  // level: only integer kernels differ. The flag covers both halves of
-  // the pipeline, so the second configuration runs CLUMP's T3 fitness
-  // with Monte-Carlo p-values (the per-trial scalar path).
-  const auto synthetic = ldga::testing::small_synthetic();
-  const std::vector<genomics::SnpIndex> snps{1, 3, 4};
-  stats::EvaluatorConfig t1_config;
-  t1_config.simd_kernels = false;
-  stats::EvaluatorConfig mc_config = t1_config;
-  mc_config.fitness_statistic = stats::FitnessStatistic::T3;
-  mc_config.clump.monte_carlo_trials = 200;
-  for (const stats::EvaluatorConfig& config : {t1_config, mc_config}) {
-    std::vector<double> fitness;
-    std::vector<stats::ClumpResult> clumps;
-    for (const SimdLevel level : levels()) {
-      simd_force_level(level);
-      stats::HaplotypeEvaluator evaluator(synthetic.dataset, config);
-      fitness.push_back(evaluator.fitness(snps));
-      clumps.push_back(evaluator.clump_analysis(snps));
-    }
-    for (std::size_t i = 1; i < fitness.size(); ++i) {
-      SCOPED_TRACE(simd_level_name(levels()[i]));
-      EXPECT_EQ(fitness[i], fitness[0]);
-      const stats::ClumpResult& got = clumps[i];
-      const stats::ClumpResult& want = clumps[0];
-      for (const auto member :
-           {&stats::ClumpResult::t1, &stats::ClumpResult::t2,
-            &stats::ClumpResult::t3, &stats::ClumpResult::t4}) {
-        EXPECT_EQ((got.*member).statistic, (want.*member).statistic);
-        EXPECT_EQ((got.*member).p_monte_carlo, (want.*member).p_monte_carlo);
-      }
-      EXPECT_EQ(got.mc_replicates_run, want.mc_replicates_run);
-    }
-  }
-}
-
 TEST_F(SimdPipeline, EhDiallFlagOnIsBitExactToReferenceAtEveryLevel) {
-  // simd_kernels only switches CLUMP's kernels: EM always runs the
-  // scalar compiled loop. So with the flag on and the LRT as fitness,
-  // every EH-DIALL output must equal the dense test oracle bit for bit
-  // at every dispatch level. Missing genotypes, marginalized, give
-  // phase fans of 16+ pairs — long enough for any vector E-step.
+  // Only CLUMP runs floating-point vector kernels: EM always runs the
+  // scalar compiled loop. So with the LRT as fitness, every EH-DIALL
+  // output must equal the dense test oracle bit for bit at every
+  // dispatch level. Missing genotypes, marginalized, give phase fans of
+  // 16+ pairs — long enough for any vector E-step.
   genomics::SyntheticConfig cohort;
   cohort.snp_count = 10;
   cohort.affected_count = 60;
@@ -509,7 +471,6 @@ TEST_F(SimdPipeline, EhDiallFlagOnIsBitExactToReferenceAtEveryLevel) {
        {stats::MissingPolicy::CompleteCase,
         stats::MissingPolicy::Marginalize}) {
     stats::EvaluatorConfig config;
-    config.simd_kernels = true;
     config.fitness_statistic = stats::FitnessStatistic::Lrt;
     config.em.missing = policy;
 
@@ -549,22 +510,39 @@ TEST_F(SimdPipeline, EhDiallFlagOnIsBitExactToReferenceAtEveryLevel) {
   }
 }
 
-TEST_F(SimdPipeline, EvaluatorFlagOnMatchesScalarTo1e9) {
+TEST_F(SimdPipeline, EvaluatorMatchesReferenceTo1e9) {
+  // T1 and T3 fitness at every dispatch level against the test oracles
+  // end to end: the dense EH-DIALL table fed to the Kahan-summed
+  // reference CLUMP.
   const auto synthetic = ldga::testing::small_synthetic();
-  const std::vector<genomics::SnpIndex> snps{0, 1, 4};
-  stats::EvaluatorConfig reference_config;
-  reference_config.simd_kernels = false;  // the scalar reference path
-  stats::HaplotypeEvaluator reference(synthetic.dataset, reference_config);
-  const double expected = reference.fitness(snps);
-
-  stats::EvaluatorConfig config;
-  config.simd_kernels = true;
-  for (const SimdLevel level : levels()) {
-    simd_force_level(level);
-    stats::HaplotypeEvaluator evaluator(synthetic.dataset, config);
-    const double got = evaluator.fitness(snps);
-    EXPECT_NEAR(got, expected, 1e-9 * std::abs(expected) + 1e-12)
-        << simd_level_name(level);
+  const std::vector<std::vector<genomics::SnpIndex>> candidates{
+      {0, 1, 4}, {2, 3}, {1, 5, 6, 9}, {0, 2, 7, 8, 10}};
+  for (const stats::FitnessStatistic statistic :
+       {stats::FitnessStatistic::T1, stats::FitnessStatistic::T3}) {
+    stats::EvaluatorConfig config;
+    config.fitness_statistic = statistic;
+    std::vector<double> expected;
+    for (const auto& snps : candidates) {
+      const stats::ContingencyTable table =
+          stats::reference::analyze(synthetic.dataset, snps, config.em)
+              .to_contingency_table();
+      Rng rng(1);
+      const stats::ClumpResult clump =
+          stats::reference::clump_analyze(table, config.clump, rng);
+      expected.push_back(statistic == stats::FitnessStatistic::T1
+                             ? clump.t1.statistic
+                             : clump.t3.statistic);
+    }
+    for (const SimdLevel level : levels()) {
+      simd_force_level(level);
+      const stats::HaplotypeEvaluator evaluator(synthetic.dataset, config);
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        const double got = evaluator.fitness(candidates[c]);
+        EXPECT_NEAR(got, expected[c], 1e-9 * std::abs(expected[c]) + 1e-12)
+            << simd_level_name(level) << " candidate " << c
+            << (statistic == stats::FitnessStatistic::T1 ? " T1" : " T3");
+      }
+    }
   }
 }
 

@@ -28,7 +28,6 @@ GenerationInfo sample_info(std::uint32_t generation) {
   info.gen_cache_misses = 3;
   info.mc_replicates_run = 100 * generation;
   info.mc_replicates_saved = 50 * generation;
-  info.mc_batched_replicates = 100 * generation;
   return info;
 }
 
@@ -44,7 +43,7 @@ TEST(TelemetryWriter, HeaderMatchesShape) {
                       "cache_hits,cache_misses,cache_evictions,"
                       "pattern_build_seconds,em_seconds,clump_seconds,"
                       "cache_hit_ratio,mc_replicates_run,"
-                      "mc_replicates_saved,mc_batched_replicates\n"),
+                      "mc_replicates_saved\n"),
             std::string::npos);
 }
 
@@ -65,12 +64,12 @@ TEST(TelemetryWriter, RowValuesRoundTrip) {
   const std::string text = out.str();
   EXPECT_NE(
       text.find("3,1.5,2.5,0.5,0.2,0.2,0.6,0.3,300,0,30,3,0,0.125,0.25,0.5,"
-                "0.75,300,150,300"),
+                "0.75,300,150\n"),
       std::string::npos);
   writer.record(sample_info(4));
   EXPECT_NE(out.str().find(
                 "4,1.5,2.5,0.5,0.2,0.2,0.6,0.3,400,1,40,4,0,0.125,0.25,0.5,"
-                "0.75,400,200,400"),
+                "0.75,400,200\n"),
             std::string::npos);
 }
 
@@ -83,11 +82,10 @@ TEST(TelemetryWriter, ZeroTrafficRatiosAreZeroNotNan) {
   info.gen_cache_misses = 0;
   info.mc_replicates_run = 0;
   info.mc_replicates_saved = 0;
-  info.mc_batched_replicates = 0;
   std::ostringstream out;
   TelemetryCsvWriter writer(out);
   writer.record(info);
-  EXPECT_NE(out.str().find("0.125,0.25,0.5,0,0,0,0\n"),
+  EXPECT_NE(out.str().find("0.125,0.25,0.5,0,0,0\n"),
             std::string::npos);
   EXPECT_EQ(out.str().find("nan"), std::string::npos);
 }

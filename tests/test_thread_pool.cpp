@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -89,6 +92,31 @@ TEST(ThreadPool, DefaultThreadCountPositive) {
 
 TEST(ThreadPool, ZeroThreadsDies) {
   EXPECT_DEATH(ThreadPool(0), "precondition");
+}
+
+TEST(ThreadPool, WorkerPoolCountsTheCaller) {
+  // `workers` includes the caller, which runs chunk 0 of parallel_for:
+  // the pool gets workers − 1 threads, none for a single worker, and a
+  // parallel_for through it never runs on more than `workers` threads.
+  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(workers);
+    const auto pool = make_worker_pool(workers);
+    EXPECT_EQ(pool == nullptr ? 0u : pool->thread_count(), workers - 1);
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    std::vector<std::atomic<int>> hits(64);
+    parallel_for(pool.get(), 0, hits.size(), [&](std::size_t i) {
+      ++hits[i];
+      std::lock_guard lock(mutex);
+      ids.insert(std::this_thread::get_id());
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), workers);
+  }
+  const auto hardware = make_worker_pool(0);
+  EXPECT_EQ(hardware == nullptr ? 0u : hardware->thread_count(),
+            default_thread_count() - 1);
 }
 
 }  // namespace
