@@ -7,11 +7,8 @@
 // migrating elite haplotypes into overlapping windows' warm starts.
 //
 // Flags (defaults in brackets):
-//   --engine sync|async       per-window engine [sync]: async runs each
-//                             window's size classes as steady-state
-//                             islands over a shared evaluation stream
-//   --concurrent-windows N    window GAs in flight at once [1]; sync + 1
-//                             is the deterministic configuration
+//   --concurrent-windows N    window GAs in flight at once [1]; 1 is the
+//                             deterministic configuration
 //   --prefilter-workers N     LD-sweep threads, the caller among them,
 //                             each scoring whole windows [1; 0 = hardware]
 //   --keep N                  windows that get a GA run [4; >= 1]
@@ -36,11 +33,6 @@ int main(int argc, char** argv) {
   try {
     // --- 0. Flags, checked before anything touches the disk.
     const CliArgs args(argc, argv);
-    const std::string engine_name = args.get("engine", "sync");
-    if (engine_name != "sync" && engine_name != "async") {
-      throw ConfigError("--engine must be sync|async, got '" + engine_name +
-                        "'");
-    }
     const std::uint32_t keep = args.get_count("keep", 4);
     if (keep == 0) throw ConfigError("--keep must be >= 1");
 
@@ -49,8 +41,6 @@ int main(int argc, char** argv) {
     prefilter.validate();
 
     ga::WindowScanConfig scan;
-    scan.engine = engine_name == "async" ? ga::ScanEngine::kAsync
-                                         : ga::ScanEngine::kSync;
     scan.concurrent_windows = args.get_count("concurrent-windows", 1);
     scan.ga.min_size = 2;
     scan.ga.max_size = 4;

@@ -148,9 +148,6 @@ struct IslandEngine::Shared {
   const VariationOperators* operators = nullptr;
   const Selector* selector = nullptr;
   stats::EvaluationStream* stream = nullptr;
-  /// First completion queue of this engine's block: 0 with a private
-  /// stream, the open_queues() base when attached to a shared one.
-  std::uint32_t queue_base = 0;
   MigrationRouter* router = nullptr;
   SharedRateController* mutation_rates = nullptr;
   SharedRateController* crossover_rates = nullptr;
@@ -259,8 +256,7 @@ void record_error(Shared& shared, std::exception_ptr error) {
 
 bool submit(Island& island, Shared& shared, PendingRecord record) {
   const std::uint64_t ticket = island.next_ticket++;
-  if (!shared.stream->submit(shared.queue_base + island.index, ticket,
-                             record.individual.snps())) {
+  if (!shared.stream->submit(island.index, ticket, record.individual.snps())) {
     return false;  // stream closed: shutting down
   }
   island.pending.emplace(ticket, std::move(record));
@@ -773,13 +769,12 @@ void IslandEngine::island_loop(Island& island, Shared& shared) {
       // nothing else to do: results outstanding and the breeding window
       // full (or the island still initializing).
       std::vector<stats::StreamResult> results =
-          shared.stream->poll(shared.queue_base + island.index);
+          shared.stream->poll(island.index);
       const bool window_full =
           island.inflight_applications >= config_.max_pending;
       if (results.empty() && !island.pending.empty() &&
           (window_full || !island.initialized)) {
-        results = shared.stream->wait(shared.queue_base + island.index,
-                                      config_.poll_timeout);
+        results = shared.stream->wait(island.index, config_.poll_timeout);
       }
       for (const auto& result : results) {
         integrate(ctx, island, shared, result);
@@ -848,26 +843,16 @@ IslandRunResult IslandEngine::run() {
   stats::EvaluationStreamConfig stream_config;
   stream_config.lanes = config_.lanes;
   stream_config.max_coalesce = config_.max_coalesce;
-  stream_config.backend.farm_policy = config_.farm_policy;
-  stream_config.backend.fault_injector = config_.fault_injector;
-  // Private lane pool unless a shared multi-tenant stream was attached
-  // (window scan): then this run borrows its block of completion
-  // queues and retires them at the end.
-  std::optional<stats::EvaluationStream> own_stream;
-  stats::EvaluationStream* stream = external_stream_;
-  const std::uint32_t queue_base =
-      stream != nullptr ? external_queue_base_ : 0;
-  if (stream == nullptr) {
-    own_stream.emplace(*evaluator_, island_count, stream_config);
-    stream = &*own_stream;
-  }
+  stream_config.farm_policy = config_.farm_policy;
+  stream_config.fault_injector = config_.fault_injector;
+  stats::EvaluationStream stream(*evaluator_, island_count,
+                                 std::move(stream_config));
   MigrationRouter router(island_count);
 
   Shared shared;
   shared.operators = &operators;
   shared.selector = &selector;
-  shared.stream = stream;
-  shared.queue_base = queue_base;
+  shared.stream = &stream;
   shared.router = &router;
   shared.mutation_rates = &mutation_rates;
   shared.crossover_rates = &crossover_rates;
@@ -1108,15 +1093,9 @@ IslandRunResult IslandEngine::run() {
   }
   shared.pause_cv.notify_all();
   for (auto& thread : threads) thread.join();
-  // Private stream: close() drains the lanes and joins them. Shared
-  // stream: retire this run's queue block — blocks until everything
-  // this engine submitted is delivered, so the evaluator can be
-  // destroyed right after run() returns even on the error path.
-  if (own_stream) {
-    own_stream->close();
-  } else {
-    stream->retire_queues(queue_base, island_count);
-  }
+  // close() drains the lanes and joins them: everything this run
+  // submitted is delivered before it returns.
+  stream.close();
   router.close();
 
   {
@@ -1124,15 +1103,14 @@ IslandRunResult IslandEngine::run() {
     if (shared.error) std::rethrow_exception(shared.error);
   }
 
-  // close()/retire_queues() flushed this run's work, so results that
-  // raced the shutdown are sitting in the completion queues: integrate
+  // close() flushed this run's work, so results that raced the
+  // shutdown are sitting in the completion queues: integrate
   // them single-threaded so no paid-for evaluation is wasted (and a
   // stop during initialization still yields populated islands).
   {
     const LoopContext ctx{this, &config_, filter_, &callback_};
     for (auto& island : islands) {
-      for (const auto& result_entry :
-           stream->poll(queue_base + island->index)) {
+      for (const auto& result_entry : stream.poll(island->index)) {
         integrate(ctx, *island, shared, result_entry);
       }
     }
@@ -1152,7 +1130,7 @@ IslandRunResult IslandEngine::run() {
   result.failed_offspring =
       shared.failed_offspring.load(std::memory_order_relaxed);
   result.wall_seconds = shared.wall_seconds();
-  result.stream_stats = stream->stats();
+  result.stream_stats = stream.stats();
   result.cache_stats = evaluator_->cache_stats();
   result.stage_timings = evaluator_->stage_timings();
   return result;

@@ -10,9 +10,10 @@
 //
 // Here each size-k subpopulation (§4.2) runs as a steady-state *island*
 // on its own thread:
-//   - offspring are submitted to an EvaluationStream and integrated as
-//     their results arrive, out of order, up to a bounded in-flight
-//     window — no island ever waits for another island's evaluations;
+//   - offspring are submitted to the run's own EvaluationStream (one
+//     completion queue per island) and integrated as their results
+//     arrive, out of order, up to a bounded in-flight window — no
+//     island ever waits for another island's evaluations;
 //   - elites travel between neighboring size classes over asynchronous
 //     Mailbox-backed migration channels (migration.hpp) and serve as
 //     mates for the paper's inter-population crossover, while
@@ -142,9 +143,9 @@ struct IslandRunResult {
 
 class IslandEngine {
  public:
-  /// The evaluator and filter must outlive the engine. The engine owns
-  /// its evaluation lanes (EvaluationStream); there is no backend
-  /// parameter — the lane pool replaces it.
+  /// The evaluator and filter must outlive the engine. Each run() builds
+  /// and closes its own evaluation lanes (EvaluationStream); there is no
+  /// backend parameter — the lane pool replaces it.
   IslandEngine(const stats::HaplotypeEvaluator& evaluator,
                IslandConfig config, const FeasibilityFilter& filter);
   IslandEngine(const stats::HaplotypeEvaluator& evaluator,
@@ -155,24 +156,6 @@ class IslandEngine {
   /// synchronous reference but walks a schedule-dependent trajectory —
   /// run-to-run results may differ in path, not in destination.
   IslandRunResult run();
-
-  /// Runs the islands against an externally owned multi-tenant
-  /// EvaluationStream instead of constructing a private one — how the
-  /// concurrent window scan amortizes one lane pool across many
-  /// short-lived window engines. `queue_base` is what
-  /// stream.open_queues(evaluator, island_count) returned, where
-  /// island_count == ga.max_size - ga.min_size + 1 and the evaluator is
-  /// the one this engine was built over. run() retires the queue block
-  /// when it finishes (so the caller opens, the engine closes), and the
-  /// stream's own lane configuration governs — `lanes`/`max_coalesce`/
-  /// `farm_policy`/`fault_injector` of IslandConfig are ignored. The
-  /// reported stream_stats are then stream-wide aggregates, not
-  /// per-engine.
-  void attach_stream(stats::EvaluationStream& stream,
-                     std::uint32_t queue_base) {
-    external_stream_ = &stream;
-    external_queue_base_ = queue_base;
-  }
 
   /// Observer for telemetry events. Called from island threads but
   /// never concurrently (the engine serializes invocations); the
@@ -196,8 +179,6 @@ class IslandEngine {
   FeasibilityFilter own_filter_;
   const FeasibilityFilter* filter_;
   std::function<void(const IslandEvent&)> callback_;
-  stats::EvaluationStream* external_stream_ = nullptr;
-  std::uint32_t external_queue_base_ = 0;
 };
 
 }  // namespace ldga::ga

@@ -8,11 +8,9 @@
 #include <thread>
 #include <utility>
 
-#include "ga/island_engine.hpp"
 #include "genomics/dataset.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/evaluation_backend.hpp"
-#include "stats/evaluation_service.hpp"
 #include "util/error.hpp"
 
 namespace ldga::ga {
@@ -47,9 +45,6 @@ void WindowScanConfig::validate() const {
   evaluator.validate();
   if (concurrent_windows == 0) {
     throw ConfigError("WindowScanConfig: concurrent_windows must be >= 1");
-  }
-  if (engine == ScanEngine::kAsync && stream_lanes == 0) {
-    throw ConfigError("WindowScanConfig: stream_lanes must be >= 1");
   }
 }
 
@@ -143,12 +138,11 @@ std::vector<EliteRecord> harvest_elites(
   return elites;
 }
 
-/// The scan-wide evaluation thread pool for sync-engine windows, or
-/// nullptr when per-window serial backends are cheaper (eval_workers
-/// <= 1). Hoisted to once per scan so no window pays pool setup.
+/// The scan-wide evaluation thread pool, or nullptr when per-window
+/// serial backends are cheaper (eval_workers resolves to 1). Hoisted to
+/// once per scan so no window pays pool setup.
 std::shared_ptr<parallel::ThreadPool> make_scan_pool(
     const WindowScanConfig& config) {
-  if (config.engine != ScanEngine::kSync) return nullptr;
   const std::uint32_t workers = config.eval_workers == 0
                                     ? parallel::default_thread_count()
                                     : config.eval_workers;
@@ -178,20 +172,7 @@ struct Scheduler {
         windows(scan_windows),
         config(scan_config),
         pool(make_scan_pool(config)),
-        results(windows.size()) {
-    if (config.engine == ScanEngine::kAsync) {
-      // Every async window opens one completion queue per island; the
-      // clamp can only shrink a window's island count, so the
-      // unclamped count bounds the whole scan.
-      const std::uint32_t islands_per_window =
-          config.ga.max_size - config.ga.min_size + 1;
-      stats::EvaluationStreamConfig stream_config;
-      stream_config.lanes = config.stream_lanes;
-      stream.emplace(
-          static_cast<std::uint32_t>(windows.size()) * islands_per_window,
-          std::move(stream_config));
-    }
-  }
+        results(windows.size()) {}
 
   WindowScanResult run() {
     // The caller is a worker too, so one window in flight starts no
@@ -280,36 +261,18 @@ struct Scheduler {
     out.migrants_in = migrate_into(ga, window, std::move(donors),
                                    config.migrate_elites, out.donor_windows);
 
-    std::vector<HaplotypeIndividual> best_by_size;
-    if (config.engine == ScanEngine::kSync) {
-      std::shared_ptr<stats::EvaluationBackend> backend;
-      if (pool != nullptr) {
-        stats::BackendOptions options;
-        options.pool = pool;
-        backend = stats::make_thread_pool_backend(evaluator, options);
-      }
-      GaEngine engine(evaluator, ga, std::move(backend));
-      GaResult result = engine.run();
-      out.generations = result.generations;
-      out.evaluations = result.evaluations;
-      best_by_size = std::move(result.best_by_size);
-    } else {
-      IslandConfig island_config;
-      island_config.ga = ga;
-      island_config.lanes = config.stream_lanes;
-      const std::uint32_t islands = ga.max_size - ga.min_size + 1;
-      IslandEngine engine(evaluator, island_config);
-      // The engine retires this queue block at the end of its run, so
-      // the shared stream never outlives a window's evaluator.
-      engine.attach_stream(*stream, stream->open_queues(evaluator, islands));
-      IslandRunResult result = engine.run();
-      out.evaluations = result.evaluations;
-      out.generations = static_cast<std::uint32_t>(
-          result.total_steps / island_config.applications_per_generation());
-      best_by_size = std::move(result.best_by_size);
+    std::shared_ptr<stats::EvaluationBackend> backend;
+    if (pool != nullptr) {
+      stats::BackendOptions options;
+      options.pool = pool;
+      backend = stats::make_thread_pool_backend(evaluator, options);
     }
+    GaEngine engine(evaluator, ga, std::move(backend));
+    const GaResult result = engine.run();
+    out.generations = result.generations;
+    out.evaluations = result.evaluations;
 
-    if (const HaplotypeIndividual* best = champion(best_by_size)) {
+    if (const HaplotypeIndividual* best = champion(result.best_by_size)) {
       out.best_fitness = best->fitness();
       out.best_snps.resize(best->snps().size());
       std::transform(best->snps().begin(), best->snps().end(),
@@ -318,7 +281,7 @@ struct Scheduler {
     }
 
     std::vector<EliteRecord> elites =
-        harvest_elites(best_by_size, window, index);
+        harvest_elites(result.best_by_size, window, index);
     {
       std::lock_guard<std::mutex> lock(mutex);
       out.completion_rank = completions++;
@@ -333,7 +296,6 @@ struct Scheduler {
   std::span<const WindowSpec> windows;
   const WindowScanConfig& config;
   std::shared_ptr<parallel::ThreadPool> pool;
-  std::optional<stats::EvaluationStream> stream;
 
   std::mutex mutex;
   std::size_t next = 0;                     ///< next window to claim

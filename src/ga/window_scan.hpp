@@ -12,22 +12,22 @@
 //
 // One scheduler runs every scan. `concurrent_windows` workers (the
 // caller is one of them) claim windows in list order and run each
-// window's GA over shared evaluation infrastructure: one thread pool
-// for sync engines, one multi-tenant EvaluationStream for async
-// islands. A window's donors are the elites of every overlapping
-// window that had finished when it was claimed, in completion order;
-// WindowResult::completion_rank and donor_windows record both, so the
-// migration of any scan can be replayed after the fact.
+// window's synchronous GaEngine, sharing one scan-wide evaluation
+// thread pool when eval_workers asks for one. A window's donors are
+// the elites of every overlapping window that had finished when it was
+// claimed, in completion order; WindowResult::completion_rank and
+// donor_windows record both, so the migration of any scan can be
+// replayed after the fact.
 //
-// engine = kSync with concurrent_windows = 1 is the deterministic
-// configuration: windows finish in list order, so a window's donors
-// are every overlapping earlier window, and a fixed config reproduces
-// the same champions, fitness doubles and evaluation counts on every
-// run (the evaluation backend never changes a GA trajectory, so
-// eval_workers may still be > 1). While stride >= window / 2 (the
-// 48-of-64 tiling of examples/genome_scan, say), a window overlaps only
-// its neighbours, so its donor is the previous window alone; a tighter
-// stride also draws on the windows before that one.
+// concurrent_windows = 1 is the deterministic configuration: windows
+// finish in list order, so a window's donors are every overlapping
+// earlier window, and a fixed config reproduces the same champions,
+// fitness doubles and evaluation counts on every run (the evaluation
+// backend never changes a GA trajectory, so eval_workers may still be
+// > 1). While stride >= window / 2 (the 48-of-64 tiling of
+// examples/genome_scan, say), a window overlaps only its neighbours, so
+// its donor is the previous window alone; a tighter stride also draws
+// on the windows before that one.
 //
 // Window *selection* (which windows deserve a GA at all) is not this
 // layer's job: the LD prefilter in analysis/ld_prefilter.hpp
@@ -61,12 +61,6 @@ std::vector<WindowSpec> plan_windows(std::uint32_t snp_count,
                                      std::uint32_t window_snps,
                                      std::uint32_t stride_snps);
 
-/// Which engine runs inside each window.
-enum class ScanEngine : std::uint8_t {
-  kSync,   ///< synchronous GaEngine — deterministic per window
-  kAsync,  ///< asynchronous IslandEngine over the shared stream
-};
-
 struct WindowScanConfig {
   /// Per-window engine template. `ga.seed` is the scan seed; each
   /// window runs with a seed mixed from it and the window's begin, so
@@ -79,23 +73,17 @@ struct WindowScanConfig {
   /// from every overlapping window finished when it was claimed. 0
   /// disables migration.
   std::uint32_t migrate_elites = 3;
-  /// Engine per window. kSync with concurrent_windows = 1 is the
-  /// deterministic configuration.
-  ScanEngine engine = ScanEngine::kSync;
   /// Window GAs in flight at once (scheduler workers, the calling
-  /// thread included).
+  /// thread included). 1 is the deterministic configuration.
   std::uint32_t concurrent_windows = 1;
-  /// Workers of the scan-wide evaluation thread pool serving
-  /// sync-engine windows: the pool spins up once per scan and is
-  /// injected into every window's backend, so windows stop paying
-  /// pool setup each. <= 1 keeps the per-window serial backend
-  /// (cheapest when windows themselves run concurrently); 0 means
-  /// hardware concurrency. Fitness results are backend-invariant
-  /// either way.
+  /// Workers of the scan-wide evaluation thread pool: the pool spins
+  /// up once per scan and is injected into every window's backend, so
+  /// windows stop paying pool setup each. 0 means hardware concurrency.
+  /// A resolved count of 1 (1, or 0 on a one-core host) keeps the
+  /// per-window serial backend, the cheapest when windows themselves
+  /// run concurrently. Fitness results are backend-invariant either
+  /// way.
   std::uint32_t eval_workers = 1;
-  /// Dispatcher lanes of the scan-wide multi-tenant EvaluationStream
-  /// serving async-engine windows.
-  std::uint32_t stream_lanes = 2;
 
   void validate() const;
 };

@@ -1,6 +1,5 @@
 #include "stats/evaluation_service.hpp"
 
-#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -10,21 +9,15 @@
 
 namespace ldga::stats {
 
-namespace {
-
-struct CandidateHash {
-  std::size_t operator()(const Candidate& v) const {
-    std::uint64_t state = 0x6c6467611d2004ULL ^ (v.size() << 32);
-    std::uint64_t h = 0;
-    for (const genomics::SnpIndex s : v) {
-      state ^= s;
-      h ^= splitmix64(state);
-    }
-    return static_cast<std::size_t>(h);
+std::size_t CandidateHash::operator()(const Candidate& candidate) const {
+  std::uint64_t state = 0x6c6467611d2004ULL ^ (candidate.size() << 32);
+  std::uint64_t h = 0;
+  for (const genomics::SnpIndex s : candidate) {
+    state ^= s;
+    h ^= splitmix64(state);
   }
-};
-
-}  // namespace
+  return static_cast<std::size_t>(h);
+}
 
 EvaluationService::EvaluationService(
     const HaplotypeEvaluator& evaluator,
@@ -68,7 +61,14 @@ std::vector<double> EvaluationService::evaluate(
 
   if (!unique.empty()) {
     stats_.dispatched += unique.size();
-    const std::vector<double> computed = backend_->evaluate_batch(unique);
+    std::vector<double> computed;
+    try {
+      computed = backend_->evaluate_batch(unique);
+    } catch (...) {
+      // An exhausted retry ladder still spent its time in this call.
+      stats_.batch_seconds += watch.elapsed_seconds();
+      throw;
+    }
     LDGA_EXPECTS(computed.size() == unique.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (dispatch_slot[i] != kUnresolved) {
@@ -92,140 +92,46 @@ void EvaluationStreamConfig::validate() const {
   if (max_coalesce < 1) {
     throw ConfigError("EvaluationStreamConfig: max_coalesce must be >= 1");
   }
-  backend.farm_policy.validate();
-}
-
-/// One dispatcher lane: per tenant, a private serial backend (own
-/// scratch arena, own retry ladder and fault-injection phase counter)
-/// wrapped in a private EvaluationService, so every lane keeps the
-/// probe-once / compute-once accounting of the synchronous path.
-/// Services are created lazily at the first batch of a tenant this lane
-/// claims; only the lane's own thread touches the map.
-struct EvaluationStream::Lane {
-  static BackendOptions lane_options(const EvaluationStreamConfig& config) {
-    BackendOptions options = config.backend;
-    options.workers = 1;
-    options.transport = FarmTransport::kInProcess;
-    options.pool = nullptr;
-    return options;
-  }
-
-  EvaluationService& service_for(std::uint32_t slot,
-                                 const HaplotypeEvaluator& evaluator,
-                                 const EvaluationStreamConfig& config) {
-    auto found = services.find(slot);
-    if (found == services.end()) {
-      found = services
-                  .emplace(slot, std::make_unique<EvaluationService>(
-                                     evaluator, make_serial_backend(
-                                                    evaluator,
-                                                    lane_options(config))))
-                  .first;
-    }
-    return *found->second;
-  }
-
-  std::unordered_map<std::uint32_t, std::unique_ptr<EvaluationService>>
-      services;
-};
-
-/// One evaluator's tenancy: its queue block, its in-flight dedup map
-/// (two tenants may legitimately compute equal SNP sets against
-/// different datasets, so dedup never crosses tenants) and the drain
-/// accounting retire_queues() blocks on.
-struct EvaluationStream::Tenant {
-  const HaplotypeEvaluator* evaluator = nullptr;
-  std::uint32_t queue_base = 0;
-  std::uint32_t queue_count = 0;
-  std::atomic<bool> open{true};
-  /// Accepted but not yet delivered submissions of this tenant.
-  std::atomic<std::uint64_t> outstanding{0};
-  std::unordered_map<Candidate, std::vector<Waiter>, CandidateHash> inflight;
-};
-
-EvaluationStream::EvaluationStream(std::uint32_t queue_capacity,
-                                   EvaluationStreamConfig config)
-    : config_(std::move(config)) {
-  config_.validate();
-  LDGA_EXPECTS(queue_capacity >= 1);
-  completions_.reserve(queue_capacity);
-  for (std::uint32_t q = 0; q < queue_capacity; ++q) {
-    completions_.push_back(std::make_unique<CompletionQueue>());
-  }
-  tenants_.resize(queue_capacity);
-  queue_slots_.assign(queue_capacity, kUnboundQueue);
-  lanes_.reserve(config_.lanes);
-  threads_.reserve(config_.lanes);
-  for (std::uint32_t l = 0; l < config_.lanes; ++l) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
-  for (std::uint32_t l = 0; l < config_.lanes; ++l) {
-    threads_.emplace_back([this, l] { lane_loop(*lanes_[l]); });
-  }
+  farm_policy.validate();
 }
 
 EvaluationStream::EvaluationStream(const HaplotypeEvaluator& evaluator,
                                    std::uint32_t queue_count,
                                    EvaluationStreamConfig config)
-    : EvaluationStream(queue_count, std::move(config)) {
-  open_queues(evaluator, queue_count);
+    : evaluator_(&evaluator), config_(std::move(config)) {
+  config_.validate();
+  LDGA_EXPECTS(queue_count >= 1);
+  completions_.reserve(queue_count);
+  for (std::uint32_t q = 0; q < queue_count; ++q) {
+    completions_.push_back(std::make_unique<CompletionQueue>());
+  }
+  BackendOptions options;
+  options.farm_policy = config_.farm_policy;
+  options.fault_injector = config_.fault_injector;
+  // Every service exists before the first lane starts, so no lane ever
+  // sees the vector reallocate.
+  services_.reserve(config_.lanes);
+  for (std::uint32_t l = 0; l < config_.lanes; ++l) {
+    services_.emplace_back(evaluator, make_serial_backend(evaluator, options));
+  }
+  threads_.reserve(config_.lanes);
+  for (EvaluationService& service : services_) {
+    threads_.emplace_back([this, &service] { lane_loop(service); });
+  }
 }
 
 EvaluationStream::~EvaluationStream() { close(); }
 
-std::uint32_t EvaluationStream::open_queues(
-    const HaplotypeEvaluator& evaluator, std::uint32_t count) {
-  LDGA_EXPECTS(count >= 1);
-  const std::lock_guard lock(registry_mutex_);
-  if (bound_queues_ + count > completions_.size()) {
-    throw ConfigError(
-        "EvaluationStream::open_queues: queue capacity exhausted (" +
-        std::to_string(completions_.size()) + " preallocated)");
-  }
-  const std::uint32_t slot = open_slots_++;
-  const std::uint32_t base = bound_queues_;
-  bound_queues_ += count;
-  auto tenant = std::make_unique<Tenant>();
-  tenant->evaluator = &evaluator;
-  tenant->queue_base = base;
-  tenant->queue_count = count;
-  tenants_[slot] = std::move(tenant);
-  for (std::uint32_t q = base; q < base + count; ++q) {
-    queue_slots_[q] = slot;
-  }
-  return base;
-}
-
-void EvaluationStream::retire_queues(std::uint32_t base,
-                                     std::uint32_t count) {
-  std::unique_lock lock(registry_mutex_);
-  LDGA_EXPECTS(base < queue_slots_.size() &&
-               queue_slots_[base] != kUnboundQueue);
-  Tenant& tenant = *tenants_[queue_slots_[base]];
-  LDGA_EXPECTS(tenant.queue_base == base && tenant.queue_count == count);
-  tenant.open.store(false, std::memory_order_relaxed);
-  retire_cv_.wait(lock, [&] {
-    return tenant.outstanding.load(std::memory_order_acquire) == 0;
-  });
-}
-
 bool EvaluationStream::submit(std::uint32_t queue, std::uint64_t ticket,
                               Candidate candidate) {
-  LDGA_EXPECTS(queue < completions_.size() &&
-               queue_slots_[queue] != kUnboundQueue);
-  const std::uint32_t slot = queue_slots_[queue];
-  Tenant& tenant = *tenants_[slot];
-  if (!tenant.open.load(std::memory_order_relaxed)) return false;
-  Submission submission{queue, slot, ticket, std::move(candidate)};
+  LDGA_EXPECTS(queue < completions_.size());
   // Count before the push: a lane may claim, evaluate and deliver the
   // submission before this thread runs another instruction, and
   // in_flight() (submitted - delivered, unsigned) must never observe
   // delivered ahead of submitted.
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  tenant.outstanding.fetch_add(1, std::memory_order_relaxed);
-  if (!queue_.push(std::move(submission))) {
+  if (!queue_.push({queue, ticket, std::move(candidate)})) {
     submitted_.fetch_sub(1, std::memory_order_relaxed);
-    tenant.outstanding.fetch_sub(1, std::memory_order_relaxed);
     return false;
   }
   return true;
@@ -245,38 +151,19 @@ void EvaluationStream::deliver(const Waiter& waiter, double fitness,
     completion.results.push_back({waiter.ticket, fitness, failed});
   }
   completion.ready.notify_all();
-  // Tenant drain accounting, after the result is poppable: when the
-  // last outstanding submission lands, a retire_queues() waiter may
-  // wake and must find everything in the completion queues. Taking the
-  // registry mutex around the notify pairs with its predicate wait.
-  Tenant& tenant = *tenants_[queue_slots_[waiter.queue]];
-  if (tenant.outstanding.fetch_sub(1, std::memory_order_release) == 1) {
-    { const std::lock_guard lock(registry_mutex_); }
-    retire_cv_.notify_all();
-  }
 }
 
-void EvaluationStream::lane_loop(Lane& lane) {
+void EvaluationStream::lane_loop(EvaluationService& service) {
   for (;;) {
-    // Claim the oldest submission plus more from its completion queue,
-    // gathered from anywhere in the stream queue. A queue belongs to
-    // one island of one tenant, so a batch never mixes evaluators (a
-    // candidate only means something against its own window's
-    // dataset), and an island's results come back in one delivery. A
-    // plain FIFO claim interleaves islands and measured 24-39% slower
-    // end to end on the async region workload (docs/algorithms.md §16).
+    // Claim the oldest submission plus more from its completion queue
+    // (one island), gathered from anywhere in the stream queue, so an
+    // island's results come back in one delivery. A plain FIFO claim
+    // interleaves islands and measured 24-39% slower end to end on the
+    // async region workload (docs/algorithms.md §16).
     std::vector<Submission> batch = queue_.pop_batch_grouped(
         config_.max_coalesce, [](const Submission& s) { return s.queue; });
     if (batch.empty()) return;  // closed and drained
     dispatch_rounds_.fetch_add(1, std::memory_order_relaxed);
-
-    // The grouped claim is queue-homogeneous, so the whole batch
-    // belongs to one tenant. Its registry entry was published before
-    // any of its submissions could be queued.
-    const std::uint32_t slot = batch.front().slot;
-    Tenant& tenant = *tenants_[slot];
-    EvaluationService& service =
-        lane.service_for(slot, *tenant.evaluator, config_);
 
     // Claim pass: this lane computes a candidate only if no other lane
     // is already computing it; otherwise the submission latches onto
@@ -287,7 +174,7 @@ void EvaluationStream::lane_loop(Lane& lane) {
     {
       std::lock_guard lock(inflight_mutex_);
       for (Submission& submission : batch) {
-        auto [entry, fresh] = tenant.inflight.try_emplace(
+        auto [entry, fresh] = inflight_.try_emplace(
             submission.candidate,
             std::vector<Waiter>{{submission.queue, submission.ticket}});
         if (!fresh) {
@@ -300,24 +187,20 @@ void EvaluationStream::lane_loop(Lane& lane) {
     }
     if (claimed.empty()) continue;
 
-    std::vector<double> scores;
+    // One service call per candidate: the claim is already distinct,
+    // and a candidate that exhausts its retry ladder is counted once
+    // and delivered failed with the penalty fitness while its siblings
+    // keep their real scores, instead of tearing down the whole stream
+    // the way a synchronous phase would.
+    std::vector<double> scores(claimed.size(),
+                               evaluator_->config().penalty_fitness);
     std::vector<bool> failures(claimed.size(), false);
-    try {
-      scores = service.evaluate(claimed);
-    } catch (const std::exception&) {
-      // A batch member exhausted its retry ladder. Re-run one by one so
-      // its siblings still get real scores; the exhausted candidate is
-      // delivered failed with the penalty fitness instead of tearing
-      // down the whole stream the way a synchronous phase would.
-      scores.assign(claimed.size(),
-                    tenant.evaluator->config().penalty_fitness);
-      for (std::size_t i = 0; i < claimed.size(); ++i) {
-        try {
-          scores[i] = service.evaluate(
-              std::span<const Candidate>(&claimed[i], 1))[0];
-        } catch (const std::exception&) {
-          failures[i] = true;
-        }
+    for (std::size_t i = 0; i < claimed.size(); ++i) {
+      try {
+        scores[i] =
+            service.evaluate(std::span<const Candidate>(&claimed[i], 1))[0];
+      } catch (const std::exception&) {
+        failures[i] = true;
       }
     }
 
@@ -325,10 +208,10 @@ void EvaluationStream::lane_loop(Lane& lane) {
       std::vector<Waiter> waiters;
       {
         std::lock_guard lock(inflight_mutex_);
-        auto entry = tenant.inflight.find(claimed[i]);
-        LDGA_EXPECTS(entry != tenant.inflight.end());
+        auto entry = inflight_.find(claimed[i]);
+        LDGA_EXPECTS(entry != inflight_.end());
         waiters = std::move(entry->second);
-        tenant.inflight.erase(entry);
+        inflight_.erase(entry);
       }
       for (const Waiter& waiter : waiters) {
         deliver(waiter, scores[i], failures[i]);
@@ -366,20 +249,15 @@ void EvaluationStream::close() {
   for (std::thread& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
-  for (const auto& lane : lanes_) {
-    for (const auto& [slot, service] : lane->services) {
-      const EvaluationServiceStats& s = service->stats();
-      final_service_stats_.batches += s.batches;
-      final_service_stats_.candidates += s.candidates;
-      final_service_stats_.cache_hits += s.cache_hits;
-      final_service_stats_.duplicates += s.duplicates;
-      final_service_stats_.dispatched += s.dispatched;
-      final_service_stats_.batch_seconds += s.batch_seconds;
-    }
+  for (const EvaluationService& service : services_) {
+    const EvaluationServiceStats& s = service.stats();
+    final_service_stats_.batches += s.batches;
+    final_service_stats_.candidates += s.candidates;
+    final_service_stats_.cache_hits += s.cache_hits;
+    final_service_stats_.duplicates += s.duplicates;
+    final_service_stats_.dispatched += s.dispatched;
+    final_service_stats_.batch_seconds += s.batch_seconds;
   }
-  // A retire_queues() waiter sleeping through the shutdown: everything
-  // is delivered now, so its predicate holds.
-  retire_cv_.notify_all();
   // Results are final now: wake any consumer still blocked in wait(),
   // and make later wait() calls return empty immediately instead of
   // sleeping out their timeout (shutdown, not timeout).
@@ -396,9 +274,10 @@ EvaluationStreamStats EvaluationStream::stats() const {
   stats.failed = failed_.load(std::memory_order_relaxed);
   stats.inflight_merges = inflight_merges_.load(std::memory_order_relaxed);
   stats.dispatch_rounds = dispatch_rounds_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard lock(close_mutex_);
-    if (closed_) stats.service = final_service_stats_;
+  // close() publishes the lane totals with `drained_`, after it summed
+  // them; until then they read as zero, never as a partial sum.
+  if (drained_.load(std::memory_order_acquire)) {
+    stats.service = final_service_stats_;
   }
   return stats;
 }

@@ -19,6 +19,7 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "parallel/work_queue.hpp"
@@ -34,8 +35,9 @@ struct EvaluationServiceStats {
   std::uint64_t duplicates = 0;  ///< collapsed within a batch
   std::uint64_t dispatched = 0;  ///< sent to the backend (unique misses)
   /// Cumulative wall time inside evaluate() — dedup, cache probes and
-  /// backend dispatch. Together with the evaluator's stage_timings()
-  /// this separates batching overhead from pipeline cost.
+  /// backend dispatch, calls that throw included. Together with the
+  /// evaluator's stage_timings() this separates batching overhead from
+  /// pipeline cost.
   double batch_seconds = 0.0;
 };
 
@@ -67,12 +69,12 @@ class EvaluationService {
 // caller blocks until the whole batch is scored), EvaluationStream
 // decouples submission from completion: islands submit!(ticket,
 // candidate) and pull finished results from their own completion queue
-// whenever they like. Between the two sides sits a small pool of
-// dispatcher lanes that
-//   - coalesce submissions into one service batch per claim, gathering
-//     the oldest submission's completion queue (one island) from
-//     anywhere in the stream queue, so an island's results come back
-//     in one delivery,
+// whenever they like. One stream serves one evaluator (one island
+// engine). Between the two sides sits a small pool of dispatcher lanes,
+// each scoring through its own private serial EvaluationService, that
+//   - claim submissions in batches, gathering the oldest submission's
+//     completion queue (one island) from anywhere in the stream queue,
+//     so an island's results come back in one delivery,
 //   - deduplicate against computations already in flight on another
 //     lane (late submitters latch onto the running computation instead
 //     of recomputing),
@@ -80,6 +82,12 @@ class EvaluationService {
 //     lane that claimed it — the other lanes keep draining the queue,
 //     which is exactly the failure mode the generation barrier cannot
 //     absorb.
+
+/// Hash of a candidate's SNP set, for the service's in-batch dedup and
+/// the stream's in-flight map.
+struct CandidateHash {
+  std::size_t operator()(const Candidate& candidate) const;
+};
 
 /// One finished evaluation, delivered to the submitting queue.
 struct StreamResult {
@@ -101,15 +109,17 @@ struct EvaluationStreamConfig {
   /// Max submissions one lane claims per dispatch round. Claims are
   /// grouped by completion queue (the oldest submission anchors, more
   /// submissions of its island are gathered from across the queue), so
-  /// one claim never mixes tenants and returns an island's results in
-  /// one delivery; keep it small enough that one slow batch member
-  /// cannot hold many results hostage.
+  /// one claim returns an island's results in one delivery; keep it
+  /// small enough that one slow batch member cannot hold many results
+  /// hostage.
   std::uint32_t max_coalesce = 16;
-  /// Retry ladder and (optional) fault injection, applied per attempt
-  /// at (lane-local phase, submission index) coordinates exactly like
-  /// the synchronous backends. `workers` and `transport` are ignored —
-  /// the lane pool replaces them.
-  BackendOptions backend;
+  /// Retry ladder of each lane's serial backend (max_task_retries; the
+  /// quarantine fields only make sense for farm slaves).
+  parallel::FarmPolicy farm_policy;
+  /// Deterministic fault injection, consulted once per attempt at
+  /// (lane-local phase, 0) coordinates — each lane call scores one
+  /// candidate. Null = no faults.
+  std::shared_ptr<parallel::FaultInjector> fault_injector;
 
   void validate() const;
 };
@@ -125,6 +135,8 @@ struct EvaluationStreamStats {
   /// same candidate on another lane (cross-island coalescing).
   std::uint64_t inflight_merges = 0;
   std::uint64_t dispatch_rounds = 0;
+  /// Every claimed submission counts once in `candidates`, failed or
+  /// not, so after close() candidates == completed - inflight_merges.
   EvaluationServiceStats service;
 };
 
@@ -134,42 +146,14 @@ class EvaluationStream {
   /// evaluator must outlive the stream. Lanes start immediately.
   EvaluationStream(const HaplotypeEvaluator& evaluator,
                    std::uint32_t queue_count, EvaluationStreamConfig config);
-
-  /// Multi-tenant stream: `queue_capacity` completion queues are
-  /// allocated up front but none is bound to an evaluator yet — tenants
-  /// (e.g. the island engines of concurrently scanned windows) attach a
-  /// block of queues with open_queues() and release it with
-  /// retire_queues(), so one long-lived lane pool serves many
-  /// short-lived engines instead of each spinning up its own. Lanes
-  /// never mix tenants within a dispatch batch (the coalescing key is
-  /// the completion queue, which belongs to one tenant), and each lane
-  /// keeps one serial service per tenant, so the probe-once /
-  /// compute-once accounting holds per evaluator.
-  EvaluationStream(std::uint32_t queue_capacity,
-                   EvaluationStreamConfig config);
   ~EvaluationStream();
 
   EvaluationStream(const EvaluationStream&) = delete;
   EvaluationStream& operator=(const EvaluationStream&) = delete;
 
-  /// Binds `count` consecutive completion queues to `evaluator` and
-  /// returns the first queue index. The evaluator must outlive the
-  /// tenancy (i.e. stay alive until retire_queues() returns). Throws
-  /// when the preallocated capacity is exhausted. Thread-safe.
-  std::uint32_t open_queues(const HaplotypeEvaluator& evaluator,
-                            std::uint32_t count);
-
-  /// Closes the tenant that open_queues() returned `base` for (`count`
-  /// must match): further submissions to its queues are rejected, and
-  /// the call blocks until everything it already accepted has been
-  /// delivered to the completion queues — after it returns, one final
-  /// poll() per queue observes every result and the tenant's evaluator
-  /// may be destroyed.
-  void retire_queues(std::uint32_t base, std::uint32_t count);
-
   /// Enqueues one candidate; its result will appear on `queue` tagged
-  /// with `ticket`. Returns false when the stream is closed or the
-  /// queue's tenant is retired (the submission is dropped).
+  /// with `ticket`. Returns false when the stream is closed (the
+  /// submission is dropped).
   [[nodiscard]] bool submit(std::uint32_t queue, std::uint64_t ticket,
                             Candidate candidate);
 
@@ -182,7 +166,9 @@ class EvaluationStream {
                                  std::chrono::milliseconds timeout);
 
   /// Stops accepting submissions, drains in-flight work and joins the
-  /// lanes. Idempotent; the destructor calls it.
+  /// lanes. After it returns, one poll() per queue observes every
+  /// result of every accepted submission. Idempotent; the destructor
+  /// calls it.
   void close();
 
   /// Submitted but not yet delivered, across all queues.
@@ -191,19 +177,11 @@ class EvaluationStream {
            delivered_.load(std::memory_order_relaxed);
   }
 
-  std::uint32_t queue_count() const {
-    return static_cast<std::uint32_t>(completions_.size());
-  }
-  std::uint32_t lane_count() const {
-    return static_cast<std::uint32_t>(lanes_.size());
-  }
-
   EvaluationStreamStats stats() const;
 
  private:
   struct Submission {
     std::uint32_t queue = 0;
-    std::uint32_t slot = 0;  ///< owning tenant (fixed at submit)
     std::uint64_t ticket = 0;
     Candidate candidate;
   };
@@ -216,37 +194,24 @@ class EvaluationStream {
     std::condition_variable ready;
     std::vector<StreamResult> results;
   };
-  struct Lane;
-  struct Tenant;
 
-  static constexpr std::uint32_t kUnboundQueue =
-      static_cast<std::uint32_t>(-1);
-
-  void lane_loop(Lane& lane);
+  void lane_loop(EvaluationService& service);
   void deliver(const Waiter& waiter, double fitness, bool failed);
 
+  const HaplotypeEvaluator* evaluator_;
   EvaluationStreamConfig config_;
   parallel::CoalescingQueue<Submission> queue_;
   std::vector<std::unique_ptr<CompletionQueue>> completions_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::thread> threads_;
+  /// One private serial service per lane (own scratch arena, retry
+  /// ladder and fault-injection phase counter), so every lane keeps
+  /// the probe-once / compute-once accounting of the synchronous path.
+  /// Only the lane's own thread touches it until close() joins.
+  std::vector<EvaluationService> services_;
 
-  /// Tenant registry. Slots and completion queues are preallocated at
-  /// construction (no vector ever reallocates under a running lane);
-  /// open_queues() fills the next free slot under `registry_mutex_`.
-  /// `queue_slots_[q]` maps a queue to its owning slot and is written
-  /// before the queue index is handed to the tenant, so readers that
-  /// learned `q` from open_queues() race with nothing.
-  std::mutex registry_mutex_;
-  std::condition_variable retire_cv_;
-  std::vector<std::unique_ptr<Tenant>> tenants_;
-  std::vector<std::uint32_t> queue_slots_;
-  std::uint32_t open_slots_ = 0;
-  std::uint32_t bound_queues_ = 0;
-
-  /// Guards every tenant's in-flight map (candidate → submitters
-  /// waiting on the one running computation of it).
+  /// Candidate → submitters waiting on the one running computation of
+  /// it, guarded by `inflight_mutex_`.
   std::mutex inflight_mutex_;
+  std::unordered_map<Candidate, std::vector<Waiter>, CandidateHash> inflight_;
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> delivered_{0};
@@ -254,13 +219,17 @@ class EvaluationStream {
   std::atomic<std::uint64_t> inflight_merges_{0};
   std::atomic<std::uint64_t> dispatch_rounds_{0};
 
-  mutable std::mutex close_mutex_;
+  std::mutex close_mutex_;
   bool closed_ = false;
-  /// Set by close() after the lanes drained and joined: every result
-  /// that will ever exist has been delivered, so wait() returns
-  /// without sleeping.
+  /// Set by close() after the lanes drained and joined and their
+  /// service totals were summed: every result that will ever exist has
+  /// been delivered, so wait() returns without sleeping, and stats()
+  /// may read `final_service_stats_`.
   std::atomic<bool> drained_{false};
   EvaluationServiceStats final_service_stats_;
+
+  /// Declared last: the lanes use every member above.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace ldga::stats

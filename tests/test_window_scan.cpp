@@ -212,10 +212,6 @@ TEST(WindowScan, ConfigRejectsDegenerateConcurrency) {
   config.ga = fast_ga(1);
   config.concurrent_windows = 0;
   EXPECT_THROW(config.validate(), ConfigError);
-  config.concurrent_windows = 1;
-  config.engine = ScanEngine::kAsync;
-  config.stream_lanes = 0;
-  EXPECT_THROW(config.validate(), ConfigError);
 }
 
 TEST(WindowScan, SequentialScanUnchangedBySharedEvalPool) {
@@ -366,30 +362,6 @@ TEST(WindowScan, TightStrideDrawsDonorsFromEveryOverlappingEarlierWindow) {
   // This seed's scan has a window fed by two earlier windows, which a
   // previous-window-only rule could not produce.
   EXPECT_TRUE(several_donors);
-}
-
-TEST(WindowScan, AsyncEngineScansOverSharedStream) {
-  const ScanFixture fixture;
-  WindowScanConfig config = fixture.config;
-  config.engine = ScanEngine::kAsync;
-  config.concurrent_windows = 2;
-  config.stream_lanes = 2;
-  const WindowScanResult result =
-      run_window_scan(fixture.store, fixture.dataset.panel(),
-                      fixture.dataset.statuses(), fixture.windows, config);
-  ASSERT_EQ(result.windows.size(), fixture.windows.size());
-  for (const WindowResult& window : result.windows) {
-    ASSERT_FALSE(window.best_snps.empty());
-    EXPECT_GE(window.best_snps.size(), config.ga.min_size);
-    EXPECT_LE(window.best_snps.size(), config.ga.max_size);
-    for (const SnpIndex s : window.best_snps) {
-      EXPECT_GE(s, window.window.begin);
-      EXPECT_LT(s, window.window.begin + window.window.count);
-    }
-    EXPECT_GT(window.evaluations, 0u);
-  }
-  EXPECT_FALSE(result.best_snps.empty());
-  EXPECT_GT(result.best_fitness, 0.0);
 }
 
 TEST(WindowScan, MigrationOffStillScans) {
