@@ -3,6 +3,9 @@
 // TelemetryCsvWriter is the synchronous engine's per-generation record
 // (operator-rate trajectories, per-size bests, evaluation budget,
 // immigrant waves); it plugs into GaEngine::set_generation_callback.
+// Its stage columns are the evaluator's cumulative StageTimings:
+// em_seconds times the EM runs each evaluation made — two per T1–T4
+// fitness, three per Lrt or strict-mode fitness.
 //
 // IslandEventCsvWriter is the asynchronous engine's counterpart: the
 // island engine has no generations to summarize, so telemetry is

@@ -45,16 +45,17 @@ EhDiall::EhDiall(const genomics::Dataset& dataset, EmConfig config)
 
 EhDiallResult EhDiall::analyze(std::span<const SnpIndex> snps) const {
   EvalScratch scratch;
-  return analyze(snps, scratch);
+  return analyze(snps, scratch, EhDiallScope::kFull);
 }
 
 EhDiallResult EhDiall::analyze(std::span<const SnpIndex> snps,
-                               EvalScratch& scratch) const {
+                               EvalScratch& scratch,
+                               EhDiallScope scope) const {
   EhDiallResult result;
   result.locus_count = static_cast<std::uint32_t>(snps.size());
 
-  // Count the genotype patterns of each group, merge them into the
-  // pooled table, and compile all three tables into phase programs.
+  // Count the genotype patterns of each group and compile both tables
+  // into phase programs.
   const Stopwatch build_watch;
   const GenotypePatternTable table_a = GenotypePatternTable::build_packed(
       packed_affected_, snps, config_.missing, scratch.dfs_rows);
@@ -62,8 +63,6 @@ EhDiallResult EhDiall::analyze(std::span<const SnpIndex> snps,
       packed_unaffected_, snps, config_.missing, scratch.dfs_rows);
   const EmProgram program_a = EmProgram::compile(table_a);
   const EmProgram program_u = EmProgram::compile(table_u);
-  const EmProgram program_pooled =
-      EmProgram::compile(GenotypePatternTable::merge(table_a, table_u));
   result.affected_individuals = table_a.total_individuals();
   result.unaffected_individuals = table_u.total_individuals();
   result.pattern_build_seconds = build_watch.elapsed_seconds();
@@ -73,17 +72,25 @@ EhDiallResult EhDiall::analyze(std::span<const SnpIndex> snps,
       run_em_program(program_a, config_, scratch.em);
   const EmSupportResult solution_u =
       run_em_program(program_u, config_, scratch.em);
-  const EmSupportResult solution_pooled =
-      run_em_program(program_pooled, config_, scratch.em);
   result.em_seconds = em_watch.elapsed_seconds();
-
-  // Expand the support solutions and derive the LRT.
   result.affected = expand_em_result(program_a, solution_a);
   result.unaffected = expand_em_result(program_u, solution_u);
+  if (scope == EhDiallScope::kGroups) return result;
+
+  // The pooled run, which only the LRT reads: merge the two tables,
+  // compile and solve.
+  const Stopwatch merge_watch;
+  const EmProgram program_pooled =
+      EmProgram::compile(GenotypePatternTable::merge(table_a, table_u));
+  result.pattern_build_seconds += merge_watch.elapsed_seconds();
+  const Stopwatch pooled_watch;
+  const EmSupportResult solution_pooled =
+      run_em_program(program_pooled, config_, scratch.em);
+  result.em_seconds += pooled_watch.elapsed_seconds();
   result.pooled = expand_em_result(program_pooled, solution_pooled);
   const double lrt = 2.0 * (result.affected.log_likelihood +
                             result.unaffected.log_likelihood -
-                            result.pooled.log_likelihood);
+                            result.pooled->log_likelihood);
   result.lrt = std::max(lrt, 0.0);
   return result;
 }

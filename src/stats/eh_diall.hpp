@@ -1,15 +1,19 @@
 // EH-DIALL wrapper: the first stage of the paper's Figure-3 pipeline.
 //
-// For a candidate SNP set it estimates haplotype frequencies three
-// times — affected group, unaffected group, and both pooled — and
-// derives the likelihood-ratio statistic for allelic association with
-// disease status: LRT = 2 (ln L_A + ln L_U − ln L_pooled), which is
-// asymptotically chi-square with 2^k − 1 degrees of freedom. The
-// per-group estimates feed CLUMP; the LRT is available as an
-// alternative fitness (the paper's conclusion mentions comparing
-// different objective functions).
+// For a candidate SNP set it estimates haplotype frequencies in the
+// affected group and in the unaffected group (the paper's "EH-DIALL
+// ×2"); their estimated counts are the table CLUMP scores. A full
+// analysis also estimates both groups pooled and derives the
+// likelihood-ratio statistic for allelic association with disease
+// status: LRT = 2 (ln L_A + ln L_U − ln L_pooled), which is
+// asymptotically chi-square with 2^k − 1 degrees of freedom. The LRT
+// is available as an alternative fitness (the paper's conclusion
+// mentions comparing different objective functions); CLUMP never reads
+// the pooled run, so the T1–T4 fitness path skips it.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -20,19 +24,30 @@
 
 namespace ldga::stats {
 
+/// Which EM runs one analysis makes.
+enum class EhDiallScope : std::uint8_t {
+  /// The affected and the unaffected EM: everything CLUMP's table
+  /// reads. The result's `pooled` and `lrt` stay empty.
+  kGroups,
+  /// Both groups, then the pooled EM over their merged tables, and the
+  /// LRT.
+  kFull,
+};
+
 struct EhDiallResult {
   EmResult affected;
   EmResult unaffected;
-  EmResult pooled;
+  /// Both groups pooled, and 2 (ll_A + ll_U − ll_pooled) clamped at 0.
+  /// Set by a full analysis only (EhDiallScope::kFull).
+  std::optional<EmResult> pooled;
+  std::optional<double> lrt;
   double affected_individuals = 0.0;
   double unaffected_individuals = 0.0;
-  /// 2 (ll_A + ll_U − ll_pooled); clamped at 0.
-  double lrt = 0.0;
   std::uint32_t locus_count = 0;
-  /// Wall time spent grouping genotype patterns (incl. the pooled
-  /// merge and compiling the phase programs) and running the three EM
-  /// estimations, for the per-stage telemetry
-  /// (EvaluationResult::timings).
+  /// Wall time spent grouping genotype patterns (incl. compiling the
+  /// phase programs, and the pooled merge when it ran) and running the
+  /// EM estimations the analysis made — two, or three with the pooled
+  /// run — for the per-stage telemetry (EvaluationResult::timings).
   double pattern_build_seconds = 0.0;
   double em_seconds = 0.0;
 
@@ -59,12 +74,15 @@ class EhDiall {
   EhDiallResult analyze(std::span<const genomics::SnpIndex> snps) const;
 
   /// The one EH-DIALL body: analyze() with the transient buffers (EM
-  /// vectors, DFS rows) borrowed from the caller's arena — same result,
-  /// bit for bit. Builds the three pattern tables and phase programs,
-  /// then solves the three EM programs. The arena must not be shared
+  /// vectors, DFS rows) borrowed from the caller's arena, and the EM
+  /// runs chosen by `scope`. Builds both groups' pattern tables and
+  /// phase programs and solves them; kFull then merges the two tables,
+  /// compiles and solves the pooled program and derives the LRT. The
+  /// group estimates are the same bit for bit in either scope, and a
+  /// kFull result equals analyze(snps). The arena must not be shared
   /// across threads.
   EhDiallResult analyze(std::span<const genomics::SnpIndex> snps,
-                        EvalScratch& scratch) const;
+                        EvalScratch& scratch, EhDiallScope scope) const;
 
   std::uint32_t affected_count() const {
     return static_cast<std::uint32_t>(affected_.size());

@@ -4,20 +4,9 @@
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace ldga::stats {
-
-std::size_t CandidateHash::operator()(const Candidate& candidate) const {
-  std::uint64_t state = 0x6c6467611d2004ULL ^ (candidate.size() << 32);
-  std::uint64_t h = 0;
-  for (const genomics::SnpIndex s : candidate) {
-    state ^= s;
-    h ^= splitmix64(state);
-  }
-  return static_cast<std::size_t>(h);
-}
 
 EvaluationService::EvaluationService(
     const HaplotypeEvaluator& evaluator,
@@ -35,7 +24,8 @@ std::vector<double> EvaluationService::evaluate(
   constexpr std::size_t kUnresolved = static_cast<std::size_t>(-1);
   std::vector<double> results(batch.size());
   /// First batch position of each distinct candidate.
-  std::unordered_map<Candidate, std::size_t, CandidateHash> first_seen;
+  std::unordered_map<Candidate, std::size_t, SnpSetHash, SnpSetEqual>
+      first_seen;
   first_seen.reserve(batch.size());
   /// Duplicates copy their result from the first occurrence afterwards.
   std::vector<std::size_t> copy_from(batch.size(), kUnresolved);

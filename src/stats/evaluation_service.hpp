@@ -24,6 +24,7 @@
 
 #include "parallel/work_queue.hpp"
 #include "stats/evaluation_backend.hpp"
+#include "stats/fitness_cache.hpp"
 
 namespace ldga::stats {
 
@@ -82,12 +83,6 @@ class EvaluationService {
 //     lane that claimed it — the other lanes keep draining the queue,
 //     which is exactly the failure mode the generation barrier cannot
 //     absorb.
-
-/// Hash of a candidate's SNP set, for the service's in-batch dedup and
-/// the stream's in-flight map.
-struct CandidateHash {
-  std::size_t operator()(const Candidate& candidate) const;
-};
 
 /// One finished evaluation, delivered to the submitting queue.
 struct StreamResult {
@@ -211,7 +206,9 @@ class EvaluationStream {
   /// Candidate → submitters waiting on the one running computation of
   /// it, guarded by `inflight_mutex_`.
   std::mutex inflight_mutex_;
-  std::unordered_map<Candidate, std::vector<Waiter>, CandidateHash> inflight_;
+  std::unordered_map<Candidate, std::vector<Waiter>, SnpSetHash,
+                     SnpSetEqual>
+      inflight_;
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> delivered_{0};

@@ -38,6 +38,10 @@ HaplotypeEvaluator::HaplotypeEvaluator(const genomics::Dataset& dataset,
                                        EvaluatorConfig config)
     : dataset_(&dataset),
       config_(config.validated()),
+      fitness_scope_(config_.fitness_statistic == FitnessStatistic::Lrt ||
+                             config_.require_em_convergence
+                         ? EhDiallScope::kFull
+                         : EhDiallScope::kGroups),
       eh_diall_(dataset, config.em),
       clump_(config.clump),
       cache_(config.cache_capacity, config.cache_shards) {}
@@ -53,7 +57,8 @@ EvaluationResult HaplotypeEvaluator::evaluate_full(
   LDGA_EXPECTS(!snps.empty());
   LDGA_EXPECTS(snps.size() <= config_.max_loci);
 
-  const EhDiallResult eh = eh_diall_.analyze(snps, scratch);
+  const EhDiallResult eh =
+      eh_diall_.analyze(snps, scratch, EhDiallScope::kFull);
   return finish_evaluation(snps, eh);
 }
 
@@ -67,12 +72,14 @@ EvaluationResult HaplotypeEvaluator::finish_evaluation(
   result.timings.em_seconds = eh.em_seconds;
   Stopwatch clump_watch;
   result.t1 = clump_.t1(table);
-  result.lrt = eh.lrt;
-  result.em_iterations_total = eh.affected.iterations +
-                               eh.unaffected.iterations +
-                               eh.pooled.iterations;
-  result.em_converged =
-      eh.affected.converged && eh.unaffected.converged && eh.pooled.converged;
+  if (eh.pooled) {
+    result.lrt = *eh.lrt;
+    result.em_iterations_total = eh.affected.iterations +
+                                 eh.unaffected.iterations +
+                                 eh.pooled->iterations;
+    result.em_converged = eh.affected.converged &&
+                          eh.unaffected.converged && eh.pooled->converged;
+  }
   result.table_columns = table.cols();
 
   switch (config_.fitness_statistic) {
@@ -80,7 +87,7 @@ EvaluationResult HaplotypeEvaluator::finish_evaluation(
       result.fitness = result.t1.statistic;
       break;
     case FitnessStatistic::Lrt:
-      result.fitness = result.lrt;
+      result.fitness = eh.lrt.value();
       break;
     case FitnessStatistic::T2:
     case FitnessStatistic::T3:
@@ -110,7 +117,9 @@ EvaluationResult HaplotypeEvaluator::finish_evaluation(
 
 ClumpResult HaplotypeEvaluator::clump_analysis(
     std::span<const SnpIndex> snps) const {
-  const EhDiallResult eh = eh_diall_.analyze(snps);
+  EvalScratch scratch;
+  const EhDiallResult eh =
+      eh_diall_.analyze(snps, scratch, EhDiallScope::kGroups);
   std::uint64_t seed = config_.monte_carlo_seed;
   for (const SnpIndex s : snps) seed = splitmix64(seed) ^ s;
   Rng rng(seed);
@@ -183,8 +192,8 @@ double HaplotypeEvaluator::fitness_and_cache(std::span<const SnpIndex> snps,
   std::string detail;
   double value = 0.0;
   try {
-    const EvaluationResult result =
-        finish_evaluation(snps, eh_diall_.analyze(snps, scratch));
+    const EvaluationResult result = finish_evaluation(
+        snps, eh_diall_.analyze(snps, scratch, fitness_scope_));
     if (config_.require_em_convergence && !result.em_converged) {
       reason = EvaluationError::Reason::kEmNotConverged;
       detail = "EM did not converge";

@@ -2,10 +2,16 @@
 //
 //   candidate SNP set
 //     → per-group genotype-pattern enumeration          (Enumeration)
-//     → EM haplotype frequency estimation per group     (EH-DIALL)
+//     → EM haplotype frequency estimation per group     (EH-DIALL ×2)
 //     → estimated-count contingency table               (Concatenation)
 //     → chi-square association statistic                (CLUMP)
 //     → fitness
+//
+// The cached fitness path runs the two group EMs only, unless the
+// fitness reads the pooled EM as well: the LRT statistic does, and so
+// does strict mode (require_em_convergence), which fails a candidate
+// when any of the three runs stops at its iteration cap. evaluate_full
+// always runs all three, so its lrt and EM diagnostics are complete.
 //
 // The evaluator is immutable after construction and safe to call from
 // many threads concurrently; the fitness cache is internally
@@ -113,9 +119,13 @@ struct EvaluatorConfig {
 /// pipeline run since construction/reset) in
 /// HaplotypeEvaluator::stage_timings(), GaResult and the telemetry CSV.
 struct StageTimings {
-  double pattern_build_seconds = 0.0;  ///< Enumeration (+ pooled merge)
-  double em_seconds = 0.0;             ///< three EH-DIALL EM runs
-  double clump_seconds = 0.0;          ///< CLUMP statistics (+ MC)
+  /// Enumeration and phase-program compile (+ the pooled merge when
+  /// the pooled EM runs).
+  double pattern_build_seconds = 0.0;
+  /// The EH-DIALL EM runs the call made: two per T1–T4 fitness, three
+  /// per Lrt or strict-mode fitness and per evaluate_full().
+  double em_seconds = 0.0;
+  double clump_seconds = 0.0;  ///< CLUMP statistics (+ MC)
 };
 
 /// Everything the pipeline knows about one candidate, for reporting.
@@ -134,7 +144,9 @@ class HaplotypeEvaluator {
   HaplotypeEvaluator(const genomics::Dataset& dataset,
                      EvaluatorConfig config = {});
 
-  /// Full pipeline, never cached, never counted. For reports and tests.
+  /// Full pipeline, never cached, never counted: all three EH-DIALL EM
+  /// runs, so `lrt` and the EM diagnostics are set whatever the
+  /// fitness statistic. For reports and tests.
   EvaluationResult evaluate_full(
       std::span<const genomics::SnpIndex> snps) const;
 
@@ -145,7 +157,7 @@ class HaplotypeEvaluator {
                                  EvalScratch& scratch) const;
 
   /// Complete CLUMP analysis (all four statistics + optional Monte
-  /// Carlo) of a candidate. Not cached.
+  /// Carlo) of a candidate, from the two group EMs. Not cached.
   ClumpResult clump_analysis(std::span<const genomics::SnpIndex> snps) const;
 
   /// Cached fitness: the number the GA maximizes. Thread-safe.
@@ -166,8 +178,9 @@ class HaplotypeEvaluator {
   double fitness_and_cache(std::span<const genomics::SnpIndex> snps) const;
 
   /// fitness_and_cache() with an arena (see evaluate_full overload):
-  /// the one body every backend runs — analyze, finish, apply the
-  /// failure policy, insert into the cache.
+  /// the one body every backend runs — analyze (in fitness_scope_),
+  /// finish, apply the failure policy, insert into the cache. The
+  /// fitness equals evaluate_full(snps).fitness bit for bit.
   double fitness_and_cache(std::span<const genomics::SnpIndex> snps,
                            EvalScratch& scratch) const;
 
@@ -221,7 +234,8 @@ class HaplotypeEvaluator {
  private:
   /// Shared tail of evaluate_full()/fitness_and_cache(): turns a
   /// completed EH-DIALL analysis into the fitness-bearing result
-  /// (CLUMP, fitness statistic, clump-stage timing accumulation).
+  /// (CLUMP, fitness statistic, clump-stage timing accumulation). The
+  /// lrt and EM diagnostics are set only from a full analysis.
   EvaluationResult finish_evaluation(std::span<const genomics::SnpIndex> snps,
                                      const EhDiallResult& eh) const;
   /// Failure tail of fitness_and_cache(): counts the failure,
@@ -234,6 +248,10 @@ class HaplotypeEvaluator {
 
   const genomics::Dataset* dataset_;
   EvaluatorConfig config_;
+  /// The EM runs fitness_and_cache() makes: kFull when the fitness
+  /// reads the pooled run (the Lrt statistic, or strict mode's
+  /// convergence check over all three runs), else kGroups.
+  const EhDiallScope fitness_scope_;
   EhDiall eh_diall_;
   Clump clump_;
 

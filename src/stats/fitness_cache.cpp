@@ -10,11 +10,10 @@ namespace ldga::stats {
 
 using genomics::SnpIndex;
 
-std::size_t FitnessCache::KeyHash::operator()(
-    const std::vector<SnpIndex>& v) const {
-  std::uint64_t state = 0x6c6467611d2004ULL ^ (v.size() << 32);
+std::size_t SnpSetHash::operator()(std::span<const SnpIndex> snps) const {
+  std::uint64_t state = 0x6c6467611d2004ULL ^ (snps.size() << 32);
   std::uint64_t h = 0;
-  for (const SnpIndex s : v) {
+  for (const SnpIndex s : snps) {
     state ^= s;
     h ^= splitmix64(state);
   }
@@ -38,25 +37,18 @@ FitnessCache::FitnessCache(std::uint64_t capacity, std::uint32_t shards)
 
 FitnessCache::Shard& FitnessCache::shard_of(
     std::span<const SnpIndex> key) const {
-  // Mix the same iterated hash the maps use; the high bits pick the
-  // shard so shard choice and in-map bucketing stay decorrelated.
-  std::uint64_t state = 0x6c6467611d2004ULL ^ (key.size() << 32);
-  std::uint64_t h = 0;
-  for (const SnpIndex s : key) {
-    state ^= s;
-    h ^= splitmix64(state);
-  }
-  return *shards_[static_cast<std::size_t>(splitmix64(h) %
-                                           shards_.size())];
+  // Remix the hash the maps use, so shard choice and in-map bucketing
+  // stay decorrelated.
+  std::uint64_t h = SnpSetHash{}(key);
+  return *shards_[static_cast<std::size_t>(splitmix64(h) % shards_.size())];
 }
 
 std::optional<double> FitnessCache::find(
     std::span<const SnpIndex> key) const {
   const Shard& shard = shard_of(key);
-  std::vector<SnpIndex> probe(key.begin(), key.end());
   {
     std::shared_lock lock(shard.mutex);
-    const auto found = shard.map.find(probe);
+    const auto found = shard.map.find(key);
     if (found != shard.map.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return found->second;
@@ -68,15 +60,15 @@ std::optional<double> FitnessCache::find(
 
 void FitnessCache::insert(std::span<const SnpIndex> key, double value) {
   Shard& shard = shard_of(key);
-  std::vector<SnpIndex> stored(key.begin(), key.end());
   std::uint64_t evicted = 0;
   {
     std::unique_lock lock(shard.mutex);
-    const auto found = shard.map.find(stored);
+    const auto found = shard.map.find(key);
     if (found != shard.map.end()) {
       found->second = value;  // refresh in place, no capacity consumed
       return;
     }
+    std::vector<SnpIndex> stored(key.begin(), key.end());
     while (shard_capacity_ > 0 && shard.map.size() >= shard_capacity_) {
       shard.map.erase(shard.order.front());
       shard.order.pop_front();

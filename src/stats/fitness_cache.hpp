@@ -15,6 +15,7 @@
 // GaResult and the telemetry writer.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -28,6 +29,23 @@
 #include "genomics/types.hpp"
 
 namespace ldga::stats {
+
+/// Hash of a SNP set (sorted locus indices), shared by the cache's maps
+/// and shard choice, the evaluation service's in-batch dedup and the
+/// stream's in-flight map. Transparent, with SnpSetEqual: a map keyed
+/// by std::vector<SnpIndex> can be probed with a span, without a copy.
+struct SnpSetHash {
+  using is_transparent = void;
+  std::size_t operator()(std::span<const genomics::SnpIndex> snps) const;
+};
+
+struct SnpSetEqual {
+  using is_transparent = void;
+  bool operator()(std::span<const genomics::SnpIndex> a,
+                  std::span<const genomics::SnpIndex> b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+};
 
 struct FitnessCacheStats {
   std::uint64_t hits = 0;        ///< find() calls answered
@@ -67,12 +85,11 @@ class FitnessCache {
   void clear();
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const std::vector<genomics::SnpIndex>& v) const;
-  };
   struct Shard {
     mutable std::shared_mutex mutex;
-    std::unordered_map<std::vector<genomics::SnpIndex>, double, KeyHash> map;
+    std::unordered_map<std::vector<genomics::SnpIndex>, double, SnpSetHash,
+                       SnpSetEqual>
+        map;
     std::deque<std::vector<genomics::SnpIndex>> order;  ///< FIFO of keys
   };
 

@@ -197,7 +197,7 @@ EhDiallResult analyze(const genomics::Dataset& dataset,
   result.pooled = estimate_haplotype_frequencies(table_p, config);
   const double lrt = 2.0 * (result.affected.log_likelihood +
                             result.unaffected.log_likelihood -
-                            result.pooled.log_likelihood);
+                            result.pooled->log_likelihood);
   result.lrt = std::max(lrt, 0.0);
   return result;
 }

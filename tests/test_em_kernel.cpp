@@ -180,7 +180,9 @@ TEST(EmKernel, SupportSetIsSparseOnStructuredData) {
 
 TEST(EmKernel, CompiledEhDiallMatchesReferencePath) {
   // Production EH-DIALL on the scalar kernel against the oracle's
-  // byte-scan tables and dense visitor EM, all three groups.
+  // byte-scan tables and dense visitor EM: all three groups of a full
+  // analysis, and the two of a groups-only one (the T1–T4 fitness
+  // path), which must leave the pooled run and the LRT unset.
   const auto synthetic = ldga::testing::small_synthetic(10, 2, 424242);
   const EhDiall compiled(synthetic.dataset);
   for (const std::vector<SnpIndex>& snps :
@@ -189,8 +191,17 @@ TEST(EmKernel, CompiledEhDiallMatchesReferencePath) {
     const auto fast = compiled.analyze(snps);
     expect_bit_identical(ref.affected, fast.affected);
     expect_bit_identical(ref.unaffected, fast.unaffected);
-    expect_bit_identical(ref.pooled, fast.pooled);
-    EXPECT_EQ(ref.lrt, fast.lrt);
+    expect_bit_identical(ref.pooled.value(), fast.pooled.value());
+    EXPECT_EQ(ref.lrt.value(), fast.lrt.value());
+
+    EvalScratch scratch;
+    const auto groups = compiled.analyze(snps, scratch, EhDiallScope::kGroups);
+    expect_bit_identical(ref.affected, groups.affected);
+    expect_bit_identical(ref.unaffected, groups.unaffected);
+    EXPECT_EQ(groups.affected_individuals, ref.affected_individuals);
+    EXPECT_EQ(groups.unaffected_individuals, ref.unaffected_individuals);
+    EXPECT_FALSE(groups.pooled.has_value());
+    EXPECT_FALSE(groups.lrt.has_value());
   }
 }
 

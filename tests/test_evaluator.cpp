@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <thread>
 #include <vector>
 
+#include "genomics/synthetic.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -147,6 +151,48 @@ TEST(Evaluator, AlternativeFitnessStatistics) {
   EXPECT_NEAR(t3_full.fitness, clump.t3.statistic, 1e-9);
 }
 
+TEST(Evaluator, FitnessPathMatchesEvaluateFullBitForBit) {
+  // The cached fitness path skips the pooled EM unless the statistic
+  // reads it; evaluate_full always runs all three. The fitness must be
+  // the same bits either way: every statistic (Monte Carlo on for
+  // T2–T4), sizes 2–6, both missing-data policies, on a cohort with
+  // missing calls.
+  genomics::SyntheticConfig cohort;
+  cohort.snp_count = 10;
+  cohort.affected_count = 50;
+  cohort.unaffected_count = 50;
+  cohort.unknown_count = 0;
+  cohort.active_snp_count = 2;
+  cohort.missing_rate = 0.08;
+  Rng rng(77);
+  const auto synthetic = genomics::generate_synthetic(cohort, rng);
+  const std::vector<std::vector<SnpIndex>> candidates{
+      {0, 3}, {1, 4, 7}, {0, 2, 5, 9}, {1, 3, 4, 6, 8}, {0, 2, 3, 5, 7, 9}};
+
+  for (const MissingPolicy policy :
+       {MissingPolicy::CompleteCase, MissingPolicy::Marginalize}) {
+    for (const FitnessStatistic statistic :
+         {FitnessStatistic::T1, FitnessStatistic::T2, FitnessStatistic::T3,
+          FitnessStatistic::T4, FitnessStatistic::Lrt}) {
+      EvaluatorConfig config;
+      config.em.missing = policy;
+      config.fitness_statistic = statistic;
+      config.clump.monte_carlo_trials = 50;
+      const HaplotypeEvaluator evaluator(synthetic.dataset, config);
+      for (const auto& snps : candidates) {
+        SCOPED_TRACE(::testing::Message()
+                     << "statistic " << static_cast<int>(statistic)
+                     << " size " << snps.size() << " marginalize "
+                     << (policy == MissingPolicy::Marginalize));
+        const double full = evaluator.evaluate_full(snps).fitness;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(evaluator.fitness(snps)),
+                  std::bit_cast<std::uint64_t>(full));
+      }
+      EXPECT_EQ(evaluator.failed_evaluation_count(), 0u);
+    }
+  }
+}
+
 TEST(Evaluator, ReportsEmDiagnostics) {
   const auto dataset = ldga::testing::tiny_dataset();
   const HaplotypeEvaluator evaluator(dataset);
@@ -213,6 +259,59 @@ TEST(EvaluatorDegradation, LenientModeKeepsUnconvergedStatistic) {
                    evaluator.evaluate_full(snps).fitness);
   EXPECT_EQ(evaluator.failed_evaluation_count(), 0u);
   EXPECT_TRUE(evaluator.last_failure().empty());
+}
+
+TEST(EvaluatorDegradation, StrictModeChecksThePooledEm) {
+  // Strict mode fails a candidate when any of the three EH-DIALL runs
+  // stops at its cap, so its fitness path must run the pooled EM that a
+  // lenient T1 fitness skips. Take a candidate whose pooled EM needs
+  // more iterations than both group EMs and cap EM at the groups' need:
+  // only the pooled run then stops short.
+  const auto synthetic = ldga::testing::small_synthetic(10, 2, 31);
+  const EhDiall uncapped(synthetic.dataset);
+  std::vector<SnpIndex> snps;
+  std::uint32_t cap = 0;
+  for (SnpIndex a = 0; a < 10 && snps.empty(); ++a) {
+    for (SnpIndex b = a + 1; b < 10 && snps.empty(); ++b) {
+      const std::vector<SnpIndex> pair{a, b};
+      const EhDiallResult eh = uncapped.analyze(pair);
+      const std::uint32_t groups =
+          std::max(eh.affected.iterations, eh.unaffected.iterations);
+      if (eh.pooled.value().iterations > groups) {
+        snps = pair;
+        cap = groups;
+      }
+    }
+  }
+  ASSERT_FALSE(snps.empty());
+
+  EvaluatorConfig config;
+  config.em.max_iterations = cap;
+  const EhDiallResult capped =
+      EhDiall(synthetic.dataset, config.em).analyze(snps);
+  ASSERT_TRUE(capped.affected.converged);
+  ASSERT_TRUE(capped.unaffected.converged);
+  ASSERT_FALSE(capped.pooled.value().converged);
+
+  const HaplotypeEvaluator lenient(synthetic.dataset, config);
+  const double statistic = lenient.evaluate_full(snps).fitness;
+  EXPECT_EQ(lenient.fitness(snps), statistic);
+  EXPECT_EQ(lenient.failed_evaluation_count(), 0u);
+
+  config.require_em_convergence = true;
+  config.penalty_fitness = -1.0;
+  const HaplotypeEvaluator strict(synthetic.dataset, config);
+  EXPECT_DOUBLE_EQ(strict.fitness(snps), -1.0);
+  EXPECT_EQ(strict.failed_evaluation_count(), 1u);
+
+  config.failure_policy = EvaluationFailurePolicy::kPropagate;
+  const HaplotypeEvaluator propagating(synthetic.dataset, config);
+  try {
+    propagating.fitness(snps);
+    FAIL() << "expected EvaluationError";
+  } catch (const EvaluationError& error) {
+    EXPECT_EQ(error.reason(), EvaluationError::Reason::kEmNotConverged);
+  }
 }
 
 TEST(EvaluatorDegradation, NonFinitePenaltyIsRejected) {

@@ -27,6 +27,16 @@ TEST(FitnessCache, FindAfterInsertAndMissBefore) {
   EXPECT_FALSE(cache.find(key({1, 2, 4})).has_value());
 }
 
+TEST(FitnessCache, SnpSetHashValuesArePinned) {
+  // Shard choice and FIFO eviction follow these values, and the
+  // evaluation service and stream hash with them too.
+  const SnpSetHash hash;
+  EXPECT_EQ(hash(key({})), 0x0u);
+  EXPECT_EQ(hash(key({0})), 0x14a1b637a382f340u);
+  EXPECT_EQ(hash(key({1, 2, 3})), 0x0da2de6d36600f5bu);
+  EXPECT_EQ(hash(key({7, 19, 20, 41, 50})), 0x47357537d716b63cu);
+}
+
 TEST(FitnessCache, InsertUpdatesInPlace) {
   FitnessCache cache(8, 1);
   cache.insert(key({5}), 1.0);

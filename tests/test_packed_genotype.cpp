@@ -250,8 +250,8 @@ TEST(PackedGenotype, EhDiallStatisticsAreBitForBitIdentical) {
                 expected.unaffected_individuals);
       expect_bit_identical(expected.affected, actual.affected);
       expect_bit_identical(expected.unaffected, actual.unaffected);
-      expect_bit_identical(expected.pooled, actual.pooled);
-      EXPECT_EQ(actual.lrt, expected.lrt);
+      expect_bit_identical(expected.pooled.value(), actual.pooled.value());
+      EXPECT_EQ(actual.lrt.value(), expected.lrt.value());
     }
   }
 }

@@ -500,11 +500,11 @@ TEST_F(SimdPipeline, EhDiallFlagOnIsBitExactToReferenceAtEveryLevel) {
                      << (policy == stats::MissingPolicy::Marginalize));
         const stats::EvaluationResult got =
             evaluator.evaluate_full(candidates[c]);
-        EXPECT_EQ(evaluator.fitness(candidates[c]), want[c].lrt);
-        EXPECT_EQ(got.lrt, want[c].lrt);
-        EXPECT_EQ(got.em_iterations_total, want[c].affected.iterations +
-                                               want[c].unaffected.iterations +
-                                               want[c].pooled.iterations);
+        EXPECT_EQ(evaluator.fitness(candidates[c]), want[c].lrt.value());
+        EXPECT_EQ(got.lrt, want[c].lrt.value());
+        EXPECT_EQ(got.em_iterations_total,
+                  want[c].affected.iterations + want[c].unaffected.iterations +
+                      want[c].pooled.value().iterations);
       }
     }
   }
