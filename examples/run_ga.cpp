@@ -31,7 +31,8 @@
 //   --transport in-process|socket-unix|socket-tcp   farm message layer
 //                       [in-process]; socket-* forks worker processes
 //                       supervised with heartbeats + respawn
-//   --workers N         worker/slave count [hardware]
+//   --workers N         scoring threads, the caller among them (farm:
+//                       slaves) [hardware]
 //   --stat t1|t2|t3|t4|lrt       fitness statistic [t1]
 //   --seed S            base seed [1]
 //   --trace             print per-generation telemetry CSV to stderr

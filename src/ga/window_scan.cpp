@@ -138,18 +138,6 @@ std::vector<EliteRecord> harvest_elites(
   return elites;
 }
 
-/// The scan-wide evaluation thread pool, or nullptr when per-window
-/// serial backends are cheaper (eval_workers resolves to 1). Hoisted to
-/// once per scan so no window pays pool setup.
-std::shared_ptr<parallel::ThreadPool> make_scan_pool(
-    const WindowScanConfig& config) {
-  const std::uint32_t workers = config.eval_workers == 0
-                                    ? parallel::default_thread_count()
-                                    : config.eval_workers;
-  if (workers <= 1) return nullptr;
-  return std::make_shared<parallel::ThreadPool>(workers);
-}
-
 /// A finished window's contribution to later claims.
 struct FinishedWindow {
   WindowSpec window;
@@ -171,7 +159,7 @@ struct Scheduler {
         statuses(scan_statuses),
         windows(scan_windows),
         config(scan_config),
-        pool(make_scan_pool(config)),
+        pool(parallel::make_worker_pool(config.eval_workers)),
         results(windows.size()) {}
 
   WindowScanResult run() {
@@ -295,6 +283,9 @@ struct Scheduler {
   std::span<const genomics::Status> statuses;
   std::span<const WindowSpec> windows;
   const WindowScanConfig& config;
+  /// The scan-wide evaluation pool, spun up once so no window pays
+  /// pool setup; null when eval_workers resolves to 1, where each
+  /// window's serial backend scores on the window's own thread.
   std::shared_ptr<parallel::ThreadPool> pool;
 
   std::mutex mutex;

@@ -76,13 +76,14 @@ struct WindowScanConfig {
   /// Window GAs in flight at once (scheduler workers, the calling
   /// thread included). 1 is the deterministic configuration.
   std::uint32_t concurrent_windows = 1;
-  /// Workers of the scan-wide evaluation thread pool: the pool spins
-  /// up once per scan and is injected into every window's backend, so
-  /// windows stop paying pool setup each. 0 means hardware concurrency.
-  /// A resolved count of 1 (1, or 0 on a one-core host) keeps the
-  /// per-window serial backend, the cheapest when windows themselves
-  /// run concurrently. Fitness results are backend-invariant either
-  /// way.
+  /// Threads that score a window's evaluation batch, the window's own
+  /// thread among them (parallel::make_worker_pool): the scan spins up
+  /// one pool of eval_workers − 1 threads and injects it into every
+  /// window's backend, so windows stop paying pool setup each. 0 means
+  /// hardware concurrency. A resolved count of 1 (1, or 0 on a one-core
+  /// host) starts no pool and keeps the per-window serial backend, the
+  /// cheapest when windows themselves run concurrently. Fitness results
+  /// are backend-invariant either way.
   std::uint32_t eval_workers = 1;
 
   void validate() const;

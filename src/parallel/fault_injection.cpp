@@ -169,9 +169,9 @@ void FaultInjector::apply_before_work(const FaultDecision& decision) {
       break;
     case FaultDecision::Kind::kStaleReply:
     case FaultDecision::Kind::kNone:
-    // Transport faults need a transport; on a plain callable (serial /
-    // thread-pool backends) there is no frame to drop, so they degrade
-    // to no-ops rather than faking a different failure mode.
+    // Transport faults need a transport; in process (the in-process
+    // backend, the stream's lanes) there is no frame to drop, so they
+    // degrade to no-ops rather than faking a different failure mode.
     case FaultDecision::Kind::kDropReply:
     case FaultDecision::Kind::kCorruptReply:
     case FaultDecision::Kind::kDisconnect:

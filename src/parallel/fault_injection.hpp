@@ -13,8 +13,11 @@
 //     message, so attempt tracking stays global even when workers are
 //     separate processes (enables stale replies and transport faults:
 //     dropped/corrupted frames, disconnects, worker kills);
-//   - wrap() any plain worker callable: exceptions and delays only,
-//     indexed by a global call counter (for thread-pool backends).
+//   - in process (stats::RetryLadder, behind the in-process backend and
+//     the EvaluationStream's lanes): the scoring thread calls decide()
+//     then apply_before_work() before each attempt, at (batch phase,
+//     batch position) in a backend and at (completion queue, ticket)
+//     in a stream. Throws and delays only.
 #pragma once
 
 #include <atomic>
@@ -103,21 +106,8 @@ class FaultInjector {
   /// Thread-safe; attempt numbers are tracked internally.
   FaultDecision decide(std::uint64_t phase, std::uint64_t task_index);
 
-  /// Wraps a plain worker callable: injected throws and delays apply by
-  /// global call order (phase 0, index = call counter). Stale replies
-  /// need farm cooperation and are not produced here.
-  template <typename Worker>
-  auto wrap(Worker worker) {
-    return [this, worker = std::move(worker)](const auto& task) {
-      const std::uint64_t call = calls_.fetch_add(1);
-      const FaultDecision fault = decide(0, call);
-      apply_before_work(fault);
-      return worker(task);
-    };
-  }
-
-  /// Executes the throw/delay part of a decision (used by wrap and by
-  /// the farm's slave loop). Throws FaultInjected for kThrow.
+  /// Executes the throw/delay part of a decision (used in process and
+  /// by the farm's slave loop). Throws FaultInjected for kThrow.
   static void apply_before_work(const FaultDecision& decision);
 
   const Config& config() const { return config_; }
@@ -141,7 +131,6 @@ class FaultInjector {
   std::mutex mutex_;
   /// Attempt counter per (phase, index) coordinate.
   std::unordered_map<std::uint64_t, std::uint32_t> attempts_;
-  std::atomic<std::uint64_t> calls_{0};
   std::atomic<std::uint64_t> throws_{0};
   std::atomic<std::uint64_t> delays_{0};
   std::atomic<std::uint64_t> stragglers_{0};

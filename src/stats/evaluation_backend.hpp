@@ -3,10 +3,11 @@
 // The GA hands a whole generation's offspring to EvaluationService as a
 // batch; the service resolves cache hits and in-batch duplicates, and
 // what remains — the candidates that genuinely need a pipeline run — is
-// dispatched through this interface. Three implementations cover the
-// paper's execution spectrum: a serial loop, a shared-memory thread
-// pool, and the PVM-style master/slave farm of §4.5. The engine holds
-// one EvaluationBackend pointer and never branches on a backend enum.
+// dispatched through this interface. Two implementations cover the
+// paper's execution spectrum: the in-process backend (the caller alone,
+// in order, or the caller and a shared-memory pool's threads) and the
+// PVM-style master/slave farm of §4.5. The engine holds one
+// EvaluationBackend pointer and never branches on a backend enum.
 //
 // Contract (the conformance suite in tests/test_evaluation_backend.cpp
 // holds every implementation to it):
@@ -21,6 +22,7 @@
 //     fault schedules reproduce exactly across backends.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -38,7 +40,7 @@ namespace ldga::stats {
 /// A candidate haplotype: sorted, distinct SNP indices.
 using Candidate = std::vector<genomics::SnpIndex>;
 
-/// Message layer under the farm backend (ignored by serial / pool).
+/// Message layer under the farm backend (ignored in process).
 enum class FarmTransport {
   kInProcess,  ///< VirtualMachine threads + sealed mailboxes (default)
   kSocket,     ///< forked worker processes + checksummed socket frames
@@ -46,18 +48,21 @@ enum class FarmTransport {
 
 /// Construction-time knobs shared by every backend factory.
 struct BackendOptions {
-  /// Worker threads / farm slaves; 0 → hardware concurrency. Ignored by
-  /// the serial backend.
+  /// Scoring threads; 0 → hardware concurrency. The thread-pool backend
+  /// counts the calling thread, which scores too, so it starts
+  /// workers − 1 pool threads (parallel::make_worker_pool) and none at
+  /// 1. The farm starts this many slaves, since its master does not
+  /// score. Ignored by the serial backend.
   std::uint32_t workers = 0;
   /// Thread-pool backend only: run on this long-lived pool instead of
   /// spinning up a private one (`workers` is then ignored — the pool's
-  /// size rules). The windowed genome scan builds many short-lived
-  /// backends over per-window evaluators; sharing one pool turns
-  /// per-window thread spin-up into a pointer copy. Fitness results
-  /// are identical either way — the backend contract is worker-count
-  /// invariant.
+  /// threads and the caller score). The windowed genome scan builds
+  /// many short-lived backends over per-window evaluators; sharing one
+  /// pool turns per-window thread spin-up into a pointer copy. Fitness
+  /// results are identical either way — the backend contract is
+  /// worker-count invariant.
   std::shared_ptr<parallel::ThreadPool> pool;
-  /// Retry/quarantine ladder. The serial and thread-pool backends honor
+  /// Retry/quarantine ladder. The in-process backend honors
   /// max_task_retries (the quarantine fields only make sense for slaves
   /// and are ignored there).
   parallel::FarmPolicy farm_policy;
@@ -84,17 +89,41 @@ class EvaluationBackend {
   virtual std::string_view name() const = 0;
   virtual std::uint32_t worker_count() const = 0;
 
-  /// Health counters. The serial and thread-pool backends report their
-  /// retry totals through the same structure the farm uses, so callers
-  /// read one shape everywhere.
+  /// Health counters. The in-process backend reports its retry totals
+  /// through the same structure the farm uses, so callers read one
+  /// shape everywhere.
   virtual parallel::FarmStats farm_stats() const = 0;
 };
 
-/// Master evaluates everything itself, in order.
+/// The in-process scoring body behind the in-process backend and
+/// EvaluationStream's lanes: fitness_and_cache under the retry ladder.
+/// A configured injector is consulted once per attempt at the caller's
+/// (phase, index) coordinates; a failing attempt is retried up to
+/// policy.max_task_retries times, and exhaustion raises
+/// parallel::FarmPhaseError with the attempt history. Stale-reply and
+/// transport decisions are wire-level faults, no-ops in process.
+struct RetryLadder {
+  const HaplotypeEvaluator* evaluator;
+  parallel::FarmPolicy policy;
+  std::shared_ptr<parallel::FaultInjector> injector;
+  /// Failed attempts, and the retries that followed them.
+  std::atomic<std::uint64_t> failures{0};
+  std::atomic<std::uint64_t> retries{0};
+
+  /// Thread-safe; `scratch` must be the calling thread's own.
+  double score(const Candidate& candidate, std::uint64_t phase,
+               std::uint64_t index, EvalScratch& scratch);
+};
+
+/// The caller evaluates everything itself, in order: the in-process
+/// backend with no pool.
 std::shared_ptr<EvaluationBackend> make_serial_backend(
     const HaplotypeEvaluator& evaluator, BackendOptions options = {});
 
-/// Shared-memory pool; results are written by index, so ordering and GA
+/// The in-process backend over `options.pool`, or over
+/// parallel::make_worker_pool(options.workers): `workers` threads, the
+/// caller among them, score each batch, and one worker scores it alone,
+/// in order. Results are written by index, so ordering and GA
 /// trajectory are unaffected by scheduling.
 std::shared_ptr<EvaluationBackend> make_thread_pool_backend(
     const HaplotypeEvaluator& evaluator, BackendOptions options = {});

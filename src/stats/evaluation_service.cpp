@@ -88,25 +88,19 @@ void EvaluationStreamConfig::validate() const {
 EvaluationStream::EvaluationStream(const HaplotypeEvaluator& evaluator,
                                    std::uint32_t queue_count,
                                    EvaluationStreamConfig config)
-    : evaluator_(&evaluator), config_(std::move(config)) {
+    : evaluator_(&evaluator),
+      config_(std::move(config)),
+      ladder_{&evaluator, config_.farm_policy, config_.fault_injector},
+      lane_stats_(config_.lanes) {
   config_.validate();
   LDGA_EXPECTS(queue_count >= 1);
   completions_.reserve(queue_count);
   for (std::uint32_t q = 0; q < queue_count; ++q) {
     completions_.push_back(std::make_unique<CompletionQueue>());
   }
-  BackendOptions options;
-  options.farm_policy = config_.farm_policy;
-  options.fault_injector = config_.fault_injector;
-  // Every service exists before the first lane starts, so no lane ever
-  // sees the vector reallocate.
-  services_.reserve(config_.lanes);
-  for (std::uint32_t l = 0; l < config_.lanes; ++l) {
-    services_.emplace_back(evaluator, make_serial_backend(evaluator, options));
-  }
   threads_.reserve(config_.lanes);
-  for (EvaluationService& service : services_) {
-    threads_.emplace_back([this, &service] { lane_loop(service); });
+  for (EvaluationServiceStats& stats : lane_stats_) {
+    threads_.emplace_back([this, &stats] { lane_loop(stats); });
   }
 }
 
@@ -143,7 +137,8 @@ void EvaluationStream::deliver(const Waiter& waiter, double fitness,
   completion.ready.notify_all();
 }
 
-void EvaluationStream::lane_loop(EvaluationService& service) {
+void EvaluationStream::lane_loop(EvaluationServiceStats& stats) {
+  EvalScratch scratch;
   for (;;) {
     // Claim the oldest submission plus more from its completion queue
     // (one island), gathered from anywhere in the stream queue, so an
@@ -159,7 +154,7 @@ void EvaluationStream::lane_loop(EvaluationService& service) {
     // is already computing it; otherwise the submission latches onto
     // the in-flight computation and is delivered by whichever lane
     // finishes it.
-    std::vector<Candidate> claimed;
+    std::vector<Submission> claimed;
     claimed.reserve(batch.size());
     {
       std::lock_guard lock(inflight_mutex_);
@@ -172,33 +167,43 @@ void EvaluationStream::lane_loop(EvaluationService& service) {
           inflight_merges_.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        claimed.push_back(std::move(submission.candidate));
+        claimed.push_back(std::move(submission));
       }
     }
     if (claimed.empty()) continue;
 
-    // One service call per candidate: the claim is already distinct,
-    // and a candidate that exhausts its retry ladder is counted once
-    // and delivered failed with the penalty fitness while its siblings
-    // keep their real scores, instead of tearing down the whole stream
-    // the way a synchronous phase would.
+    // Each claimed candidate is probed and, on a miss, scored at its
+    // claimer's (queue, ticket) coordinates. A candidate that exhausts
+    // its retry ladder is delivered failed with the penalty fitness
+    // while its siblings keep their real scores, instead of tearing
+    // down the whole stream the way a synchronous phase would.
+    const Stopwatch watch;
     std::vector<double> scores(claimed.size(),
                                evaluator_->config().penalty_fitness);
     std::vector<bool> failures(claimed.size(), false);
     for (std::size_t i = 0; i < claimed.size(); ++i) {
+      const auto& [queue, ticket, candidate] = claimed[i];
+      ++stats.batches;
+      ++stats.candidates;
+      if (const auto cached = evaluator_->cached_fitness(candidate)) {
+        ++stats.cache_hits;
+        scores[i] = *cached;
+        continue;
+      }
+      ++stats.dispatched;
       try {
-        scores[i] =
-            service.evaluate(std::span<const Candidate>(&claimed[i], 1))[0];
+        scores[i] = ladder_.score(candidate, queue, ticket, scratch);
       } catch (const std::exception&) {
         failures[i] = true;
       }
     }
+    stats.batch_seconds += watch.elapsed_seconds();
 
     for (std::size_t i = 0; i < claimed.size(); ++i) {
       std::vector<Waiter> waiters;
       {
         std::lock_guard lock(inflight_mutex_);
-        auto entry = inflight_.find(claimed[i]);
+        auto entry = inflight_.find(claimed[i].candidate);
         LDGA_EXPECTS(entry != inflight_.end());
         waiters = std::move(entry->second);
         inflight_.erase(entry);
@@ -239,8 +244,7 @@ void EvaluationStream::close() {
   for (std::thread& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
-  for (const EvaluationService& service : services_) {
-    const EvaluationServiceStats& s = service.stats();
+  for (const EvaluationServiceStats& s : lane_stats_) {
     final_service_stats_.batches += s.batches;
     final_service_stats_.candidates += s.candidates;
     final_service_stats_.cache_hits += s.cache_hits;

@@ -72,13 +72,15 @@ class EvaluationService {
 // candidate) and pull finished results from their own completion queue
 // whenever they like. One stream serves one evaluator (one island
 // engine). Between the two sides sits a small pool of dispatcher lanes,
-// each scoring through its own private serial EvaluationService, that
+// each with its own scratch arena and batching counters, that
 //   - claim submissions in batches, gathering the oldest submission's
 //     completion queue (one island) from anywhere in the stream queue,
 //     so an island's results come back in one delivery,
 //   - deduplicate against computations already in flight on another
 //     lane (late submitters latch onto the running computation instead
 //     of recomputing),
+//   - probe the fitness cache and score a miss with the in-process
+//     backend's RetryLadder, so both front doors run one scoring body,
 //   - and absorb stragglers: a heavy-tailed evaluation delays only the
 //     lane that claimed it — the other lanes keep draining the queue,
 //     which is exactly the failure mode the generation barrier cannot
@@ -98,8 +100,8 @@ struct StreamResult {
 
 struct EvaluationStreamConfig {
   /// Dispatcher lanes. More lanes = more straggler tolerance and more
-  /// pipeline parallelism; each lane evaluates its claimed batch
-  /// serially with a private scratch arena.
+  /// pipeline parallelism; each lane scores its claimed batch one
+  /// candidate at a time with a private scratch arena.
   std::uint32_t lanes = 2;
   /// Max submissions one lane claims per dispatch round. Claims are
   /// grouped by completion queue (the oldest submission anchors, more
@@ -108,20 +110,23 @@ struct EvaluationStreamConfig {
   /// small enough that one slow batch member cannot hold many results
   /// hostage.
   std::uint32_t max_coalesce = 16;
-  /// Retry ladder of each lane's serial backend (max_task_retries; the
+  /// Retry ladder of the lanes' scoring (max_task_retries; the
   /// quarantine fields only make sense for farm slaves).
   parallel::FarmPolicy farm_policy;
-  /// Deterministic fault injection, consulted once per attempt at
-  /// (lane-local phase, 0) coordinates — each lane call scores one
-  /// candidate. Null = no faults.
+  /// Deterministic fault injection, consulted once per attempt of each
+  /// computation at (completion queue, ticket) coordinates of the
+  /// submission that claimed it, so a schedule fires once per
+  /// evaluation whatever the lane count; cache hits and in-flight
+  /// merges consult nothing. Null = no faults.
   std::shared_ptr<parallel::FaultInjector> fault_injector;
 
   void validate() const;
 };
 
 /// Aggregate counters. The atomic half (submitted/completed/...) is
-/// readable at any time; `service` sums the per-lane batching stats and
-/// is populated by close() — read it after the stream is closed.
+/// readable at any time; `service` sums the per-lane batching stats
+/// (each claimed submission counts as a one-candidate batch) and is
+/// populated by close() — read it after the stream is closed.
 struct EvaluationStreamStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -190,18 +195,18 @@ class EvaluationStream {
     std::vector<StreamResult> results;
   };
 
-  void lane_loop(EvaluationService& service);
+  void lane_loop(EvaluationServiceStats& stats);
   void deliver(const Waiter& waiter, double fitness, bool failed);
 
   const HaplotypeEvaluator* evaluator_;
   EvaluationStreamConfig config_;
+  RetryLadder ladder_;
   parallel::CoalescingQueue<Submission> queue_;
   std::vector<std::unique_ptr<CompletionQueue>> completions_;
-  /// One private serial service per lane (own scratch arena, retry
-  /// ladder and fault-injection phase counter), so every lane keeps
-  /// the probe-once / compute-once accounting of the synchronous path.
-  /// Only the lane's own thread touches it until close() joins.
-  std::vector<EvaluationService> services_;
+  /// Batching counters, one per lane, so every lane keeps the
+  /// probe-once / compute-once accounting of the synchronous path.
+  /// Only the lane's own thread touches its entry until close() joins.
+  std::vector<EvaluationServiceStats> lane_stats_;
 
   /// Candidate → submitters waiting on the one running computation of
   /// it, guarded by `inflight_mutex_`.

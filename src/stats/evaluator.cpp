@@ -11,6 +11,19 @@ namespace ldga::stats {
 
 using genomics::SnpIndex;
 
+namespace {
+
+/// The Monte-Carlo stream seed of a SNP set: deterministic per
+/// haplotype, so a candidate's p-value never depends on who scores it.
+std::uint64_t monte_carlo_seed(std::uint64_t base,
+                               std::span<const SnpIndex> snps) {
+  std::uint64_t seed = base;
+  for (const SnpIndex s : snps) seed = splitmix64(seed) ^ s;
+  return seed;
+}
+
+}  // namespace
+
 void EvaluatorConfig::validate() const {
   em.validate();
   clump.validate();
@@ -94,10 +107,7 @@ EvaluationResult HaplotypeEvaluator::finish_evaluation(
     case FitnessStatistic::T4: {
       // These need the full CLUMP machinery (and its RNG for Monte
       // Carlo); seed deterministically from the SNP set.
-      std::vector<SnpIndex> key(snps.begin(), snps.end());
-      std::uint64_t seed = config_.monte_carlo_seed;
-      for (const SnpIndex s : key) seed = splitmix64(seed) ^ s;
-      Rng rng(seed);
+      Rng rng(monte_carlo_seed(config_.monte_carlo_seed, snps));
       const ClumpResult clump = clump_.analyze(table, rng);
       account_monte_carlo(clump);
       if (config_.fitness_statistic == FitnessStatistic::T2) {
@@ -120,9 +130,7 @@ ClumpResult HaplotypeEvaluator::clump_analysis(
   EvalScratch scratch;
   const EhDiallResult eh =
       eh_diall_.analyze(snps, scratch, EhDiallScope::kGroups);
-  std::uint64_t seed = config_.monte_carlo_seed;
-  for (const SnpIndex s : snps) seed = splitmix64(seed) ^ s;
-  Rng rng(seed);
+  Rng rng(monte_carlo_seed(config_.monte_carlo_seed, snps));
   Stopwatch clump_watch;
   ClumpResult result = clump_.analyze(eh.to_contingency_table(), rng);
   account_monte_carlo(result);

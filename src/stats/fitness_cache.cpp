@@ -68,14 +68,16 @@ void FitnessCache::insert(std::span<const SnpIndex> key, double value) {
       found->second = value;  // refresh in place, no capacity consumed
       return;
     }
-    std::vector<SnpIndex> stored(key.begin(), key.end());
     while (shard_capacity_ > 0 && shard.map.size() >= shard_capacity_) {
-      shard.map.erase(shard.order.front());
+      // Erase through an iterator: the oldest key is the entry's own.
+      shard.map.erase(shard.map.find(*shard.order.front()));
       shard.order.pop_front();
       ++evicted;
     }
-    shard.order.push_back(stored);
-    shard.map.emplace(std::move(stored), value);
+    const auto stored =
+        shard.map.emplace(std::vector<SnpIndex>(key.begin(), key.end()), value)
+            .first;
+    shard.order.push_back(&stored->first);
   }
   insertions_.fetch_add(1, std::memory_order_relaxed);
   if (evicted > 0) evictions_.fetch_add(evicted, std::memory_order_relaxed);

@@ -90,7 +90,9 @@ class FitnessCache {
     std::unordered_map<std::vector<genomics::SnpIndex>, double, SnpSetHash,
                        SnpSetEqual>
         map;
-    std::deque<std::vector<genomics::SnpIndex>> order;  ///< FIFO of keys
+    /// FIFO of the map's own keys, oldest first. A rehash moves no
+    /// element, so the pointers stay valid until their entry is erased.
+    std::deque<const std::vector<genomics::SnpIndex>*> order;
   };
 
   Shard& shard_of(std::span<const genomics::SnpIndex> key) const;

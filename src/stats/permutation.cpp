@@ -47,10 +47,13 @@ PermutationResult permutation_test(const Dataset& dataset,
   config.validate();
   LDGA_EXPECTS(!snps.empty());
 
+  // Every cohort is scored as the GA scores it, with fitness(): only
+  // the EM runs the statistic reads (the two group runs under T1–T4),
+  // where evaluate_full() would also run the pooled EM.
   PermutationResult result;
   {
     const HaplotypeEvaluator evaluator(dataset, evaluator_config);
-    result.observed = evaluator.evaluate_full(snps).fitness;
+    result.observed = evaluator.fitness(snps);
   }
 
   // Pre-draw the permuted datasets from one master stream so results do
@@ -63,10 +66,9 @@ PermutationResult permutation_test(const Dataset& dataset,
   }
 
   std::vector<double> statistics(config.permutations);
-  const std::vector<SnpIndex> key(snps.begin(), snps.end());
   auto evaluate_one = [&](std::size_t p) {
     const HaplotypeEvaluator evaluator(permuted[p], evaluator_config);
-    statistics[p] = evaluator.evaluate_full(key).fitness;
+    statistics[p] = evaluator.fitness(snps);
   };
 
   const auto pool = parallel::make_worker_pool(config.workers);

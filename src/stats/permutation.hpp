@@ -36,10 +36,14 @@ struct PermutationResult {
   double permutation_max = 0.0;
 };
 
-/// Runs the permutation test for one SNP set. Only the labels of
-/// status-known individuals are permuted (Unknown individuals never
-/// enter the pipeline). Deterministic for a fixed seed and worker
-/// count-independent.
+/// Runs the permutation test for one SNP set, which must be sorted
+/// ascending (as GA individuals and planted truths are). Only the labels
+/// of status-known individuals are permuted (Unknown individuals never
+/// enter the pipeline). Each cohort is scored by
+/// HaplotypeEvaluator::fitness(): a run that succeeds scores
+/// evaluate_full(snps).fitness bit for bit, and a failed one scores per
+/// the evaluator's failure policy. Deterministic for a fixed seed and
+/// worker count-independent.
 PermutationResult permutation_test(const genomics::Dataset& dataset,
                                    std::span<const genomics::SnpIndex> snps,
                                    const EvaluatorConfig& evaluator_config,

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -98,6 +99,36 @@ TEST_P(BackendConformance, ResultsIndependentOfWorkerCount) {
   const auto narrow = make(one_worker)->evaluate_batch(batch);
   const auto wide = make(four_workers)->evaluate_batch(batch);
   EXPECT_EQ(narrow, wide);
+}
+
+TEST_P(BackendConformance, WorkersCountEveryScoringThread) {
+  // `workers` = N means N threads score a batch, the in-process
+  // caller among them (the farm's master does not score, so it starts N
+  // slaves); the serial backend ignores it. N + 1 tasks that each sleep
+  // `delay` take at least 2 × delay on at most N concurrent scorers,
+  // where N + 1 would finish in about one delay.
+  const bool serial = std::string_view(GetParam().label) == "serial";
+  constexpr auto delay = std::chrono::milliseconds(30);
+  const auto batch = sample_batch();
+  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+    parallel::FaultInjector::Config fault_config;
+    fault_config.delay_probability = 1.0;
+    fault_config.delay = delay;
+    BackendOptions options;
+    options.workers = workers;
+    options.fault_injector =
+        std::make_shared<parallel::FaultInjector>(fault_config);
+    auto backend = make(options);
+    EXPECT_EQ(backend->worker_count(), serial ? 1u : workers);
+
+    const std::vector<Candidate> tasks(batch.begin(),
+                                       batch.begin() + workers + 1);
+    const auto start = std::chrono::steady_clock::now();
+    const auto results = backend->evaluate_batch(tasks);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(results.size(), tasks.size());
+    EXPECT_GE(elapsed, 2 * delay) << workers << " workers";
+  }
 }
 
 TEST_P(BackendConformance, TracksPhasesInFarmStats) {

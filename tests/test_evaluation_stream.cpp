@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "parallel/fault_injection.hpp"
@@ -244,6 +245,51 @@ TEST(EvaluationStream, RetryLadderExhaustionDeliversFailedResults) {
   EXPECT_EQ(stats.service.candidates, stats.completed - stats.inflight_merges);
   EXPECT_EQ(stats.service.dispatched, 6u);
   EXPECT_GT(stats.service.batch_seconds, 0.0);
+}
+
+TEST(EvaluationStream, ScheduledFaultsFireOncePerEvaluationAtAnyLaneCount) {
+  // Faults are keyed by the claiming submission's (queue, ticket), so
+  // throw_on_tasks = {0} fails the first attempt of each queue's ticket
+  // 0 and nothing else, however many lanes share the work.
+  constexpr std::uint32_t kQueues = 3;
+  constexpr std::uint64_t kTickets = 6;
+  for (const std::uint32_t lanes : {1u, 2u, 4u}) {
+    const HaplotypeEvaluator evaluator(shared_dataset());
+    parallel::FaultInjector::Config faults;
+    faults.throw_on_tasks = {0};
+    EvaluationStreamConfig config;
+    config.lanes = lanes;
+    config.farm_policy.max_task_retries = 1;
+    config.fault_injector = std::make_shared<parallel::FaultInjector>(faults);
+    EvaluationStream stream(evaluator, kQueues, config);
+
+    // Distinct pairs throughout, so every submission is computed.
+    std::map<std::pair<std::uint32_t, std::uint64_t>, Candidate> sent;
+    SnpIndex a = 0;
+    SnpIndex b = 1;
+    for (std::uint32_t queue = 0; queue < kQueues; ++queue) {
+      for (std::uint64_t ticket = 0; ticket < kTickets; ++ticket) {
+        const Candidate candidate{a, b};
+        ASSERT_TRUE(stream.submit(queue, ticket, candidate));
+        sent.emplace(std::pair{queue, ticket}, candidate);
+        if (++b == 12) b = ++a + 1;
+      }
+    }
+    for (std::uint32_t queue = 0; queue < kQueues; ++queue) {
+      const auto results = drain(stream, queue, kTickets);
+      ASSERT_EQ(results.size(), kTickets) << lanes << " lanes";
+      for (const auto& result : results) {
+        EXPECT_FALSE(result.failed) << lanes << " lanes";
+        EXPECT_EQ(result.fitness,
+                  evaluator.evaluate_full(sent.at({queue, result.ticket}))
+                      .fitness);
+      }
+    }
+    stream.close();
+    EXPECT_EQ(config.fault_injector->injected_throws(), kQueues)
+        << lanes << " lanes";
+    EXPECT_EQ(stream.stats().service.dispatched, kQueues * kTickets);
+  }
 }
 
 TEST(EvaluationStream, StragglersDelayButNeverCorrupt) {

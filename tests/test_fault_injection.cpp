@@ -113,12 +113,16 @@ TEST(StragglerSchedule, DiffersAcrossSeeds) {
 }
 
 TEST(StragglerSchedule, WrappedWorkersSleepThroughTheSchedule) {
-  // wrap() applies the schedule by global call order — the thread-pool
-  // and stream-lane path. The worker's results are untouched.
+  // decide() then apply_before_work() before the work is the in-process
+  // path (stats::RetryLadder). A straggler only sleeps, so the worker's
+  // results are untouched.
   FaultInjector injector(FaultInjector::straggler_preset(
       9, 0.5, std::chrono::milliseconds(1)));
-  auto worker = injector.wrap([](int task) { return task * 2; });
-  for (int task = 0; task < 50; ++task) {
+  const auto worker = [&injector](std::uint64_t task) {
+    FaultInjector::apply_before_work(injector.decide(1, task));
+    return task * 2;
+  };
+  for (std::uint64_t task = 0; task < 50; ++task) {
     EXPECT_EQ(worker(task), task * 2);
   }
   EXPECT_GT(injector.injected_stragglers(), 0u);

@@ -183,16 +183,6 @@ TEST(FaultInjector, ScheduledFaultsHitFirstAttemptOnly) {
   EXPECT_EQ(injector.injected_throws(), 1u);
 }
 
-TEST(FaultInjector, WrapInjectsIntoPlainWorkers) {
-  FaultInjector::Config config;
-  config.throw_on_tasks = {0};
-  FaultInjector injector(config);
-  auto worker = injector.wrap([](const double& x) { return x * 3.0; });
-  EXPECT_THROW(worker(1.0), FaultInjected);
-  EXPECT_DOUBLE_EQ(worker(2.0), 6.0);
-  EXPECT_EQ(injector.injected_throws(), 1u);
-}
-
 TEST(FaultInjector, RejectsBadConfig) {
   FaultInjector::Config config;
   config.throw_probability = 1.5;

@@ -75,6 +75,24 @@ TEST(Permutation, WorkerCountDoesNotChangeResults) {
   EXPECT_DOUBLE_EQ(a.permutation_mean, b.permutation_mean);
 }
 
+TEST(Permutation, ObservedIsTheFullEvaluationsFitnessBitForBit) {
+  // Cohorts are scored through fitness(), which skips the pooled EM
+  // under T1–T4; the statistic must not move by a bit.
+  const auto synthetic = ldga::testing::small_synthetic(12, 2, 919);
+  EvaluatorConfig t3;
+  t3.fitness_statistic = FitnessStatistic::T3;
+  t3.clump.monte_carlo_trials = 200;
+  PermutationConfig config;
+  config.permutations = 5;
+  for (const EvaluatorConfig& evaluator_config : {EvaluatorConfig{}, t3}) {
+    const auto result = permutation_test(
+        synthetic.dataset, synthetic.truth.snps, evaluator_config, config);
+    const HaplotypeEvaluator evaluator(synthetic.dataset, evaluator_config);
+    EXPECT_EQ(result.observed,
+              evaluator.evaluate_full(synthetic.truth.snps).fitness);
+  }
+}
+
 TEST(Permutation, PValueBounds) {
   const auto synthetic = ldga::testing::small_synthetic(10, 2, 818);
   PermutationConfig config;
