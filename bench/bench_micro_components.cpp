@@ -5,6 +5,8 @@
 // Figure-4 exponential cost actually lives.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "ga/operators.hpp"
 #include "genomics/ld.hpp"
 #include "genomics/packed_genotype.hpp"
@@ -89,6 +91,37 @@ void BM_ClumpFullAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_ClumpFullAnalysis)
     ->DenseRange(2, 6, 2)
+    ->Unit(benchmark::kMicrosecond);
+
+// The Monte-Carlo arm of the full analysis: 1,200 replicates inline on
+// the calling thread, so the time is dealing and scoring the null
+// tables. Each replicate draws the bottom row's positions only:
+// `draws_per_rep` is the bottom row's rounded total, of `labels` = N
+// rounded observations (a full shuffle would draw N − 1).
+void BM_ClumpMonteCarlo(benchmark::State& state) {
+  const auto size = static_cast<std::uint32_t>(state.range(0));
+  Rng rng(size * 11);
+  const auto snps = rng.sample_without_replacement(51, size);
+  const stats::EhDiall eh(cohort().dataset);
+  const auto table = eh.analyze(snps).to_contingency_table();
+  stats::ClumpConfig config;
+  config.monte_carlo_trials = 1200;
+  config.monte_carlo_workers = 1;
+  const stats::Clump clump(config);
+  for (auto _ : state) {
+    Rng mc(1);
+    benchmark::DoNotOptimize(clump.analyze(table, mc));
+  }
+  const auto q0 = std::llround(table.row_total(0));
+  const auto q1 = std::llround(table.row_total(1));
+  state.counters["labels"] = static_cast<double>(q0 + q1);
+  state.counters["draws_per_rep"] = static_cast<double>(q1);
+  state.counters["time_per_rep"] = benchmark::Counter(
+      1200.0 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ClumpMonteCarlo)
+    ->DenseRange(2, 6, 1)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_PairLd(benchmark::State& state) {

@@ -158,21 +158,34 @@ constexpr std::uint32_t kRepBatch = 64;
 /// Everything about a Monte-Carlo replicate that does NOT depend on the
 /// trial's shuffle, hoisted out of the trial loop. A null table is the
 /// observed marginals, rounded to integers, with the observations'
-/// column labels shuffled and dealt to the rows by quota (the
-/// permutation null; reference_clump's sample_null is the per-trial
-/// oracle). The rounding is the same every trial, so the quotas, the
-/// column-label template, the dealt row totals (quotas clamped by the
-/// label count when the rounding fix truncated a column), the
-/// zero-statistic flags of the degenerate cases and T2's clump set
-/// (expected counts under the null depend on marginals only) are all
-/// pure functions of the observed table.
+/// column labels shuffled and dealt to the rows by quota: shuffled
+/// positions [0, cut) go to the top row and [cut, deal_end) to the
+/// bottom row (the permutation null; reference_clump's sample_null is
+/// the per-trial oracle). The rounding is the same every trial, so the
+/// quotas, the column-label template, the deal's two boundaries (quotas
+/// clamped by the label count when the rounding fix truncated a
+/// column), the zero-statistic flags of the degenerate cases and T2's
+/// clump set (expected counts under the null depend on marginals only)
+/// are all pure functions of the observed table. The last two assume
+/// every label is dealt; see undealt_labels.
 struct NullReplicateInvariants {
   std::uint32_t cols = 0;
-  std::int64_t row_quota[2] = {0, 0};
   /// One label per observation (its column), column-ascending: the
   /// template every trial shuffles.
   std::vector<std::uint32_t> labels;
-  /// Column totals of every replicate (the quotas, as doubles).
+  /// The top row's size and the bottom row's end. deal_end is the label
+  /// count unless the rounding fix clamped a column, which leaves
+  /// positions [deal_end, labels.size()) dealt to no row.
+  std::size_t cut = 0;
+  std::size_t deal_end = 0;
+  /// deal_end < labels.size(): each replicate's column totals then fall
+  /// short of the quotas by its own undealt labels, so T1 and T2, the
+  /// statistics that read column totals, score each replicate as a
+  /// table of its own, as the observed statistics are scored.
+  bool undealt_labels = false;
+  double rare_threshold = 0.0;  ///< T2's, for that per-table scoring
+  /// The quotas, as doubles: every replicate's column totals unless
+  /// undealt_labels.
   std::vector<double> col_sums;
   double row0 = 0.0;
   double row1 = 0.0;
@@ -195,11 +208,12 @@ NullReplicateInvariants build_null_invariants(const ContingencyTable& table,
 
   // Marginal rounding: estimated counts are near-integers in total, so
   // the rounding error goes to the largest column.
+  std::int64_t row_quota[2] = {0, 0};
   std::vector<std::int64_t> col_quota(inv.cols);
   std::int64_t row_sum_total = 0, col_sum_total = 0;
   for (std::uint32_t r = 0; r < 2; ++r) {
-    inv.row_quota[r] = std::llround(table.row_total(r));
-    row_sum_total += inv.row_quota[r];
+    row_quota[r] = std::llround(table.row_total(r));
+    row_sum_total += row_quota[r];
   }
   for (std::uint32_t c = 0; c < inv.cols; ++c) {
     col_quota[c] = std::llround(table.col_total(c));
@@ -228,8 +242,14 @@ NullReplicateInvariants build_null_invariants(const ContingencyTable& table,
   // negative), so the Kahan row sums every replicate's
   // pearson_chi_square computes are these exact integers.
   const auto n_labels = static_cast<std::int64_t>(inv.labels.size());
-  const std::int64_t row0 = std::min(inv.row_quota[0], n_labels);
-  const std::int64_t row1 = std::min(inv.row_quota[1], n_labels - row0);
+  const std::int64_t row0 =
+      std::clamp<std::int64_t>(row_quota[0], 0, n_labels);
+  const std::int64_t row1 =
+      std::clamp<std::int64_t>(row_quota[1], 0, n_labels - row0);
+  inv.cut = static_cast<std::size_t>(row0);
+  inv.deal_end = static_cast<std::size_t>(row0 + row1);
+  inv.undealt_labels = inv.deal_end < inv.labels.size();
+  inv.rare_threshold = rare_threshold;
   inv.row0 = static_cast<double>(row0);
   inv.row1 = static_cast<double>(row1);
   inv.total = inv.row0 + inv.row1;
@@ -276,6 +296,9 @@ NullReplicateInvariants build_null_invariants(const ContingencyTable& table,
 /// each pool worker reuses its high-water-mark allocations.
 struct NullBatchScratch {
   std::vector<std::uint32_t> labels;
+  /// One replicate's per-column label counts of positions
+  /// [cut, deal_end) (the bottom row) and [deal_end, labels.size()).
+  std::vector<std::uint32_t> dealt, spare;
   std::vector<double> top, bottom;        ///< reps × cols replicate slabs
   std::vector<double> t2_top, t2_bottom;  ///< reps × (kept + 1) clumped slabs
   std::vector<double> stat;               ///< per-replicate statistic
@@ -287,12 +310,25 @@ struct NullBatchScratch {
   std::vector<std::uint8_t> used;
 };
 
+/// Replicate r of the scratch slabs as a table.
+ContingencyTable replicate_table(const NullBatchScratch& s, std::uint32_t r,
+                                 std::uint32_t cols) {
+  ContingencyTable table(2, cols);
+  for (std::uint32_t c = 0; c < cols; ++c) {
+    table.set(0, c, s.top[std::size_t{r} * cols + c]);
+    table.set(1, c, s.bottom[std::size_t{r} * cols + c]);
+  }
+  return table;
+}
+
 /// Runs trials [begin, end) of the pre-drawn seed sequence: deals each
-/// replicate's null table into the slabs, scores the four statistics
-/// through the batch kernels, and sets outcome bit k when statistic k+1
-/// of the null reaches the observed one. Each replicate's statistics
-/// are bit-identical to the per-table kernels on that replicate alone
-/// (the batch-kernel contract in util/simd.hpp).
+/// replicate's null table into the slabs from the shuffle's draws over
+/// the bottom row's positions only, scores the four statistics through
+/// the batch kernels (T1 and T2 per table when labels go undealt), and
+/// sets outcome bit k when statistic k+1 of the null reaches the
+/// observed one. Each replicate's statistics are bit-identical to the
+/// per-table kernels on that replicate alone (the batch-kernel contract
+/// in util/simd.hpp).
 void run_trials_batched(const NullReplicateInvariants& inv,
                         const ClumpResult& observed,
                         std::span<const std::uint64_t> seeds,
@@ -304,31 +340,50 @@ void run_trials_batched(const NullReplicateInvariants& inv,
   const auto t2_cols = static_cast<std::uint32_t>(inv.kept.size() + 1);
   const util::SimdKernels& kernels = util::simd();
 
-  // Deal every replicate into the slabs: per trial one label-template
-  // copy, one shuffle (the trial stream's only consumption), one
-  // row-quota deal.
-  s.top.assign(std::size_t{reps} * cols, 0.0);
-  s.bottom.assign(std::size_t{reps} * cols, 0.0);
+  // Deal every replicate into the slabs. Rng::shuffle fixes positions
+  // from the end: its step over position p draws j <= p, swaps p and j,
+  // and no later step touches p again. So the steps over positions
+  // N − 1 down to cut already leave [cut, N) as the full shuffle would
+  // (at cut = 0 the step over position 0, which the shuffle skips, is
+  // the identity). Per trial: one label-template copy, those N − cut
+  // steps only (the trial stream's only consumption, against N − 1 for
+  // a full shuffle), each drawn label counted rather than written back,
+  // and the top row as the column totals minus the counted tail, exact
+  // in doubles. The null table is the full shuffle-and-deal's, cell for
+  // cell.
+  s.top.resize(std::size_t{reps} * cols);
+  s.bottom.resize(std::size_t{reps} * cols);
   for (std::uint32_t r = 0; r < reps; ++r) {
     s.labels = inv.labels;
+    s.dealt.assign(cols, 0);
+    s.spare.assign(cols, 0);
     Rng trial_rng(seeds[begin + r]);
-    trial_rng.shuffle(std::span<std::uint32_t>(s.labels));
+    std::uint32_t* labels = s.labels.data();
+    const auto draw = [&](std::size_t p) {
+      const auto j = static_cast<std::size_t>(trial_rng.below(p + 1));
+      const std::uint32_t label = labels[j];
+      labels[j] = labels[p];
+      return label;
+    };
+    std::size_t p = inv.labels.size();
+    while (p > inv.deal_end) ++s.spare[draw(--p)];
+    while (p > inv.cut) ++s.dealt[draw(--p)];
     double* top = s.top.data() + std::size_t{r} * cols;
     double* bottom = s.bottom.data() + std::size_t{r} * cols;
-    std::size_t next = 0;
-    for (std::int64_t i = 0;
-         i < inv.row_quota[0] && next < s.labels.size(); ++i) {
-      top[s.labels[next++]] += 1.0;
-    }
-    for (std::int64_t i = 0;
-         i < inv.row_quota[1] && next < s.labels.size(); ++i) {
-      bottom[s.labels[next++]] += 1.0;
+    for (std::uint32_t c = 0; c < cols; ++c) {
+      bottom[c] = static_cast<double>(s.dealt[c]);
+      top[c] = inv.col_sums[c] - static_cast<double>(s.dealt[c] + s.spare[c]);
     }
   }
 
-  // T1: Pearson over every replicate with the hoisted marginals.
+  // T1: Pearson over every replicate with the hoisted marginals, or per
+  // table when labels go undealt.
   s.stat.resize(reps);
-  if (inv.t1_zero) {
+  if (inv.undealt_labels) {
+    for (std::uint32_t r = 0; r < reps; ++r) {
+      s.stat[r] = replicate_table(s, r, cols).pearson_chi_square().statistic;
+    }
+  } else if (inv.t1_zero) {
     std::fill(s.stat.begin(), s.stat.end(), 0.0);
   } else {
     kernels.batch_pearson_2xn(s.top.data(), s.bottom.data(),
@@ -340,9 +395,15 @@ void run_trials_batched(const NullReplicateInvariants& inv,
   }
 
   // T2: clump with the invariant kept set, then Pearson on the clumped
-  // slabs. Cells are integer-valued, so the rest-column adds are exact
-  // in any order.
-  if (inv.t2_zero) {
+  // slabs (per table when labels go undealt). Cells are integer-valued,
+  // so the rest-column adds are exact in any order.
+  if (inv.undealt_labels) {
+    for (std::uint32_t r = 0; r < reps; ++r) {
+      s.stat[r] = clump_rare(replicate_table(s, r, cols), inv.rare_threshold)
+                      .pearson_chi_square()
+                      .statistic;
+    }
+  } else if (inv.t2_zero) {
     std::fill(s.stat.begin(), s.stat.end(), 0.0);
   } else {
     s.t2_top.assign(std::size_t{reps} * t2_cols, 0.0);

@@ -153,17 +153,20 @@ void EvaluationStream::lane_loop(EvaluationServiceStats& stats) {
     // Claim pass: this lane computes a candidate only if no other lane
     // is already computing it; otherwise the submission latches onto
     // the in-flight computation and is delivered by whichever lane
-    // finishes it.
+    // finishes it. The map key views the claiming submission's
+    // candidate: its heap buffer moves with it into `claimed`, which
+    // outlives the entry.
     std::vector<Submission> claimed;
     claimed.reserve(batch.size());
     {
       std::lock_guard lock(inflight_mutex_);
       for (Submission& submission : batch) {
+        const Waiter waiter{submission.queue, submission.ticket};
         auto [entry, fresh] = inflight_.try_emplace(
-            submission.candidate,
-            std::vector<Waiter>{{submission.queue, submission.ticket}});
+            std::span<const genomics::SnpIndex>(submission.candidate),
+            InFlight{waiter, {}});
         if (!fresh) {
-          entry->second.push_back({submission.queue, submission.ticket});
+          entry->second.merged.push_back(waiter);
           inflight_merges_.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
@@ -200,15 +203,17 @@ void EvaluationStream::lane_loop(EvaluationServiceStats& stats) {
     stats.batch_seconds += watch.elapsed_seconds();
 
     for (std::size_t i = 0; i < claimed.size(); ++i) {
-      std::vector<Waiter> waiters;
+      InFlight waiters;
       {
         std::lock_guard lock(inflight_mutex_);
-        auto entry = inflight_.find(claimed[i].candidate);
+        auto entry = inflight_.find(
+            std::span<const genomics::SnpIndex>(claimed[i].candidate));
         LDGA_EXPECTS(entry != inflight_.end());
         waiters = std::move(entry->second);
         inflight_.erase(entry);
       }
-      for (const Waiter& waiter : waiters) {
+      deliver(waiters.first, scores[i], failures[i]);
+      for (const Waiter& waiter : waiters.merged) {
         deliver(waiter, scores[i], failures[i]);
       }
     }

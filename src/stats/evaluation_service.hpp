@@ -208,11 +208,18 @@ class EvaluationStream {
   /// Only the lane's own thread touches its entry until close() joins.
   std::vector<EvaluationServiceStats> lane_stats_;
 
-  /// Candidate → submitters waiting on the one running computation of
-  /// it, guarded by `inflight_mutex_`.
+  /// The submitters waiting on one running computation: the claimer,
+  /// then any later submissions of the same candidate.
+  struct InFlight {
+    Waiter first;
+    std::vector<Waiter> merged;
+  };
+  /// Candidate → its waiters, guarded by `inflight_mutex_`. A key views
+  /// the claiming submission's candidate, which the claiming lane holds
+  /// until it erases the entry after delivery.
   std::mutex inflight_mutex_;
-  std::unordered_map<Candidate, std::vector<Waiter>, SnpSetHash,
-                     SnpSetEqual>
+  std::unordered_map<std::span<const genomics::SnpIndex>, InFlight,
+                     SnpSetHash, SnpSetEqual>
       inflight_;
 
   std::atomic<std::uint64_t> submitted_{0};

@@ -351,7 +351,8 @@ class ClumpReference : public ::testing::Test {
 TEST_F(ClumpReference, ProductionMatchesOracleAtEveryLevelAndWorkerCount) {
   // Production CLUMP — dispatched kernels and the replicate-batched
   // Monte-Carlo engine — against the Kahan-summed per-trial oracle, on
-  // EM-estimated tables of 2–6 loci: statistics to 1e-9 relative, df
+  // EM-estimated tables of 2–6 loci and hand-built tables that reach
+  // every branch of the partial deal: statistics to 1e-9 relative, df
   // and T4's group equal, and the same Monte-Carlo exceedance count
   // per statistic, at every dispatch level with the replicates run
   // inline and fanned over three workers. 300 trials leave a partial
@@ -376,6 +377,41 @@ TEST_F(ClumpReference, ProductionMatchesOracleAtEveryLevelAndWorkerCount) {
     std::sort(snps.begin(), snps.end());
     tables.push_back(eh_diall.analyze(snps).to_contingency_table());
   }
+  // The EM tables above have equal rounded rows of 160 (cut = N/2).
+  // With N rounded observations, the deal draws positions [cut, N) and
+  // takes the top row as the column totals minus that tail. The
+  // hand-built tables below reach its other branches. Their cells are
+  // fractional, like EM estimates: on an integer table, null replicates
+  // tie the observed statistic exactly, and the oracle's Kahan sums and
+  // the kernels round such ties to different sides.
+  const auto table_of = [](std::vector<double> top,
+                           std::vector<double> bottom) {
+    ContingencyTable table(2, static_cast<std::uint32_t>(top.size()));
+    for (std::uint32_t c = 0; c < top.size(); ++c) {
+      table.set(0, c, top[c]);
+      table.set(1, c, bottom[c]);
+    }
+    return table;
+  };
+  // Unequal rows of 30 and 100: cut = 30 of N = 130 (100 draws), then
+  // with the rows swapped cut = 100 (30 draws).
+  const std::vector<double> small{12.3, 7.9, 5.2, 3.1, 1.7};
+  const std::vector<double> large{19.6, 30.4, 24.8, 15.3, 10.1};
+  tables.push_back(table_of(small, large));
+  tables.push_back(table_of(large, small));
+  // The top row rounds to 0: cut = 0, so all N positions are drawn and
+  // dealt to the bottom row (the draw over position 0 is the identity).
+  tables.push_back(table_of({0.2, 0.1, 0.1, 0.05}, {10, 20, 15, 5}));
+  // The bottom row rounds to 0: q1 = 0 and cut = N, so no draws.
+  tables.push_back(table_of({10, 20, 15, 5}, {0.2, 0.1, 0.1, 0.05}));
+  // Twelve columns of 2.52–2.56 round to 3 each (36) against rows of
+  // 12.29 and 18.25 (12 + 18 = 30): the rounding fix clamps column 0
+  // from 3 − 6 to 0, so N = 33 labels outnumber q0 + q1 = 30. The
+  // draws over [30, 33) go to no row and [12, 30) to the bottom row.
+  tables.push_back(table_of({2.51, 2.02, 0.53, 1.54, 1.01, 2.03, 0.52, 0.04,
+                             1.02, 0.51, 0.53, 0.03},
+                            {0.01, 0.52, 2.03, 1.01, 1.52, 0.53, 2.04, 2.51,
+                             1.53, 2.02, 2.01, 2.52}));
 
   ClumpConfig config;
   config.monte_carlo_trials = 300;

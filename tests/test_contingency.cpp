@@ -164,8 +164,9 @@ TEST(ContingencyTable, NullResamplesAreCalibrated) {
   // p-values of null resamples, scored against the analytic chi-square,
   // should be roughly uniform: their mean near 0.5 and a reasonable
   // share below 0.2. This ties the null sampler (the reference CLUMP's
-  // sample_null, whose deal the Monte-Carlo engine reproduces) and
-  // chi_square_sf together.
+  // sample_null, whose tables the Monte-Carlo engine reproduces cell for
+  // cell from the shuffle's draws over the bottom row's positions only)
+  // and chi_square_sf together.
   ContingencyTable t(2, 3);
   t.set(0, 0, 40);
   t.set(0, 1, 35);
