@@ -1,16 +1,20 @@
 // Micro-benchmarks of the pipeline's moving parts (the DESIGN.md
 // design-choice ablation): packed genotype-pattern enumeration and
 // compiled EM haplotype estimation by size, CLUMP statistics, two-locus
-// LD, and the GA's variation operators. These identify where the
-// Figure-4 exponential cost actually lives.
+// LD, the thread pool's balance on a Figure-4-skewed batch, and the
+// GA's variation operators. These identify where the Figure-4
+// exponential cost actually lives.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
+#include <vector>
 
 #include "ga/operators.hpp"
 #include "genomics/ld.hpp"
 #include "genomics/packed_genotype.hpp"
 #include "genomics/synthetic.hpp"
+#include "parallel/thread_pool.hpp"
 #include "stats/clump.hpp"
 #include "stats/eh_diall.hpp"
 #include "stats/em_haplotype.hpp"
@@ -123,6 +127,47 @@ void BM_ClumpMonteCarlo(benchmark::State& state) {
 BENCHMARK(BM_ClumpMonteCarlo)
     ->DenseRange(2, 6, 1)
     ->Unit(benchmark::kMicrosecond);
+
+// The thread pool's load balance on a generation-shaped batch: four
+// workers (the caller among them) run 128 indices, each spinning for
+// the Figure-4 evaluation time of a haplotype size drawn once, with a
+// fixed seed, uniformly from the GA's sizes 2–6 (EXPERIMENTS.md: 7.5 µs
+// at size 2 to 473 µs at size 6). `balance` is Σ per-index busy time /
+// (4 × wall): 1 when no worker idles while another still has work.
+// Read it on a host with at least four cores.
+void BM_ParallelForSkewed(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::uint32_t kWorkers = 4;
+  constexpr std::size_t kIndices = 128;
+  constexpr double kFig4Us[] = {7.5, 21.0, 64.0, 182.0, 473.0};
+  Rng rng(25);
+  std::vector<Clock::duration> cost(kIndices);
+  for (auto& c : cost) {
+    c = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double, std::micro>(kFig4Us[rng.below(5)]));
+  }
+  const auto pool = parallel::make_worker_pool(kWorkers);
+  std::vector<Clock::duration> busy(kIndices);
+  Clock::duration busy_total{0}, wall_total{0};
+  for (auto _ : state) {
+    const auto start = Clock::now();
+    parallel::parallel_for(pool.get(), 0, kIndices, [&](std::size_t i) {
+      const auto begin = Clock::now();
+      auto now = begin;
+      while (now - begin < cost[i]) now = Clock::now();
+      busy[i] = now - begin;
+    });
+    wall_total += Clock::now() - start;
+    for (const auto b : busy) busy_total += b;
+    benchmark::DoNotOptimize(busy.data());
+  }
+  state.counters["balance"] =
+      std::chrono::duration<double>(busy_total).count() /
+      (kWorkers * std::chrono::duration<double>(wall_total).count());
+}
+BENCHMARK(BM_ParallelForSkewed)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PairLd(benchmark::State& state) {
   for (auto _ : state) {

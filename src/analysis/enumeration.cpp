@@ -65,8 +65,11 @@ EnumerationResult enumerate_all(const stats::HaplotypeEvaluator& evaluator,
   result.haplotype_size = haplotype_size;
 
   // Partition the lexicographic candidate stream by first SNP index:
-  // block i holds subsets starting with SNP i — independent, and cheap
-  // to enumerate with a SubsetEnumerator over the remaining indices.
+  // block i holds the C(n − 1 − i, k − 1) subsets starting with SNP i —
+  // independent, and cheap to enumerate with a SubsetEnumerator over the
+  // remaining indices. Block cost falls steeply with i; the pool's
+  // workers claim blocks one at a time, so the large early blocks
+  // spread across them instead of landing on one.
   std::vector<TopN> block_best(n, TopN(config.top_n));
   std::vector<std::uint64_t> block_count(n, 0);
 

@@ -1,6 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/error.hpp"
 
@@ -64,34 +65,35 @@ void ThreadPool::parallel_for_chunked(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
-  const std::size_t count = end - begin;
   // The caller is a worker too: it runs chunk 0 inline while the pool
   // takes chunks 1..n−1, so one extra chunk's worth of parallelism is
   // free and the caller never idles in future::get while work remains
   // (with a 1-thread pool this makes parallel_for genuinely 2-wide).
   const std::size_t chunks =
-      std::min<std::size_t>(threads_.size() + 1, count);
+      std::min<std::size_t>(threads_.size() + 1, end - begin);
+  // Self-scheduling: every chunk claims the next unclaimed index until
+  // the range is used up, so a costly index holds up only the thread
+  // that drew it, and a chunk whose task starts late (queued behind
+  // another caller's) finds the work already done.
+  std::atomic<std::size_t> next{begin};
+  const auto run_chunk = [&next, end, &fn](std::size_t chunk) {
+    for (std::size_t i = next++; i < end; i = next++) fn(chunk, i);
+  };
   std::vector<std::future<void>> futures;
   futures.reserve(chunks - 1);
   for (std::size_t chunk = 1; chunk < chunks; ++chunk) {
-    const std::size_t lo = begin + count * chunk / chunks;
-    const std::size_t hi = begin + count * (chunk + 1) / chunks;
-    futures.push_back(submit([chunk, lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(chunk, i);
-    }));
+    futures.push_back(submit([chunk, &run_chunk] { run_chunk(chunk); }));
   }
   // Drain every chunk before surfacing a failure: the tasks reference
-  // the caller's stack (fn and its captures), so returning — even by
-  // exception — while a chunk is still running would be a use-after-
-  // free. The first exception wins; later ones are dropped.
+  // the caller's stack (the cursor, fn and its captures), so returning
+  // — even by exception — while a chunk is still running would be a
+  // use-after-free. A throwing chunk stops and leaves its unclaimed
+  // indices to the others; the first error in chunk order wins.
   std::exception_ptr first_error;
-  {
-    const std::size_t hi = begin + count / chunks;
-    try {
-      for (std::size_t i = begin; i < hi; ++i) fn(0, i);
-    } catch (...) {
-      first_error = std::current_exception();
-    }
+  try {
+    run_chunk(0);
+  } catch (...) {
+    first_error = std::current_exception();
   }
   for (auto& future : futures) {
     try {

@@ -36,15 +36,20 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   /// Runs fn(i) for i in [begin, end) across the pool and waits.
-  /// Static block partitioning: deterministic assignment of indices to
-  /// chunks (results must not depend on execution order anyway).
+  /// Self-scheduling: each chunk claims the next unclaimed index until
+  /// the range is used up, like the paper's farm handing the next
+  /// individual to whichever slave is idle. Which chunk runs an index
+  /// is not deterministic, so results must not depend on it.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
   /// parallel_for handing fn the chunk it runs in: fn(chunk, i) with
   /// chunk in [0, thread_count() + 1). Exactly one thread executes any
   /// given chunk (chunk 0 is the caller), so per-chunk state — e.g. a
-  /// scratch arena indexed by chunk — needs no synchronization.
+  /// scratch arena indexed by chunk — needs no synchronization. A chunk
+  /// stops at its first exception and the others claim what is left;
+  /// once every chunk has finished, the first error in chunk order is
+  /// rethrown.
   void parallel_for_chunked(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t)>& fn);

@@ -391,7 +391,9 @@ void run_trials_batched(const NullReplicateInvariants& inv,
                               inv.row1, inv.total, s.stat.data());
   }
   for (std::uint32_t r = 0; r < reps; ++r) {
-    if (s.stat[r] >= observed.t1.statistic) outcomes[begin + r] |= 1u;
+    if (reaches_observed(s.stat[r], observed.t1.statistic)) {
+      outcomes[begin + r] |= 1u;
+    }
   }
 
   // T2: clump with the invariant kept set, then Pearson on the clumped
@@ -428,7 +430,9 @@ void run_trials_batched(const NullReplicateInvariants& inv,
                               inv.row0, inv.row1, inv.total, s.stat.data());
   }
   for (std::uint32_t r = 0; r < reps; ++r) {
-    if (s.stat[r] >= observed.t2.statistic) outcomes[begin + r] |= 2u;
+    if (reaches_observed(s.stat[r], observed.t2.statistic)) {
+      outcomes[begin + r] |= 2u;
+    }
   }
 
   // T3: one column scan across the whole slab, scalar first-max argmax
@@ -451,7 +455,9 @@ void run_trials_batched(const NullReplicateInvariants& inv,
     }
     s.t3_stat[r] = best;
     s.t3_col[r] = best_col;
-    if (best >= observed.t3.statistic) outcomes[begin + r] |= 4u;
+    if (reaches_observed(best, observed.t3.statistic)) {
+      outcomes[begin + r] |= 4u;
+    }
   }
 
   // T4: the greedy growth seeds from T3's winner, as best_column_group
@@ -516,7 +522,9 @@ void run_trials_batched(const NullReplicateInvariants& inv,
         }
       }
     }
-    if (best >= observed.t4.statistic) outcomes[begin + r] |= 8u;
+    if (reaches_observed(best, observed.t4.statistic)) {
+      outcomes[begin + r] |= 8u;
+    }
   }
 }
 
@@ -558,7 +566,7 @@ ClumpResult Clump::analyze(const ContingencyTable& raw, Rng& rng) const {
   // trials even under early stopping, so both modes sample identical
   // null tables) — which makes the result a pure function of
   // (seed, trial count) whatever the worker count. The per-trial
-  // outcome bytes (one "null >= observed" bit per statistic) are
+  // outcome bytes (one "null reaches observed" bit per statistic) are
   // deliberately NOT a vector<bool>: distinct bytes keep parallel
   // writers off each other's memory.
   if (config_.monte_carlo_trials > 0) {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -70,8 +71,8 @@ struct ClumpStatistic {
   /// Analytic chi-square p-value; for T3/T4 this is nominal (unadjusted
   /// for selection), which is why CLUMP pairs them with Monte Carlo.
   double p_analytic = 1.0;
-  /// Empirical p-value (1 + #null ≥ observed) / (1 + trials); empty when
-  /// Monte Carlo was disabled.
+  /// Empirical p-value (1 + #null reaching observed) / (1 + trials),
+  /// counted by reaches_observed; empty when Monte Carlo was disabled.
   std::optional<double> p_monte_carlo;
 };
 
@@ -90,6 +91,16 @@ struct ClumpResult {
   /// replicate ceiling.
   bool mc_early_stopped = false;
 };
+
+/// Whether a Monte-Carlo null statistic counts as reaching the observed
+/// one: null >= observed · (1 − 64ε), the rule of R's chisq.test. On a
+/// table of integer counts some null tables tie the observed statistic
+/// exactly, and summing the same terms in another order can round such
+/// a tie a few ulps to either side; the tolerance counts every tie.
+inline bool reaches_observed(double null_statistic, double observed) {
+  return null_statistic >=
+         observed * (1.0 - 64.0 * std::numeric_limits<double>::epsilon());
+}
 
 class Clump {
  public:

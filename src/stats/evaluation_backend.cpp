@@ -59,7 +59,11 @@ class InProcessBackend final : public EvaluationBackend {
     std::vector<double> results(batch.size());
     // parallel_for_chunked runs each chunk on exactly one thread (chunk
     // 0 on the caller), so indexing the arenas by chunk gives every
-    // worker a private scratch with no locking.
+    // worker a private scratch with no locking. The chunks claim
+    // candidates one at a time, so no worker idles while a costly one
+    // (a size-6 candidate costs ~60 size-2 ones) holds up another; the
+    // arenas hold capacity only, so which chunk scores a candidate
+    // changes no result.
     const auto score = [&](std::size_t chunk, std::size_t i) {
       results[i] = ladder_.score(batch[i], phase, i, scratches_[chunk]);
     };

@@ -201,13 +201,17 @@ ClumpResult clump_analyze(const ContingencyTable& raw,
     Rng trial_rng(seed);
     const ContingencyTable null = sample_null(table, trial_rng);
     const ColumnScans null_scans = scan_columns(null);
-    if (pearson_chi_square(null).statistic >= result.t1.statistic) ++ge[0];
-    if (pearson_chi_square(clump_rare(null, threshold)).statistic >=
-        result.t2.statistic) {
+    if (reaches_observed(pearson_chi_square(null).statistic,
+                         result.t1.statistic)) {
+      ++ge[0];
+    }
+    if (reaches_observed(
+            pearson_chi_square(clump_rare(null, threshold)).statistic,
+            result.t2.statistic)) {
       ++ge[1];
     }
-    if (null_scans.t3 >= result.t3.statistic) ++ge[2];
-    if (null_scans.t4 >= result.t4.statistic) ++ge[3];
+    if (reaches_observed(null_scans.t3, result.t3.statistic)) ++ge[2];
+    if (reaches_observed(null_scans.t4, result.t4.statistic)) ++ge[3];
   }
   const auto empirical = [&](std::uint32_t count) {
     return (1.0 + count) / (1.0 + trials);

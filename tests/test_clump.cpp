@@ -351,8 +351,9 @@ class ClumpReference : public ::testing::Test {
 TEST_F(ClumpReference, ProductionMatchesOracleAtEveryLevelAndWorkerCount) {
   // Production CLUMP — dispatched kernels and the replicate-batched
   // Monte-Carlo engine — against the Kahan-summed per-trial oracle, on
-  // EM-estimated tables of 2–6 loci and hand-built tables that reach
-  // every branch of the partial deal: statistics to 1e-9 relative, df
+  // EM-estimated tables of 2–6 loci, hand-built tables that reach every
+  // branch of the partial deal and integer tables whose null replicates
+  // tie the observed statistic: statistics to 1e-9 relative, df
   // and T4's group equal, and the same Monte-Carlo exceedance count
   // per statistic, at every dispatch level with the replicates run
   // inline and fanned over three workers. 300 trials leave a partial
@@ -380,10 +381,7 @@ TEST_F(ClumpReference, ProductionMatchesOracleAtEveryLevelAndWorkerCount) {
   // The EM tables above have equal rounded rows of 160 (cut = N/2).
   // With N rounded observations, the deal draws positions [cut, N) and
   // takes the top row as the column totals minus that tail. The
-  // hand-built tables below reach its other branches. Their cells are
-  // fractional, like EM estimates: on an integer table, null replicates
-  // tie the observed statistic exactly, and the oracle's Kahan sums and
-  // the kernels round such ties to different sides.
+  // hand-built tables below reach its other branches.
   const auto table_of = [](std::vector<double> top,
                            std::vector<double> bottom) {
     ContingencyTable table(2, static_cast<std::uint32_t>(top.size()));
@@ -393,6 +391,16 @@ TEST_F(ClumpReference, ProductionMatchesOracleAtEveryLevelAndWorkerCount) {
     }
     return table;
   };
+  // Integer counts: some null replicates tie the observed statistic
+  // exactly, and the oracle's Kahan sums and the kernels may round such
+  // a tie to different sides; reaches_observed counts it either way.
+  // The rows-30/100 table both ways, then the 2×3 and 2×2 tables of
+  // MonteCarloAgreesWithAnalyticOnLargeCounts and
+  // StrongAssociationGetsSmallMonteCarloP.
+  tables.push_back(table_of({12, 8, 5, 3, 2}, {20, 30, 25, 15, 10}));
+  tables.push_back(table_of({20, 30, 25, 15, 10}, {12, 8, 5, 3, 2}));
+  tables.push_back(table_of({50, 30, 20}, {35, 38, 27}));
+  tables.push_back(table_of({45, 5}, {5, 45}));
   // Unequal rows of 30 and 100: cut = 30 of N = 130 (100 draws), then
   // with the rows swapped cut = 100 (30 draws).
   const std::vector<double> small{12.3, 7.9, 5.2, 3.1, 1.7};

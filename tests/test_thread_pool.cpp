@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <map>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -69,6 +72,55 @@ TEST(ThreadPool, ParallelForPropagatesException) {
                                    if (i == 7) throw std::runtime_error("x");
                                  }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForChunkedLetsOthersPassASlowIndex) {
+  // Index 0 blocks until every other index has run, with a 5 s
+  // deadline: it is released only if the other three threads claim
+  // indices 1–63 while index 0's thread is held up, as a generation's
+  // cheap candidates must not wait behind a costly one.
+  ThreadPool pool(3);
+  constexpr std::size_t kCount = 64;
+  std::mutex mutex;
+  std::condition_variable others_done;
+  std::size_t done = 0;
+  bool released = false;
+  pool.parallel_for_chunked(0, kCount, [&](std::size_t, std::size_t i) {
+    std::unique_lock lock(mutex);
+    if (i == 0) {
+      released = others_done.wait_for(lock, std::chrono::seconds(5),
+                                       [&] { return done == kCount - 1; });
+    } else if (++done == kCount - 1) {
+      others_done.notify_one();
+    }
+  });
+  EXPECT_TRUE(released);
+}
+
+TEST(ThreadPool, EachChunkRunsOnOneThread) {
+  // Callers index per-chunk state (the in-process backend's scratch
+  // arenas) by chunk id without locking: every chunk id must stay
+  // below thread_count() + 1 and run on exactly one thread, chunk 0 on
+  // the caller's.
+  ThreadPool pool(3);
+  std::mutex mutex;
+  std::map<std::size_t, std::set<std::thread::id>> threads_of_chunk;
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for_chunked(0, hits.size(), [&](std::size_t chunk,
+                                                std::size_t i) {
+    ++hits[i];
+    std::lock_guard lock(mutex);
+    threads_of_chunk[chunk].insert(std::this_thread::get_id());
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const auto& [chunk, ids] : threads_of_chunk) {
+    SCOPED_TRACE(chunk);
+    EXPECT_LT(chunk, pool.thread_count() + 1);
+    EXPECT_EQ(ids.size(), 1u);
+    if (chunk == 0) {
+      EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+    }
+  }
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedWork) {
