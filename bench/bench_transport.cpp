@@ -1,16 +1,16 @@
-// Transport-layer cost study (ISSUE 6): what the farm pays for moving
-// its messages through each transport, and what the cross-process
+// Transport-layer cost study: what the farm pays for moving its
+// messages through each transport, and what the cross-process
 // fault-tolerance machinery costs when it is actually exercised.
 //
 // Sections, echoed to stdout and recorded in BENCH_transport.json:
 //   1. frame codec  — encode+decode throughput for farm-sized payloads;
 //   2. round trip   — single ping/pong latency per transport;
 //   3. farm phases  — generation-sized evaluation batches through the
-//      same MasterSlaveFarm over in-process, Unix-socket, and TCP
-//      transports (the socket overhead is the price of real process
-//      isolation — it must stay small next to the evaluation cost);
-//   4. chaos        — the Unix-socket farm re-run with injected kills
-//      and corrupt frames, measuring what recovery adds.
+//      same MasterSlaveFarm over the in-process and socket transports
+//      (the socket overhead is the price of real process isolation — it
+//      must stay small next to the evaluation cost);
+//   4. chaos        — the socket farm re-run with injected kills and
+//      corrupt frames, measuring what recovery adds.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -37,7 +37,6 @@ using parallel::FrameDecoder;
 using parallel::MasterSlaveFarm;
 using parallel::Message;
 using parallel::Packer;
-using parallel::SocketTransportConfig;
 using parallel::TransportFactory;
 
 constexpr std::int32_t kPing = 1;
@@ -121,24 +120,15 @@ void report_round_trips(std::FILE* json) {
   const double in_process_us = round_trip_us(*in_process, kRoundTrips);
   table.add_row({"in-process", TextTable::num(in_process_us, 2)});
 
-  SocketTransportConfig unix_config;
-  const auto unix_transport =
-      parallel::make_socket_transport(echo_body(), unix_config);
-  const double unix_us = round_trip_us(*unix_transport, kRoundTrips);
-  table.add_row({"socket-unix", TextTable::num(unix_us, 2)});
-
-  SocketTransportConfig tcp_config;
-  tcp_config.family = SocketTransportConfig::Family::kTcp;
-  const auto tcp_transport =
-      parallel::make_socket_transport(echo_body(), tcp_config);
-  const double tcp_us = round_trip_us(*tcp_transport, kRoundTrips);
-  table.add_row({"socket-tcp", TextTable::num(tcp_us, 2)});
+  const auto socket_transport = parallel::make_socket_transport(echo_body());
+  const double socket_us = round_trip_us(*socket_transport, kRoundTrips);
+  table.add_row({"socket", TextTable::num(socket_us, 2)});
 
   std::printf("%s\n", table.str().c_str());
   std::fprintf(json,
                "  \"round_trip_us\": {\"in_process\": %.3f, "
-               "\"socket_unix\": %.3f, \"socket_tcp\": %.3f},\n",
-               in_process_us, unix_us, tcp_us);
+               "\"socket\": %.3f},\n",
+               in_process_us, socket_us);
 }
 
 struct FarmRun {
@@ -194,19 +184,12 @@ void report_farm(std::FILE* json) {
   table.add_row({"in-process", TextTable::num(in_process.phase_seconds, 4),
                  TextTable::num(1.0, 2)});
 
-  const FarmRun unix_run = run_farm_phases(
-      evaluator, batch, parallel::socket_transport_factory({}));
-  table.add_row({"socket-unix", TextTable::num(unix_run.phase_seconds, 4),
+  const FarmRun socket_run = run_farm_phases(
+      evaluator, batch, parallel::socket_transport_factory());
+  table.add_row({"socket", TextTable::num(socket_run.phase_seconds, 4),
                  TextTable::num(
-                     unix_run.phase_seconds / in_process.phase_seconds, 2)});
-
-  SocketTransportConfig tcp_config;
-  tcp_config.family = SocketTransportConfig::Family::kTcp;
-  const FarmRun tcp_run = run_farm_phases(
-      evaluator, batch, parallel::socket_transport_factory(tcp_config));
-  table.add_row({"socket-tcp", TextTable::num(tcp_run.phase_seconds, 4),
-                 TextTable::num(
-                     tcp_run.phase_seconds / in_process.phase_seconds, 2)});
+                     socket_run.phase_seconds / in_process.phase_seconds,
+                     2)});
   std::printf("%s\n", table.str().c_str());
 
   // Chaos leg: kills + corrupt frames every phase; recovery (respawn,
@@ -218,26 +201,25 @@ void report_farm(std::FILE* json) {
   policy.max_task_retries = 8;
   policy.respawn_backoff = std::chrono::milliseconds(1);
   const FarmRun chaos = run_farm_phases(
-      evaluator, batch, parallel::socket_transport_factory({}),
+      evaluator, batch, parallel::socket_transport_factory(),
       std::make_shared<parallel::FaultInjector>(faults), policy);
-  std::printf("socket-unix under chaos (1 kill + 1 corrupt frame per "
-              "phase): %.4f s/phase (%.2fx clean socket; %llu losses, "
-              "%llu respawns across run)\n\n",
+  std::printf("socket under chaos (1 kill + 1 corrupt frame per phase): "
+              "%.4f s/phase (%.2fx clean socket; %llu losses, %llu "
+              "respawns across run)\n\n",
               chaos.phase_seconds,
-              chaos.phase_seconds / unix_run.phase_seconds,
+              chaos.phase_seconds / socket_run.phase_seconds,
               static_cast<unsigned long long>(chaos.stats.worker_losses),
               static_cast<unsigned long long>(chaos.stats.respawns));
 
   std::fprintf(json,
                "  \"farm_phase_seconds\": {\"in_process\": %.5f, "
-               "\"socket_unix\": %.5f, \"socket_tcp\": %.5f, "
-               "\"socket_unix_chaos\": %.5f},\n"
+               "\"socket\": %.5f, \"socket_chaos\": %.5f},\n"
                "  \"socket_overhead_ratio\": %.3f,\n"
                "  \"chaos_overhead_ratio\": %.3f\n",
-               in_process.phase_seconds, unix_run.phase_seconds,
-               tcp_run.phase_seconds, chaos.phase_seconds,
-               unix_run.phase_seconds / in_process.phase_seconds,
-               chaos.phase_seconds / unix_run.phase_seconds);
+               in_process.phase_seconds, socket_run.phase_seconds,
+               chaos.phase_seconds,
+               socket_run.phase_seconds / in_process.phase_seconds,
+               chaos.phase_seconds / socket_run.phase_seconds);
 }
 
 }  // namespace

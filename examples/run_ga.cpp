@@ -28,20 +28,24 @@
 //                       as a steady-state island over evaluation lanes
 //                       (--workers then sets the lane count)
 //   --backend serial|pool|farm   evaluation backend [pool; sync only]
-//   --transport in-process|socket-unix|socket-tcp   farm message layer
-//                       [in-process]; socket-* forks worker processes
-//                       supervised with heartbeats + respawn
+//   --transport in-process|socket   farm message layer [in-process];
+//                       socket forks worker processes supervised with
+//                       heartbeats + respawn
 //   --workers N         scoring threads, the caller among them (farm:
 //                       slaves) [hardware]
 //   --stat t1|t2|t3|t4|lrt       fitness statistic [t1]
 //   --seed S            base seed [1]
-//   --trace             print per-generation telemetry CSV to stderr
+//   --trace             write telemetry CSV to stderr: one row per
+//                       generation (sync, ga::TelemetryCsvWriter) or per
+//                       island event (async, ga::IslandEventCsvWriter)
 #include <cstdio>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "ga/engine.hpp"
 #include "ga/island_engine.hpp"
+#include "ga/telemetry_writer.hpp"
 #include "genomics/dataset_io.hpp"
 #include "genomics/linkage_format.hpp"
 #include "genomics/qc.hpp"
@@ -60,16 +64,11 @@ std::shared_ptr<ldga::stats::EvaluationBackend> make_backend(
     std::uint32_t workers) {
   ldga::stats::BackendOptions options;
   options.workers = workers;
-  if (transport == "socket-unix" || transport == "socket-tcp") {
+  if (transport == "socket") {
     options.transport = ldga::stats::FarmTransport::kSocket;
-    options.socket.family =
-        transport == "socket-tcp"
-            ? ldga::parallel::SocketTransportConfig::Family::kTcp
-            : ldga::parallel::SocketTransportConfig::Family::kUnix;
   } else if (transport != "in-process") {
-    throw ldga::ConfigError(
-        "--transport must be in-process|socket-unix|socket-tcp, got '" +
-        transport + "'");
+    throw ldga::ConfigError("--transport must be in-process|socket, got '" +
+                            transport + "'");
   }
   if (name == "serial") {
     return ldga::stats::make_serial_backend(evaluator, options);
@@ -197,15 +196,8 @@ int main(int argc, char** argv) {
         island_config.ga = config;
         if (workers > 0) island_config.lanes = workers;
         ga::IslandEngine engine(evaluator, island_config);
-        if (trace) {
-          engine.set_event_callback([](const ga::IslandEvent& event) {
-            std::fprintf(stderr, "%s,%u,%llu,%.3f,%llu\n",
-                         ga::to_string(event.kind), event.island,
-                         static_cast<unsigned long long>(event.step),
-                         event.best_fitness,
-                         static_cast<unsigned long long>(event.evaluations));
-          });
-        }
+        ga::IslandEventCsvWriter writer(std::cerr);
+        if (trace) engine.set_event_callback(writer.callback());
         const ga::IslandRunResult result = engine.run();
         std::printf("\nrun %u: %llu island steps, %llu evaluations, "
                     "%u immigrant waves%s\n",
@@ -218,16 +210,8 @@ int main(int argc, char** argv) {
         best_by_size = result.best_by_size;
       } else {
         ga::GaEngine engine(evaluator, config, backend);
-        if (trace) {
-          engine.set_generation_callback([](const ga::GenerationInfo& info) {
-            std::fprintf(stderr, "%u", info.generation);
-            for (const double b : info.best_by_size) {
-              std::fprintf(stderr, ",%.3f", b);
-            }
-            std::fprintf(stderr, ",%llu\n",
-                         static_cast<unsigned long long>(info.evaluations));
-          });
-        }
+        ga::TelemetryCsvWriter writer(std::cerr);
+        if (trace) engine.set_generation_callback(writer.callback());
         const ga::GaResult result = engine.run();
         std::printf("\nrun %u: %u generations, %llu evaluations, "
                     "%u immigrant waves%s\n",

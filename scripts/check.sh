@@ -63,7 +63,7 @@ run_mode() {
     echo "== ${mode}: chaos-soaking the socket transport"
     LDGA_CHAOS_SOAK=1 ctest --test-dir "${dir}" --output-on-failure \
       -j "$(nproc)" --timeout "${TEST_TIMEOUT}" \
-      -R 'Transport|Chaos|MasterSlave|FarmFaultTolerance|BackendConformance|Mailbox|ProcessSupervisor|Socket|Crc32|SealedPayload|FrameCodec|Island|EvaluationStream|Straggler'
+      -R 'Transport|Chaos|MasterSlave|FarmFaultTolerance|BackendConformance|Mailbox|ProcessSupervisor|Socket|Crc32|FrameCodec|MigrationRouter|Island|EvaluationStream|Straggler'
   else
     echo "== ${mode}: testing"
     ctest --test-dir "${dir}" --output-on-failure -j "$(nproc)" \

@@ -73,7 +73,7 @@ void IslandConfig::validate() const {
   if (max_pending < 1) {
     throw ConfigError("IslandConfig: max_pending must be >= 1");
   }
-  if (migration_interval < 1 || migration_elites < 1) {
+  if (migration_interval < 1) {
     throw ConfigError("IslandConfig: migration cadence must be >= 1");
   }
   if (rate_sync_interval < 1) {
@@ -543,23 +543,17 @@ void emigrate(const LoopContext& ctx, Island& island, Shared& shared) {
   if (island.subpop.size() == 0) return;
   const std::uint32_t n = shared.island_count;
   bool sent = false;
-  // Ring-of-neighbors topology over the size ladder: size k talks to
-  // k−1 and k+1, the classes its reduction/augmentation offspring land
-  // in anyway.
+  // Ring-of-neighbors topology over the size ladder: size k sends one
+  // elite, its best, to k−1 and k+1, the classes its
+  // reduction/augmentation offspring land in anyway.
+  const HaplotypeIndividual& elite =
+      island.subpop.member(island.subpop.best_index());
   for (const std::int64_t delta : {-1, +1}) {
     const std::int64_t to = static_cast<std::int64_t>(island.index) + delta;
     if (to < 0 || to >= static_cast<std::int64_t>(n)) continue;
-    for (std::uint32_t e = 0;
-         e < ctx.config->migration_elites && e < island.subpop.size(); ++e) {
-      // Tournament-pick the travelers; the best always goes first.
-      const std::uint32_t pick =
-          e == 0 ? island.subpop.best_index()
-                 : shared.selector->tournament(island.subpop, island.rng);
-      if (shared.router->send(island.index, static_cast<std::uint32_t>(to),
-                              IslandTag::kElite,
-                              island.subpop.member(pick))) {
-        sent = true;
-      }
+    if (shared.router->send(island.index, static_cast<std::uint32_t>(to),
+                            IslandTag::kElite, elite)) {
+      sent = true;
     }
   }
   if (sent) emit(ctx, island, shared, IslandEvent::Kind::kMigrationOut);

@@ -15,7 +15,7 @@
 //     arrive, out of order, up to a bounded in-flight window — no
 //     island ever waits for another island's evaluations;
 //   - elites travel between neighboring size classes over asynchronous
-//     Mailbox-backed migration channels (migration.hpp) and serve as
+//     migration channels (migration.hpp) and serve as
 //     mates for the paper's inter-population crossover, while
 //     reduction/augmentation offspring are forwarded to the island
 //     that owns their size;
@@ -68,10 +68,9 @@ struct IslandConfig {
   /// selection-lag: an island breeds at most this far ahead of its own
   /// integrated results.
   std::uint32_t max_pending = 8;
-  /// Integrated offspring between elite pushes to the neighboring
-  /// islands, and how many elites travel per push.
+  /// Integrated offspring between pushes of the island's best to the
+  /// neighboring islands.
   std::uint32_t migration_interval = 32;
-  std::uint32_t migration_elites = 1;
   /// Integrated offspring between merges of the local rate deltas into
   /// the shared controller (and between fitness-range republishes).
   std::uint32_t rate_sync_interval = 8;

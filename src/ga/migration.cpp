@@ -1,58 +1,49 @@
 #include "ga/migration.hpp"
 
-#include "parallel/message.hpp"
 #include "util/error.hpp"
 
 namespace ldga::ga {
 
-MigrationRouter::MigrationRouter(std::uint32_t island_count) {
+MigrationRouter::MigrationRouter(std::uint32_t island_count)
+    : inboxes_(island_count) {
   LDGA_EXPECTS(island_count >= 1);
-  mailboxes_.reserve(island_count);
-  for (std::uint32_t i = 0; i < island_count; ++i) {
-    mailboxes_.push_back(std::make_unique<parallel::Mailbox>());
-  }
 }
 
 bool MigrationRouter::send(std::uint32_t from, std::uint32_t to,
                            std::int32_t tag,
                            const HaplotypeIndividual& individual) {
-  LDGA_EXPECTS(from < mailboxes_.size() && to < mailboxes_.size());
+  LDGA_EXPECTS(from < inboxes_.size() && to < inboxes_.size());
   LDGA_EXPECTS(individual.evaluated());
-  parallel::Packer packer;
-  packer.pack_vector(individual.snps());
-  packer.pack(individual.fitness());
-  parallel::Message message;
-  message.source = static_cast<parallel::TaskId>(from);
-  message.tag = tag;
-  message.payload = std::move(packer).take();
-  if (!mailboxes_[to]->deliver(std::move(message))) return false;
+  Inbox& inbox = inboxes_[to];
+  {
+    const std::lock_guard lock(inbox.mutex);
+    if (inbox.closed) return false;
+    inbox.queue.push_back(Incoming{from, tag, individual});
+  }
   sent_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 std::vector<MigrationRouter::Incoming> MigrationRouter::drain(
     std::uint32_t island) {
-  LDGA_EXPECTS(island < mailboxes_.size());
+  LDGA_EXPECTS(island < inboxes_.size());
   std::vector<Incoming> incoming;
-  for (;;) {
-    std::optional<parallel::Message> message =
-        mailboxes_[island]->try_receive();
-    if (!message) break;
-    Incoming entry;
-    entry.from = static_cast<std::uint32_t>(message->source);
-    entry.tag = message->tag;
-    parallel::Unpacker unpacker = message->unpacker();
-    entry.individual =
-        HaplotypeIndividual{unpacker.unpack_vector<genomics::SnpIndex>()};
-    entry.individual.set_fitness(unpacker.unpack<double>());
-    incoming.push_back(std::move(entry));
-    received_.fetch_add(1, std::memory_order_relaxed);
+  {
+    Inbox& inbox = inboxes_[island];
+    const std::lock_guard lock(inbox.mutex);
+    incoming.swap(inbox.queue);
+  }
+  if (!incoming.empty()) {
+    received_.fetch_add(incoming.size(), std::memory_order_relaxed);
   }
   return incoming;
 }
 
 void MigrationRouter::close() {
-  for (const auto& mailbox : mailboxes_) mailbox->close();
+  for (Inbox& inbox : inboxes_) {
+    const std::lock_guard lock(inbox.mutex);
+    inbox.closed = true;
+  }
 }
 
 }  // namespace ldga::ga

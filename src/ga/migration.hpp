@@ -1,27 +1,24 @@
 // Asynchronous migration channels between islands.
 //
-// Each island owns one parallel::Mailbox; elites and cross-size
-// offspring travel between islands as sealed PVM-style messages (the
-// same Packer/Unpacker wire discipline the evaluation farm uses, so a
-// future multi-process island engine can swap the in-process mailbox
-// for a socket transport without touching the island logic). Sends
-// never block and receives are non-blocking drains — an island that
-// has fallen behind simply finds more mail at its next loop top; no
-// sender ever waits on a receiver, which is the property that keeps
+// Each island owns one inbox: a locked vector of Incoming values.
+// Elites and cross-size offspring are copied into the receiving
+// island's inbox, so a migrant keeps its SNPs and fitness bit for bit.
+// Sends never block and receives are non-blocking drains — an island
+// that has fallen behind simply finds more mail at its next loop top;
+// no sender ever waits on a receiver, which is the property that keeps
 // the engine barrier-free.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "ga/haplotype_individual.hpp"
-#include "parallel/mailbox.hpp"
 
 namespace ldga::ga {
 
-/// Message tags on the island mailboxes.
+/// What a migrant is to its receiver.
 struct IslandTag {
   /// An elite copy offered to a neighbor (migration proper). The
   /// receiver inserts it under the usual §4.6 replacement rule.
@@ -38,13 +35,13 @@ class MigrationRouter {
   explicit MigrationRouter(std::uint32_t island_count);
 
   std::uint32_t island_count() const {
-    return static_cast<std::uint32_t>(mailboxes_.size());
+    return static_cast<std::uint32_t>(inboxes_.size());
   }
 
-  /// Sends an evaluated individual to `to`'s mailbox. Returns false
-  /// when the router is closed (shutdown) — the migrant is dropped,
-  /// which is always safe: migration is an optimization, not a
-  /// correctness dependency.
+  /// Queues a copy of an evaluated individual in `to`'s inbox. Returns
+  /// false when the router is closed (shutdown) — the migrant is
+  /// dropped, which is always safe: migration is an optimization, not
+  /// a correctness dependency.
   [[nodiscard]] bool send(std::uint32_t from, std::uint32_t to,
                           std::int32_t tag,
                           const HaplotypeIndividual& individual);
@@ -55,10 +52,11 @@ class MigrationRouter {
     HaplotypeIndividual individual;
   };
 
-  /// Every message queued for `island` right now (possibly none).
+  /// Everything queued for `island` right now (possibly none), oldest
+  /// first.
   std::vector<Incoming> drain(std::uint32_t island);
 
-  /// Closes every mailbox; pending mail is discarded by drains.
+  /// Refuses every later send; mail already queued stays drainable.
   void close();
 
   std::uint64_t sent() const {
@@ -69,7 +67,15 @@ class MigrationRouter {
   }
 
  private:
-  std::vector<std::unique_ptr<parallel::Mailbox>> mailboxes_;
+  // Each island drains its own inbox every loop; a cache line apiece
+  // keeps one island's lock traffic off its neighbors'.
+  struct alignas(64) Inbox {
+    std::mutex mutex;
+    std::vector<Incoming> queue;
+    bool closed = false;
+  };
+
+  std::vector<Inbox> inboxes_;
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> received_{0};
 };

@@ -41,7 +41,7 @@ struct FaultDecision {
     // Transport faults (exercise the loss-detection machinery; only
     // meaningful on a farm, where the directive reaches the worker):
     kDropReply,    ///< compute, then never send the reply
-    kCorruptReply, ///< compute, then send a checksum-breaking reply
+    kCorruptReply, ///< compute, then send a reply that arrives corrupt
     kDisconnect,   ///< drop the connection to the master and exit
     kKillWorker,   ///< die instantly, mid-protocol (SIGKILL-equivalent)
   };

@@ -8,8 +8,6 @@ namespace ldga::parallel {
 
 namespace {
 
-constexpr std::size_t kSealBytes = 1 + sizeof(std::uint32_t);
-
 // magic + version + source + tag + payload_size + crc32
 constexpr std::size_t kFrameHeaderBytes =
     sizeof(std::uint32_t) + 1 + sizeof(std::int32_t) + sizeof(std::int32_t) +
@@ -30,35 +28,6 @@ T get(const std::uint8_t* data) {
 }
 
 }  // namespace
-
-std::vector<std::uint8_t> seal_payload(std::vector<std::uint8_t> payload) {
-  std::vector<std::uint8_t> sealed;
-  sealed.reserve(kSealBytes + payload.size());
-  sealed.push_back(kWireProtocolVersion);
-  put(sealed, util::crc32(payload));
-  sealed.insert(sealed.end(), payload.begin(), payload.end());
-  return sealed;
-}
-
-std::vector<std::uint8_t> unseal_payload(std::vector<std::uint8_t> sealed) {
-  if (sealed.size() < kSealBytes) {
-    throw FrameError("sealed payload shorter than its header");
-  }
-  if (sealed[0] != kWireProtocolVersion) {
-    throw FrameError("wire protocol version mismatch (got " +
-                     std::to_string(static_cast<int>(sealed[0])) +
-                     ", expected " +
-                     std::to_string(static_cast<int>(kWireProtocolVersion)) +
-                     ")");
-  }
-  const auto expected = get<std::uint32_t>(sealed.data() + 1);
-  std::vector<std::uint8_t> payload(sealed.begin() + kSealBytes,
-                                    sealed.end());
-  if (util::crc32(payload) != expected) {
-    throw FrameError("payload checksum mismatch (corrupt message)");
-  }
-  return payload;
-}
 
 std::vector<std::uint8_t> encode_frame(const Message& message) {
   std::vector<std::uint8_t> frame;

@@ -1,23 +1,15 @@
-// Wire integrity for Message payloads: a protocol-version byte and a
-// CRC-32 on every payload that leaves its producer.
+// The socket transport's wire format: every message between the master
+// and a forked worker travels as one self-delimiting, checksummed frame
 //
-// Two encodings share the same checksum discipline:
+//   [magic][version][source][tag][payload_size][crc32][payload]
 //
-//   - seal_payload / unseal_payload — the in-process form. The sealed
-//     bytes are [version][crc32][payload]; TaskContext::send seals and
-//     the receive side verifies, so even the thread-mailbox path pays
-//     (negligible) tribute to the "everything on the wire is checked"
-//     rule, and a corrupted buffer is a typed FrameError, never a
-//     silent misread.
-//
-//   - encode_frame / FrameDecoder — the socket form. A frame is
-//     [magic][version][source][tag][payload_size][crc32][payload],
-//     little-endian, self-delimiting over a byte stream. The decoder is
-//     incremental: feed it whatever read(2) returned and take decoded
-//     messages out; a bad magic, unknown version, oversized length, or
-//     checksum mismatch throws FrameError — after which the stream is
-//     unrecoverable by design (length framing cannot be trusted), so
-//     the caller must drop the connection.
+// little-endian, whose payload is the message's plain Packer bytes. The
+// decoder is incremental: feed it whatever read(2) returned and take
+// decoded messages out; a bad magic, unknown version, oversized length,
+// or checksum mismatch throws FrameError — after which the stream is
+// unrecoverable by design (length framing cannot be trusted), so the
+// caller must drop the connection. In-process messages never leave
+// memory and carry no frame.
 #pragma once
 
 #include <cstdint>
@@ -29,19 +21,15 @@
 
 namespace ldga::parallel {
 
-/// Version byte carried by both the sealed and framed encodings; bump
-/// when the Packer wire format or the frame header changes shape.
+/// Version byte carried by every frame; bump when the Packer wire
+/// format or the frame header changes shape.
 inline constexpr std::uint8_t kWireProtocolVersion = 1;
 
 /// Frame magic ("LDGF" little-endian) marking each frame start.
 inline constexpr std::uint32_t kFrameMagic = 0x4647444cu;
 
-/// [version][crc32][payload]; the inverse of unseal_payload.
-std::vector<std::uint8_t> seal_payload(std::vector<std::uint8_t> payload);
-
-/// Verifies version + CRC and strips the seal. Throws FrameError on a
-/// short buffer, version mismatch, or checksum failure.
-std::vector<std::uint8_t> unseal_payload(std::vector<std::uint8_t> sealed);
+/// The largest payload a frame may declare: 16 MiB.
+inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
 
 /// Serializes one message as a self-delimiting checksummed frame.
 std::vector<std::uint8_t> encode_frame(const Message& message);
@@ -52,7 +40,7 @@ class FrameDecoder {
   /// Frames larger than this are treated as stream corruption — the
   /// length field is part of the unauthenticated header, so an insane
   /// value must not drive a giant allocation.
-  explicit FrameDecoder(std::uint32_t max_payload_bytes = 16u << 20)
+  explicit FrameDecoder(std::uint32_t max_payload_bytes = kMaxFrameBytes)
       : max_payload_bytes_(max_payload_bytes) {}
 
   /// Appends raw bytes read from the stream.

@@ -10,26 +10,21 @@ bool Mailbox::deliver(Message message) {
     if (closed_) return false;
     queue_.push_back(std::move(message));
   }
-  arrived_.notify_all();
+  arrived_.notify_one();
   return true;
 }
 
-std::optional<Message> Mailbox::take_matching(TaskId source,
-                                              std::int32_t tag) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (matches(*it, source, tag)) {
-      Message found = std::move(*it);
-      queue_.erase(it);
-      return found;
-    }
-  }
-  return std::nullopt;
+std::optional<Message> Mailbox::take_front() {
+  if (queue_.empty()) return std::nullopt;
+  Message front = std::move(queue_.front());
+  queue_.pop_front();
+  return front;
 }
 
-Message Mailbox::receive(TaskId source, std::int32_t tag) {
+Message Mailbox::receive() {
   std::unique_lock lock(mutex_);
   for (;;) {
-    if (auto found = take_matching(source, tag)) return std::move(*found);
+    if (auto found = take_front()) return std::move(*found);
     if (closed_) {
       throw TransportClosed("Mailbox: receive on closed mailbox");
     }
@@ -37,33 +32,20 @@ Message Mailbox::receive(TaskId source, std::int32_t tag) {
   }
 }
 
-std::optional<Message> Mailbox::try_receive(TaskId source, std::int32_t tag) {
-  std::lock_guard lock(mutex_);
-  return take_matching(source, tag);
-}
-
-std::optional<Message> Mailbox::receive_for(std::chrono::milliseconds timeout,
-                                            TaskId source, std::int32_t tag) {
+std::optional<Message> Mailbox::receive_for(
+    std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::unique_lock lock(mutex_);
   for (;;) {
-    if (auto found = take_matching(source, tag)) return found;
+    if (auto found = take_front()) return found;
     if (closed_) {
       throw TransportClosed("Mailbox: receive on closed mailbox");
     }
     if (arrived_.wait_until(lock, deadline) == std::cv_status::timeout) {
       // One last look: a message may have arrived with the timeout.
-      return take_matching(source, tag);
+      return take_front();
     }
   }
-}
-
-bool Mailbox::probe(TaskId source, std::int32_t tag) const {
-  std::lock_guard lock(mutex_);
-  for (const auto& m : queue_) {
-    if (matches(m, source, tag)) return true;
-  }
-  return false;
 }
 
 void Mailbox::close() {

@@ -1,5 +1,7 @@
-// Per-task mailbox: a blocking multi-producer queue of messages with
-// PVM-style selective receive (filter by source and/or tag).
+// A closable blocking FIFO of messages: any thread may deliver, and
+// receivers take messages in arrival order. The in-process transport
+// gives the master and each worker one; the socket transport's reader
+// threads share one as the master's inbox.
 #pragma once
 
 #include <chrono>
@@ -19,39 +21,25 @@ class Mailbox {
   /// surface a typed error instead of silently losing the message.
   [[nodiscard]] bool deliver(Message message);
 
-  /// Blocks until a message matching (source, tag) arrives, where
-  /// kAnySource / kAnyTag match everything. Throws TransportClosed if
-  /// the mailbox is closed while waiting (machine shutdown).
-  Message receive(TaskId source = kAnySource, std::int32_t tag = kAnyTag);
+  /// Blocks for the oldest message. Throws TransportClosed once the
+  /// mailbox is closed and empty (machine shutdown).
+  Message receive();
 
-  /// Non-blocking variant; empty when nothing matches right now.
-  std::optional<Message> try_receive(TaskId source = kAnySource,
-                                     std::int32_t tag = kAnyTag);
-
-  /// Blocks up to `timeout` for a matching message; empty on timeout.
+  /// Blocks up to `timeout` for the oldest message; empty on timeout.
   /// Throws TransportClosed if the mailbox closes while waiting. Used
   /// by the farm's phase-deadline policy.
-  std::optional<Message> receive_for(std::chrono::milliseconds timeout,
-                                     TaskId source = kAnySource,
-                                     std::int32_t tag = kAnyTag);
-
-  /// True when a matching message is queued (PVM's pvm_probe).
-  bool probe(TaskId source = kAnySource, std::int32_t tag = kAnyTag) const;
+  std::optional<Message> receive_for(std::chrono::milliseconds timeout);
 
   /// Wakes all blocked receivers with an error; further receives throw
-  /// and further deliveries return false.
+  /// once the queue is drained, and further deliveries return false.
   void close();
 
   bool closed() const;
   std::size_t pending() const;
 
  private:
-  static bool matches(const Message& m, TaskId source, std::int32_t tag) {
-    return (source == kAnySource || m.source == source) &&
-           (tag == kAnyTag || m.tag == tag);
-  }
-  /// Extracts the first matching message; caller holds the lock.
-  std::optional<Message> take_matching(TaskId source, std::int32_t tag);
+  /// Pops the oldest message; caller holds the lock.
+  std::optional<Message> take_front();
 
   mutable std::mutex mutex_;
   std::condition_variable arrived_;

@@ -127,11 +127,10 @@ class Unpacker {
   std::size_t cursor_ = 0;
 };
 
-/// Task addresses within the virtual machine; the master is always 0.
+/// Endpoint addresses on a transport: the master is always 0, workers
+/// are numbered from 1.
 using TaskId = std::int32_t;
 inline constexpr TaskId kMasterTask = 0;
-inline constexpr TaskId kAnySource = -1;
-inline constexpr std::int32_t kAnyTag = -1;
 
 /// A delivered message: who sent it, its integer tag, and the payload.
 struct Message {

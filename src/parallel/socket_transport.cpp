@@ -1,13 +1,10 @@
 #include "parallel/socket_transport.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -28,18 +25,13 @@ void SocketTransportConfig::validate() const {
   if (heartbeat_interval.count() <= 0) {
     throw ConfigError("SocketTransportConfig: heartbeat_interval must be > 0");
   }
-  if (shutdown_grace.count() < 0) {
-    throw ConfigError("SocketTransportConfig: shutdown_grace must be >= 0");
-  }
-  if (connect_timeout.count() <= 0) {
-    throw ConfigError("SocketTransportConfig: connect_timeout must be > 0");
-  }
-  if (max_frame_bytes == 0) {
-    throw ConfigError("SocketTransportConfig: max_frame_bytes must be > 0");
-  }
 }
 
 namespace {
+
+/// How long teardown (or a lost connection) waits for a worker process
+/// to exit before SIGKILL.
+constexpr std::chrono::milliseconds kShutdownGrace{500};
 
 void write_all(int fd, const std::uint8_t* data, std::size_t size) {
   while (size > 0) {
@@ -60,27 +52,12 @@ void send_frame(int fd, const Message& message) {
   write_all(fd, frame.data(), frame.size());
 }
 
-Message control_message(TaskId source, std::int32_t tag,
-                        const std::string& text) {
-  Packer packer;
-  packer.pack_string(text);
-  Message message;
-  message.source = source;
-  message.tag = tag;
-  message.payload = std::move(packer).take();
-  return message;
-}
-
 /// The worker-process side of one connection.
 class SocketWorkerChannel final : public WorkerChannel {
  public:
   SocketWorkerChannel(TaskId id, int fd,
-                      std::chrono::milliseconds heartbeat_interval,
-                      std::uint32_t max_frame_bytes)
-      : id_(id),
-        fd_(fd),
-        heartbeat_interval_(heartbeat_interval),
-        decoder_(max_frame_bytes) {}
+                      std::chrono::milliseconds heartbeat_interval)
+      : id_(id), fd_(fd), heartbeat_interval_(heartbeat_interval) {}
 
   TaskId id() const override { return id_; }
 
@@ -154,8 +131,7 @@ class SocketWorkerChannel final : public WorkerChannel {
 [[noreturn]] void run_child(TaskId id, int fd,
                             const Transport::WorkerBody& body,
                             const SocketTransportConfig& config) {
-  SocketWorkerChannel channel(id, fd, config.heartbeat_interval,
-                              config.max_frame_bytes);
+  SocketWorkerChannel channel(id, fd, config.heartbeat_interval);
   try {
     body(channel);
   } catch (const TransportClosed&) {
@@ -163,38 +139,6 @@ class SocketWorkerChannel final : public WorkerChannel {
   }
   ::shutdown(fd, SHUT_RDWR);
   ::_exit(0);
-}
-
-/// TCP child: dial the master's loopback listener, retrying with
-/// exponential backoff (the listener may not be accepting yet), then
-/// identify with a hello frame.
-int connect_with_backoff(std::uint16_t port,
-                         std::chrono::milliseconds budget, TaskId id) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  auto backoff = std::chrono::milliseconds(1);
-  for (;;) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd >= 0) {
-      sockaddr_in address{};
-      address.sin_family = AF_INET;
-      address.sin_port = htons(port);
-      address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
-                    sizeof address) == 0) {
-        Message hello;
-        hello.source = id;
-        hello.tag = transport_tag::kHello;
-        send_frame(fd, hello);
-        return fd;
-      }
-      ::close(fd);
-    }
-    if (std::chrono::steady_clock::now() + backoff > deadline) {
-      ::_exit(3);  // never reached the master; it will notice the EOF
-    }
-    std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, std::chrono::milliseconds(100));
-  }
 }
 
 class SocketTransport final : public Transport {
@@ -222,7 +166,6 @@ class SocketTransport final : public Transport {
       if (conn->reader.joinable()) conn->reader.join();
     }
     for (Conn* conn : connections) ::close(conn->fd);
-    if (listener_fd_ >= 0) ::close(listener_fd_);
     inbox_.close();
   }
 
@@ -232,48 +175,32 @@ class SocketTransport final : public Transport {
 
     // Every fd the child inherits but must not keep: other workers'
     // connections (a child holding a sibling's socket would defeat EOF
-    // detection) and, for TCP, the listener.
+    // detection) and the master's end of its own pair.
     std::vector<int> close_in_child;
     for (const auto& [other, conn] : connections_) {
       close_in_child.push_back(conn->fd);
     }
-
-    int parent_fd = -1;
-    int child_fd = -1;
-    if (config_.family == SocketTransportConfig::Family::kUnix) {
-      int pair[2];
-      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, pair) != 0) {
-        throw SpawnError(std::string("socketpair failed: ") +
-                         std::strerror(errno));
-      }
-      parent_fd = pair[0];
-      child_fd = pair[1];
-      close_in_child.push_back(parent_fd);
-    } else {
-      ensure_listener();
-      close_in_child.push_back(listener_fd_);
+    int pair[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, pair) != 0) {
+      throw SpawnError(std::string("socketpair failed: ") +
+                       std::strerror(errno));
     }
+    const int parent_fd = pair[0];
+    const int child_fd = pair[1];
+    close_in_child.push_back(parent_fd);
 
-    const std::uint16_t port = port_;
-    const pid_t pid = supervisor_.spawn(
-        [this, id, child_fd, port, close_in_child] {
-          for (const int fd : close_in_child) ::close(fd);
-          const int fd =
-              child_fd >= 0
-                  ? child_fd
-                  : connect_with_backoff(port, config_.connect_timeout, id);
-          run_child(id, fd, body_, config_);
-        });
-    if (child_fd >= 0) ::close(child_fd);
-
-    if (parent_fd < 0) {
-      try {
-        parent_fd = accept_worker(id);
-      } catch (...) {
-        supervisor_.reap(pid, std::chrono::milliseconds(0));
-        throw;
-      }
+    pid_t pid = -1;
+    try {
+      pid = supervisor_.spawn([this, id, child_fd, close_in_child] {
+        for (const int fd : close_in_child) ::close(fd);
+        run_child(id, child_fd, body_, config_);
+      });
+    } catch (...) {
+      ::close(parent_fd);
+      ::close(child_fd);
+      throw;
     }
+    ::close(child_fd);
 
     auto conn = std::make_unique<Conn>();
     conn->pid = pid;
@@ -332,11 +259,7 @@ class SocketTransport final : public Transport {
     ::shutdown(found->second->fd, SHUT_RDWR);
   }
 
-  std::string_view name() const override {
-    return config_.family == SocketTransportConfig::Family::kUnix
-               ? "socket-unix"
-               : "socket-tcp";
-  }
+  std::string_view name() const override { return "socket"; }
 
  private:
   struct Conn {
@@ -347,99 +270,19 @@ class SocketTransport final : public Transport {
     std::atomic<bool> retired{false};
   };
 
-  void ensure_listener() {
-    if (listener_fd_ >= 0) return;
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      throw SpawnError(std::string("socket failed: ") + std::strerror(errno));
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_port = 0;  // ephemeral
-    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&address),
-               sizeof address) != 0 ||
-        ::listen(fd, 16) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      throw SpawnError("bind/listen on loopback failed: " + why);
-    }
-    socklen_t length = sizeof address;
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&address), &length);
-    listener_fd_ = fd;
-    port_ = ntohs(address.sin_port);
-  }
-
-  /// Accepts loopback connections until the one whose hello frame names
-  /// `worker` shows up; strays (crashed predecessors reconnecting late)
-  /// are closed and ignored.
-  int accept_worker(TaskId worker) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + config_.connect_timeout;
-    for (;;) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) {
-        throw SpawnError("worker " + std::to_string(worker) +
-                         " never completed its TCP handshake");
-      }
-      pollfd poller{listener_fd_, POLLIN, 0};
-      const int ready =
-          ::poll(&poller, 1, static_cast<int>(remaining.count()));
-      if (ready <= 0) continue;  // timeout handled above, EINTR retried
-      const int fd = ::accept(listener_fd_, nullptr, nullptr);
-      if (fd < 0) continue;
-      if (read_hello(fd, worker, deadline)) return fd;
-      ::close(fd);
-    }
-  }
-
-  bool read_hello(int fd, TaskId worker,
-                  std::chrono::steady_clock::time_point deadline) {
-    FrameDecoder decoder(config_.max_frame_bytes);
-    try {
-      for (;;) {
-        if (auto message = decoder.next()) {
-          return message->tag == transport_tag::kHello &&
-                 message->source == worker;
-        }
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now());
-        if (remaining.count() <= 0) return false;
-        pollfd poller{fd, POLLIN, 0};
-        if (::poll(&poller, 1, static_cast<int>(remaining.count())) <= 0) {
-          return false;
-        }
-        std::uint8_t buffer[4096];
-        const ssize_t count = ::read(fd, buffer, sizeof buffer);
-        if (count <= 0) return false;
-        decoder.feed(buffer, static_cast<std::size_t>(count));
-      }
-    } catch (const FrameError&) {
-      return false;
-    }
-  }
-
   /// Master-side reader, one thread per connection: frames in, messages
   /// into the shared inbox; on EOF or corruption, retire the connection
   /// and synthesize the control messages the farm recovers by.
   void read_loop(Conn* conn, TaskId id) {
-    FrameDecoder decoder(config_.max_frame_bytes);
+    FrameDecoder decoder;
     std::string reason;
     bool corrupt = false;
     for (;;) {
       try {
-        bool delivered_any = false;
         while (auto message = decoder.next()) {
           message->source = id;  // the fd, not the frame, is the identity
           (void)inbox_.deliver(std::move(*message));
-          delivered_any = true;
         }
-        (void)delivered_any;
       } catch (const FrameError& error) {
         corrupt = true;
         reason = error.what();
@@ -467,7 +310,7 @@ class SocketTransport final : public Transport {
           control_message(id, transport_tag::kCorruptFrame, reason));
     }
     const std::string exit_description =
-        supervisor_.reap(conn->pid, config_.shutdown_grace);
+        supervisor_.reap(conn->pid, kShutdownGrace);
     if (!conn->retired.load()) {
       (void)inbox_.deliver(control_message(
           id, transport_tag::kWorkerLost, reason + "; " + exit_description));
@@ -481,8 +324,6 @@ class SocketTransport final : public Transport {
   mutable std::mutex mutex_;
   std::map<TaskId, std::unique_ptr<Conn>> connections_;
   TaskId next_id_ = 1;
-  int listener_fd_ = -1;
-  std::uint16_t port_ = 0;
 };
 
 }  // namespace

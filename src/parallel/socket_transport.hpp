@@ -1,29 +1,28 @@
 // Cross-process transport: each worker is a forked process speaking
 // length-prefixed, CRC-checksummed frames (frame.hpp) to the master
-// over a Unix-domain socketpair (default) or a TCP loopback connection.
+// over its own Unix-domain socketpair.
 //
-// This is the "real transport" milestone of the roadmap: the same farm
-// and the same wire format as the in-process machine, but with genuine
-// process isolation — a worker can segfault, be SIGKILLed, hang, or
-// write garbage, and the master observes it as a typed control message
+// The same farm as the in-process transport, but with genuine process
+// isolation — a worker can segfault, be SIGKILLed, hang, or write
+// garbage, and the master observes it as a typed control message
 // (kWorkerLost / kCorruptFrame) rather than undefined behaviour.
 //
 // Mechanics per worker:
 //   - master forks via ProcessSupervisor; the child closes every fd it
 //     does not own and runs the WorkerBody against its socket;
 //   - a reader thread in the master drains the socket through a
-//     FrameDecoder into one shared inbox Mailbox (reusing the mailbox's
-//     selective receive for the master's any-source receive);
+//     FrameDecoder into one shared inbox Mailbox, which the master's
+//     receive reads;
 //   - EOF/read errors and frame corruption retire the connection and
 //     synthesize kWorkerLost (after reaping the child for its exit
-//     status); corruption additionally SIGKILLs the child, since a
-//     desynchronized stream cannot be re-trusted;
+//     status, with a 500 ms grace before SIGKILL); corruption
+//     additionally SIGKILLs the child, since a desynchronized stream
+//     cannot be re-trusted;
 //   - an idle child emits a heartbeat frame every heartbeat_interval so
 //     deadline-based liveness has signal to work with.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <memory>
 
 #include "parallel/transport.hpp"
@@ -31,26 +30,14 @@
 namespace ldga::parallel {
 
 struct SocketTransportConfig {
-  enum class Family {
-    kUnix,  ///< socketpair(AF_UNIX) — no addressing, inherited on fork
-    kTcp,   ///< 127.0.0.1 listener; child connects with backoff + hello
-  };
-  Family family = Family::kUnix;
   /// How often an idle worker reassures the master it is alive.
   std::chrono::milliseconds heartbeat_interval{200};
-  /// How long teardown waits for a child to exit before SIGKILL.
-  std::chrono::milliseconds shutdown_grace{500};
-  /// TCP only: budget for the child's connect-with-backoff loop.
-  std::chrono::milliseconds connect_timeout{3000};
-  /// Frames larger than this are treated as stream corruption.
-  std::uint32_t max_frame_bytes = 16u << 20;
 
   void validate() const;
 };
 
 /// Workers are forked processes; messages travel as checksummed frames
-/// over sockets. Throws SpawnError when a worker cannot be started or
-/// (TCP) never completes its handshake.
+/// over socketpairs. Throws SpawnError when a worker cannot be started.
 std::unique_ptr<Transport> make_socket_transport(
     Transport::WorkerBody body, SocketTransportConfig config = {});
 

@@ -1,48 +1,62 @@
 #include "parallel/transport.hpp"
 
 #include <mutex>
+#include <system_error>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "parallel/frame.hpp"
-#include "parallel/virtual_machine.hpp"
+#include "parallel/mailbox.hpp"
 #include "util/error.hpp"
 
 namespace ldga::parallel {
 
+Message control_message(TaskId source, std::int32_t tag,
+                        const std::string& reason) {
+  Packer packer;
+  packer.pack_string(reason);
+  Message message;
+  message.source = source;
+  message.tag = tag;
+  message.payload = std::move(packer).take();
+  return message;
+}
+
 namespace {
 
-class InProcessTransport;
-
-/// WorkerChannel over a VirtualMachine TaskContext. send() already
-/// seals; the corrupt fault re-seals by hand so it can flip a bit
-/// *after* the CRC was computed.
+/// A worker thread's endpoint: its own inbox, and the master's.
 class InProcessChannel final : public WorkerChannel {
  public:
-  explicit InProcessChannel(TaskContext& context) : context_(context) {}
+  InProcessChannel(TaskId id, Mailbox& inbox, Mailbox& master)
+      : id_(id), inbox_(inbox), master_(master) {}
 
-  TaskId id() const override { return context_.id(); }
+  TaskId id() const override { return id_; }
 
   void send_to_master(std::int32_t tag, Packer payload,
                       FrameFault fault) override {
+    Message message;
     switch (fault) {
       case FrameFault::kNone:
-        context_.send(kMasterTask, tag, std::move(payload));
-        return;
+        message.source = id_;
+        message.tag = tag;
+        message.payload = std::move(payload).take();
+        break;
       case FrameFault::kDrop:
         return;
-      case FrameFault::kCorrupt: {
-        auto sealed = seal_payload(std::move(payload).take());
-        sealed.back() ^= 0x20u;  // last byte: payload tail, or the CRC
-        context_.send_raw(kMasterTask, tag, std::move(sealed));
-        return;
-      }
+      case FrameFault::kCorrupt:
+        // Nothing crosses a wire in process, so no check can fail:
+        // deliver what a socket reader reports for a damaged frame.
+        message = control_message(id_, transport_tag::kCorruptFrame,
+                                  "reply from worker " + std::to_string(id_) +
+                                      " arrived corrupt (injected fault)");
+        break;
+    }
+    if (!master_.deliver(std::move(message))) {
+      throw TransportClosed("send to master failed: mailbox closed");
     }
   }
 
-  Message receive_from_master() override {
-    return context_.receive(kMasterTask);
-  }
+  Message receive_from_master() override { return inbox_.receive(); }
 
   [[noreturn]] void die(const std::string& reason) override {
     throw WorkerTerminated{reason};
@@ -53,7 +67,9 @@ class InProcessChannel final : public WorkerChannel {
   }
 
  private:
-  TaskContext& context_;
+  TaskId id_;
+  Mailbox& inbox_;
+  Mailbox& master_;
 };
 
 class InProcessTransport final : public Transport {
@@ -66,20 +82,33 @@ class InProcessTransport final : public Transport {
     {
       std::lock_guard lock(mutex_);
       shutting_down_ = true;
+      for (auto& [id, worker] : workers_) worker.inbox.close();
     }
-    vm_.halt();
+    master_.close();
+    // Joined outside the lock: exiting workers take it to record their
+    // exit. Nothing adds workers any more, so the map holds still.
+    for (auto& [id, worker] : workers_) worker.thread.join();
   }
 
   TaskId spawn_worker() override {
-    const TaskId id =
-        vm_.spawn([this](TaskContext& context) { run_worker(context); });
     std::lock_guard lock(mutex_);
-    workers_.try_emplace(id);
+    const TaskId id = next_id_++;
+    // Node-based map: the inbox keeps its address as workers are added.
+    Worker& worker = workers_[id];
+    try {
+      worker.thread = std::thread(
+          [this, id, &inbox = worker.inbox] { run_worker(id, inbox); });
+    } catch (const std::system_error& e) {
+      workers_.erase(id);
+      throw SpawnError(std::string("worker thread failed to start: ") +
+                       e.what());
+    }
     return id;
   }
 
   void send_to_worker(TaskId worker, std::int32_t tag,
                       Packer payload) override {
+    Mailbox* inbox = nullptr;
     {
       std::lock_guard lock(mutex_);
       const auto it = workers_.find(worker);
@@ -91,25 +120,23 @@ class InProcessTransport final : public Transport {
         throw TransportClosed("worker " + std::to_string(worker) +
                               " is gone");
       }
+      inbox = &it->second.inbox;
     }
-    master_.send(worker, tag, std::move(payload));
+    Message message;
+    message.source = kMasterTask;
+    message.tag = tag;
+    message.payload = std::move(payload).take();
+    if (!inbox->deliver(std::move(message))) {
+      throw TransportClosed("worker " + std::to_string(worker) +
+                            " is gone");
+    }
   }
 
-  Message receive() override {
-    try {
-      return master_.receive();
-    } catch (const WireProtocolError& e) {
-      return corrupt_frame_message(e);
-    }
-  }
+  Message receive() override { return master_.receive(); }
 
   std::optional<Message> receive_for(
       std::chrono::milliseconds timeout) override {
-    try {
-      return master_.receive_for(timeout);
-    } catch (const WireProtocolError& e) {
-      return corrupt_frame_message(e);
-    }
+    return master_.receive_for(timeout);
   }
 
   bool worker_alive(TaskId worker) const override {
@@ -119,37 +146,27 @@ class InProcessTransport final : public Transport {
   }
 
   void retire_worker(TaskId worker) override {
-    {
-      std::lock_guard lock(mutex_);
-      const auto it = workers_.find(worker);
-      if (it == workers_.end()) return;
-      it->second.retired = true;
-    }
+    std::lock_guard lock(mutex_);
+    const auto it = workers_.find(worker);
+    if (it == workers_.end()) return;
+    it->second.retired = true;
     // Unblocks the worker's pending receive with TransportClosed; the
-    // thread then returns and is joined at halt().
-    vm_.close_mailbox(worker);
+    // thread then returns and is joined at destruction.
+    it->second.inbox.close();
   }
 
   std::string_view name() const override { return "in-process"; }
 
  private:
-  struct WorkerState {
+  struct Worker {
+    Mailbox inbox;
+    std::thread thread;
     bool exited = false;
     bool retired = false;
   };
 
-  static Message corrupt_frame_message(const WireProtocolError& e) {
-    Packer packer;
-    packer.pack_string(e.what());
-    Message message;
-    message.source = e.source();
-    message.tag = transport_tag::kCorruptFrame;
-    message.payload = std::move(packer).take();
-    return message;
-  }
-
-  void run_worker(TaskContext& context) {
-    InProcessChannel channel(context);
+  void run_worker(TaskId id, Mailbox& inbox) {
+    InProcessChannel channel(id, inbox, master_);
     std::string reason;
     bool graceful = false;
     try {
@@ -160,7 +177,7 @@ class InProcessTransport final : public Transport {
       body(channel);
       graceful = true;
     } catch (const TransportClosed&) {
-      graceful = true;  // machine halting or worker retired
+      graceful = true;  // transport shutting down or worker retired
     } catch (const WorkerTerminated& killed) {
       reason = killed.reason;
     } catch (const std::exception& e) {
@@ -171,27 +188,23 @@ class InProcessTransport final : public Transport {
     bool announce = !graceful;
     {
       std::lock_guard lock(mutex_);
-      auto& state = workers_[context.id()];
-      state.exited = true;
-      announce = announce && !state.retired && !shutting_down_;
+      auto& worker = workers_.at(id);
+      worker.exited = true;
+      announce = announce && !worker.retired && !shutting_down_;
     }
+    // A refused delivery means the master mailbox is already closed:
+    // nobody is left to tell.
     if (announce) {
-      try {
-        Packer packer;
-        packer.pack_string(reason);
-        context.send(kMasterTask, transport_tag::kWorkerLost,
-                     std::move(packer));
-      } catch (const ParallelError&) {
-        // Master mailbox already closed; nobody left to tell.
-      }
+      (void)master_.deliver(
+          control_message(id, transport_tag::kWorkerLost, reason));
     }
   }
 
-  VirtualMachine vm_;
-  TaskContext master_ = vm_.master_context();
   WorkerBody body_;
+  Mailbox master_;
   mutable std::mutex mutex_;
-  std::unordered_map<TaskId, WorkerState> workers_;
+  std::unordered_map<TaskId, Worker> workers_;
+  TaskId next_id_ = 1;
   bool shutting_down_ = false;
 };
 

@@ -1,13 +1,14 @@
 // The message layer under the master/slave farm, factored out so the
 // same farm logic can run over in-process mailboxes or over sockets to
-// forked worker processes (PR 6; ROADMAP "real transport").
+// forked worker processes.
 //
 // The split mirrors PVM's API surface: Transport is the master's view
 // (pvm_spawn / pvm_send / pvm_recv over the whole worker set),
 // WorkerChannel is the slave's view (pvm_send / pvm_recv against the
 // master only). Both speak Message values whose payloads are plain
-// Packer bytes — sealing/framing/checksumming is the transport's
-// business, invisible above this interface.
+// Packer bytes. Two transports implement it: in-process (one thread
+// and one Mailbox per worker, messages handed over in memory) and
+// socket (socket_transport.hpp: forked workers, checksummed frames).
 //
 // Fault model: a transport never throws out of receive() because a
 // *worker* misbehaved. Worker death, dropped connections, and corrupt
@@ -30,8 +31,7 @@ namespace ldga::parallel {
 
 /// Control tags synthesized by transports (and the heartbeat emitted by
 /// socket workers). Negative so they can never collide with a
-/// protocol's own tags (the farm uses small positive ones) or with the
-/// kAnyTag (-1) wildcard.
+/// protocol's own tags (the farm uses small positive ones).
 namespace transport_tag {
 /// Periodic liveness signal from an idle socket worker; empty payload.
 inline constexpr std::int32_t kHeartbeat = -100;
@@ -39,22 +39,25 @@ inline constexpr std::int32_t kHeartbeat = -100;
 /// threw). Payload: one packed string describing why. Synthesized by
 /// the transport, at most once per worker incarnation.
 inline constexpr std::int32_t kWorkerLost = -101;
-/// A frame from the worker failed its integrity check. Payload: one
-/// packed string with the decoder's complaint. Over a socket the
-/// stream is unrecoverable, so kWorkerLost follows; in-process the
-/// worker is still healthy and may be sent further work.
+/// A reply from the worker arrived corrupt. Payload: one packed string
+/// saying why. Over a socket the frame failed its check and the stream
+/// is unrecoverable, so kWorkerLost follows; in-process (where only an
+/// injected FrameFault::kCorrupt produces it) the worker is still
+/// healthy and may be sent further work.
 inline constexpr std::int32_t kCorruptFrame = -102;
-/// First frame a TCP worker sends so the master can match the inbound
-/// connection to the spawned process. Never seen above the transport.
-inline constexpr std::int32_t kHello = -103;
 }  // namespace transport_tag
+
+/// The message a transport synthesizes for kWorkerLost or kCorruptFrame:
+/// `tag` from `source`, its payload one packed string.
+Message control_message(TaskId source, std::int32_t tag,
+                        const std::string& reason);
 
 /// How a worker's outgoing message should be sabotaged — the hook the
 /// fault injector's transport faults ride on.
 enum class FrameFault : std::uint8_t {
   kNone,
   kDrop,     ///< never put the frame on the wire
-  kCorrupt,  ///< flip a payload bit after sealing, breaking the CRC
+  kCorrupt,  ///< damage the reply so it arrives as kCorruptFrame
 };
 
 /// Thrown by WorkerChannel::die on thread-backed transports to unwind
@@ -138,8 +141,8 @@ class Transport {
 using TransportFactory =
     std::function<std::unique_ptr<Transport>(Transport::WorkerBody)>;
 
-/// Workers are VirtualMachine threads; messages travel through sealed
-/// in-process mailboxes. The default, and the fastest.
+/// Workers are threads of this process, each with its own Mailbox;
+/// messages are handed over in memory. The default, and the fastest.
 std::unique_ptr<Transport> make_in_process_transport(
     Transport::WorkerBody body);
 

@@ -1,21 +1,18 @@
 // Typed errors of the transport layer. Separate from transport.hpp so
-// low-level modules (frame codec, virtual machine) can throw them
-// without depending on the Transport interface itself.
+// low-level modules (mailbox, frame codec) can throw them without
+// depending on the Transport interface itself.
 //
 // Hierarchy (all recoverable, all under ParallelError so existing farm
 // catch sites keep working):
 //   TransportError        — any transport-layer failure
 //   ├─ TransportClosed    — endpoint shut down (send/receive after close)
-//   ├─ FrameError         — a frame or sealed payload failed its
-//   │                       magic / protocol-version / CRC-32 check
-//   ├─ WireProtocolError  — FrameError with the offending peer attached
-//   │                       (thrown where the source task is known)
+//   ├─ FrameError         — a socket frame failed its magic /
+//   │                       protocol-version / length / CRC-32 check
 //   └─ SpawnError         — a worker process/thread could not be started
 #pragma once
 
 #include <string>
 
-#include "parallel/message.hpp"
 #include "util/error.hpp"
 
 namespace ldga::parallel {
@@ -33,19 +30,6 @@ class TransportClosed : public TransportError {
 class FrameError : public TransportError {
  public:
   explicit FrameError(const std::string& what) : TransportError(what) {}
-};
-
-class WireProtocolError : public FrameError {
- public:
-  WireProtocolError(const std::string& what, TaskId source, std::int32_t tag)
-      : FrameError(what), source_(source), tag_(tag) {}
-
-  TaskId source() const { return source_; }
-  std::int32_t tag() const { return tag_; }
-
- private:
-  TaskId source_;
-  std::int32_t tag_;
 };
 
 class SpawnError : public TransportError {

@@ -42,7 +42,7 @@ using Candidate = std::vector<genomics::SnpIndex>;
 
 /// Message layer under the farm backend (ignored in process).
 enum class FarmTransport {
-  kInProcess,  ///< VirtualMachine threads + sealed mailboxes (default)
+  kInProcess,  ///< worker threads + in-memory mailboxes (default)
   kSocket,     ///< forked worker processes + checksummed socket frames
 };
 

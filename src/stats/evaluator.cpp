@@ -35,11 +35,6 @@ void EvaluatorConfig::validate() const {
   if (!std::isfinite(penalty_fitness)) {
     throw ConfigError("EvaluatorConfig: penalty_fitness must be finite");
   }
-  if (cache_shards == 0) {
-    throw ConfigError(
-        "EvaluatorConfig: cache_shards must be >= 1 (use cache_capacity = 0 "
-        "to disable the bound, not shards = 0)");
-  }
 }
 
 EvaluatorConfig EvaluatorConfig::validated() const {
@@ -57,7 +52,9 @@ HaplotypeEvaluator::HaplotypeEvaluator(const genomics::Dataset& dataset,
                          : EhDiallScope::kGroups),
       eh_diall_(dataset, config.em),
       clump_(config.clump),
-      cache_(config.cache_capacity, config.cache_shards) {}
+      // FitnessCache's default 16 lock shards: many backend workers
+      // inserting at once rarely contend.
+      cache_(config.cache_capacity) {}
 
 EvaluationResult HaplotypeEvaluator::evaluate_full(
     std::span<const SnpIndex> snps) const {

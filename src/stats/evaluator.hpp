@@ -103,9 +103,6 @@ struct EvaluatorConfig {
   /// default (~1M entries) stays well under typical workstation memory
   /// even on genome-scale runs.
   std::uint64_t cache_capacity = std::uint64_t{1} << 20;
-  /// Lock shards of the fitness cache (>= 1). More shards = less
-  /// contention when many backend workers insert at once.
-  std::uint32_t cache_shards = 16;
 
   void validate() const;
   /// Validating factory: returns a copy after rejecting inconsistent

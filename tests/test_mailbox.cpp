@@ -20,60 +20,22 @@ Message make_message(TaskId source, std::int32_t tag) {
 }
 
 TEST(Mailbox, FifoWithinMatchingMessages) {
+  // Arrival order wins whatever the source or tag.
   Mailbox box;
   Message first = make_message(1, 5);
   first.payload = {1};
-  Message second = make_message(1, 5);
+  Message second = make_message(2, 9);
   second.payload = {2};
+  Message third = make_message(1, 5);
+  third.payload = {3};
   ASSERT_TRUE(box.deliver(std::move(first)));
   ASSERT_TRUE(box.deliver(std::move(second)));
+  ASSERT_TRUE(box.deliver(std::move(third)));
+  EXPECT_EQ(box.pending(), 3u);
   EXPECT_EQ(box.receive().payload[0], 1);
   EXPECT_EQ(box.receive().payload[0], 2);
-}
-
-TEST(Mailbox, SelectiveReceiveByTag) {
-  Mailbox box;
-  ASSERT_TRUE(box.deliver(make_message(1, 10)));
-  ASSERT_TRUE(box.deliver(make_message(1, 20)));
-  const Message m = box.receive(kAnySource, 20);
-  EXPECT_EQ(m.tag, 20);
-  EXPECT_EQ(box.pending(), 1u);
-  EXPECT_EQ(box.receive().tag, 10);
-}
-
-TEST(Mailbox, SelectiveReceiveBySource) {
-  Mailbox box;
-  ASSERT_TRUE(box.deliver(make_message(3, 1)));
-  ASSERT_TRUE(box.deliver(make_message(7, 1)));
-  EXPECT_EQ(box.receive(7).source, 7);
-  EXPECT_EQ(box.receive(3).source, 3);
-}
-
-TEST(Mailbox, TryReceiveDoesNotBlock) {
-  Mailbox box;
-  EXPECT_FALSE(box.try_receive().has_value());
-  ASSERT_TRUE(box.deliver(make_message(1, 2)));
-  const auto m = box.try_receive(kAnySource, 2);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->tag, 2);
-  EXPECT_FALSE(box.try_receive().has_value());
-}
-
-TEST(Mailbox, TryReceiveLeavesNonMatching) {
-  Mailbox box;
-  ASSERT_TRUE(box.deliver(make_message(1, 2)));
-  EXPECT_FALSE(box.try_receive(kAnySource, 3).has_value());
-  EXPECT_EQ(box.pending(), 1u);
-}
-
-TEST(Mailbox, ProbeSeesWithoutConsuming) {
-  Mailbox box;
-  EXPECT_FALSE(box.probe());
-  ASSERT_TRUE(box.deliver(make_message(2, 9)));
-  EXPECT_TRUE(box.probe());
-  EXPECT_TRUE(box.probe(2, 9));
-  EXPECT_FALSE(box.probe(3));
-  EXPECT_EQ(box.pending(), 1u);
+  EXPECT_EQ(box.receive_for(std::chrono::milliseconds(0))->payload[0], 3);
+  EXPECT_EQ(box.pending(), 0u);
 }
 
 TEST(Mailbox, BlockingReceiveWakesOnDelivery) {
@@ -82,7 +44,7 @@ TEST(Mailbox, BlockingReceiveWakesOnDelivery) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     ASSERT_TRUE(box.deliver(make_message(4, 44)));
   });
-  const Message m = box.receive(4, 44);
+  const Message m = box.receive();
   EXPECT_EQ(m.tag, 44);
   producer.join();
 }
@@ -108,8 +70,8 @@ TEST(Mailbox, DeliveryAfterCloseIsRefused) {
 }
 
 TEST(Mailbox, DrainsQueuedBeforeCloseError) {
-  // receive() must fail once closed, even if the queue still matches
-  // nothing; but queued matching messages are still deliverable.
+  // Messages queued before the close are still received; receive()
+  // fails only once the closed mailbox is empty.
   Mailbox box;
   ASSERT_TRUE(box.deliver(make_message(1, 1)));
   box.close();
@@ -126,7 +88,7 @@ TEST(Mailbox, CloseWakesEveryBlockedReceiverWithTransportClosed) {
   for (int i = 0; i < 4; ++i) {
     receivers.emplace_back([&box, &closed_errors] {
       try {
-        (void)box.receive(7, 7);  // nothing will ever match
+        (void)box.receive();  // nothing will ever arrive
       } catch (const TransportClosed&) {
         ++closed_errors;
       }

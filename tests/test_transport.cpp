@@ -1,6 +1,6 @@
-// The transport layer in isolation: CRC-32, sealed payloads, the frame
-// codec, the in-process transport's worker-loss machinery, the process
-// supervisor, and the socket transport (Unix and TCP) end to end.
+// The transport layer in isolation: CRC-32, the frame codec, the
+// in-process transport's worker-loss machinery, the process supervisor,
+// and the socket transport end to end.
 #include "parallel/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,41 +62,6 @@ TEST(Crc32, DetectsSingleBitFlips) {
     EXPECT_NE(util::crc32(data), clean) << "flip at " << i;
     data[i] ^= 1u;
   }
-}
-
-// ---- sealed payloads (the in-process wire) ---------------------------
-
-TEST(SealedPayload, RoundTrips) {
-  const auto payload = bytes_of("hello farm");
-  const auto sealed = seal_payload(payload);
-  EXPECT_EQ(sealed.size(), payload.size() + 5);
-  EXPECT_EQ(sealed[0], kWireProtocolVersion);
-  EXPECT_EQ(unseal_payload(sealed), payload);
-}
-
-TEST(SealedPayload, EmptyPayloadRoundTrips) {
-  EXPECT_TRUE(unseal_payload(seal_payload({})).empty());
-}
-
-TEST(SealedPayload, FlippedBitFailsTheChecksum) {
-  auto sealed = seal_payload(bytes_of("hello farm"));
-  sealed.back() ^= 0x01u;
-  EXPECT_THROW(unseal_payload(std::move(sealed)), FrameError);
-}
-
-TEST(SealedPayload, WrongVersionIsRejected) {
-  auto sealed = seal_payload(bytes_of("hello"));
-  sealed[0] = kWireProtocolVersion + 1;
-  try {
-    unseal_payload(std::move(sealed));
-    FAIL() << "expected FrameError";
-  } catch (const FrameError& error) {
-    EXPECT_NE(std::string(error.what()).find("version"), std::string::npos);
-  }
-}
-
-TEST(SealedPayload, ShortBufferIsRejected) {
-  EXPECT_THROW(unseal_payload({kWireProtocolVersion, 0, 0}), FrameError);
 }
 
 // ---- frame codec (the socket wire) -----------------------------------
@@ -323,6 +289,160 @@ TEST(InProcessTransport, DroppedReplyNeverArrives) {
   transport->send_to_worker(worker, kQuit, Packer{});
 }
 
+TEST(InProcessTransport, RequestReplyRoundTrip) {
+  // One request, one reply: the answer arrives intact and names the
+  // worker that sent it.
+  auto transport = make_in_process_transport(echo_body());
+  const TaskId worker = transport->spawn_worker();
+  send_ping(*transport, worker, 21);
+  const Message reply = transport->receive();
+  EXPECT_EQ(reply.tag, kPong);
+  EXPECT_EQ(reply.source, worker);
+  EXPECT_EQ(reply.unpacker().unpack<std::int32_t>(), 42);
+  transport->send_to_worker(worker, kQuit, Packer{});
+}
+
+TEST(InProcessTransport, SendToAnUnspawnedIdThrows) {
+  // Only spawned workers are addresses: the next id, a negative id and
+  // the master's own id are refused, and the living worker is untouched.
+  auto transport = make_in_process_transport(echo_body());
+  const TaskId worker = transport->spawn_worker();
+  EXPECT_THROW(transport->send_to_worker(worker + 1, kPing, Packer{}),
+               TransportError);
+  EXPECT_THROW(transport->send_to_worker(-2, kPing, Packer{}),
+               TransportError);
+  EXPECT_THROW(transport->send_to_worker(kMasterTask, kPing, Packer{}),
+               TransportError);
+  EXPECT_TRUE(transport->worker_alive(worker));
+  transport->send_to_worker(worker, kQuit, Packer{});
+}
+
+TEST(InProcessTransport, SendToRetiredWorkerIsTransportClosed) {
+  // Retiring closes that one worker: sends to it fail as
+  // TransportClosed, while its neighbour still answers.
+  auto transport = make_in_process_transport(echo_body());
+  const TaskId retired = transport->spawn_worker();
+  const TaskId neighbour = transport->spawn_worker();
+  transport->retire_worker(retired);
+  EXPECT_THROW(transport->send_to_worker(retired, kPing, Packer{}),
+               TransportClosed);
+  send_ping(*transport, neighbour, 4);
+  const Message reply = transport->receive();
+  EXPECT_EQ(reply.source, neighbour);
+  EXPECT_EQ(reply.unpacker().unpack<std::int32_t>(), 8);
+  transport->send_to_worker(neighbour, kQuit, Packer{});
+}
+
+TEST(InProcessTransport, RetireUnblocksAWaitingWorker) {
+  // A worker blocked on the master is released by retire_worker alone,
+  // while the transport lives on.
+  std::promise<void> released;
+  std::future<void> done = released.get_future();
+  auto transport =
+      make_in_process_transport([&released](WorkerChannel& channel) {
+        try {
+          (void)channel.receive_from_master();
+        } catch (const TransportClosed&) {
+          released.set_value();
+          throw;
+        }
+      });
+  const TaskId worker = transport->spawn_worker();
+  transport->retire_worker(worker);
+  EXPECT_EQ(done.wait_for(5s), std::future_status::ready);
+}
+
+TEST(InProcessTransport, CorruptReplyNamesItsSender) {
+  // Of two workers only the second damages its reply: the one
+  // kCorruptFrame names that worker, with a readable reason, and the
+  // first worker's reply arrives clean.
+  auto transport = make_in_process_transport([](WorkerChannel& channel) {
+    const Message message = channel.receive_from_master();
+    Packer reply;
+    reply.pack(message.unpacker().unpack<std::int32_t>() * 2);
+    channel.send_to_master(kPong, std::move(reply),
+                           channel.id() == 2 ? FrameFault::kCorrupt
+                                             : FrameFault::kNone);
+  });
+  const TaskId clean = transport->spawn_worker();
+  const TaskId saboteur = transport->spawn_worker();
+  ASSERT_EQ(saboteur, 2);
+  send_ping(*transport, clean, 3);
+  send_ping(*transport, saboteur, 5);
+  int corrupt_frames = 0;
+  for (int i = 0; i < 2; ++i) {
+    const Message message = transport->receive();
+    if (message.tag == transport_tag::kCorruptFrame) {
+      ++corrupt_frames;
+      EXPECT_EQ(message.source, saboteur);
+      const std::string reason = message.unpacker().unpack_string();
+      EXPECT_NE(reason.find("worker 2"), std::string::npos) << reason;
+    } else {
+      EXPECT_EQ(message.tag, kPong);
+      EXPECT_EQ(message.source, clean);
+      EXPECT_EQ(message.unpacker().unpack<std::int32_t>(), 6);
+    }
+  }
+  EXPECT_EQ(corrupt_frames, 1);
+}
+
+TEST(InProcessTransport, WorkersSeeTheMasterAsTaskZero) {
+  // The master is task 0, and that is the source every worker sees on
+  // what the master sends it.
+  static_assert(kMasterTask == 0);
+  auto transport = make_in_process_transport([](WorkerChannel& channel) {
+    const Message message = channel.receive_from_master();
+    Packer reply;
+    reply.pack(message.source);
+    channel.send_to_master(kPong, std::move(reply));
+  });
+  for (int i = 0; i < 2; ++i) {
+    const TaskId worker = transport->spawn_worker();
+    EXPECT_NE(worker, kMasterTask);
+    send_ping(*transport, worker, 0);
+    const Message reply = transport->receive();
+    EXPECT_EQ(reply.source, worker);
+    EXPECT_EQ(reply.unpacker().unpack<TaskId>(), kMasterTask);
+  }
+}
+
+TEST(InProcessTransport, SpawnNumbersWorkersFromOne) {
+  // Ids run 1, 2, 3, ..., and each worker's channel knows its own.
+  auto transport = make_in_process_transport([](WorkerChannel& channel) {
+    (void)channel.receive_from_master();
+    Packer reply;
+    reply.pack(channel.id());
+    channel.send_to_master(kPong, std::move(reply));
+  });
+  for (TaskId expected = 1; expected <= 3; ++expected) {
+    const TaskId worker = transport->spawn_worker();
+    EXPECT_EQ(worker, expected);
+    send_ping(*transport, worker, 0);
+    const Message reply = transport->receive();
+    EXPECT_EQ(reply.source, worker);
+    EXPECT_EQ(reply.unpacker().unpack<TaskId>(), worker);
+  }
+}
+
+TEST(InProcessTransport, DestructionReleasesBlockedWorkers) {
+  // Workers blocked on the master must be released, and joined, by the
+  // transport's destructor.
+  std::atomic<int> released{0};
+  {
+    auto transport =
+        make_in_process_transport([&released](WorkerChannel& channel) {
+          try {
+            (void)channel.receive_from_master();
+          } catch (const TransportClosed&) {
+            ++released;
+            throw;
+          }
+        });
+    for (int i = 0; i < 4; ++i) (void)transport->spawn_worker();
+  }
+  EXPECT_EQ(released.load(), 4);
+}
+
 // ---- process supervisor ----------------------------------------------
 
 TEST(ProcessSupervisor, ReapsACleanExit) {
@@ -379,18 +499,8 @@ TEST(ProcessSupervisor, TryReapIsNonBlocking) {
 
 // ---- socket transport ------------------------------------------------
 
-class SocketFamily
-    : public ::testing::TestWithParam<SocketTransportConfig::Family> {
- protected:
-  SocketTransportConfig config() const {
-    SocketTransportConfig config;
-    config.family = GetParam();
-    return config;
-  }
-};
-
-TEST_P(SocketFamily, EchoAcrossForkedWorkers) {
-  auto transport = make_socket_transport(echo_body(), config());
+TEST(SocketTransport, EchoAcrossForkedWorkers) {
+  auto transport = make_socket_transport(echo_body());
   std::vector<TaskId> workers;
   for (int i = 0; i < 3; ++i) workers.push_back(transport->spawn_worker());
   for (std::size_t i = 0; i < workers.size(); ++i) {
@@ -411,11 +521,6 @@ TEST_P(SocketFamily, EchoAcrossForkedWorkers) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Families, SocketFamily,
-                         ::testing::Values(
-                             SocketTransportConfig::Family::kUnix,
-                             SocketTransportConfig::Family::kTcp));
-
 /// Receives the next non-heartbeat message within a generous deadline.
 Message receive_signal(Transport& transport) {
   const auto deadline = std::chrono::steady_clock::now() + 5s;
@@ -428,11 +533,8 @@ Message receive_signal(Transport& transport) {
   throw std::runtime_error("no signal within the deadline");
 }
 
-TEST(SocketTransport, NameReflectsTheFamily) {
-  EXPECT_EQ(make_socket_transport(echo_body())->name(), "socket-unix");
-  SocketTransportConfig tcp;
-  tcp.family = SocketTransportConfig::Family::kTcp;
-  EXPECT_EQ(make_socket_transport(echo_body(), tcp)->name(), "socket-tcp");
+TEST(SocketTransport, NameIsSocket) {
+  EXPECT_EQ(make_socket_transport(echo_body())->name(), "socket");
 }
 
 TEST(SocketTransport, DyingWorkerIsAnnouncedWithItsExitStatus) {

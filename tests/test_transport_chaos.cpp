@@ -63,10 +63,7 @@ parallel::FarmPolicy chaos_policy() {
   return policy;
 }
 
-class ChaosFamily
-    : public ::testing::TestWithParam<SocketTransportConfig::Family> {};
-
-TEST_P(ChaosFamily, FarmOverSocketsUnderChaosMatchesPlainResults) {
+TEST(TransportChaos, FarmOverSocketsUnderChaosMatchesPlainResults) {
   // Transport-level sanity before the full GA: a plain numeric farm over
   // forked workers, with every fault kind injected, still returns the
   // exact task-ordered results.
@@ -74,7 +71,6 @@ TEST_P(ChaosFamily, FarmOverSocketsUnderChaosMatchesPlainResults) {
     auto injector =
         std::make_shared<FaultInjector>(chaos_faults(1000 + static_cast<std::uint64_t>(rep)));
     SocketTransportConfig socket;
-    socket.family = GetParam();
     socket.heartbeat_interval = std::chrono::milliseconds(50);
     MasterSlaveFarm<double, double> farm(
         3, [](const double& x) { return x * x + 0.25; }, chaos_policy(),
@@ -99,11 +95,6 @@ TEST_P(ChaosFamily, FarmOverSocketsUnderChaosMatchesPlainResults) {
     EXPECT_GT(stats.respawns, 0u);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Families, ChaosFamily,
-                         ::testing::Values(
-                             SocketTransportConfig::Family::kUnix,
-                             SocketTransportConfig::Family::kTcp));
 
 TEST(TransportChaos, GaOverSocketFarmUnderChaosIsBitIdenticalToSerial) {
   // The Table-2-style acceptance run: 10 GA generations with the
