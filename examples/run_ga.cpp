@@ -29,8 +29,8 @@
 //                       (--workers then sets the lane count)
 //   --backend serial|pool|farm   evaluation backend [pool; sync only]
 //   --transport in-process|socket   farm message layer [in-process];
-//                       socket forks worker processes supervised with
-//                       heartbeats + respawn
+//                       socket forks supervised worker processes, which
+//                       the master respawns when they are lost
 //   --workers N         scoring threads, the caller among them (farm:
 //                       slaves) [hardware]
 //   --stat t1|t2|t3|t4|lrt       fitness statistic [t1]

@@ -116,7 +116,6 @@ struct FarmStats {
   std::uint64_t stale_discarded = 0;  ///< replies from other phases dropped
   std::uint64_t worker_losses = 0;    ///< crashes/disconnects/deadlines
   std::uint64_t corrupt_frames = 0;   ///< replies that arrived corrupt
-  std::uint64_t heartbeats = 0;       ///< liveness signals received
   std::uint64_t master_degraded_tasks = 0;  ///< tasks run on the master
 };
 

@@ -1,7 +1,7 @@
 // A closable blocking FIFO of messages: any thread may deliver, and
 // receivers take messages in arrival order. The in-process transport
-// gives the master and each worker one; the socket transport's reader
-// threads share one as the master's inbox.
+// gives the master and each worker one; the socket transport needs none,
+// since its master reads its sockets itself.
 #pragma once
 
 #include <chrono>

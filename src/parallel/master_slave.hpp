@@ -467,11 +467,6 @@ class MasterSlaveFarm {
       const Message reply = std::move(*received);
       now = Clock::now();
 
-      if (reply.tag == transport_tag::kHeartbeat) {
-        ++stats_.heartbeats;
-        continue;
-      }
-
       const auto found = rank_by_task_.find(reply.source);
       if (found == rank_by_task_.end()) {
         ++stats_.stale_discarded;  // late reply from a retired worker

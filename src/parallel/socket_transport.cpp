@@ -5,32 +5,26 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <climits>
 #include <cstring>
+#include <deque>
 #include <map>
-#include <mutex>
-#include <thread>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "parallel/frame.hpp"
-#include "parallel/mailbox.hpp"
 #include "parallel/process_supervisor.hpp"
 #include "util/error.hpp"
 
 namespace ldga::parallel {
 
-void SocketTransportConfig::validate() const {
-  if (heartbeat_interval.count() <= 0) {
-    throw ConfigError("SocketTransportConfig: heartbeat_interval must be > 0");
-  }
-}
-
 namespace {
 
-/// How long teardown (or a lost connection) waits for a worker process
-/// to exit before SIGKILL.
+/// How long a lost connection's worker may take to exit before SIGKILL.
 constexpr std::chrono::milliseconds kShutdownGrace{500};
 
 void write_all(int fd, const std::uint8_t* data, std::size_t size) {
@@ -47,17 +41,27 @@ void write_all(int fd, const std::uint8_t* data, std::size_t size) {
   }
 }
 
-void send_frame(int fd, const Message& message) {
-  const auto frame = encode_frame(message);
-  write_all(fd, frame.data(), frame.size());
+/// One read(2) of what `fd` holds into `decoder`, blocking until bytes
+/// or EOF arrive. Returns "" while the stream is open, else why it ended.
+std::string read_into(int fd, FrameDecoder& decoder) {
+  std::uint8_t buffer[65536];
+  for (;;) {
+    const ssize_t count = ::read(fd, buffer, sizeof buffer);
+    if (count > 0) {
+      decoder.feed(buffer, static_cast<std::size_t>(count));
+      return {};
+    }
+    if (count == 0) return "connection closed";
+    if (errno != EINTR) {
+      return std::string("read failed: ") + std::strerror(errno);
+    }
+  }
 }
 
 /// The worker-process side of one connection.
 class SocketWorkerChannel final : public WorkerChannel {
  public:
-  SocketWorkerChannel(TaskId id, int fd,
-                      std::chrono::milliseconds heartbeat_interval)
-      : id_(id), fd_(fd), heartbeat_interval_(heartbeat_interval) {}
+  SocketWorkerChannel(TaskId id, int fd) : id_(id), fd_(fd) {}
 
   TaskId id() const override { return id_; }
 
@@ -81,32 +85,8 @@ class SocketWorkerChannel final : public WorkerChannel {
       // takes the whole process down — the master sees EOF and treats
       // the worker as lost, which is the only honest outcome.
       if (auto message = decoder_.next()) return std::move(*message);
-      pollfd poller{fd_, POLLIN, 0};
-      const int ready =
-          ::poll(&poller, 1, static_cast<int>(heartbeat_interval_.count()));
-      if (ready == 0) {
-        Message beat;
-        beat.source = id_;
-        beat.tag = transport_tag::kHeartbeat;
-        send_frame(fd_, beat);
-        continue;
-      }
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        throw TransportClosed(std::string("socket poll failed: ") +
-                              std::strerror(errno));
-      }
-      std::uint8_t buffer[65536];
-      const ssize_t count = ::read(fd_, buffer, sizeof buffer);
-      if (count == 0) {
-        throw TransportClosed("master closed the connection");
-      }
-      if (count < 0) {
-        if (errno == EINTR) continue;
-        throw TransportClosed(std::string("socket read failed: ") +
-                              std::strerror(errno));
-      }
-      decoder_.feed(buffer, static_cast<std::size_t>(count));
+      const std::string ended = read_into(fd_, decoder_);
+      if (!ended.empty()) throw TransportClosed("master socket: " + ended);
     }
   }
 
@@ -124,14 +104,12 @@ class SocketWorkerChannel final : public WorkerChannel {
  private:
   TaskId id_;
   int fd_;
-  std::chrono::milliseconds heartbeat_interval_;
   FrameDecoder decoder_;
 };
 
 [[noreturn]] void run_child(TaskId id, int fd,
-                            const Transport::WorkerBody& body,
-                            const SocketTransportConfig& config) {
-  SocketWorkerChannel channel(id, fd, config.heartbeat_interval);
+                            const Transport::WorkerBody& body) {
+  SocketWorkerChannel channel(id, fd);
   try {
     body(channel);
   } catch (const TransportClosed&) {
@@ -143,34 +121,17 @@ class SocketWorkerChannel final : public WorkerChannel {
 
 class SocketTransport final : public Transport {
  public:
-  SocketTransport(WorkerBody body, SocketTransportConfig config)
-      : config_(config), body_(std::move(body)) {
+  explicit SocketTransport(WorkerBody body) : body_(std::move(body)) {
     LDGA_EXPECTS(body_ != nullptr);
-    config_.validate();
   }
 
   ~SocketTransport() override {
-    std::vector<Conn*> connections;
-    {
-      std::lock_guard lock(mutex_);
-      for (auto& [id, conn] : connections_) {
-        conn->retired.store(true);
-        connections.push_back(conn.get());
-      }
-    }
-    // Wake every child and reader with EOF, then join before closing
-    // the fds (readers reap children with the shutdown grace period;
-    // the supervisor destructor SIGKILLs whatever survives that).
-    for (Conn* conn : connections) ::shutdown(conn->fd, SHUT_RDWR);
-    for (Conn* conn : connections) {
-      if (conn->reader.joinable()) conn->reader.join();
-    }
-    for (Conn* conn : connections) ::close(conn->fd);
-    inbox_.close();
+    // The children see EOF; the supervisor's destructor SIGKILLs and
+    // reaps every one still running.
+    for (const auto& [id, conn] : connections_) ::close(conn.fd);
   }
 
   TaskId spawn_worker() override {
-    std::lock_guard lock(mutex_);
     const TaskId id = next_id_++;
 
     // Every fd the child inherits but must not keep: other workers'
@@ -178,7 +139,7 @@ class SocketTransport final : public Transport {
     // detection) and the master's end of its own pair.
     std::vector<int> close_in_child;
     for (const auto& [other, conn] : connections_) {
-      close_in_child.push_back(conn->fd);
+      close_in_child.push_back(conn.fd);
     }
     int pair[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, pair) != 0) {
@@ -193,7 +154,7 @@ class SocketTransport final : public Transport {
     try {
       pid = supervisor_.spawn([this, id, child_fd, close_in_child] {
         for (const int fd : close_in_child) ::close(fd);
-        run_child(id, child_fd, body_, config_);
+        run_child(id, child_fd, body_);
       });
     } catch (...) {
       ::close(parent_fd);
@@ -201,141 +162,150 @@ class SocketTransport final : public Transport {
       throw;
     }
     ::close(child_fd);
-
-    auto conn = std::make_unique<Conn>();
-    conn->pid = pid;
-    conn->fd = parent_fd;
-    Conn* raw = conn.get();
-    conn->reader = std::thread([this, raw, id] { read_loop(raw, id); });
-    connections_.emplace(id, std::move(conn));
+    connections_.emplace(id, Conn{pid, parent_fd, FrameDecoder{}});
     return id;
   }
 
   void send_to_worker(TaskId worker, std::int32_t tag,
                       Packer payload) override {
-    int fd = -1;
-    {
-      std::lock_guard lock(mutex_);
-      const auto found = connections_.find(worker);
-      if (found == connections_.end()) {
+    const auto found = connections_.find(worker);
+    if (found == connections_.end()) {
+      if (worker < 1 || worker >= next_id_) {
         throw TransportError("send to unknown worker " +
                              std::to_string(worker));
       }
-      if (!found->second->alive.load() || found->second->retired.load()) {
-        throw TransportClosed("worker " + std::to_string(worker) +
-                              " is gone");
-      }
-      fd = found->second->fd;
+      throw TransportClosed("worker " + std::to_string(worker) +
+                            " is gone");
     }
     Message message;
     message.source = kMasterTask;
     message.tag = tag;
     message.payload = std::move(payload).take();
-    send_frame(fd, message);
+    const auto frame = encode_frame(message);
+    write_all(found->second.fd, frame.data(), frame.size());
   }
 
-  Message receive() override { return inbox_.receive(); }
+  Message receive() override { return *take(Clock::time_point::max()); }
 
   std::optional<Message> receive_for(
       std::chrono::milliseconds timeout) override {
-    return inbox_.receive_for(timeout);
+    return take(Clock::now() + timeout);
   }
 
   bool worker_alive(TaskId worker) const override {
-    std::lock_guard lock(mutex_);
-    const auto found = connections_.find(worker);
-    return found != connections_.end() && found->second->alive.load() &&
-           !found->second->retired.load();
+    return connections_.contains(worker);
   }
 
   void retire_worker(TaskId worker) override {
-    std::lock_guard lock(mutex_);
     const auto found = connections_.find(worker);
     if (found == connections_.end()) return;
-    found->second->retired.store(true);
-    // EOF wakes both the child (which exits) and the reader (which
-    // reaps it); the fd itself stays open until destruction so no
-    // concurrent reader can ever touch a recycled descriptor.
-    ::shutdown(found->second->fd, SHUT_RDWR);
+    // No kWorkerLost follows a retirement, so no exit status is worth
+    // waiting for: a zero grace SIGKILLs the child and reaps it at once.
+    (void)supervisor_.reap(found->second.pid, std::chrono::milliseconds(0));
+    ::close(found->second.fd);
+    connections_.erase(found);
   }
 
   std::string_view name() const override { return "socket"; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct Conn {
     pid_t pid = -1;
     int fd = -1;
-    std::thread reader;
-    std::atomic<bool> alive{true};
-    std::atomic<bool> retired{false};
-  };
-
-  /// Master-side reader, one thread per connection: frames in, messages
-  /// into the shared inbox; on EOF or corruption, retire the connection
-  /// and synthesize the control messages the farm recovers by.
-  void read_loop(Conn* conn, TaskId id) {
     FrameDecoder decoder;
-    std::string reason;
-    bool corrupt = false;
-    for (;;) {
-      try {
-        while (auto message = decoder.next()) {
-          message->source = id;  // the fd, not the frame, is the identity
-          (void)inbox_.deliver(std::move(*message));
-        }
-      } catch (const FrameError& error) {
-        corrupt = true;
-        reason = error.what();
-        break;
-      }
-      std::uint8_t buffer[65536];
-      const ssize_t count = ::read(conn->fd, buffer, sizeof buffer);
-      if (count > 0) {
-        decoder.feed(buffer, static_cast<std::size_t>(count));
-        continue;
-      }
-      if (count < 0 && errno == EINTR) continue;
-      reason = count == 0 ? "connection closed"
-                          : std::string("read failed: ") +
-                                std::strerror(errno);
-      break;
-    }
+  };
+  using ConnIt = std::map<TaskId, Conn>::iterator;
 
-    conn->alive.store(false);
-    if (corrupt) {
-      // A desynchronized stream cannot be re-trusted: kill the worker
-      // and let the loss path below requeue its task.
-      supervisor_.kill_now(conn->pid);
-      (void)inbox_.deliver(
-          control_message(id, transport_tag::kCorruptFrame, reason));
+  /// The oldest decoded message, polling the open connections on the
+  /// caller's thread until one arrives or `deadline` has passed (after
+  /// one last poll that does not wait).
+  std::optional<Message> take(Clock::time_point deadline) {
+    while (ready_.empty()) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - Clock::now());
+      const int wait_ms =
+          static_cast<int>(std::clamp<std::int64_t>(left.count(), 0, INT_MAX));
+      poll_connections(wait_ms);
+      if (wait_ms == 0 && ready_.empty()) return std::nullopt;
     }
-    const std::string exit_description =
-        supervisor_.reap(conn->pid, kShutdownGrace);
-    if (!conn->retired.load()) {
-      (void)inbox_.deliver(control_message(
-          id, transport_tag::kWorkerLost, reason + "; " + exit_description));
+    Message message = std::move(ready_.front());
+    ready_.pop_front();
+    return message;
+  }
+
+  /// One poll(2) over every open connection, for up to `timeout_ms`;
+  /// drains each one that is ready.
+  void poll_connections(int timeout_ms) {
+    std::vector<pollfd> pollers;
+    for (const auto& [id, conn] : connections_) {
+      pollers.push_back({conn.fd, POLLIN, 0});
+    }
+    if (::poll(pollers.data(), pollers.size(), timeout_ms) < 0) {
+      if (errno == EINTR) return;
+      throw TransportError(std::string("socket poll failed: ") +
+                           std::strerror(errno));
+    }
+    // pollers runs in connections_' order. drain erases at most the
+    // connection it is handed, which leaves `next` valid.
+    ConnIt next = connections_.begin();
+    for (const pollfd& poller : pollers) {
+      const ConnIt conn = next++;
+      if (poller.revents != 0) drain(conn);
     }
   }
 
-  SocketTransportConfig config_;
+  /// Reads once from a ready connection and queues its complete frames.
+  /// On EOF, a read error or a corrupt frame the connection closes and
+  /// the farm's recovery messages follow those frames: kCorruptFrame
+  /// (corruption only), then kWorkerLost with the exit description.
+  void drain(ConnIt found) {
+    const TaskId id = found->first;
+    Conn& conn = found->second;
+    std::string reason = read_into(conn.fd, conn.decoder);
+    bool corrupt = false;
+    try {
+      while (auto message = conn.decoder.next()) {
+        message->source = id;  // the fd, not the frame, is the identity
+        ready_.push_back(std::move(*message));
+      }
+    } catch (const FrameError& error) {
+      corrupt = true;
+      reason = error.what();
+    }
+    if (reason.empty()) return;
+    if (corrupt) {
+      // A desynchronized stream cannot be re-trusted: kill the worker
+      // and let the loss below requeue its task.
+      supervisor_.kill_now(conn.pid);
+      ready_.push_back(
+          control_message(id, transport_tag::kCorruptFrame, reason));
+    }
+    const std::string exit_description =
+        supervisor_.reap(conn.pid, kShutdownGrace);
+    ready_.push_back(control_message(id, transport_tag::kWorkerLost,
+                                     reason + "; " + exit_description));
+    ::close(conn.fd);
+    connections_.erase(found);
+  }
+
   WorkerBody body_;
-  Mailbox inbox_;
   ProcessSupervisor supervisor_;
-  mutable std::mutex mutex_;
-  std::map<TaskId, std::unique_ptr<Conn>> connections_;
+  std::map<TaskId, Conn> connections_;  ///< open ones only
+  std::deque<Message> ready_;  ///< decoded, not yet received; oldest first
   TaskId next_id_ = 1;
 };
 
 }  // namespace
 
-std::unique_ptr<Transport> make_socket_transport(Transport::WorkerBody body,
-                                                 SocketTransportConfig config) {
-  return std::make_unique<SocketTransport>(std::move(body), config);
+std::unique_ptr<Transport> make_socket_transport(Transport::WorkerBody body) {
+  return std::make_unique<SocketTransport>(std::move(body));
 }
 
-TransportFactory socket_transport_factory(SocketTransportConfig config) {
-  return [config](Transport::WorkerBody body) {
-    return make_socket_transport(std::move(body), config);
+TransportFactory socket_transport_factory() {
+  return [](Transport::WorkerBody body) {
+    return make_socket_transport(std::move(body));
   };
 }
 

@@ -10,38 +10,33 @@
 // Mechanics per worker:
 //   - master forks via ProcessSupervisor; the child closes every fd it
 //     does not own and runs the WorkerBody against its socket;
-//   - a reader thread in the master drains the socket through a
-//     FrameDecoder into one shared inbox Mailbox, which the master's
-//     receive reads;
-//   - EOF/read errors and frame corruption retire the connection and
+//   - the master starts no thread: receive polls every open socket on
+//     the caller's thread, one FrameDecoder per connection;
+//   - EOF/read errors and frame corruption close the connection and
 //     synthesize kWorkerLost (after reaping the child for its exit
-//     status, with a 500 ms grace before SIGKILL); corruption
-//     additionally SIGKILLs the child, since a desynchronized stream
-//     cannot be re-trusted;
-//   - an idle child emits a heartbeat frame every heartbeat_interval so
-//     deadline-based liveness has signal to work with.
+//     status, with a 500 ms grace before SIGKILL); corruption first
+//     SIGKILLs the child and reports kCorruptFrame, since a
+//     desynchronized stream cannot be re-trusted;
+//   - retire_worker SIGKILLs, reaps and closes at once (nothing is
+//     announced for a retired worker, so nothing waits for its exit).
+//
+// The master reads only inside receive, so meanwhile a worker's write
+// waits in its socket buffer, and blocks once that is full. The farm
+// bounds this at one reply per task, plus one stale duplicate under an
+// injected kStaleReply.
 #pragma once
 
-#include <chrono>
 #include <memory>
 
 #include "parallel/transport.hpp"
 
 namespace ldga::parallel {
 
-struct SocketTransportConfig {
-  /// How often an idle worker reassures the master it is alive.
-  std::chrono::milliseconds heartbeat_interval{200};
-
-  void validate() const;
-};
-
 /// Workers are forked processes; messages travel as checksummed frames
 /// over socketpairs. Throws SpawnError when a worker cannot be started.
-std::unique_ptr<Transport> make_socket_transport(
-    Transport::WorkerBody body, SocketTransportConfig config = {});
+std::unique_ptr<Transport> make_socket_transport(Transport::WorkerBody body);
 
 /// Factory form for MasterSlaveFarm / evaluation backends.
-TransportFactory socket_transport_factory(SocketTransportConfig config = {});
+TransportFactory socket_transport_factory();
 
 }  // namespace ldga::parallel

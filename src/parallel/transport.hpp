@@ -29,12 +29,10 @@
 
 namespace ldga::parallel {
 
-/// Control tags synthesized by transports (and the heartbeat emitted by
-/// socket workers). Negative so they can never collide with a
-/// protocol's own tags (the farm uses small positive ones).
+/// Control tags synthesized by transports. Negative so they can never
+/// collide with a protocol's own tags (the farm uses small positive
+/// ones).
 namespace transport_tag {
-/// Periodic liveness signal from an idle socket worker; empty payload.
-inline constexpr std::int32_t kHeartbeat = -100;
 /// The worker is gone (crashed, killed, disconnected, or its body
 /// threw). Payload: one packed string describing why. Synthesized by
 /// the transport, at most once per worker incarnation.
@@ -116,8 +114,8 @@ class Transport {
   virtual void send_to_worker(TaskId worker, std::int32_t tag,
                               Packer payload) = 0;
 
-  /// Blocks for the next message from any worker (results, heartbeats,
-  /// and the control tags above).
+  /// Blocks for the next message from any worker: its replies and the
+  /// control tags above (the socket transport reads only in here).
   virtual Message receive() = 0;
 
   /// As receive(), but gives up after `timeout`; empty on timeout.

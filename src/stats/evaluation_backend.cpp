@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "parallel/master_slave.hpp"
+#include "parallel/socket_transport.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace ldga::stats {
@@ -106,23 +107,30 @@ class InProcessBackend final : public EvaluationBackend {
 class FarmBackend final : public EvaluationBackend {
  public:
   FarmBackend(const HaplotypeEvaluator& evaluator, BackendOptions options)
-      : farm_(options.workers > 0 ? options.workers
+      : evaluator_(&evaluator),
+        farm_(options.workers > 0 ? options.workers
                                   : parallel::default_thread_count(),
               // Each slave owns a copy of this worker (the transport
               // copies it per worker — or the fork duplicates it), so
               // the mutable by-value scratch is a per-slave arena.
+              // Slaves only score: a forked slave's evaluator is a copy
+              // that dies with it, so the master records every result.
               [ev = &evaluator,
                scratch = EvalScratch{}](const Candidate& candidate) mutable {
-                return ev->fitness_and_cache(candidate, scratch);
+                return ev->score(candidate, scratch);
               },
               options.farm_policy, std::move(options.fault_injector),
               options.transport == FarmTransport::kSocket
-                  ? parallel::socket_transport_factory(options.socket)
+                  ? parallel::socket_transport_factory()
                   : parallel::TransportFactory{}) {}
 
   std::vector<double> evaluate_batch(
       std::span<const Candidate> batch) override {
-    return farm_.run(batch);
+    std::vector<double> results = farm_.run(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      evaluator_->record(batch[i], results[i]);
+    }
+    return results;
   }
 
   std::string_view name() const override { return "farm"; }
@@ -130,6 +138,7 @@ class FarmBackend final : public EvaluationBackend {
   parallel::FarmStats farm_stats() const override { return farm_.stats(); }
 
  private:
+  const HaplotypeEvaluator* evaluator_;
   parallel::MasterSlaveFarm<Candidate, double> farm_;
 };
 

@@ -12,8 +12,9 @@
 // Contract (the conformance suite in tests/test_evaluation_backend.cpp
 // holds every implementation to it):
 //   - evaluate_batch returns one fitness per candidate, in task order;
-//   - candidates are evaluated with fitness_and_cache(), so pipeline
-//     executions are counted and cached identically everywhere;
+//   - candidates are evaluated with fitness_and_cache() (the farm's
+//     slaves score, its master records), so pipeline executions are
+//     counted and cached identically everywhere;
 //   - a failing evaluation is retried up to farm_policy.max_task_retries
 //     times; exhaustion raises parallel::FarmPhaseError carrying the
 //     task index and attempt history;
@@ -31,7 +32,6 @@
 
 #include "parallel/farm_policy.hpp"
 #include "parallel/fault_injection.hpp"
-#include "parallel/socket_transport.hpp"
 #include "parallel/thread_pool.hpp"
 #include "stats/evaluator.hpp"
 
@@ -74,7 +74,6 @@ struct BackendOptions {
   /// the identical fitness vector — the transport is invisible above
   /// this option.
   FarmTransport transport = FarmTransport::kInProcess;
-  parallel::SocketTransportConfig socket;
 };
 
 class EvaluationBackend {

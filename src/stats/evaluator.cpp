@@ -185,6 +185,13 @@ double HaplotypeEvaluator::fitness_and_cache(
 
 double HaplotypeEvaluator::fitness_and_cache(std::span<const SnpIndex> snps,
                                              EvalScratch& scratch) const {
+  const double value = score(snps, scratch);
+  record(snps, value);
+  return value;
+}
+
+double HaplotypeEvaluator::score(std::span<const SnpIndex> snps,
+                                 EvalScratch& scratch) const {
   LDGA_EXPECTS(!snps.empty());
   LDGA_EXPECTS(snps.size() <= config_.max_loci);
   LDGA_EXPECTS(std::is_sorted(snps.begin(), snps.end()));
@@ -212,13 +219,17 @@ double HaplotypeEvaluator::fitness_and_cache(std::span<const SnpIndex> snps,
     detail = error.what();
   }
   if (!detail.empty()) value = note_failure(snps, reason, detail);
+  return value;
+}
+
+void HaplotypeEvaluator::record(std::span<const SnpIndex> snps,
+                                double fitness) const {
   // Several threads may race on the same new key and each run the
   // pipeline, but the result is deterministic so last-writer-wins is
   // harmless; the evaluation counter reflects real pipeline executions
   // either way.
   evaluations_.fetch_add(1, std::memory_order_relaxed);
-  cache_.insert(snps, value);
-  return value;
+  cache_.insert(snps, fitness);
 }
 
 double HaplotypeEvaluator::fitness(std::span<const SnpIndex> snps) const {

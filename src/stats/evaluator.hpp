@@ -175,11 +175,21 @@ class HaplotypeEvaluator {
   double fitness_and_cache(std::span<const genomics::SnpIndex> snps) const;
 
   /// fitness_and_cache() with an arena (see evaluate_full overload):
-  /// the one body every backend runs — analyze (in fitness_scope_),
-  /// finish, apply the failure policy, insert into the cache. The
+  /// the one body every backend runs — score(), then record(). The
   /// fitness equals evaluate_full(snps).fitness bit for bit.
   double fitness_and_cache(std::span<const genomics::SnpIndex> snps,
                            EvalScratch& scratch) const;
+
+  /// fitness_and_cache() without record(): analyze (in fitness_scope_),
+  /// finish, apply the failure policy. Failures and stage times count;
+  /// the fitness is neither cached nor counted. What farm slaves run.
+  double score(std::span<const genomics::SnpIndex> snps,
+               EvalScratch& scratch) const;
+
+  /// Caches a fitness and counts one evaluation. The farm's master
+  /// records each result its slaves return; a forked slave's stage
+  /// times, failures and Monte-Carlo counts stay in the child.
+  void record(std::span<const genomics::SnpIndex> snps, double fitness) const;
 
   /// Pipeline executions performed (cache misses). This is the paper's
   /// "# of evaluations" column.

@@ -90,6 +90,18 @@ TEST_P(BackendConformance, BatchMatchesDirectEvaluation) {
   }
 }
 
+TEST_P(BackendConformance, CountsAndCachesEveryScoredCandidate) {
+  // The GA's evaluation budget and cache live in the master's evaluator,
+  // whichever process or thread scored the candidate.
+  auto backend = make();
+  const auto batch = sample_batch();
+  const auto results = backend->evaluate_batch(batch);
+  EXPECT_EQ(evaluator_.evaluation_count(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(evaluator_.cached_fitness(batch[i]), results[i]) << "task " << i;
+  }
+}
+
 TEST_P(BackendConformance, ResultsIndependentOfWorkerCount) {
   const auto batch = sample_batch();
   BackendOptions one_worker;

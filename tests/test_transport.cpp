@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +20,6 @@
 #include "parallel/process_supervisor.hpp"
 #include "parallel/socket_transport.hpp"
 #include "util/crc32.hpp"
-#include "util/error.hpp"
 
 namespace ldga::parallel {
 namespace {
@@ -508,10 +509,7 @@ TEST(SocketTransport, EchoAcrossForkedWorkers) {
   }
   int sum = 0;
   for (std::size_t i = 0; i < workers.size(); ++i) {
-    Message reply = transport->receive();
-    while (reply.tag == transport_tag::kHeartbeat) {
-      reply = transport->receive();
-    }
+    const Message reply = transport->receive();
     EXPECT_EQ(reply.tag, kPong);
     sum += reply.unpacker().unpack<std::int32_t>();
   }
@@ -521,15 +519,34 @@ TEST(SocketTransport, EchoAcrossForkedWorkers) {
   }
 }
 
-/// Receives the next non-heartbeat message within a generous deadline.
-Message receive_signal(Transport& transport) {
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto message = transport.receive_for(200ms);
-    if (message && message->tag != transport_tag::kHeartbeat) {
-      return *message;
-    }
+/// Threads of this process, as /proc/self/task lists them.
+std::size_t thread_count() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator{}));
+}
+
+TEST(SocketTransport, MasterStartsNoThread) {
+  // The master reads its sockets inside receive, on the caller's
+  // thread, so no thread of the master's exists at a later fork that
+  // could hold a lock the child needs.
+  const std::size_t before = thread_count();
+  auto transport = make_socket_transport(echo_body());
+  std::vector<TaskId> workers;
+  for (int i = 0; i < 3; ++i) {
+    workers.push_back(transport->spawn_worker());
+    send_ping(*transport, workers.back(), i);
+    EXPECT_EQ(transport->receive().tag, kPong);
   }
+  EXPECT_EQ(thread_count(), before);
+  for (const TaskId worker : workers) {
+    transport->send_to_worker(worker, kQuit, Packer{});
+  }
+}
+
+/// Receives the next message within a generous deadline.
+Message receive_signal(Transport& transport) {
+  if (auto message = transport.receive_for(5s)) return std::move(*message);
   throw std::runtime_error("no signal within the deadline");
 }
 
@@ -601,19 +618,6 @@ TEST(SocketTransport, CorruptStreamKillsTheWorker) {
   EXPECT_EQ(lost.source, worker);
 }
 
-TEST(SocketTransport, IdleWorkerHeartbeats) {
-  SocketTransportConfig config;
-  config.heartbeat_interval = 20ms;
-  auto transport = make_socket_transport(echo_body(), config);
-  const TaskId worker = transport->spawn_worker();
-  const auto beat = transport->receive_for(2000ms);
-  ASSERT_TRUE(beat.has_value());
-  EXPECT_EQ(beat->tag, transport_tag::kHeartbeat);
-  EXPECT_EQ(beat->source, worker);
-  EXPECT_TRUE(transport->worker_alive(worker));
-  transport->send_to_worker(worker, kQuit, Packer{});
-}
-
 TEST(SocketTransport, RetireClosesWithoutAnnouncement) {
   auto transport = make_socket_transport(echo_body());
   const TaskId worker = transport->spawn_worker();
@@ -621,17 +625,7 @@ TEST(SocketTransport, RetireClosesWithoutAnnouncement) {
   EXPECT_FALSE(transport->worker_alive(worker));
   EXPECT_THROW(transport->send_to_worker(worker, kPing, Packer{}),
                TransportClosed);
-  const auto message = transport->receive_for(200ms);
-  if (message.has_value()) {
-    // Only a heartbeat sent before the shutdown may be in flight.
-    EXPECT_EQ(message->tag, transport_tag::kHeartbeat);
-  }
-}
-
-TEST(SocketTransport, RejectsBadConfig) {
-  SocketTransportConfig config;
-  config.heartbeat_interval = std::chrono::milliseconds(0);
-  EXPECT_THROW(make_socket_transport(echo_body(), config), ConfigError);
+  EXPECT_FALSE(transport->receive_for(200ms).has_value());
 }
 
 TEST(SocketTransport, LargePayloadsSurviveTheStream) {

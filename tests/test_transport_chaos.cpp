@@ -27,7 +27,6 @@ namespace {
 
 using parallel::FaultInjector;
 using parallel::MasterSlaveFarm;
-using parallel::SocketTransportConfig;
 
 int soak_repetitions() {
   const char* soak = std::getenv("LDGA_CHAOS_SOAK");
@@ -70,11 +69,9 @@ TEST(TransportChaos, FarmOverSocketsUnderChaosMatchesPlainResults) {
   for (int rep = 0; rep < soak_repetitions(); ++rep) {
     auto injector =
         std::make_shared<FaultInjector>(chaos_faults(1000 + static_cast<std::uint64_t>(rep)));
-    SocketTransportConfig socket;
-    socket.heartbeat_interval = std::chrono::milliseconds(50);
     MasterSlaveFarm<double, double> farm(
         3, [](const double& x) { return x * x + 0.25; }, chaos_policy(),
-        injector, parallel::socket_transport_factory(socket));
+        injector, parallel::socket_transport_factory());
     for (int phase = 0; phase < 3; ++phase) {
       std::vector<double> tasks(12);
       std::iota(tasks.begin(), tasks.end(), static_cast<double>(phase));
@@ -128,7 +125,6 @@ TEST(TransportChaos, GaOverSocketFarmUnderChaosIsBitIdenticalToSerial) {
     options.farm_policy = chaos_policy();
     options.fault_injector = injector;
     options.transport = stats::FarmTransport::kSocket;
-    options.socket.heartbeat_interval = std::chrono::milliseconds(50);
 
     const stats::HaplotypeEvaluator farm_eval(synthetic.dataset);
     ga::GaEngine chaotic(farm_eval, config,
@@ -144,6 +140,7 @@ TEST(TransportChaos, GaOverSocketFarmUnderChaosIsBitIdenticalToSerial) {
           << "rep " << rep << " size slot " << i;
     }
     EXPECT_EQ(rf.generations, rs.generations);
+    EXPECT_EQ(rf.evaluations, rs.evaluations);
 
     // The run was genuinely chaotic, not a quiet pass.
     EXPECT_GT(injector->injected_kills(), 0u);
