@@ -27,10 +27,9 @@
 //                       generational engine, async runs each size class
 //                       as a steady-state island over evaluation lanes
 //                       (--workers then sets the lane count)
-//   --backend serial|pool|farm   evaluation backend [pool; sync only]
-//   --transport in-process|socket   farm message layer [in-process];
-//                       socket forks supervised worker processes, which
-//                       the master respawns when they are lost
+//   --backend serial|pool|farm   evaluation backend [pool; sync only]:
+//                       farm is the paper's §4.5 master/slave farm,
+//                       slave threads exchanging packed messages
 //   --workers N         scoring threads, the caller among them (farm:
 //                       slaves) [hardware]
 //   --stat t1|t2|t3|t4|lrt       fitness statistic [t1]
@@ -59,17 +58,11 @@
 namespace {
 
 std::shared_ptr<ldga::stats::EvaluationBackend> make_backend(
-    const std::string& name, const std::string& transport,
+    const std::string& name,
     const ldga::stats::HaplotypeEvaluator& evaluator,
     std::uint32_t workers) {
   ldga::stats::BackendOptions options;
   options.workers = workers;
-  if (transport == "socket") {
-    options.transport = ldga::stats::FarmTransport::kSocket;
-  } else if (transport != "in-process") {
-    throw ldga::ConfigError("--transport must be in-process|socket, got '" +
-                            transport + "'");
-  }
   if (name == "serial") {
     return ldga::stats::make_serial_backend(evaluator, options);
   }
@@ -172,8 +165,7 @@ int main(int argc, char** argv) {
     // async engine owns its evaluation lanes instead.
     std::shared_ptr<stats::EvaluationBackend> backend;
     if (engine_name == "sync") {
-      backend = make_backend(args.get("backend", "pool"),
-                             args.get("transport", "in-process"), evaluator,
+      backend = make_backend(args.get("backend", "pool"), evaluator,
                              workers);
     }
     const bool trace = args.get_bool("trace");

@@ -7,15 +7,15 @@
 #   scripts/check.sh thread         # TSan build + ctest (parallel tests)
 #   scripts/check.sh all            # plain, then address, then thread
 #
-# Add --transport=socket (any position) to soak the cross-process
-# transport layer and the asynchronous island engine instead of the
-# whole suite: the socket/chaos/island tests run with LDGA_CHAOS_SOAK=1,
-# which multiplies the chaos-GA repetitions so respawn, requeue,
-# frame-corruption recovery, and straggler-chaos convergence to the
+# Add --soak (any position) to soak the master/slave farm, its
+# transport and the asynchronous island engine instead of the whole
+# suite: the farm/chaos/island tests run with LDGA_CHAOS_SOAK=1, which
+# multiplies the chaos-GA repetitions so respawn, requeue,
+# corrupt-reply recovery, and straggler-chaos convergence to the
 # planted haplotype get exercised hard.
 #
-#   scripts/check.sh --transport=socket          # plain chaos soak
-#   scripts/check.sh thread --transport=socket   # chaos soak under TSan
+#   scripts/check.sh --soak          # plain chaos soak
+#   scripts/check.sh thread --soak   # chaos soak under TSan
 #
 # Each mode uses its own build directory (build/, build-asan/, build-tsan/)
 # so the presets can coexist.
@@ -23,27 +23,22 @@
 # Every test runs under a deadline, so a hung test fails the run instead
 # of stalling it. On a 4-core host under ctest -j4 the slowest single
 # test took 9.6 s (plain), 5.3 s (address), 5.6 s (thread) and 9.3 s
-# (socket soak under TSan); the deadline is over 12x the slowest.
+# (soak under TSan); the deadline is over 12x the slowest.
 set -euo pipefail
 
 TEST_TIMEOUT=120
 
 cd "$(dirname "$0")/.."
 
-TRANSPORT=""
+SOAK=""
 MODE=""
 for arg in "$@"; do
   case "${arg}" in
-    --transport=*) TRANSPORT="${arg#--transport=}" ;;
+    --soak) SOAK=1 ;;
     *) MODE="${arg}" ;;
   esac
 done
 MODE="${MODE:-plain}"
-
-if [[ -n "${TRANSPORT}" && "${TRANSPORT}" != "socket" ]]; then
-  echo "unknown transport '${TRANSPORT}' (expected socket)" >&2
-  exit 2
-fi
 
 run_mode() {
   local mode="$1" dir sanitize
@@ -59,11 +54,11 @@ run_mode() {
     -DLDGA_WARNINGS_AS_ERRORS=ON > /dev/null
   echo "== ${mode}: building"
   cmake --build "${dir}" -j "$(nproc)"
-  if [[ "${TRANSPORT}" == "socket" ]]; then
-    echo "== ${mode}: chaos-soaking the socket transport"
+  if [[ -n "${SOAK}" ]]; then
+    echo "== ${mode}: chaos-soaking the farm and the island engine"
     LDGA_CHAOS_SOAK=1 ctest --test-dir "${dir}" --output-on-failure \
       -j "$(nproc)" --timeout "${TEST_TIMEOUT}" \
-      -R 'Transport|Chaos|MasterSlave|FarmFaultTolerance|BackendConformance|Mailbox|ProcessSupervisor|Socket|Crc32|FrameCodec|MigrationRouter|Island|EvaluationStream|Straggler'
+      -R 'Transport|Chaos|MasterSlave|FarmFaultTolerance|BackendConformance|Mailbox|Crc32|MigrationRouter|Island|EvaluationStream|Straggler'
   else
     echo "== ${mode}: testing"
     ctest --test-dir "${dir}" --output-on-failure -j "$(nproc)" \

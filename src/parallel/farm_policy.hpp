@@ -2,7 +2,7 @@
 //
 // Kept separate from master_slave.hpp so that configuration-level code
 // (GaConfig, CLI front-ends) can name the policy and read the stats
-// without pulling in the whole virtual-machine template machinery.
+// without pulling in the whole farm template machinery.
 #pragma once
 
 #include <chrono>
@@ -34,14 +34,14 @@ struct FarmPolicy {
   /// Wall-clock budget for one run() call; zero means unlimited.
   std::chrono::milliseconds phase_deadline{0};
   /// Wall-clock budget for one dispatched task. When it expires the
-  /// worker is declared lost (hung process, dropped frame) and the task
+  /// worker is declared lost (hung worker, dropped reply) and the task
   /// is requeued elsewhere. Zero means unlimited — no liveness
-  /// tracking, matching the original in-process farm.
+  /// tracking, matching the original §4.5 farm.
   std::chrono::milliseconds task_deadline{0};
   /// Delay before respawning a *crashed* worker, doubling per
   /// consecutive loss on the same rank up to the cap — a crash-looping
-  /// rank must not busy-spin fork(). (Quarantine respawns of live
-  /// workers stay immediate.)
+  /// rank must not busy-spin thread creation. (Quarantine respawns of
+  /// live workers stay immediate.)
   std::chrono::milliseconds respawn_backoff{10};
   std::chrono::milliseconds respawn_backoff_cap{1000};
   /// When no worker survives and none can be respawned, finish the
@@ -114,7 +114,7 @@ struct FarmStats {
   std::uint64_t quarantines = 0;      ///< slaves taken out of rotation
   std::uint64_t respawns = 0;         ///< replacement slaves spawned
   std::uint64_t stale_discarded = 0;  ///< replies from other phases dropped
-  std::uint64_t worker_losses = 0;    ///< crashes/disconnects/deadlines
+  std::uint64_t worker_losses = 0;    ///< crashes/kills/deadlines
   std::uint64_t corrupt_frames = 0;   ///< replies that arrived corrupt
   std::uint64_t master_degraded_tasks = 0;  ///< tasks run on the master
 };

@@ -99,9 +99,6 @@ FaultDecision FaultInjector::decide(std::uint64_t phase,
   } else if (attempt == 0 &&
              scheduled(config_.corrupt_on_tasks, task_index)) {
     decision.kind = FaultDecision::Kind::kCorruptReply;
-  } else if (attempt == 0 &&
-             scheduled(config_.disconnect_on_tasks, task_index)) {
-    decision.kind = FaultDecision::Kind::kDisconnect;
   } else if (attempt == 0 && scheduled(config_.kill_on_tasks, task_index)) {
     decision.kind = FaultDecision::Kind::kKillWorker;
   } else {
@@ -148,9 +145,6 @@ FaultDecision FaultInjector::decide(std::uint64_t phase,
     case FaultDecision::Kind::kCorruptReply:
       corrupts_.fetch_add(1);
       break;
-    case FaultDecision::Kind::kDisconnect:
-      disconnects_.fetch_add(1);
-      break;
     case FaultDecision::Kind::kKillWorker:
       kills_.fetch_add(1);
       break;
@@ -169,12 +163,11 @@ void FaultInjector::apply_before_work(const FaultDecision& decision) {
       break;
     case FaultDecision::Kind::kStaleReply:
     case FaultDecision::Kind::kNone:
-    // Transport faults need a transport; in process (the in-process
-    // backend, the stream's lanes) there is no frame to drop, so they
+    // Transport faults need a transport; without a farm (the in-process
+    // backend, the stream's lanes) there is no reply to drop, so they
     // degrade to no-ops rather than faking a different failure mode.
     case FaultDecision::Kind::kDropReply:
     case FaultDecision::Kind::kCorruptReply:
-    case FaultDecision::Kind::kDisconnect:
     case FaultDecision::Kind::kKillWorker:
       break;
   }

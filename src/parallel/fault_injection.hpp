@@ -10,11 +10,11 @@
 // Two ways to use it:
 //   - hand a shared_ptr to MasterSlaveFarm: the *master* consults
 //     decide() at dispatch time and ships the directive inside the work
-//     message, so attempt tracking stays global even when workers are
-//     separate processes (enables stale replies and transport faults:
-//     dropped/corrupted frames, disconnects, worker kills);
-//   - in process (stats::RetryLadder, behind the in-process backend and
-//     the EvaluationStream's lanes): the scoring thread calls decide()
+//     message, so attempt tracking stays global across slaves (enables
+//     stale replies and transport faults: dropped or corrupted replies
+//     and worker kills);
+//   - without a farm (stats::RetryLadder, behind the in-process backend
+//     and the EvaluationStream's lanes): the scoring thread calls decide()
 //     then apply_before_work() before each attempt, at (batch phase,
 //     batch position) in a backend and at (completion queue, ticket)
 //     in a stream. Throws and delays only.
@@ -42,7 +42,6 @@ struct FaultDecision {
     // meaningful on a farm, where the directive reaches the worker):
     kDropReply,    ///< compute, then never send the reply
     kCorruptReply, ///< compute, then send a reply that arrives corrupt
-    kDisconnect,   ///< drop the connection to the master and exit
     kKillWorker,   ///< die instantly, mid-protocol (SIGKILL-equivalent)
   };
   Kind kind = Kind::kNone;
@@ -75,7 +74,6 @@ class FaultInjector {
     /// Transport-fault schedules, same first-attempt semantics.
     std::vector<std::uint64_t> drop_on_tasks;
     std::vector<std::uint64_t> corrupt_on_tasks;
-    std::vector<std::uint64_t> disconnect_on_tasks;
     std::vector<std::uint64_t> kill_on_tasks;
 
     /// Heavy-tailed "straggler" delays: with this probability an
@@ -106,7 +104,7 @@ class FaultInjector {
   /// Thread-safe; attempt numbers are tracked internally.
   FaultDecision decide(std::uint64_t phase, std::uint64_t task_index);
 
-  /// Executes the throw/delay part of a decision (used in process and
+  /// Executes the throw/delay part of a decision (used by RetryLadder and
   /// by the farm's slave loop). Throws FaultInjected for kThrow.
   static void apply_before_work(const FaultDecision& decision);
 
@@ -123,7 +121,6 @@ class FaultInjector {
   std::uint64_t injected_stales() const { return stales_.load(); }
   std::uint64_t injected_drops() const { return drops_.load(); }
   std::uint64_t injected_corrupts() const { return corrupts_.load(); }
-  std::uint64_t injected_disconnects() const { return disconnects_.load(); }
   std::uint64_t injected_kills() const { return kills_.load(); }
 
  private:
@@ -138,7 +135,6 @@ class FaultInjector {
   std::atomic<std::uint64_t> stales_{0};
   std::atomic<std::uint64_t> drops_{0};
   std::atomic<std::uint64_t> corrupts_{0};
-  std::atomic<std::uint64_t> disconnects_{0};
   std::atomic<std::uint64_t> kills_{0};
 };
 

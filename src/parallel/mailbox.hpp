@@ -1,7 +1,6 @@
 // A closable blocking FIFO of messages: any thread may deliver, and
-// receivers take messages in arrival order. The in-process transport
-// gives the master and each worker one; the socket transport needs none,
-// since its master reads its sockets itself.
+// receivers take messages in arrival order. The transport gives the
+// master and each worker one.
 #pragma once
 
 #include <chrono>

@@ -9,24 +9,23 @@
 // through the wire format via the farm_pack / farm_unpack customization
 // points below, which keeps the discipline honest: everything that
 // crosses the master/slave boundary is serialized, exactly as it would
-// be over PVM. It is also generic over the *transport* (transport.hpp):
-// the same farm logic runs over in-process mailboxes (default) or over
-// checksummed socket frames to forked worker processes.
+// be over PVM. Messages travel through the transport (transport.hpp):
+// slave threads, each with its own in-memory mailbox.
 //
 // Fault tolerance (FarmPolicy): a failed evaluation is retried on a
 // different slave; a slave that fails repeatedly is quarantined and
-// optionally respawned; a worker that crashes, disconnects, corrupts a
-// frame, or blows its per-task deadline is declared lost, its in-flight
-// task requeued, and a replacement respawned after an exponential
-// backoff; when every worker is gone the farm can degrade to computing
-// on the master itself (degrade_to_master). The phase aborts with
-// FarmPhaseError — carrying the failing task index and its attempt
-// history — only when a task exhausts its retries, no healthy slave
-// remains (and degradation is off), or the optional phase deadline
-// expires. A deterministic FaultInjector can be attached to drive every
-// one of those paths in tests; its decisions are taken by the master at
+// optionally respawned; a worker that dies or blows its per-task
+// deadline is declared lost, its in-flight task requeued, and a
+// replacement respawned after an exponential backoff; when every
+// worker is gone the farm can degrade to computing on the master
+// itself (degrade_to_master). The phase aborts with FarmPhaseError —
+// carrying the failing task index and its attempt history — only when
+// a task exhausts its retries, no healthy slave remains (and
+// degradation is off), or the optional phase deadline expires. A
+// deterministic FaultInjector can be attached to drive every one of
+// those paths in tests; its decisions are taken by the master at
 // dispatch time and shipped inside the work message, so attempt
-// tracking stays global even when workers are separate processes.
+// tracking stays global across slaves.
 #pragma once
 
 #include <algorithm>
@@ -91,24 +90,19 @@ class MasterSlaveFarm {
   /// worker closure typically captures a reference to the shared,
   /// immutable dataset/evaluator). `injector`, when set, is consulted
   /// by the master before every dispatch (test fault injection).
-  /// `transport_factory` selects the message layer; null means
-  /// in-process threads.
   MasterSlaveFarm(std::uint32_t slave_count, Worker worker,
                   FarmPolicy policy = {},
-                  std::shared_ptr<FaultInjector> injector = nullptr,
-                  TransportFactory transport_factory = nullptr)
+                  std::shared_ptr<FaultInjector> injector = nullptr)
       : worker_(std::move(worker)),
         policy_(policy),
         injector_(std::move(injector)) {
     LDGA_EXPECTS(slave_count >= 1);
     LDGA_EXPECTS(worker_ != nullptr);
     policy_.validate();
-    Transport::WorkerBody body = [worker = worker_](WorkerChannel& channel) {
-      slave_loop(channel, worker);
-    };
-    transport_ = transport_factory != nullptr
-                     ? transport_factory(std::move(body))
-                     : make_in_process_transport(std::move(body));
+    transport_ = make_in_process_transport(
+        [worker = worker_](WorkerChannel& channel) {
+          slave_loop(channel, worker);
+        });
     stats_.per_slave_tasks.assign(slave_count, 0);
     slaves_.resize(slave_count);
     for (std::uint32_t rank = 0; rank < slave_count; ++rank) {
@@ -120,7 +114,7 @@ class MasterSlaveFarm {
   ~MasterSlaveFarm() {
     // Orderly shutdown: each live slave exits its loop on kShutdown;
     // retired/lost/quarantined workers are already gone, and the
-    // transport destructor joins or reaps whatever remains.
+    // transport destructor joins whatever remains.
     for (const auto& slave : slaves_) {
       if (slave.quarantined || slave.lost) continue;
       try {
@@ -138,8 +132,6 @@ class MasterSlaveFarm {
     return static_cast<std::uint32_t>(slaves_.size());
   }
   std::uint32_t healthy_slave_count() const { return healthy_; }
-
-  std::string_view transport_name() const { return transport_->name(); }
 
   /// One synchronous evaluation phase: scores every task, returning
   /// results in task order. Dynamic (first-free-slave) scheduling with
@@ -213,12 +205,12 @@ class MasterSlaveFarm {
                          policy_.respawn_backoff_cap);
     };
 
-    // A worker is gone (crash, disconnect, corrupt stream, deadline):
-    // retire it, requeue its in-flight task as a failed attempt, and
-    // run the quarantine/respawn ladder. Losses always need a respawn
-    // (unlike error replies, where the slave itself survives), so a
-    // lost rank below the quarantine threshold is respawned too — after
-    // an exponential backoff so a crash-looping rank cannot spin.
+    // A worker is gone (killed, or past its task deadline): retire it,
+    // requeue its in-flight task as a failed attempt, and run the
+    // quarantine/respawn ladder. Losses always need a respawn (unlike
+    // error replies, where the slave itself survives), so a lost rank
+    // below the quarantine threshold is respawned too — after an
+    // exponential backoff so a crash-looping rank cannot spin.
     auto declare_lost = [&](std::uint32_t rank, const std::string& reason,
                             Clock::time_point now) {
       auto& slave = slaves_[rank];
@@ -481,16 +473,11 @@ class MasterSlaveFarm {
         continue;
       }
       if (reply.tag == transport_tag::kCorruptFrame) {
+        // Only the one reply was damaged, the worker is fine — treat it
+        // like an error reply for its in-flight task.
         ++stats_.corrupt_frames;
         Unpacker unpacker = reply.unpacker();
         const std::string detail = unpacker.unpack_string();
-        if (!transport_->worker_alive(slave.id)) {
-          // Socket stream: unrecoverable; the transport's kWorkerLost
-          // follows and does the requeue/ladder work.
-          continue;
-        }
-        // In-process: only the one reply was damaged, the worker is
-        // fine — treat it like an error reply for its in-flight task.
         if (slave.busy_task) {
           const std::size_t index = *slave.busy_task;
           slave.busy_task.reset();
@@ -576,8 +563,8 @@ class MasterSlaveFarm {
     std::chrono::steady_clock::time_point respawn_due{};
   };
 
-  /// Runs inside each worker (thread or forked process): execute work
-  /// messages, honouring the fault directive the master packed in.
+  /// Runs on each slave thread: execute work messages, honouring the
+  /// fault directive the master packed in.
   static void slave_loop(WorkerChannel& channel, const Worker& worker) {
     using Kind = FaultDecision::Kind;
     for (;;) {
@@ -605,7 +592,6 @@ class MasterSlaveFarm {
       if (fault.kind == Kind::kKillWorker) {
         channel.die("injected worker kill");
       }
-      if (fault.kind == Kind::kDisconnect) channel.disconnect();
 
       try {
         if (fault.kind == Kind::kStaleReply) {

@@ -44,8 +44,8 @@ class InProcessChannel final : public WorkerChannel {
       case FrameFault::kDrop:
         return;
       case FrameFault::kCorrupt:
-        // Nothing crosses a wire in process, so no check can fail:
-        // deliver what a socket reader reports for a damaged frame.
+        // Nothing crosses a wire, so no check can fail: deliver the
+        // notice of a damaged reply in its place.
         message = control_message(id_, transport_tag::kCorruptFrame,
                                   "reply from worker " + std::to_string(id_) +
                                       " arrived corrupt (injected fault)");
@@ -60,10 +60,6 @@ class InProcessChannel final : public WorkerChannel {
 
   [[noreturn]] void die(const std::string& reason) override {
     throw WorkerTerminated{reason};
-  }
-
-  [[noreturn]] void disconnect() override {
-    throw WorkerTerminated{"worker disconnected"};
   }
 
  private:
@@ -213,12 +209,6 @@ class InProcessTransport final : public Transport {
 std::unique_ptr<Transport> make_in_process_transport(
     Transport::WorkerBody body) {
   return std::make_unique<InProcessTransport>(std::move(body));
-}
-
-TransportFactory in_process_transport_factory() {
-  return [](Transport::WorkerBody body) {
-    return make_in_process_transport(std::move(body));
-  };
 }
 
 }  // namespace ldga::parallel

@@ -1,20 +1,19 @@
-// The message layer under the master/slave farm, factored out so the
-// same farm logic can run over in-process mailboxes or over sockets to
-// forked worker processes.
+// The message layer under the master/slave farm: the interface that
+// keeps the farm's protocol apart from how messages travel.
 //
 // The split mirrors PVM's API surface: Transport is the master's view
 // (pvm_spawn / pvm_send / pvm_recv over the whole worker set),
 // WorkerChannel is the slave's view (pvm_send / pvm_recv against the
 // master only). Both speak Message values whose payloads are plain
-// Packer bytes. Two transports implement it: in-process (one thread
-// and one Mailbox per worker, messages handed over in memory) and
-// socket (socket_transport.hpp: forked workers, checksummed frames).
+// Packer bytes. One implementation backs it: each worker is a thread
+// of this process with its own Mailbox, and messages are handed over
+// in memory.
 //
 // Fault model: a transport never throws out of receive() because a
-// *worker* misbehaved. Worker death, dropped connections, and corrupt
-// frames are turned into control messages (transport_tag below) so the
-// farm can requeue, quarantine, and respawn; exceptions out of
-// transport calls mean the transport itself is unusable.
+// *worker* misbehaved. Worker death and damaged replies are turned
+// into control messages (transport_tag below) so the farm can requeue,
+// quarantine, and respawn; exceptions out of transport calls mean the
+// transport itself is unusable.
 #pragma once
 
 #include <chrono>
@@ -33,15 +32,14 @@ namespace ldga::parallel {
 /// collide with a protocol's own tags (the farm uses small positive
 /// ones).
 namespace transport_tag {
-/// The worker is gone (crashed, killed, disconnected, or its body
-/// threw). Payload: one packed string describing why. Synthesized by
-/// the transport, at most once per worker incarnation.
+/// The worker is gone (killed, or its body threw). Payload: one packed
+/// string describing why. Synthesized by the transport, at most once
+/// per worker incarnation.
 inline constexpr std::int32_t kWorkerLost = -101;
 /// A reply from the worker arrived corrupt. Payload: one packed string
-/// saying why. Over a socket the frame failed its check and the stream
-/// is unrecoverable, so kWorkerLost follows; in-process (where only an
-/// injected FrameFault::kCorrupt produces it) the worker is still
-/// healthy and may be sent further work.
+/// saying why. Only an injected FrameFault::kCorrupt produces it: one
+/// reply is damaged, and the worker stays healthy and may be sent
+/// further work.
 inline constexpr std::int32_t kCorruptFrame = -102;
 }  // namespace transport_tag
 
@@ -54,12 +52,11 @@ Message control_message(TaskId source, std::int32_t tag,
 /// fault injector's transport faults ride on.
 enum class FrameFault : std::uint8_t {
   kNone,
-  kDrop,     ///< never put the frame on the wire
+  kDrop,     ///< never deliver the reply
   kCorrupt,  ///< damage the reply so it arrives as kCorruptFrame
 };
 
-/// Thrown by WorkerChannel::die on thread-backed transports to unwind
-/// the worker body (process-backed channels _exit instead). Not a
+/// Thrown by WorkerChannel::die to unwind the worker body. Not a
 /// std::exception subclass on purpose: it must fly past the worker
 /// loop's catch-and-report-error handling.
 struct WorkerTerminated {
@@ -79,26 +76,20 @@ class WorkerChannel {
                               FrameFault fault = FrameFault::kNone) = 0;
 
   /// Blocks for the next message from the master. Throws
-  /// TransportClosed on shutdown or a dropped connection.
+  /// TransportClosed on shutdown or when the worker is retired.
   virtual Message receive_from_master() = 0;
 
   /// Dies abruptly, mid-protocol, without a goodbye — the injected
-  /// "kill -9" fault. A process worker _exits; a thread worker unwinds
-  /// via WorkerTerminated. Either way the master learns of it only
-  /// through the transport's kWorkerLost.
+  /// "kill -9" fault. The worker unwinds via WorkerTerminated, and the
+  /// master learns of it only through the transport's kWorkerLost.
   [[noreturn]] virtual void die(const std::string& reason) = 0;
-
-  /// Drops the connection to the master, then dies. Distinct from die()
-  /// on sockets (FIN instead of a vanished process) but equally fatal.
-  [[noreturn]] virtual void disconnect() = 0;
 };
 
 /// The master's endpoint: spawn workers, address them by TaskId,
 /// receive from any of them.
 class Transport {
  public:
-  /// The code a worker runs, identical across transports. In-process it
-  /// runs on a spawned thread; over sockets it runs in a forked child.
+  /// The code a worker runs, on a spawned thread.
   using WorkerBody = std::function<void(WorkerChannel&)>;
 
   virtual ~Transport() = default;
@@ -115,7 +106,7 @@ class Transport {
                               Packer payload) = 0;
 
   /// Blocks for the next message from any worker: its replies and the
-  /// control tags above (the socket transport reads only in here).
+  /// control tags above.
   virtual Message receive() = 0;
 
   /// As receive(), but gives up after `timeout`; empty on timeout.
@@ -125,8 +116,8 @@ class Transport {
   /// True while the worker is believed able to accept and answer work.
   virtual bool worker_alive(TaskId worker) const = 0;
 
-  /// Force-retires a worker: its connection/mailbox is closed, no
-  /// kWorkerLost will be synthesized for it, and sends to it fail.
+  /// Force-retires a worker: its mailbox is closed, no kWorkerLost
+  /// will be synthesized for it, and sends to it fail.
   /// Idempotent; unknown ids are ignored. Used for quarantine and for
   /// workers declared dead by deadline.
   virtual void retire_worker(TaskId worker) = 0;
@@ -134,16 +125,9 @@ class Transport {
   virtual std::string_view name() const = 0;
 };
 
-/// Builds a transport given the body its workers will run; what the
-/// farm (and the evaluation backends above it) take as configuration.
-using TransportFactory =
-    std::function<std::unique_ptr<Transport>(Transport::WorkerBody)>;
-
 /// Workers are threads of this process, each with its own Mailbox;
-/// messages are handed over in memory. The default, and the fastest.
+/// messages are handed over in memory.
 std::unique_ptr<Transport> make_in_process_transport(
     Transport::WorkerBody body);
-
-TransportFactory in_process_transport_factory();
 
 }  // namespace ldga::parallel

@@ -1,14 +1,12 @@
 // Typed errors of the transport layer. Separate from transport.hpp so
-// low-level modules (mailbox, frame codec) can throw them without
-// depending on the Transport interface itself.
+// the mailbox can throw them without depending on the Transport
+// interface itself.
 //
 // Hierarchy (all recoverable, all under ParallelError so existing farm
 // catch sites keep working):
 //   TransportError        — any transport-layer failure
 //   ├─ TransportClosed    — endpoint shut down (send/receive after close)
-//   ├─ FrameError         — a socket frame failed its magic /
-//   │                       protocol-version / length / CRC-32 check
-//   └─ SpawnError         — a worker process/thread could not be started
+//   └─ SpawnError         — a worker thread could not be started
 #pragma once
 
 #include <string>
@@ -25,11 +23,6 @@ class TransportError : public ParallelError {
 class TransportClosed : public TransportError {
  public:
   explicit TransportClosed(const std::string& what) : TransportError(what) {}
-};
-
-class FrameError : public TransportError {
- public:
-  explicit FrameError(const std::string& what) : TransportError(what) {}
 };
 
 class SpawnError : public TransportError {

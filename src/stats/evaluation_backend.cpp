@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "parallel/master_slave.hpp"
-#include "parallel/socket_transport.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace ldga::stats {
@@ -111,18 +110,14 @@ class FarmBackend final : public EvaluationBackend {
         farm_(options.workers > 0 ? options.workers
                                   : parallel::default_thread_count(),
               // Each slave owns a copy of this worker (the transport
-              // copies it per worker — or the fork duplicates it), so
-              // the mutable by-value scratch is a per-slave arena.
-              // Slaves only score: a forked slave's evaluator is a copy
-              // that dies with it, so the master records every result.
+              // copies it per worker), so the mutable by-value scratch
+              // is a per-slave arena. Slaves only score; the master
+              // records every result.
               [ev = &evaluator,
                scratch = EvalScratch{}](const Candidate& candidate) mutable {
                 return ev->score(candidate, scratch);
               },
-              options.farm_policy, std::move(options.fault_injector),
-              options.transport == FarmTransport::kSocket
-                  ? parallel::socket_transport_factory()
-                  : parallel::TransportFactory{}) {}
+              options.farm_policy, std::move(options.fault_injector)) {}
 
   std::vector<double> evaluate_batch(
       std::span<const Candidate> batch) override {

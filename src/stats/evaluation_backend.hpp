@@ -40,12 +40,6 @@ namespace ldga::stats {
 /// A candidate haplotype: sorted, distinct SNP indices.
 using Candidate = std::vector<genomics::SnpIndex>;
 
-/// Message layer under the farm backend (ignored in process).
-enum class FarmTransport {
-  kInProcess,  ///< worker threads + in-memory mailboxes (default)
-  kSocket,     ///< forked worker processes + checksummed socket frames
-};
-
 /// Construction-time knobs shared by every backend factory.
 struct BackendOptions {
   /// Scoring threads; 0 → hardware concurrency. The thread-pool backend
@@ -69,11 +63,6 @@ struct BackendOptions {
   /// Deterministic fault injection, consulted per (phase, task) attempt
   /// by every backend. Null = no faults.
   std::shared_ptr<parallel::FaultInjector> fault_injector;
-  /// Farm backend only: run the slaves in-process or as supervised
-  /// worker processes over sockets. Either way evaluate_batch returns
-  /// the identical fitness vector — the transport is invisible above
-  /// this option.
-  FarmTransport transport = FarmTransport::kInProcess;
 };
 
 class EvaluationBackend {
@@ -100,7 +89,7 @@ class EvaluationBackend {
 /// (phase, index) coordinates; a failing attempt is retried up to
 /// policy.max_task_retries times, and exhaustion raises
 /// parallel::FarmPhaseError with the attempt history. Stale-reply and
-/// transport decisions are wire-level faults, no-ops in process.
+/// transport decisions are message-level faults, no-ops here.
 struct RetryLadder {
   const HaplotypeEvaluator* evaluator;
   parallel::FarmPolicy policy;
@@ -127,7 +116,9 @@ std::shared_ptr<EvaluationBackend> make_serial_backend(
 std::shared_ptr<EvaluationBackend> make_thread_pool_backend(
     const HaplotypeEvaluator& evaluator, BackendOptions options = {});
 
-/// The paper's §4.5 message-passing master/slave farm.
+/// The paper's §4.5 message-passing master/slave farm: `workers` slave
+/// threads score packed candidates, and the master records each result
+/// in `evaluator`.
 std::shared_ptr<EvaluationBackend> make_farm_backend(
     const HaplotypeEvaluator& evaluator, BackendOptions options = {});
 

@@ -187,8 +187,9 @@ class HaplotypeEvaluator {
                EvalScratch& scratch) const;
 
   /// Caches a fitness and counts one evaluation. The farm's master
-  /// records each result its slaves return; a forked slave's stage
-  /// times, failures and Monte-Carlo counts stay in the child.
+  /// records each result its slaves return; the slaves' score() calls
+  /// have already counted stage times, failures and Monte-Carlo
+  /// replicates in this evaluator.
   void record(std::span<const genomics::SnpIndex> snps, double fitness) const;
 
   /// Pipeline executions performed (cache misses). This is the paper's

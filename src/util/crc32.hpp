@@ -1,9 +1,7 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte
-// spans. Used as the integrity check on everything that crosses a
-// process boundary or survives a crash: socket frames, sealed
-// in-process message payloads, and checkpoint files. Software
-// table-driven implementation — the payloads are small relative to the
-// work they describe, so a hardware CRC is not worth an ISA gate.
+// spans. Used as the integrity check on what is read back from disk:
+// GA checkpoint files and the packed genotype store (.pgs). Software
+// table-driven implementation, so no ISA gate.
 #pragma once
 
 #include <cstdint>

@@ -25,15 +25,6 @@ namespace {
 using Factory = std::shared_ptr<EvaluationBackend> (*)(
     const HaplotypeEvaluator&, BackendOptions);
 
-/// The same farm, but with its slaves in forked worker processes over
-/// checksummed Unix-socket frames — the conformance contract must hold
-/// verbatim across the transport swap.
-std::shared_ptr<EvaluationBackend> make_socket_farm_backend(
-    const HaplotypeEvaluator& evaluator, BackendOptions options) {
-  options.transport = FarmTransport::kSocket;
-  return make_farm_backend(evaluator, options);
-}
-
 // gtest prints the parameter into every discovered ctest name
 // ("farm  # GetParam() = 16-byte object <...>"). The case therefore holds
 // its label inline and no pointers — an address would change the
@@ -46,7 +37,6 @@ struct BackendCase {
     if (name == "serial") return &make_serial_backend;
     if (name == "thread_pool") return &make_thread_pool_backend;
     if (name == "farm") return &make_farm_backend;
-    if (name == "farm_socket") return &make_socket_farm_backend;
     throw std::invalid_argument("unknown backend case: " + std::string(name));
   }
 };
@@ -92,7 +82,7 @@ TEST_P(BackendConformance, BatchMatchesDirectEvaluation) {
 
 TEST_P(BackendConformance, CountsAndCachesEveryScoredCandidate) {
   // The GA's evaluation budget and cache live in the master's evaluator,
-  // whichever process or thread scored the candidate.
+  // whichever thread scored the candidate.
   auto backend = make();
   const auto batch = sample_batch();
   const auto results = backend->evaluate_batch(batch);
@@ -100,6 +90,17 @@ TEST_P(BackendConformance, CountsAndCachesEveryScoredCandidate) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(evaluator_.cached_fitness(batch[i]), results[i]) << "task " << i;
   }
+}
+
+TEST_P(BackendConformance, StageTimesLandInTheCallersEvaluator) {
+  // Stage times are the caller's evaluator's cost profile, whichever
+  // thread scored the candidate.
+  auto backend = make();
+  backend->evaluate_batch(sample_batch());
+  const StageTimings timings = evaluator_.stage_timings();
+  EXPECT_GT(timings.pattern_build_seconds, 0.0);
+  EXPECT_GT(timings.em_seconds, 0.0);
+  EXPECT_GT(timings.clump_seconds, 0.0);
 }
 
 TEST_P(BackendConformance, ResultsIndependentOfWorkerCount) {
@@ -208,7 +209,7 @@ TEST_P(BackendConformance, InvalidPolicyIsRejectedAtConstruction) {
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, BackendConformance,
     ::testing::Values(BackendCase{"serial"}, BackendCase{"thread_pool"},
-                      BackendCase{"farm"}, BackendCase{"farm_socket"}),
+                      BackendCase{"farm"}),
     [](const ::testing::TestParamInfo<BackendCase>& param_info) {
       return std::string(param_info.param.label);
     });

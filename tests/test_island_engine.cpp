@@ -279,12 +279,12 @@ int soak_repetitions() {
 }
 
 TEST(IslandEngineChaos, FindsThePlantedPairUnderStragglerChaos) {
-  // The async engine's chaos acceptance (scripts/check.sh
-  // --transport=socket regex, CI chaos job plain + TSan): under the
-  // heavy-tailed straggler schedule plus injected throws, the islands
-  // must still converge to the planted haplotype — chaos may cost
-  // time, never the destination. LDGA_CHAOS_SOAK=1 repeats the run
-  // across injector seeds.
+  // The async engine's chaos acceptance (scripts/check.sh --soak
+  // regex, CI chaos job plain + TSan): under the heavy-tailed
+  // straggler schedule plus injected throws, the islands must still
+  // converge to the planted haplotype — chaos may cost time, never the
+  // destination. LDGA_CHAOS_SOAK=1 repeats the run across injector
+  // seeds.
   genomics::SyntheticConfig synth;
   synth.snp_count = 14;
   synth.affected_count = 50;

@@ -399,22 +399,6 @@ TEST(FarmFaultTolerance, KilledWorkerIsRespawnedAndThePhaseCompletes) {
   EXPECT_DOUBLE_EQ(farm.run(std::vector<double>{10.0})[0], 13.0);
 }
 
-TEST(FarmFaultTolerance, DisconnectIsALossLikeAnyOther) {
-  FaultInjector::Config faults;
-  faults.disconnect_on_tasks = {0};
-  auto injector = std::make_shared<FaultInjector>(faults);
-  FarmPolicy policy;
-  policy.respawn_backoff = std::chrono::milliseconds(1);
-  MasterSlaveFarm<double, double> farm(
-      2, [](const double& x) { return x * 5.0; }, policy, injector);
-  const auto results = farm.run(std::vector<double>{1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(results[0], 5.0);
-  EXPECT_DOUBLE_EQ(results[1], 10.0);
-  EXPECT_DOUBLE_EQ(results[2], 15.0);
-  EXPECT_EQ(injector->injected_disconnects(), 1u);
-  EXPECT_EQ(farm.stats().worker_losses, 1u);
-}
-
 TEST(FarmFaultTolerance, CorruptReplyIsRetriedOnTheLivingWorker) {
   // In-process, a corrupt frame damages one message, not the stream:
   // the worker stays healthy, the task is retried like an error reply.

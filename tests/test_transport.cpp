@@ -1,24 +1,15 @@
-// The transport layer in isolation: CRC-32, the frame codec, the
-// in-process transport's worker-loss machinery, the process supervisor,
-// and the socket transport end to end.
+// The transport layer in isolation: CRC-32 and the in-process
+// transport's worker-loss machinery.
 #include "parallel/transport.hpp"
 
 #include <gtest/gtest.h>
-#include <signal.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
-#include <filesystem>
 #include <future>
-#include <iterator>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "parallel/frame.hpp"
-#include "parallel/process_supervisor.hpp"
-#include "parallel/socket_transport.hpp"
 #include "util/crc32.hpp"
 
 namespace ldga::parallel {
@@ -62,95 +53,6 @@ TEST(Crc32, DetectsSingleBitFlips) {
     data[i] ^= 1u;
     EXPECT_NE(util::crc32(data), clean) << "flip at " << i;
     data[i] ^= 1u;
-  }
-}
-
-// ---- frame codec (the socket wire) -----------------------------------
-
-Message sample_message(TaskId source, std::int32_t tag,
-                       const std::string& text) {
-  Message message;
-  message.source = source;
-  message.tag = tag;
-  message.payload = bytes_of(text);
-  return message;
-}
-
-TEST(FrameCodec, RoundTripsOneFrame) {
-  const auto frame = encode_frame(sample_message(7, 42, "result bytes"));
-  FrameDecoder decoder;
-  decoder.feed(frame.data(), frame.size());
-  const auto message = decoder.next();
-  ASSERT_TRUE(message.has_value());
-  EXPECT_EQ(message->source, 7);
-  EXPECT_EQ(message->tag, 42);
-  EXPECT_EQ(message->payload, bytes_of("result bytes"));
-  EXPECT_FALSE(decoder.next().has_value());
-  EXPECT_EQ(decoder.buffered(), 0u);
-}
-
-TEST(FrameCodec, DecodesByteByByte) {
-  // A stream transport may deliver any split; the decoder must not care.
-  const auto frame = encode_frame(sample_message(1, 2, "dribbled"));
-  FrameDecoder decoder;
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    if (i + 1 < frame.size()) {
-      decoder.feed(&frame[i], 1);
-      EXPECT_FALSE(decoder.next().has_value());
-    } else {
-      decoder.feed(&frame[i], 1);
-    }
-  }
-  const auto message = decoder.next();
-  ASSERT_TRUE(message.has_value());
-  EXPECT_EQ(message->payload, bytes_of("dribbled"));
-}
-
-TEST(FrameCodec, DecodesBackToBackFrames) {
-  auto stream = encode_frame(sample_message(3, 1, "first"));
-  const auto second = encode_frame(sample_message(4, 2, "second"));
-  stream.insert(stream.end(), second.begin(), second.end());
-  FrameDecoder decoder;
-  decoder.feed(stream.data(), stream.size());
-  EXPECT_EQ(decoder.next()->payload, bytes_of("first"));
-  EXPECT_EQ(decoder.next()->payload, bytes_of("second"));
-  EXPECT_FALSE(decoder.next().has_value());
-}
-
-TEST(FrameCodec, CorruptPayloadThrows) {
-  auto frame = encode_frame(sample_message(1, 1, "soon to be damaged"));
-  frame.back() ^= 0x10u;
-  FrameDecoder decoder;
-  decoder.feed(frame.data(), frame.size());
-  EXPECT_THROW(decoder.next(), FrameError);
-}
-
-TEST(FrameCodec, BadMagicThrows) {
-  auto frame = encode_frame(sample_message(1, 1, "x"));
-  frame[0] ^= 0xffu;
-  FrameDecoder decoder;
-  decoder.feed(frame.data(), frame.size());
-  EXPECT_THROW(decoder.next(), FrameError);
-}
-
-TEST(FrameCodec, WrongVersionThrows) {
-  auto frame = encode_frame(sample_message(1, 1, "x"));
-  frame[4] = kWireProtocolVersion + 9;
-  FrameDecoder decoder;
-  decoder.feed(frame.data(), frame.size());
-  EXPECT_THROW(decoder.next(), FrameError);
-}
-
-TEST(FrameCodec, InsaneLengthIsCorruptionNotAllocation) {
-  // A flipped bit in the length field must not drive a giant resize.
-  const auto frame = encode_frame(sample_message(1, 1, "many bytes here"));
-  FrameDecoder decoder(8);  // payload limit below the actual size
-  decoder.feed(frame.data(), frame.size());
-  try {
-    decoder.next();
-    FAIL() << "expected FrameError";
-  } catch (const FrameError& error) {
-    EXPECT_NE(std::string(error.what()).find("limit"), std::string::npos);
   }
 }
 
@@ -442,226 +344,6 @@ TEST(InProcessTransport, DestructionReleasesBlockedWorkers) {
     for (int i = 0; i < 4; ++i) (void)transport->spawn_worker();
   }
   EXPECT_EQ(released.load(), 4);
-}
-
-// ---- process supervisor ----------------------------------------------
-
-TEST(ProcessSupervisor, ReapsACleanExit) {
-  ProcessSupervisor supervisor;
-  const pid_t pid = supervisor.spawn([] {});
-  const std::string description = supervisor.reap(pid, 2000ms);
-  EXPECT_EQ(description, "exited with status 0");
-  EXPECT_FALSE(supervisor.alive(pid));
-}
-
-TEST(ProcessSupervisor, ReportsTheExitStatus) {
-  ProcessSupervisor supervisor;
-  const pid_t pid = supervisor.spawn([] { ::_exit(7); });
-  EXPECT_EQ(supervisor.reap(pid, 2000ms), "exited with status 7");
-}
-
-TEST(ProcessSupervisor, KillNowReportsTheSignal) {
-  ProcessSupervisor supervisor;
-  const pid_t pid = supervisor.spawn([] {
-    for (;;) std::this_thread::sleep_for(100ms);
-  });
-  EXPECT_TRUE(supervisor.alive(pid));
-  supervisor.kill_now(pid);
-  const std::string description = supervisor.reap(pid, 2000ms);
-  EXPECT_NE(description.find("killed by signal 9"), std::string::npos);
-}
-
-TEST(ProcessSupervisor, GraceExpiryEscalatesToSigkill) {
-  ProcessSupervisor supervisor;
-  const pid_t pid = supervisor.spawn([] {
-    for (;;) std::this_thread::sleep_for(100ms);
-  });
-  const std::string description = supervisor.reap(pid, 20ms);
-  EXPECT_NE(description.find("SIGKILL"), std::string::npos);
-  EXPECT_EQ(supervisor.live_children(), 0u);
-}
-
-TEST(ProcessSupervisor, TryReapIsNonBlocking) {
-  ProcessSupervisor supervisor;
-  const pid_t pid = supervisor.spawn([] {
-    std::this_thread::sleep_for(30ms);
-  });
-  // Immediately after spawn the child is (almost certainly) running.
-  supervisor.kill_now(pid);
-  for (int i = 0; i < 200; ++i) {
-    if (auto description = supervisor.try_reap(pid)) {
-      EXPECT_FALSE(description->empty());
-      return;
-    }
-    std::this_thread::sleep_for(5ms);
-  }
-  FAIL() << "child never became reapable";
-}
-
-// ---- socket transport ------------------------------------------------
-
-TEST(SocketTransport, EchoAcrossForkedWorkers) {
-  auto transport = make_socket_transport(echo_body());
-  std::vector<TaskId> workers;
-  for (int i = 0; i < 3; ++i) workers.push_back(transport->spawn_worker());
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    send_ping(*transport, workers[i], static_cast<std::int32_t>(i) + 100);
-  }
-  int sum = 0;
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const Message reply = transport->receive();
-    EXPECT_EQ(reply.tag, kPong);
-    sum += reply.unpacker().unpack<std::int32_t>();
-  }
-  EXPECT_EQ(sum, 2 * (100 + 101 + 102));
-  for (const TaskId worker : workers) {
-    transport->send_to_worker(worker, kQuit, Packer{});
-  }
-}
-
-/// Threads of this process, as /proc/self/task lists them.
-std::size_t thread_count() {
-  return static_cast<std::size_t>(std::distance(
-      std::filesystem::directory_iterator("/proc/self/task"),
-      std::filesystem::directory_iterator{}));
-}
-
-TEST(SocketTransport, MasterStartsNoThread) {
-  // The master reads its sockets inside receive, on the caller's
-  // thread, so no thread of the master's exists at a later fork that
-  // could hold a lock the child needs.
-  const std::size_t before = thread_count();
-  auto transport = make_socket_transport(echo_body());
-  std::vector<TaskId> workers;
-  for (int i = 0; i < 3; ++i) {
-    workers.push_back(transport->spawn_worker());
-    send_ping(*transport, workers.back(), i);
-    EXPECT_EQ(transport->receive().tag, kPong);
-  }
-  EXPECT_EQ(thread_count(), before);
-  for (const TaskId worker : workers) {
-    transport->send_to_worker(worker, kQuit, Packer{});
-  }
-}
-
-/// Receives the next message within a generous deadline.
-Message receive_signal(Transport& transport) {
-  if (auto message = transport.receive_for(5s)) return std::move(*message);
-  throw std::runtime_error("no signal within the deadline");
-}
-
-TEST(SocketTransport, NameIsSocket) {
-  EXPECT_EQ(make_socket_transport(echo_body())->name(), "socket");
-}
-
-TEST(SocketTransport, DyingWorkerIsAnnouncedWithItsExitStatus) {
-  auto transport = make_socket_transport([](WorkerChannel& channel) {
-    (void)channel.receive_from_master();
-    channel.die("unused over sockets");
-  });
-  const TaskId worker = transport->spawn_worker();
-  send_ping(*transport, worker, 1);
-  const Message lost = receive_signal(*transport);
-  EXPECT_EQ(lost.tag, transport_tag::kWorkerLost);
-  EXPECT_EQ(lost.source, worker);
-  // die() is _exit(137), observed by the master as EOF + that status.
-  EXPECT_NE(lost.unpacker().unpack_string().find("exited with status 137"),
-            std::string::npos);
-  EXPECT_FALSE(transport->worker_alive(worker));
-}
-
-TEST(SocketTransport, SigkilledWorkerIsAnnounced) {
-  auto transport = make_socket_transport([](WorkerChannel& channel) {
-    // Report our pid, then wait for work that never comes.
-    Packer packer;
-    packer.pack(static_cast<std::int64_t>(::getpid()));
-    channel.send_to_master(kPong, std::move(packer));
-    for (;;) (void)channel.receive_from_master();
-  });
-  const TaskId worker = transport->spawn_worker();
-  const Message hello = receive_signal(*transport);
-  ASSERT_EQ(hello.tag, kPong);
-  const auto pid =
-      static_cast<pid_t>(hello.unpacker().unpack<std::int64_t>());
-  ::kill(pid, SIGKILL);
-  const Message lost = receive_signal(*transport);
-  EXPECT_EQ(lost.tag, transport_tag::kWorkerLost);
-  EXPECT_EQ(lost.source, worker);
-  EXPECT_NE(lost.unpacker().unpack_string().find("killed by signal 9"),
-            std::string::npos);
-}
-
-TEST(SocketTransport, DisconnectingWorkerIsAnnounced) {
-  auto transport = make_socket_transport([](WorkerChannel& channel) {
-    (void)channel.receive_from_master();
-    channel.disconnect();
-  });
-  const TaskId worker = transport->spawn_worker();
-  send_ping(*transport, worker, 1);
-  const Message lost = receive_signal(*transport);
-  EXPECT_EQ(lost.tag, transport_tag::kWorkerLost);
-  EXPECT_EQ(lost.source, worker);
-}
-
-TEST(SocketTransport, CorruptStreamKillsTheWorker) {
-  auto transport = make_socket_transport(echo_body(FrameFault::kCorrupt));
-  const TaskId worker = transport->spawn_worker();
-  send_ping(*transport, worker, 1);
-  // A corrupt socket stream is unrecoverable: first the typed corruption
-  // report, then the loss of the (killed) worker.
-  const Message corrupt = receive_signal(*transport);
-  EXPECT_EQ(corrupt.tag, transport_tag::kCorruptFrame);
-  EXPECT_EQ(corrupt.source, worker);
-  EXPECT_FALSE(transport->worker_alive(worker));
-  const Message lost = receive_signal(*transport);
-  EXPECT_EQ(lost.tag, transport_tag::kWorkerLost);
-  EXPECT_EQ(lost.source, worker);
-}
-
-TEST(SocketTransport, RetireClosesWithoutAnnouncement) {
-  auto transport = make_socket_transport(echo_body());
-  const TaskId worker = transport->spawn_worker();
-  transport->retire_worker(worker);
-  EXPECT_FALSE(transport->worker_alive(worker));
-  EXPECT_THROW(transport->send_to_worker(worker, kPing, Packer{}),
-               TransportClosed);
-  EXPECT_FALSE(transport->receive_for(200ms).has_value());
-}
-
-TEST(SocketTransport, LargePayloadsSurviveTheStream) {
-  // Bigger than one read() buffer, so reassembly is exercised.
-  auto transport = make_socket_transport([](WorkerChannel& channel) {
-    for (;;) {
-      Message message;
-      try {
-        message = channel.receive_from_master();
-      } catch (const TransportClosed&) {
-        return;
-      }
-      if (message.tag == kQuit) return;
-      auto values =
-          message.unpacker().unpack_vector<std::uint32_t>();
-      for (auto& value : values) value += 1;
-      Packer reply;
-      reply.pack_vector(values);
-      channel.send_to_master(kPong, std::move(reply));
-    }
-  });
-  const TaskId worker = transport->spawn_worker();
-  std::vector<std::uint32_t> values(200000);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<std::uint32_t>(i);
-  }
-  Packer packer;
-  packer.pack_vector(values);
-  transport->send_to_worker(worker, kPing, std::move(packer));
-  const Message reply = receive_signal(*transport);
-  ASSERT_EQ(reply.tag, kPong);
-  const auto result = reply.unpacker().unpack_vector<std::uint32_t>();
-  ASSERT_EQ(result.size(), values.size());
-  EXPECT_EQ(result.front(), 1u);
-  EXPECT_EQ(result.back(), values.back() + 1);
-  transport->send_to_worker(worker, kQuit, Packer{});
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Chaos acceptance for the socket transport (ISSUE 6): a GA run whose
-// evaluation farm lives in forked worker processes, under injected
-// kills, disconnects, corrupt frames, dropped replies, throws, delays,
-// and stale duplicates, must walk the exact trajectory of the serial
-// reference — fault tolerance may cost time, never correctness.
+// Chaos acceptance for the master/slave farm: a GA run whose
+// evaluations go through the farm's slave threads, under injected
+// kills, corrupt replies, dropped replies, throws, delays, and stale
+// duplicates, must walk the exact trajectory of the serial reference —
+// fault tolerance may cost time, never correctness.
 //
-// Set LDGA_CHAOS_SOAK=1 (scripts/check.sh --transport=socket, CI chaos
-// job) to repeat the runs across several injector seeds.
+// Set LDGA_CHAOS_SOAK=1 (scripts/check.sh --soak, CI chaos job) to
+// repeat the runs across several injector seeds.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,7 +17,6 @@
 #include "parallel/fault_injection.hpp"
 #include "parallel/farm_policy.hpp"
 #include "parallel/master_slave.hpp"
-#include "parallel/socket_transport.hpp"
 #include "stats/evaluation_backend.hpp"
 #include "stats/evaluator.hpp"
 #include "test_support.hpp"
@@ -41,8 +40,7 @@ FaultInjector::Config chaos_faults(std::uint64_t seed) {
   faults.throw_probability = 0.1;
   faults.delay_probability = 0.05;
   faults.stale_on_tasks = {0};
-  faults.kill_on_tasks = {1};
-  faults.disconnect_on_tasks = {2};
+  faults.kill_on_tasks = {1, 2};
   faults.corrupt_on_tasks = {3};
   faults.drop_on_tasks = {5};
   return faults;
@@ -62,16 +60,16 @@ parallel::FarmPolicy chaos_policy() {
   return policy;
 }
 
-TEST(TransportChaos, FarmOverSocketsUnderChaosMatchesPlainResults) {
-  // Transport-level sanity before the full GA: a plain numeric farm over
-  // forked workers, with every fault kind injected, still returns the
-  // exact task-ordered results.
+TEST(TransportChaos, FarmUnderChaosMatchesPlainResults) {
+  // Transport-level sanity before the full GA: a plain numeric farm,
+  // with every fault kind injected, still returns the exact task-ordered
+  // results.
   for (int rep = 0; rep < soak_repetitions(); ++rep) {
     auto injector =
         std::make_shared<FaultInjector>(chaos_faults(1000 + static_cast<std::uint64_t>(rep)));
     MasterSlaveFarm<double, double> farm(
         3, [](const double& x) { return x * x + 0.25; }, chaos_policy(),
-        injector, parallel::socket_transport_factory());
+        injector);
     for (int phase = 0; phase < 3; ++phase) {
       std::vector<double> tasks(12);
       std::iota(tasks.begin(), tasks.end(), static_cast<double>(phase));
@@ -83,7 +81,6 @@ TEST(TransportChaos, FarmOverSocketsUnderChaosMatchesPlainResults) {
     }
     // Every scheduled transport fault must actually have fired.
     EXPECT_GT(injector->injected_kills(), 0u);
-    EXPECT_GT(injector->injected_disconnects(), 0u);
     EXPECT_GT(injector->injected_corrupts(), 0u);
     EXPECT_GT(injector->injected_drops(), 0u);
     const auto& stats = farm.stats();
@@ -93,12 +90,11 @@ TEST(TransportChaos, FarmOverSocketsUnderChaosMatchesPlainResults) {
   }
 }
 
-TEST(TransportChaos, GaOverSocketFarmUnderChaosIsBitIdenticalToSerial) {
-  // The Table-2-style acceptance run: 10 GA generations with the
-  // evaluation farm in forked processes over Unix sockets, chaos
-  // injected throughout. Results must be bit-identical to the serial
-  // in-process reference — same best-per-size haplotypes, same
-  // fitnesses, same generation count.
+TEST(TransportChaos, GaOverFarmUnderChaosIsBitIdenticalToSerial) {
+  // The Table-2-style acceptance run: 10 GA generations through the
+  // evaluation farm, chaos injected throughout. Results must be
+  // bit-identical to the serial reference — same best-per-size
+  // haplotypes, same fitnesses, same generation and evaluation counts.
   const auto synthetic = ldga::testing::small_synthetic(12, 2, 321);
 
   ga::GaConfig config;
@@ -124,7 +120,6 @@ TEST(TransportChaos, GaOverSocketFarmUnderChaosIsBitIdenticalToSerial) {
     options.workers = 3;
     options.farm_policy = chaos_policy();
     options.fault_injector = injector;
-    options.transport = stats::FarmTransport::kSocket;
 
     const stats::HaplotypeEvaluator farm_eval(synthetic.dataset);
     ga::GaEngine chaotic(farm_eval, config,
