@@ -1,13 +1,15 @@
 // Micro-benchmarks of the pipeline's moving parts (the DESIGN.md
 // design-choice ablation): packed genotype-pattern enumeration and
 // compiled EM haplotype estimation by size, CLUMP statistics, two-locus
-// LD, the thread pool's balance on a Figure-4-skewed batch, and the
-// GA's variation operators. These identify where the Figure-4
+// LD, the thread pool's balance on a Figure-4-skewed batch, the GA's
+// variation operators, and the CRC-32 that verifies every store and
+// checkpoint read back from disk. These identify where the Figure-4
 // exponential cost actually lives.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "ga/operators.hpp"
@@ -19,6 +21,7 @@
 #include "stats/eh_diall.hpp"
 #include "stats/em_haplotype.hpp"
 #include "stats/em_kernel.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -203,6 +206,21 @@ void BM_UniformCrossover(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UniformCrossover);
+
+// CRC-32 throughput over random bytes: 4 KiB is a checkpoint-sized
+// buffer, 16 MiB a genome-scale store's payload (bytes_per_second is
+// the GB/s a store open verifies at).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+  Rng rng(30);
+  for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(16 << 20);
 
 }  // namespace
 

@@ -15,14 +15,6 @@ namespace ldga::genomics {
 
 class Dataset {
  public:
-  /// Options for Dataset::open.
-  struct OpenOptions {
-    /// Verify the payload CRC when the file is a packed genotype store.
-    bool verify_checksum = true;
-    /// Run validate() on the result (shape/degeneracy checks).
-    bool validate = true;
-  };
-
   Dataset() = default;
   Dataset(SnpPanel panel, GenotypeMatrix genotypes,
           std::vector<Status> statuses);
@@ -30,10 +22,10 @@ class Dataset {
   /// Opens a dataset from any supported on-disk format, dispatching on
   /// content: a packed genotype store (sniffed by magic bytes), a
   /// linkage PED file (".ped" extension; the sibling ".map" is loaded
-  /// alongside), or the native individuals-table text. Throws DataError
-  /// naming the format and the failing property.
-  static Dataset open(const std::string& path, const OpenOptions& options);
-  static Dataset open(const std::string& path) { return open(path, {}); }
+  /// alongside), or the native individuals-table text, then validates
+  /// the result. Throws DataError naming the format and the failing
+  /// property.
+  static Dataset open(const std::string& path);
 
   const SnpPanel& panel() const { return panel_; }
   const GenotypeMatrix& genotypes() const { return genotypes_; }

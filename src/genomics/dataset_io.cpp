@@ -150,7 +150,7 @@ Dataset load_dataset(const std::string& path) {
   return read_dataset(in);
 }
 
-Dataset Dataset::open(const std::string& path, const OpenOptions& options) {
+Dataset Dataset::open(const std::string& path) {
   // Sniff the format by content first (magic bytes), by name second.
   std::array<char, 8> head{};
   {
@@ -160,9 +160,7 @@ Dataset Dataset::open(const std::string& path, const OpenOptions& options) {
   }
   Dataset dataset;
   if (std::string_view(head.data(), head.size()) == "LDGAPGS1") {
-    PackedGenotypeStore::OpenOptions store_options;
-    store_options.verify_checksum = options.verify_checksum;
-    dataset = PackedGenotypeStore::open(path, store_options).to_dataset();
+    dataset = PackedGenotypeStore::open(path).to_dataset();
   } else if (std::filesystem::path(path).extension() == ".ped") {
     const std::string map_path =
         std::filesystem::path(path).replace_extension(".map").string();
@@ -170,7 +168,7 @@ Dataset Dataset::open(const std::string& path, const OpenOptions& options) {
   } else {
     dataset = load_dataset(path);
   }
-  if (options.validate) dataset.validate();
+  dataset.validate();
   return dataset;
 }
 

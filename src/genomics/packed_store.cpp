@@ -144,8 +144,7 @@ std::span<const std::uint8_t> bytes_of(const void* base, std::uint64_t offset,
 // ---------------------------------------------------------------------------
 // Reader
 
-PackedGenotypeStore PackedGenotypeStore::open(const std::string& path,
-                                              const OpenOptions& options) {
+PackedGenotypeStore PackedGenotypeStore::open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     throw DataError("packed store: cannot open '" + path + "': " +
@@ -223,15 +222,13 @@ PackedGenotypeStore PackedGenotypeStore::open(const std::string& path,
   store.chunk_snps_ = header.chunk_snps;
 
   const std::uint64_t meta_offset = header.planes_offset + header.planes_bytes;
-  if (options.verify_checksum) {
-    std::uint32_t crc = util::crc32(
-        bytes_of(map, header.planes_offset, header.planes_bytes));
-    crc = util::crc32(bytes_of(map, meta_offset, header.meta_bytes), crc);
-    if (crc != header.payload_crc) {
-      throw DataError("packed store: " + path +
-                      " failed its payload CRC (corrupt plane or metadata "
-                      "bytes)");
-    }
+  std::uint32_t crc = util::crc32(
+      bytes_of(map, header.planes_offset, header.planes_bytes));
+  crc = util::crc32(bytes_of(map, meta_offset, header.meta_bytes), crc);
+  if (crc != header.payload_crc) {
+    throw DataError("packed store: " + path +
+                    " failed its payload CRC (corrupt plane or metadata "
+                    "bytes)");
   }
 
   // Metadata: statuses, then the marker table.

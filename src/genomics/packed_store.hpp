@@ -52,21 +52,10 @@ class PackedGenotypeStore final : public GenotypeStore {
  public:
   static constexpr std::uint32_t kVersion = 1;
 
-  struct OpenOptions {
-    /// Verify the payload CRC at open (one sequential pass over the
-    /// file). Off skips the pass — the header seal is always checked —
-    /// for latency-sensitive re-opens of a store verified before.
-    bool verify_checksum = true;
-  };
-
   /// Maps `path` read-only after validating magic, version, header
-  /// seal, size (truncation) and — per options — the payload CRC.
-  /// Throws DataError with the failing property named.
-  static PackedGenotypeStore open(const std::string& path,
-                                  const OpenOptions& options);
-  static PackedGenotypeStore open(const std::string& path) {
-    return open(path, OpenOptions{});
-  }
+  /// seal, size (truncation) and the payload CRC (one sequential pass
+  /// over the file). Throws DataError with the failing property named.
+  static PackedGenotypeStore open(const std::string& path);
 
   PackedGenotypeStore(PackedGenotypeStore&& other) noexcept;
   PackedGenotypeStore& operator=(PackedGenotypeStore&& other) noexcept;

@@ -474,17 +474,24 @@ class MasterSlaveFarm {
       }
       if (reply.tag == transport_tag::kCorruptFrame) {
         // Only the one reply was damaged, the worker is fine — treat it
-        // like an error reply for its in-flight task.
+        // like an error reply for the task it answered. The notice
+        // carries that reply's phase and index after its reason, so one
+        // from an aborted phase, or for a task this slave no longer
+        // holds, is stale like any other old reply.
         ++stats_.corrupt_frames;
         Unpacker unpacker = reply.unpacker();
-        const std::string detail = unpacker.unpack_string();
-        if (slave.busy_task) {
-          const std::size_t index = *slave.busy_task;
-          slave.busy_task.reset();
-          --outstanding;
-          fail_attempt(index, rank, detail);
-          handle_slave_failure(rank);
+        std::string detail = unpacker.unpack_string();
+        const auto reply_phase = unpacker.unpack<std::uint64_t>();
+        const auto index =
+            static_cast<std::size_t>(unpacker.unpack<std::uint64_t>());
+        if (reply_phase != phase || slave.busy_task != index) {
+          ++stats_.stale_discarded;
+          continue;
         }
+        slave.busy_task.reset();
+        --outstanding;
+        fail_attempt(index, rank, std::move(detail));
+        handle_slave_failure(rank);
         continue;
       }
 

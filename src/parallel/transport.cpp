@@ -5,6 +5,7 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "parallel/mailbox.hpp"
 #include "util/error.hpp"
@@ -43,13 +44,18 @@ class InProcessChannel final : public WorkerChannel {
         break;
       case FrameFault::kDrop:
         return;
-      case FrameFault::kCorrupt:
+      case FrameFault::kCorrupt: {
         // Nothing crosses a wire, so no check can fail: deliver the
-        // notice of a damaged reply in its place.
+        // notice of a damaged reply in its place, the reply's payload
+        // after the reason.
         message = control_message(id_, transport_tag::kCorruptFrame,
                                   "reply from worker " + std::to_string(id_) +
                                       " arrived corrupt (injected fault)");
+        const std::vector<std::uint8_t> reply = std::move(payload).take();
+        message.payload.insert(message.payload.end(), reply.begin(),
+                               reply.end());
         break;
+      }
     }
     if (!master_.deliver(std::move(message))) {
       throw TransportClosed("send to master failed: mailbox closed");
@@ -135,12 +141,6 @@ class InProcessTransport final : public Transport {
     return master_.receive_for(timeout);
   }
 
-  bool worker_alive(TaskId worker) const override {
-    std::lock_guard lock(mutex_);
-    const auto it = workers_.find(worker);
-    return it != workers_.end() && !it->second.exited && !it->second.retired;
-  }
-
   void retire_worker(TaskId worker) override {
     std::lock_guard lock(mutex_);
     const auto it = workers_.find(worker);
@@ -150,8 +150,6 @@ class InProcessTransport final : public Transport {
     // thread then returns and is joined at destruction.
     it->second.inbox.close();
   }
-
-  std::string_view name() const override { return "in-process"; }
 
  private:
   struct Worker {
@@ -198,7 +196,7 @@ class InProcessTransport final : public Transport {
 
   WorkerBody body_;
   Mailbox master_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::unordered_map<TaskId, Worker> workers_;
   TaskId next_id_ = 1;
   bool shutting_down_ = false;

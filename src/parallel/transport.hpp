@@ -21,7 +21,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "parallel/message.hpp"
 #include "parallel/transport_error.hpp"
@@ -37,9 +36,10 @@ namespace transport_tag {
 /// per worker incarnation.
 inline constexpr std::int32_t kWorkerLost = -101;
 /// A reply from the worker arrived corrupt. Payload: one packed string
-/// saying why. Only an injected FrameFault::kCorrupt produces it: one
-/// reply is damaged, and the worker stays healthy and may be sent
-/// further work.
+/// saying why, followed by the damaged reply's own payload, so the
+/// receiver can tell which request it answered. Only an injected
+/// FrameFault::kCorrupt produces it: one reply is damaged, and the
+/// worker stays healthy and may be sent further work.
 inline constexpr std::int32_t kCorruptFrame = -102;
 }  // namespace transport_tag
 
@@ -113,16 +113,11 @@ class Transport {
   virtual std::optional<Message> receive_for(
       std::chrono::milliseconds timeout) = 0;
 
-  /// True while the worker is believed able to accept and answer work.
-  virtual bool worker_alive(TaskId worker) const = 0;
-
   /// Force-retires a worker: its mailbox is closed, no kWorkerLost
   /// will be synthesized for it, and sends to it fail.
   /// Idempotent; unknown ids are ignored. Used for quarantine and for
   /// workers declared dead by deadline.
   virtual void retire_worker(TaskId worker) = 0;
-
-  virtual std::string_view name() const = 0;
 };
 
 /// Workers are threads of this process, each with its own Mailbox;

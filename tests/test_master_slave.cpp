@@ -420,6 +420,37 @@ TEST(FarmFaultTolerance, CorruptReplyIsRetriedOnTheLivingWorker) {
   EXPECT_EQ(farm.healthy_slave_count(), 2u);
 }
 
+TEST(FarmFaultTolerance, CorruptNoticeFromAnAbortedPhaseIsStale) {
+  // Phase 1 hits its deadline while task 2 is still computing; that
+  // task's reply is damaged and its notice arrives during phase 2,
+  // while the same slave holds a phase-2 task. The notice names phase 1,
+  // so it is discarded like any stale reply instead of failing the
+  // phase-2 task it was never about.
+  FaultInjector::Config faults;
+  faults.corrupt_on_tasks = {2};
+  auto injector = std::make_shared<FaultInjector>(faults);
+  FarmPolicy policy;
+  policy.max_task_retries = 0;
+  policy.phase_deadline = std::chrono::milliseconds(80);
+  MasterSlaveFarm<double, double> farm(
+      2,
+      [](const double& x) {
+        if (x == 2.0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        }
+        return x * 10.0;
+      },
+      policy, injector);
+  EXPECT_THROW(farm.run(std::vector<double>{0.0, 1.0, 2.0}), FarmPhaseError);
+  // Each slave takes one phase-2 task, and the sleeping slave's answer
+  // queues behind its notice, so phase 2 cannot end before reading it.
+  const auto results = farm.run(std::vector<double>{3.0, 4.0});
+  EXPECT_DOUBLE_EQ(results[0], 30.0);
+  EXPECT_DOUBLE_EQ(results[1], 40.0);
+  EXPECT_EQ(injector->injected_corrupts(), 1u);
+  EXPECT_EQ(farm.stats().corrupt_frames, 1u);
+}
+
 TEST(FarmFaultTolerance, DroppedReplyRecoversViaTaskDeadline) {
   // Without a deadline a dropped reply would hang the phase forever;
   // with one, the silent worker is declared lost and the task requeued.

@@ -1,5 +1,5 @@
-// The transport layer in isolation: CRC-32 and the in-process
-// transport's worker-loss machinery.
+// The in-process transport in isolation: message delivery, addressing,
+// and its worker-loss and damaged-reply machinery.
 #include "parallel/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -10,53 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "util/crc32.hpp"
-
 namespace ldga::parallel {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::vector<std::uint8_t> bytes_of(const std::string& text) {
-  return {text.begin(), text.end()};
-}
-
-// ---- CRC-32 ----------------------------------------------------------
-
-TEST(Crc32, MatchesTheIeeeCheckValue) {
-  // The standard check value for CRC-32/ISO-HDLC: crc("123456789").
-  EXPECT_EQ(util::crc32(bytes_of("123456789")), 0xCBF43926u);
-}
-
-TEST(Crc32, EmptyInputIsZero) {
-  EXPECT_EQ(util::crc32(std::vector<std::uint8_t>{}), 0u);
-}
-
-TEST(Crc32, IncrementalFeedingMatchesOneShot) {
-  const auto data = bytes_of("linkage disequilibrium");
-  const auto whole = util::crc32(data);
-  for (std::size_t split = 0; split <= data.size(); ++split) {
-    const auto first = util::crc32(
-        std::span<const std::uint8_t>(data.data(), split));
-    const auto second = util::crc32(
-        std::span<const std::uint8_t>(data.data() + split,
-                                      data.size() - split),
-        first);
-    EXPECT_EQ(second, whole) << "split at " << split;
-  }
-}
-
-TEST(Crc32, DetectsSingleBitFlips) {
-  auto data = bytes_of("payload");
-  const auto clean = util::crc32(data);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] ^= 1u;
-    EXPECT_NE(util::crc32(data), clean) << "flip at " << i;
-    data[i] ^= 1u;
-  }
-}
-
-// ---- in-process transport --------------------------------------------
 
 constexpr std::int32_t kPing = 1;
 constexpr std::int32_t kPong = 2;
@@ -89,9 +46,17 @@ void send_ping(Transport& transport, TaskId worker, std::int32_t value) {
   transport.send_to_worker(worker, kPing, std::move(packer));
 }
 
+/// A live echo worker answers a ping, and the answer names it.
+void expect_round_trip(Transport& transport, TaskId worker) {
+  send_ping(transport, worker, 7);
+  const Message reply = transport.receive();
+  EXPECT_EQ(reply.tag, kPong);
+  EXPECT_EQ(reply.source, worker);
+  EXPECT_EQ(reply.unpacker().unpack<std::int32_t>(), 14);
+}
+
 TEST(InProcessTransport, EchoAcrossSeveralWorkers) {
   auto transport = make_in_process_transport(echo_body());
-  EXPECT_EQ(transport->name(), "in-process");
   std::vector<TaskId> workers;
   for (int i = 0; i < 3; ++i) workers.push_back(transport->spawn_worker());
   for (std::size_t i = 0; i < workers.size(); ++i) {
@@ -101,10 +66,11 @@ TEST(InProcessTransport, EchoAcrossSeveralWorkers) {
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const Message reply = transport->receive();
     EXPECT_EQ(reply.tag, kPong);
-    EXPECT_TRUE(transport->worker_alive(reply.source));
     sum += reply.unpacker().unpack<std::int32_t>();
   }
   EXPECT_EQ(sum, 2 * (10 + 11 + 12));
+  // Every worker that answered is still serving.
+  for (const TaskId worker : workers) expect_round_trip(*transport, worker);
   for (const TaskId worker : workers) {
     transport->send_to_worker(worker, kQuit, Packer{});
   }
@@ -134,7 +100,6 @@ TEST(InProcessTransport, WorkerBodyEscapeBecomesWorkerLost) {
   EXPECT_EQ(lost.source, worker);
   const std::string reason = lost.unpacker().unpack_string();
   EXPECT_NE(reason.find("evaluator blew up"), std::string::npos);
-  EXPECT_FALSE(transport->worker_alive(worker));
   EXPECT_THROW(transport->send_to_worker(worker, kPing, Packer{}),
                TransportClosed);
 }
@@ -156,7 +121,6 @@ TEST(InProcessTransport, RetiredWorkerIsSilencedNotAnnounced) {
   auto transport = make_in_process_transport(echo_body());
   const TaskId worker = transport->spawn_worker();
   transport->retire_worker(worker);
-  EXPECT_FALSE(transport->worker_alive(worker));
   EXPECT_THROW(transport->send_to_worker(worker, kPing, Packer{}),
                TransportClosed);
   // The worker saw its mailbox close and exited *gracefully*: no
@@ -171,13 +135,15 @@ TEST(InProcessTransport, CorruptReplySurfacesAsCorruptFrame) {
   const Message corrupt = transport->receive();
   EXPECT_EQ(corrupt.tag, transport_tag::kCorruptFrame);
   EXPECT_EQ(corrupt.source, worker);
+  // The notice carries the damaged reply's own payload after its
+  // reason, so the receiver can tell which request it answered.
+  Unpacker notice = corrupt.unpacker();
+  EXPECT_FALSE(notice.unpack_string().empty());
+  EXPECT_EQ(notice.unpack<std::int32_t>(), 42);
+  EXPECT_TRUE(notice.exhausted());
   // In-process, only the one message was damaged — the worker survives
   // and the next exchange is clean.
-  EXPECT_TRUE(transport->worker_alive(worker));
-  send_ping(*transport, worker, 5);
-  const Message reply = transport->receive();
-  EXPECT_EQ(reply.tag, kPong);
-  EXPECT_EQ(reply.unpacker().unpack<std::int32_t>(), 10);
+  expect_round_trip(*transport, worker);
   transport->send_to_worker(worker, kQuit, Packer{});
 }
 
@@ -216,7 +182,7 @@ TEST(InProcessTransport, SendToAnUnspawnedIdThrows) {
                TransportError);
   EXPECT_THROW(transport->send_to_worker(kMasterTask, kPing, Packer{}),
                TransportError);
-  EXPECT_TRUE(transport->worker_alive(worker));
+  expect_round_trip(*transport, worker);
   transport->send_to_worker(worker, kQuit, Packer{});
 }
 
