@@ -7,12 +7,11 @@
 #   scripts/check.sh thread         # TSan build + ctest (parallel tests)
 #   scripts/check.sh all            # plain, then address, then thread
 #
-# Add --soak (any position) to soak the master/slave farm, its
-# transport and the asynchronous island engine instead of the whole
-# suite: the farm/chaos/island tests run with LDGA_CHAOS_SOAK=1, which
-# multiplies the chaos-GA repetitions so respawn, requeue,
-# corrupt-reply recovery, and straggler-chaos convergence to the
-# planted haplotype get exercised hard.
+# Add --soak (any position) to soak the master/slave farm and the
+# asynchronous island engine instead of the whole suite: the
+# farm/chaos/island tests run with LDGA_CHAOS_SOAK=1, which multiplies
+# the chaos-GA repetitions so respawn, requeue, and straggler-chaos
+# convergence to the planted haplotype get exercised hard.
 #
 #   scripts/check.sh --soak          # plain chaos soak
 #   scripts/check.sh thread --soak   # chaos soak under TSan
@@ -58,7 +57,7 @@ run_mode() {
     echo "== ${mode}: chaos-soaking the farm and the island engine"
     LDGA_CHAOS_SOAK=1 ctest --test-dir "${dir}" --output-on-failure \
       -j "$(nproc)" --timeout "${TEST_TIMEOUT}" \
-      -R 'Transport|Chaos|MasterSlave|FarmFaultTolerance|BackendConformance|Mailbox|Crc32|MigrationRouter|Island|EvaluationStream|Straggler'
+      -R 'Chaos|MasterSlave|FarmFaultTolerance|BackendConformance|Mailbox|MigrationRouter|Island|EvaluationStream|Straggler'
   else
     echo "== ${mode}: testing"
     ctest --test-dir "${dir}" --output-on-failure -j "$(nproc)" \

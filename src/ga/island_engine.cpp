@@ -837,7 +837,6 @@ IslandRunResult IslandEngine::run() {
   stats::EvaluationStreamConfig stream_config;
   stream_config.lanes = config_.lanes;
   stream_config.max_coalesce = config_.max_coalesce;
-  stream_config.farm_policy = config_.farm_policy;
   stream_config.fault_injector = config_.fault_injector;
   stats::EvaluationStream stream(*evaluator_, island_count,
                                  std::move(stream_config));

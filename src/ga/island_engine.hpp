@@ -77,9 +77,8 @@ struct IslandConfig {
   /// How long an island blocks waiting for completions when it has
   /// nothing else to do.
   std::chrono::milliseconds poll_timeout{2};
-  /// Retry ladder and optional fault injection for the evaluation
-  /// lanes (the coordinates a straggler schedule reproduces under).
-  parallel::FarmPolicy farm_policy;
+  /// Optional fault injection for the evaluation lanes (the
+  /// coordinates a straggler schedule reproduces under).
   std::shared_ptr<parallel::FaultInjector> fault_injector;
 
   void validate() const;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -103,6 +104,23 @@ class FarmPhaseError : public ParallelError {
   std::vector<TaskAttempt> attempts_;
 };
 
+/// Appends one failed attempt to a task's history. Once the history
+/// holds more than `max_task_retries` attempts the task is out of
+/// retries: throws FarmPhaseError naming the task and its last error,
+/// with the whole history.
+inline void record_failed_attempt(std::vector<TaskAttempt>& history,
+                                  TaskAttempt attempt,
+                                  std::uint32_t max_task_retries,
+                                  std::uint64_t phase, std::size_t index) {
+  history.push_back(std::move(attempt));
+  if (history.size() <= max_task_retries) return;
+  std::string what = "phase " + std::to_string(phase) + " task " +
+                     std::to_string(index) + " failed " +
+                     std::to_string(history.size()) +
+                     " time(s): " + history.back().message;
+  throw FarmPhaseError(what, phase, index, std::move(history));
+}
+
 /// Farm health and throughput counters, cumulative across phases.
 struct FarmStats {
   /// Work items completed by each slave (index = slave *rank*; a rank
@@ -115,7 +133,6 @@ struct FarmStats {
   std::uint64_t respawns = 0;         ///< replacement slaves spawned
   std::uint64_t stale_discarded = 0;  ///< replies from other phases dropped
   std::uint64_t worker_losses = 0;    ///< crashes/kills/deadlines
-  std::uint64_t corrupt_frames = 0;   ///< replies that arrived corrupt
   std::uint64_t master_degraded_tasks = 0;  ///< tasks run on the master
 };
 

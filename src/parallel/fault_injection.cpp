@@ -96,9 +96,6 @@ FaultDecision FaultInjector::decide(std::uint64_t phase,
     decision.kind = FaultDecision::Kind::kStaleReply;
   } else if (attempt == 0 && scheduled(config_.drop_on_tasks, task_index)) {
     decision.kind = FaultDecision::Kind::kDropReply;
-  } else if (attempt == 0 &&
-             scheduled(config_.corrupt_on_tasks, task_index)) {
-    decision.kind = FaultDecision::Kind::kCorruptReply;
   } else if (attempt == 0 && scheduled(config_.kill_on_tasks, task_index)) {
     decision.kind = FaultDecision::Kind::kKillWorker;
   } else {
@@ -142,9 +139,6 @@ FaultDecision FaultInjector::decide(std::uint64_t phase,
     case FaultDecision::Kind::kDropReply:
       drops_.fetch_add(1);
       break;
-    case FaultDecision::Kind::kCorruptReply:
-      corrupts_.fetch_add(1);
-      break;
     case FaultDecision::Kind::kKillWorker:
       kills_.fetch_add(1);
       break;
@@ -163,11 +157,10 @@ void FaultInjector::apply_before_work(const FaultDecision& decision) {
       break;
     case FaultDecision::Kind::kStaleReply:
     case FaultDecision::Kind::kNone:
-    // Transport faults need a transport; without a farm (the in-process
+    // Slave faults need a slave; without a farm (the in-process
     // backend, the stream's lanes) there is no reply to drop, so they
     // degrade to no-ops rather than faking a different failure mode.
     case FaultDecision::Kind::kDropReply:
-    case FaultDecision::Kind::kCorruptReply:
     case FaultDecision::Kind::kKillWorker:
       break;
   }

@@ -9,10 +9,10 @@
 //
 // Two ways to use it:
 //   - hand a shared_ptr to MasterSlaveFarm: the *master* consults
-//     decide() at dispatch time and ships the directive inside the work
-//     message, so attempt tracking stays global across slaves (enables
-//     stale replies and transport faults: dropped or corrupted replies
-//     and worker kills);
+//     decide() at dispatch time and ships the decision inside the work
+//     item, so attempt tracking stays global across slaves (enables
+//     stale replies and the slave faults: dropped replies and slave
+//     kills);
 //   - without a farm (stats::RetryLadder, behind the in-process backend
 //     and the EvaluationStream's lanes): the scoring thread calls decide()
 //     then apply_before_work() before each attempt, at (batch phase,
@@ -38,10 +38,9 @@ struct FaultDecision {
     kThrow,        ///< raise FaultInjected instead of computing
     kDelay,        ///< sleep, then compute normally
     kStaleReply,   ///< send a wrong-phase duplicate, then reply normally
-    // Transport faults (exercise the loss-detection machinery; only
-    // meaningful on a farm, where the directive reaches the worker):
+    // Slave faults (exercise the loss-detection machinery; only
+    // meaningful on a farm, where the decision reaches a slave):
     kDropReply,    ///< compute, then never send the reply
-    kCorruptReply, ///< compute, then send a reply that arrives corrupt
     kKillWorker,   ///< die instantly, mid-protocol (SIGKILL-equivalent)
   };
   Kind kind = Kind::kNone;
@@ -49,8 +48,8 @@ struct FaultDecision {
 };
 
 /// The exception surfaced by injected throws; derives from
-/// std::runtime_error so it crosses the farm's kError path like any
-/// real worker failure.
+/// std::runtime_error so it reaches the farm's master as an error reply,
+/// like any real worker failure.
 class FaultInjected : public std::runtime_error {
  public:
   explicit FaultInjected(const std::string& what)
@@ -71,9 +70,8 @@ class FaultInjector {
     /// indices (every phase), so a retry always recovers.
     std::vector<std::uint64_t> throw_on_tasks;
     std::vector<std::uint64_t> stale_on_tasks;
-    /// Transport-fault schedules, same first-attempt semantics.
+    /// Slave-fault schedules, same first-attempt semantics.
     std::vector<std::uint64_t> drop_on_tasks;
-    std::vector<std::uint64_t> corrupt_on_tasks;
     std::vector<std::uint64_t> kill_on_tasks;
 
     /// Heavy-tailed "straggler" delays: with this probability an
@@ -120,7 +118,6 @@ class FaultInjector {
   }
   std::uint64_t injected_stales() const { return stales_.load(); }
   std::uint64_t injected_drops() const { return drops_.load(); }
-  std::uint64_t injected_corrupts() const { return corrupts_.load(); }
   std::uint64_t injected_kills() const { return kills_.load(); }
 
  private:
@@ -134,7 +131,6 @@ class FaultInjector {
   std::atomic<std::uint64_t> straggler_ms_{0};
   std::atomic<std::uint64_t> stales_{0};
   std::atomic<std::uint64_t> drops_{0};
-  std::atomic<std::uint64_t> corrupts_{0};
   std::atomic<std::uint64_t> kills_{0};
 };
 

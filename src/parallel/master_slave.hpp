@@ -5,27 +5,27 @@
 // phase is a synchronization point (the GA generation cannot proceed
 // until every individual is scored).
 //
-// The farm is generic over (Task, Result); both must be round-trippable
-// through the wire format via the farm_pack / farm_unpack customization
-// points below, which keeps the discipline honest: everything that
-// crosses the master/slave boundary is serialized, exactly as it would
-// be over PVM. Messages travel through the transport (transport.hpp):
-// slave threads, each with its own in-memory mailbox.
+// The farm owns its slaves: each is a thread of this process that reads
+// its own Mailbox of work items, and every slave posts its replies to
+// the master's one Mailbox. Master and slaves share no mutable state;
+// work and replies cross by value, typed at compile time, where PVM's
+// pvm_send / pvm_recv move packed buffers between processes. Closing a
+// slave's inbox is its shutdown.
 //
 // Fault tolerance (FarmPolicy): a failed evaluation is retried on a
 // different slave; a slave that fails repeatedly is quarantined and
-// optionally respawned; a worker that dies or blows its per-task
+// optionally respawned; a slave that dies or blows its per-task
 // deadline is declared lost, its in-flight task requeued, and a
 // replacement respawned after an exponential backoff; when every
-// worker is gone the farm can degrade to computing on the master
+// slave is gone the farm can degrade to computing on the master
 // itself (degrade_to_master). The phase aborts with FarmPhaseError —
 // carrying the failing task index and its attempt history — only when
 // a task exhausts its retries, no healthy slave remains (and
 // degradation is off), or the optional phase deadline expires. A
 // deterministic FaultInjector can be attached to drive every one of
 // those paths in tests; its decisions are taken by the master at
-// dispatch time and shipped inside the work message, so attempt
-// tracking stays global across slaves.
+// dispatch time and shipped inside the work item, so attempt tracking
+// stays global across slaves.
 #pragma once
 
 #include <algorithm>
@@ -37,48 +37,17 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "parallel/farm_policy.hpp"
 #include "parallel/fault_injection.hpp"
-#include "parallel/transport.hpp"
+#include "parallel/mailbox.hpp"
 #include "util/error.hpp"
 
 namespace ldga::parallel {
-
-// ---- wire customization points -------------------------------------
-// Overloads for the payload shapes the library needs; extend by adding
-// overloads in the payload type's namespace (found by ADL) or here.
-
-template <WireScalar T>
-void farm_pack(Packer& packer, const T& value) {
-  packer.pack(value);
-}
-template <WireScalar T>
-void farm_unpack(Unpacker& unpacker, T& value) {
-  value = unpacker.unpack<T>();
-}
-
-template <WireScalar T>
-void farm_pack(Packer& packer, const std::vector<T>& value) {
-  packer.pack_vector(value);
-}
-template <WireScalar T>
-void farm_unpack(Unpacker& unpacker, std::vector<T>& value) {
-  value = unpacker.unpack_vector<T>();
-}
-
-// ----------------------------------------------------------------------
-
-/// Message tags of the farm protocol.
-namespace farm_tag {
-inline constexpr std::int32_t kWork = 1;
-inline constexpr std::int32_t kResult = 2;
-inline constexpr std::int32_t kShutdown = 3;
-inline constexpr std::int32_t kError = 4;  ///< body = phase + index + what()
-}  // namespace farm_tag
 
 template <typename Task, typename Result>
 class MasterSlaveFarm {
@@ -99,31 +68,20 @@ class MasterSlaveFarm {
     LDGA_EXPECTS(slave_count >= 1);
     LDGA_EXPECTS(worker_ != nullptr);
     policy_.validate();
-    transport_ = make_in_process_transport(
-        [worker = worker_](WorkerChannel& channel) {
-          slave_loop(channel, worker);
-        });
     stats_.per_slave_tasks.assign(slave_count, 0);
     slaves_.resize(slave_count);
-    for (std::uint32_t rank = 0; rank < slave_count; ++rank) {
-      attach(rank, transport_->spawn_worker());
+    const auto now = Clock::now();
+    try {
+      for (std::uint32_t rank = 0; rank < slave_count; ++rank) {
+        start(rank, now);
+      }
+    } catch (...) {
+      shut_down();  // no destructor runs for a half-built farm
+      throw;
     }
-    healthy_ = slave_count;
   }
 
-  ~MasterSlaveFarm() {
-    // Orderly shutdown: each live slave exits its loop on kShutdown;
-    // retired/lost/quarantined workers are already gone, and the
-    // transport destructor joins whatever remains.
-    for (const auto& slave : slaves_) {
-      if (slave.quarantined || slave.lost) continue;
-      try {
-        transport_->send_to_worker(slave.id, farm_tag::kShutdown, Packer{});
-      } catch (const ParallelError&) {
-        // Worker or machine already gone; the transport cleans up.
-      }
-    }
-  }
+  ~MasterSlaveFarm() { shut_down(); }
 
   MasterSlaveFarm(const MasterSlaveFarm&) = delete;
   MasterSlaveFarm& operator=(const MasterSlaveFarm&) = delete;
@@ -131,7 +89,11 @@ class MasterSlaveFarm {
   std::uint32_t slave_count() const {
     return static_cast<std::uint32_t>(slaves_.size());
   }
-  std::uint32_t healthy_slave_count() const { return healthy_; }
+  std::uint32_t healthy_slave_count() const {
+    return static_cast<std::uint32_t>(
+        std::count_if(slaves_.begin(), slaves_.end(),
+                      [](const Slave& slave) { return slave.in_service(); }));
+  }
 
   /// One synchronous evaluation phase: scores every task, returning
   /// results in task order. Dynamic (first-free-slave) scheduling with
@@ -142,7 +104,6 @@ class MasterSlaveFarm {
   /// for further phases (stale replies from the failed phase are
   /// identified by a phase counter and discarded).
   std::vector<Result> run(std::span<const Task> tasks) {
-    using Clock = std::chrono::steady_clock;
     const std::uint64_t phase = ++phase_counter_;
     std::vector<Result> results(tasks.size());
     if (tasks.empty()) {
@@ -166,9 +127,7 @@ class MasterSlaveFarm {
       // In-flight work from an aborted earlier phase is forgotten; any
       // late replies are discarded below by their phase stamp.
       slaves_[rank].busy_task.reset();
-      if (!slaves_[rank].quarantined && !slaves_[rank].lost) {
-        idle.push_back(rank);
-      }
+      if (slaves_[rank].in_service()) idle.push_back(rank);
     }
     std::size_t next = 0;
     std::size_t outstanding = 0;
@@ -179,33 +138,20 @@ class MasterSlaveFarm {
     auto fail_attempt = [&](std::size_t index, std::uint32_t rank,
                             std::string message) {
       ++stats_.failures;
-      attempts[index].push_back({rank, std::move(message)});
-      if (attempts[index].size() >
-          static_cast<std::size_t>(policy_.max_task_retries)) {
-        // Build the message before moving the attempt history: the
-        // constructor's by-value parameter may otherwise be
-        // materialized first, leaving back() dangling.
-        std::string what =
-            "MasterSlaveFarm: task " + std::to_string(index) +
-            " failed on " + std::to_string(attempts[index].size()) +
-            " slave(s): " + attempts[index].back().message;
-        throw FarmPhaseError(std::move(what), phase, index,
-                             std::move(attempts[index]));
-      }
+      record_failed_attempt(attempts[index], {rank, std::move(message)},
+                            policy_.max_task_retries, phase, index);
       retry.push_back({index, rank});
     };
 
-    auto schedule_respawn = [&](std::uint32_t rank, Clock::time_point now) {
-      auto& slave = slaves_[rank];
-      slave.lost = true;
-      const std::uint32_t shift = std::min(
-          slave.loss_streak > 0 ? slave.loss_streak - 1 : 0u, 10u);
-      slave.respawn_due =
-          now + std::min(policy_.respawn_backoff * (1u << shift),
-                         policy_.respawn_backoff_cap);
+    // Brings a lost or quarantined rank back with a fresh slave; a
+    // thread that fails to start leaves the rank on the backoff ladder.
+    auto respawn = [&](std::uint32_t rank, Clock::time_point now) {
+      if (!start(rank, now)) return;
+      ++stats_.respawns;
+      idle.push_back(rank);
     };
 
-    // A worker is gone (killed, or past its task deadline): retire it,
+    // A slave is gone (killed, or past its task deadline): retire it,
     // requeue its in-flight task as a failed attempt, and run the
     // quarantine/respawn ladder. Losses always need a respawn (unlike
     // error replies, where the slave itself survives), so a lost rank
@@ -213,25 +159,18 @@ class MasterSlaveFarm {
     // exponential backoff so a crash-looping rank cannot spin.
     auto declare_lost = [&](std::uint32_t rank, const std::string& reason,
                             Clock::time_point now) {
-      auto& slave = slaves_[rank];
-      if (slave.quarantined || slave.lost) return;
+      Slave& slave = slaves_[rank];
+      if (!slave.in_service()) return;
       ++stats_.worker_losses;
-      transport_->retire_worker(slave.id);
-      rank_by_task_.erase(slave.id);
+      retire(rank);
       idle.erase(std::remove(idle.begin(), idle.end(), rank), idle.end());
-      --healthy_;
       ++slave.loss_streak;
       if (++slave.consecutive_failures >= policy_.quarantine_after) {
         ++stats_.quarantines;
         slave.consecutive_failures = 0;
-        if (policy_.respawn_quarantined) {
-          schedule_respawn(rank, now);
-        } else {
-          slave.quarantined = true;
-        }
-      } else {
-        schedule_respawn(rank, now);
+        slave.quarantined = !policy_.respawn_quarantined;
       }
+      if (!slave.quarantined) schedule_respawn(rank, now);
       if (slave.busy_task) {
         const std::size_t index = *slave.busy_task;
         slave.busy_task.reset();
@@ -242,35 +181,27 @@ class MasterSlaveFarm {
 
     auto perform_due_respawns = [&](Clock::time_point now) {
       for (std::uint32_t rank = 0; rank < slaves_.size(); ++rank) {
-        auto& slave = slaves_[rank];
-        if (!slave.lost || now < slave.respawn_due) continue;
-        try {
-          attach(rank, transport_->spawn_worker());
-        } catch (const SpawnError&) {
-          ++slave.loss_streak;
-          schedule_respawn(rank, now);
-          continue;
+        if (slaves_[rank].lost && now >= slaves_[rank].respawn_due) {
+          respawn(rank, now);
         }
-        slave.lost = false;
-        ++healthy_;
-        ++stats_.respawns;
-        idle.push_back(rank);
       }
     };
 
     // False when the chosen slave turned out to be dead at dispatch
     // (the task is then not in flight and the slave enters the loss
-    // ladder).
+    // ladder). The fault decision is taken here, master-side, for
+    // global attempt tracking, and executed by the slave.
     auto send_one = [&](std::uint32_t rank, std::size_t index) -> bool {
-      try {
-        send_work(slaves_[rank].id, phase, index, tasks[index]);
-      } catch (const TransportError& error) {
-        declare_lost(rank, std::string("dispatch failed: ") + error.what(),
+      Slave& slave = slaves_[rank];
+      FaultDecision fault;
+      if (injector_ != nullptr) fault = injector_->decide(phase, index);
+      if (!slave.inbox->deliver(Work{phase, index, fault, tasks[index]})) {
+        declare_lost(rank, "dispatch failed: the slave's inbox is closed",
                      Clock::now());
         return false;
       }
-      slaves_[rank].busy_task = index;
-      slaves_[rank].dispatched_at = Clock::now();
+      slave.busy_task = index;
+      slave.dispatched_at = Clock::now();
       ++outstanding;
       return true;
     };
@@ -317,24 +248,20 @@ class MasterSlaveFarm {
     /// quarantine (and optionally respawn) the slave when it crosses
     /// the policy threshold, otherwise return it to the idle pool.
     auto handle_slave_failure = [&](std::uint32_t rank) {
-      auto& slave = slaves_[rank];
-      if (++slave.consecutive_failures >= policy_.quarantine_after) {
-        ++stats_.quarantines;
-        rank_by_task_.erase(slave.id);
-        transport_->retire_worker(slave.id);
-        slave.consecutive_failures = 0;
-        if (policy_.respawn_quarantined) {
-          // The old worker was merely failing, not dead: replace it
-          // immediately, no crash backoff.
-          attach(rank, transport_->spawn_worker());
-          ++stats_.respawns;
-          idle.push_back(rank);
-        } else {
-          slave.quarantined = true;
-          --healthy_;
-        }
-      } else {
+      Slave& slave = slaves_[rank];
+      if (++slave.consecutive_failures < policy_.quarantine_after) {
         idle.push_back(rank);
+        return;
+      }
+      ++stats_.quarantines;
+      slave.consecutive_failures = 0;
+      retire(rank);
+      if (policy_.respawn_quarantined) {
+        // The old slave was merely failing, not dead: replace it
+        // immediately, no crash backoff.
+        respawn(rank, Clock::now());
+      } else {
+        slave.quarantined = true;
       }
     };
 
@@ -373,7 +300,7 @@ class MasterSlaveFarm {
       }
     };
 
-    // Full degradation: no worker left and none coming back, so the
+    // Full degradation: no slave left and none coming back, so the
     // master computes the remainder itself, still under the injector's
     // throw/delay faults and the per-task retry budget.
     auto run_on_master = [&](std::size_t index) {
@@ -389,16 +316,8 @@ class MasterSlaveFarm {
           return;
         } catch (const std::exception& error) {
           ++stats_.failures;
-          attempts[index].push_back({kMasterRank, error.what()});
-          if (attempts[index].size() >
-              static_cast<std::size_t>(policy_.max_task_retries)) {
-            std::string what =
-                "MasterSlaveFarm: task " + std::to_string(index) +
-                " failed on " + std::to_string(attempts[index].size()) +
-                " slave(s): " + attempts[index].back().message;
-            throw FarmPhaseError(std::move(what), phase, index,
-                                 std::move(attempts[index]));
-          }
+          record_failed_attempt(attempts[index], {kMasterRank, error.what()},
+                                policy_.max_task_retries, phase, index);
           ++stats_.retries;
         }
       }
@@ -440,7 +359,7 @@ class MasterSlaveFarm {
         }
       }
 
-      std::optional<Message> received;
+      std::optional<Reply> received;
       if (const auto wake = compute_wake()) {
         auto wait = std::chrono::duration_cast<std::chrono::milliseconds>(
                         *wake - now) +
@@ -448,90 +367,61 @@ class MasterSlaveFarm {
         if (wait < std::chrono::milliseconds(1)) {
           wait = std::chrono::milliseconds(1);
         }
-        received = transport_->receive_for(wait);
+        received = replies_.receive_for(wait);
       } else {
-        received = transport_->receive();
+        received = replies_.receive();
       }
       if (!received) {
         handle_task_deadlines(Clock::now());
         continue;
       }
-      const Message reply = std::move(*received);
+      Reply& reply = *received;
       now = Clock::now();
 
-      const auto found = rank_by_task_.find(reply.source);
-      if (found == rank_by_task_.end()) {
-        ++stats_.stale_discarded;  // late reply from a retired worker
+      const std::uint32_t rank = reply.rank;
+      Slave& slave = slaves_[rank];
+      if (reply.incarnation != slave.incarnation) {
+        ++stats_.stale_discarded;  // late reply from a retired slave
         continue;
       }
-      const std::uint32_t rank = found->second;
-      auto& slave = slaves_[rank];
-
-      if (reply.tag == transport_tag::kWorkerLost) {
-        Unpacker unpacker = reply.unpacker();
-        declare_lost(rank, "worker lost: " + unpacker.unpack_string(), now);
+      if (reply.kind == Reply::Kind::kLost) {
+        declare_lost(rank, "worker lost: " + reply.reason, now);
         continue;
       }
-      if (reply.tag == transport_tag::kCorruptFrame) {
-        // Only the one reply was damaged, the worker is fine — treat it
-        // like an error reply for the task it answered. The notice
-        // carries that reply's phase and index after its reason, so one
-        // from an aborted phase, or for a task this slave no longer
-        // holds, is stale like any other old reply.
-        ++stats_.corrupt_frames;
-        Unpacker unpacker = reply.unpacker();
-        std::string detail = unpacker.unpack_string();
-        const auto reply_phase = unpacker.unpack<std::uint64_t>();
-        const auto index =
-            static_cast<std::size_t>(unpacker.unpack<std::uint64_t>());
-        if (reply_phase != phase || slave.busy_task != index) {
-          ++stats_.stale_discarded;
-          continue;
-        }
-        slave.busy_task.reset();
-        --outstanding;
-        fail_attempt(index, rank, std::move(detail));
-        handle_slave_failure(rank);
-        continue;
-      }
-
-      Unpacker unpacker = reply.unpacker();
-      const auto reply_phase = unpacker.unpack<std::uint64_t>();
-      if (reply_phase != phase) {
+      if (reply.phase != phase) {
         ++stats_.stale_discarded;  // left over from an aborted phase
         continue;
       }
-      const auto index =
-          static_cast<std::size_t>(unpacker.unpack<std::uint64_t>());
+      const std::size_t index = reply.index;
       LDGA_EXPECTS(index < results.size());
 
-      if (reply.tag == farm_tag::kError) {
+      if (reply.kind == Reply::Kind::kError) {
         --outstanding;
         slave.busy_task.reset();
-        fail_attempt(index, rank, unpacker.unpack_string());
+        fail_attempt(index, rank, std::move(reply.reason));
         handle_slave_failure(rank);
-      } else if (reply.tag == farm_tag::kResult) {
-        if (done[index]) {
-          // Duplicate of a task already completed elsewhere (requeued
-          // on a deadline, then the original reply straggled in).
-          ++stats_.stale_discarded;
-          if (slave.busy_task == index) {
-            slave.busy_task.reset();
-            --outstanding;
-            idle.push_back(rank);
-          }
-          continue;
-        }
-        farm_unpack(unpacker, results[index]);
-        done[index] = 1;
-        --outstanding;
-        ++completed;
-        ++stats_.per_slave_tasks[rank];
-        slave.busy_task.reset();
-        slave.consecutive_failures = 0;
-        slave.loss_streak = 0;
-        idle.push_back(rank);
+        continue;
       }
+      if (done[index]) {
+        // Duplicate of a task already completed elsewhere (requeued on
+        // a deadline, then the original reply straggled in).
+        ++stats_.stale_discarded;
+        if (slave.busy_task == index) {
+          slave.busy_task.reset();
+          --outstanding;
+          idle.push_back(rank);
+        }
+        continue;
+      }
+      results[index] = std::move(reply.result);
+      done[index] = 1;
+      --outstanding;
+      ++completed;
+      ++stats_.per_slave_tasks[rank];
+      slave.busy_task.reset();
+      slave.consecutive_failures = 0;
+      slave.loss_streak = 0;
+      idle.push_back(rank);
     }
 
     // End-of-phase maintenance: a fast phase can finish before a lost
@@ -559,115 +449,174 @@ class MasterSlaveFarm {
   const FarmPolicy& policy() const { return policy_; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  /// One attempt at one task, with the fault the slave must act out.
+  struct Work {
+    std::uint64_t phase = 0;
+    std::size_t index = 0;
+    FaultDecision fault;
+    Task task;
+  };
+
+  /// What a slave posts to the master. The (rank, incarnation) stamp
+  /// tells a live slave's reply from a retired one's.
+  struct Reply {
+    enum class Kind : std::uint8_t {
+      kResult,  ///< `result` answers task `index` of `phase`
+      kError,   ///< the attempt threw; `reason` is its what()
+      kLost,    ///< the slave died; `reason` says why
+    };
+    std::uint32_t rank = 0;
+    std::uint64_t incarnation = 0;
+    Kind kind = Kind::kResult;
+    std::uint64_t phase = 0;
+    std::size_t index = 0;
+    Result result{};
+    std::string reason;
+  };
+
   struct Slave {
-    TaskId id = -1;
+    /// The current incarnation's work queue; null until one starts.
+    std::shared_ptr<Mailbox<Work>> inbox;
+    /// Bumped on every retirement, so a retired thread's replies are
+    /// told apart from its successor's.
+    std::uint64_t incarnation = 0;
     bool quarantined = false;
     bool lost = false;  ///< dead, awaiting its respawn time
     std::uint32_t consecutive_failures = 0;
     std::uint32_t loss_streak = 0;  ///< consecutive crashes → backoff
     std::optional<std::size_t> busy_task;
-    std::chrono::steady_clock::time_point dispatched_at{};
-    std::chrono::steady_clock::time_point respawn_due{};
+    Clock::time_point dispatched_at{};
+    Clock::time_point respawn_due{};
+
+    bool in_service() const { return !quarantined && !lost; }
   };
 
-  /// Runs on each slave thread: execute work messages, honouring the
-  /// fault directive the master packed in.
-  static void slave_loop(WorkerChannel& channel, const Worker& worker) {
-    using Kind = FaultDecision::Kind;
-    for (;;) {
-      Message message;
-      try {
-        message = channel.receive_from_master();
-      } catch (const TransportClosed&) {
-        return;  // shutdown or lost master
-      }
-      if (message.tag == farm_tag::kShutdown) return;
-      if (message.tag != farm_tag::kWork) continue;
-
-      Unpacker unpacker = message.unpacker();
-      const auto phase = unpacker.unpack<std::uint64_t>();
-      const auto index = unpacker.unpack<std::uint64_t>();
-      FaultDecision fault;
-      fault.kind = static_cast<Kind>(unpacker.unpack<std::uint32_t>());
-      fault.delay =
-          std::chrono::milliseconds(unpacker.unpack<std::int64_t>());
-      Task task;
-      farm_unpack(unpacker, task);
-
-      // Fatal directives happen outside the try: they must not be
-      // softened into error replies.
-      if (fault.kind == Kind::kKillWorker) {
-        channel.die("injected worker kill");
-      }
-
-      try {
-        if (fault.kind == Kind::kStaleReply) {
-          // A wrong-phase duplicate first — the master must discard it
-          // by the phase counter — then the genuine reply below.
-          Packer stale;
-          stale.pack(phase - 1);
-          stale.pack(index);
-          farm_pack(stale, worker(task));
-          channel.send_to_master(farm_tag::kResult, std::move(stale));
-        }
-        FaultInjector::apply_before_work(fault);  // throw / delay
-
-        FrameFault frame_fault = FrameFault::kNone;
-        if (fault.kind == Kind::kDropReply) frame_fault = FrameFault::kDrop;
-        if (fault.kind == Kind::kCorruptReply) {
-          frame_fault = FrameFault::kCorrupt;
-        }
-        Packer reply;
-        reply.pack(phase);
-        reply.pack(index);
-        farm_pack(reply, worker(task));
-        channel.send_to_master(farm_tag::kResult, std::move(reply),
-                               frame_fault);
-      } catch (const TransportClosed&) {
-        return;
-      } catch (const std::exception& error) {
-        // Report instead of letting the exception kill the worker; the
-        // slave stays alive for later phases.
-        Packer failure;
-        failure.pack(phase);
-        failure.pack(index);
-        failure.pack_string(error.what());
-        try {
-          channel.send_to_master(farm_tag::kError, std::move(failure));
-        } catch (const TransportClosed&) {
-          return;
-        }
-      }
+  /// The one spawn routine — start-up, quarantine respawn and backoff
+  /// respawn alike. Starts a slave thread on `rank` with a fresh inbox
+  /// and its own copy of the worker: worker closures may carry mutable
+  /// by-value state (e.g. evaluation scratch arenas) that must not be
+  /// shared across slave threads. A thread that fails to start puts the
+  /// rank on the respawn backoff ladder, and start returns false.
+  bool start(std::uint32_t rank, Clock::time_point now) {
+    Slave& slave = slaves_[rank];
+    auto inbox = std::make_shared<Mailbox<Work>>();
+    try {
+      threads_.emplace_back([worker = worker_, inbox, &replies = replies_,
+                             rank, incarnation = slave.incarnation] {
+        slave_loop(worker, *inbox, replies, rank, incarnation);
+      });
+    } catch (const std::system_error&) {
+      ++slave.loss_streak;
+      schedule_respawn(rank, now);
+      return false;
     }
+    slave.inbox = std::move(inbox);
+    slave.lost = false;
+    return true;
   }
 
-  void attach(std::uint32_t rank, TaskId id) {
-    slaves_[rank].id = id;
-    rank_by_task_.emplace(id, rank);
+  /// An idle slave wakes on its closed inbox and exits; a busy one
+  /// exits after its task, whose reply the closed master inbox refuses.
+  /// Retired slaves' inboxes are closed already. Every thread ever
+  /// started, retired ones included, is joined here.
+  void shut_down() {
+    for (const Slave& slave : slaves_) {
+      if (slave.inbox != nullptr) slave.inbox->close();
+    }
+    replies_.close();
+    for (std::thread& thread : threads_) thread.join();
   }
 
-  /// Packs and ships one work message. The fault directive is decided
-  /// master-side (global attempt tracking) and executed worker-side.
-  void send_work(TaskId worker, std::uint64_t phase, std::size_t index,
-                 const Task& task) {
-    FaultDecision fault;
-    if (injector_ != nullptr) fault = injector_->decide(phase, index);
-    Packer packer;
-    packer.pack(phase);
-    packer.pack(static_cast<std::uint64_t>(index));
-    packer.pack(static_cast<std::uint32_t>(fault.kind));
-    packer.pack(static_cast<std::int64_t>(fault.delay.count()));
-    farm_pack(packer, task);
-    transport_->send_to_worker(worker, farm_tag::kWork, std::move(packer));
+  /// Takes `rank`'s slave out of service: its closed inbox ends the
+  /// thread once it has finished what it holds, and the new incarnation
+  /// marks whatever it still posts as stale.
+  void retire(std::uint32_t rank) {
+    slaves_[rank].inbox->close();
+    ++slaves_[rank].incarnation;
+  }
+
+  /// Marks `rank` lost and due for respawn after its backoff, which
+  /// doubles per consecutive loss up to the cap.
+  void schedule_respawn(std::uint32_t rank, Clock::time_point now) {
+    Slave& slave = slaves_[rank];
+    slave.lost = true;
+    const std::uint32_t shift =
+        std::min(slave.loss_streak > 0 ? slave.loss_streak - 1 : 0u, 10u);
+    slave.respawn_due =
+        now + std::min(policy_.respawn_backoff * (1u << shift),
+                       policy_.respawn_backoff_cap);
+  }
+
+  /// Runs on each slave thread: execute work items, acting out the
+  /// fault the master decided, until the inbox is closed. A slave that
+  /// dies — an injected kill, or a worker that escapes with something
+  /// other than a std::exception — closes its own inbox, so dispatch
+  /// to it fails, and reports itself lost.
+  static void slave_loop(const Worker& worker, Mailbox<Work>& inbox,
+                         Mailbox<Reply>& replies, std::uint32_t rank,
+                         std::uint64_t incarnation) {
+    using Kind = FaultDecision::Kind;
+    // False once the master's inbox is closed: the farm is shutting
+    // down, and the slave exits.
+    auto post = [&](Reply reply) {
+      reply.rank = rank;
+      reply.incarnation = incarnation;
+      return replies.deliver(std::move(reply));
+    };
+    std::string death;
+    try {
+      for (;;) {
+        Work work = inbox.receive();  // MailboxClosed: retired or shut down
+        if (work.fault.kind == Kind::kKillWorker) {
+          death = "injected worker kill";
+          break;
+        }
+        Reply reply;
+        reply.phase = work.phase;
+        reply.index = work.index;
+        try {
+          if (work.fault.kind == Kind::kStaleReply) {
+            // A wrong-phase duplicate first — the master must discard
+            // it by its phase — then the genuine reply below.
+            Reply stale = reply;
+            --stale.phase;
+            stale.result = worker(work.task);
+            if (!post(std::move(stale))) return;
+          }
+          FaultInjector::apply_before_work(work.fault);  // throw / delay
+          reply.result = worker(work.task);
+          if (work.fault.kind == Kind::kDropReply) continue;
+        } catch (const std::exception& error) {
+          // Reported instead of killing the slave, which stays alive
+          // for later tasks.
+          reply.kind = Reply::Kind::kError;
+          reply.reason = error.what();
+        }
+        if (!post(std::move(reply))) return;
+      }
+    } catch (const MailboxClosed&) {
+      return;
+    } catch (...) {
+      death = "worker body threw a non-exception";
+    }
+    // An inbox the master closed first means it retired this slave or
+    // is shutting down: nobody waits for the news.
+    if (inbox.closed()) return;
+    inbox.close();
+    Reply lost;
+    lost.kind = Reply::Kind::kLost;
+    lost.reason = std::move(death);
+    (void)post(std::move(lost));
   }
 
   Worker worker_;
   FarmPolicy policy_;
   std::shared_ptr<FaultInjector> injector_;
-  std::unique_ptr<Transport> transport_;
-  std::vector<Slave> slaves_;  ///< index = rank; id updated on respawn
-  std::unordered_map<TaskId, std::uint32_t> rank_by_task_;
-  std::uint32_t healthy_ = 0;
+  Mailbox<Reply> replies_;     ///< every slave posts here
+  std::vector<Slave> slaves_;  ///< index = rank
+  std::vector<std::thread> threads_;  ///< every incarnation's, joined last
   FarmStats stats_;
   std::uint64_t phase_counter_ = 0;
 };

@@ -1,12 +1,13 @@
-// Typed message buffers in the style of PVM's pvm_pk*/pvm_upk* calls —
-// the paper's implementation uses C/PVM (Geist et al. 1994), and this
-// in-process equivalent keeps the same explicit pack/send/receive/unpack
-// discipline.
+// Typed pack/unpack buffers in the style of PVM's pvm_pk*/pvm_upk*
+// calls (the paper's implementation uses C/PVM, Geist et al. 1994).
+// Both checkpoint formats (ga/checkpoint.*) write and read their images
+// through them. The farm's work items and replies cross as typed values
+// (parallel/master_slave.hpp) and are never packed.
 //
 // Each packed item is prefixed with a one-byte type tag; unpacking with
 // the wrong type throws ParallelError instead of silently reinterpreting
-// bytes. That mirrors the strictest PVM data-encoding mode and turns
-// protocol mistakes into immediate, testable failures.
+// bytes. That mirrors the strictest PVM data-encoding mode and turns a
+// format mistake or a damaged image into an immediate, testable failure.
 #pragma once
 
 #include <concepts>
@@ -125,20 +126,6 @@ class Unpacker {
 
   std::span<const std::uint8_t> bytes_;
   std::size_t cursor_ = 0;
-};
-
-/// Endpoint addresses on a transport: the master is always 0, workers
-/// are numbered from 1.
-using TaskId = std::int32_t;
-inline constexpr TaskId kMasterTask = 0;
-
-/// A delivered message: who sent it, its integer tag, and the payload.
-struct Message {
-  TaskId source = kMasterTask;
-  std::int32_t tag = 0;
-  std::vector<std::uint8_t> payload;
-
-  Unpacker unpacker() const { return Unpacker(payload); }
 };
 
 }  // namespace ldga::parallel

@@ -1,7 +1,6 @@
 #include "stats/evaluation_backend.hpp"
 
 #include <atomic>
-#include <string>
 #include <utility>
 
 #include "parallel/master_slave.hpp"
@@ -21,16 +20,8 @@ double RetryLadder::score(const Candidate& candidate, std::uint64_t phase,
       return evaluator->fitness_and_cache(candidate, scratch);
     } catch (const std::exception& error) {
       failures.fetch_add(1, std::memory_order_relaxed);
-      attempts.push_back({0, error.what()});
-      if (attempts.size() >
-          static_cast<std::size_t>(policy.max_task_retries)) {
-        std::string what = "phase " + std::to_string(phase) + " task " +
-                           std::to_string(index) + " failed " +
-                           std::to_string(attempts.size()) +
-                           " time(s): " + attempts.back().message;
-        throw parallel::FarmPhaseError(std::move(what), phase, index,
-                                       std::move(attempts));
-      }
+      parallel::record_failed_attempt(attempts, {0, error.what()},
+                                      max_task_retries, phase, index);
       retries.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -46,10 +37,11 @@ class InProcessBackend final : public EvaluationBackend {
   InProcessBackend(const HaplotypeEvaluator& evaluator,
                    const BackendOptions& options,
                    std::shared_ptr<parallel::ThreadPool> pool)
-      : ladder_{&evaluator, options.farm_policy, options.fault_injector},
+      : ladder_{&evaluator, options.farm_policy.max_task_retries,
+                options.fault_injector},
         pool_(std::move(pool)),
         scratches_(worker_count()) {
-    ladder_.policy.validate();
+    options.farm_policy.validate();
   }
 
   std::vector<double> evaluate_batch(
@@ -103,14 +95,17 @@ class InProcessBackend final : public EvaluationBackend {
   std::atomic<std::uint64_t> phases_{0};
 };
 
+/// The §4.5 farm behind the backend API: each batch is one farm phase,
+/// its candidates cross to the slave threads by value, and the master
+/// records every returned fitness in the caller's evaluator.
 class FarmBackend final : public EvaluationBackend {
  public:
   FarmBackend(const HaplotypeEvaluator& evaluator, BackendOptions options)
       : evaluator_(&evaluator),
         farm_(options.workers > 0 ? options.workers
                                   : parallel::default_thread_count(),
-              // Each slave owns a copy of this worker (the transport
-              // copies it per worker), so the mutable by-value scratch
+              // Each slave thread owns a copy of this worker (the farm
+              // copies it per slave), so the mutable by-value scratch
               // is a per-slave arena. Slaves only score; the master
               // records every result.
               [ev = &evaluator,

@@ -56,9 +56,9 @@ struct BackendOptions {
   /// results are identical either way — the backend contract is
   /// worker-count invariant.
   std::shared_ptr<parallel::ThreadPool> pool;
-  /// Retry/quarantine ladder. The in-process backend honors
-  /// max_task_retries (the quarantine fields only make sense for slaves
-  /// and are ignored there).
+  /// Retry/quarantine ladder, validated by every backend. The
+  /// in-process backend reads only max_task_retries (the quarantine,
+  /// deadline and respawn fields only make sense for farm slaves).
   parallel::FarmPolicy farm_policy;
   /// Deterministic fault injection, consulted per (phase, task) attempt
   /// by every backend. Null = no faults.
@@ -87,12 +87,12 @@ class EvaluationBackend {
 /// EvaluationStream's lanes: fitness_and_cache under the retry ladder.
 /// A configured injector is consulted once per attempt at the caller's
 /// (phase, index) coordinates; a failing attempt is retried up to
-/// policy.max_task_retries times, and exhaustion raises
-/// parallel::FarmPhaseError with the attempt history. Stale-reply and
-/// transport decisions are message-level faults, no-ops here.
+/// max_task_retries times, and exhaustion raises
+/// parallel::FarmPhaseError with the attempt history. Stale-reply,
+/// dropped-reply and kill decisions need a farm slave, no-ops here.
 struct RetryLadder {
   const HaplotypeEvaluator* evaluator;
-  parallel::FarmPolicy policy;
+  std::uint32_t max_task_retries = 2;
   std::shared_ptr<parallel::FaultInjector> injector;
   /// Failed attempts, and the retries that followed them.
   std::atomic<std::uint64_t> failures{0};
@@ -117,8 +117,8 @@ std::shared_ptr<EvaluationBackend> make_thread_pool_backend(
     const HaplotypeEvaluator& evaluator, BackendOptions options = {});
 
 /// The paper's §4.5 message-passing master/slave farm: `workers` slave
-/// threads score packed candidates, and the master records each result
-/// in `evaluator`.
+/// threads score the candidates the master sends them by value, and the
+/// master records each result in `evaluator`.
 std::shared_ptr<EvaluationBackend> make_farm_backend(
     const HaplotypeEvaluator& evaluator, BackendOptions options = {});
 

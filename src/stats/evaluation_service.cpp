@@ -82,7 +82,6 @@ void EvaluationStreamConfig::validate() const {
   if (max_coalesce < 1) {
     throw ConfigError("EvaluationStreamConfig: max_coalesce must be >= 1");
   }
-  farm_policy.validate();
 }
 
 EvaluationStream::EvaluationStream(const HaplotypeEvaluator& evaluator,
@@ -90,7 +89,7 @@ EvaluationStream::EvaluationStream(const HaplotypeEvaluator& evaluator,
                                    EvaluationStreamConfig config)
     : evaluator_(&evaluator),
       config_(std::move(config)),
-      ladder_{&evaluator, config_.farm_policy, config_.fault_injector},
+      ladder_{&evaluator, config_.max_task_retries, config_.fault_injector},
       lane_stats_(config_.lanes) {
   config_.validate();
   LDGA_EXPECTS(queue_count >= 1);

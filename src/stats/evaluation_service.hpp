@@ -110,9 +110,10 @@ struct EvaluationStreamConfig {
   /// small enough that one slow batch member cannot hold many results
   /// hostage.
   std::uint32_t max_coalesce = 16;
-  /// Retry ladder of the lanes' scoring (max_task_retries; the
-  /// quarantine fields only make sense for farm slaves).
-  parallel::FarmPolicy farm_policy;
+  /// Retries allowed per evaluation after its first failed attempt
+  /// (the backends' retry ladder); an evaluation out of retries is
+  /// delivered as failed.
+  std::uint32_t max_task_retries = 2;
   /// Deterministic fault injection, consulted once per attempt of each
   /// computation at (completion queue, ticket) coordinates of the
   /// submission that claimed it, so a schedule fires once per

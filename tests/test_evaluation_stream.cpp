@@ -223,7 +223,7 @@ TEST(EvaluationStream, RetryLadderExhaustionDeliversFailedResults) {
   faults.throw_probability = 1.0;  // every attempt throws
   EvaluationStreamConfig config;
   config.lanes = 2;
-  config.farm_policy.max_task_retries = 1;
+  config.max_task_retries = 1;
   config.fault_injector = std::make_shared<parallel::FaultInjector>(faults);
   EvaluationStream stream(evaluator, 1, config);
 
@@ -259,7 +259,7 @@ TEST(EvaluationStream, ScheduledFaultsFireOncePerEvaluationAtAnyLaneCount) {
     faults.throw_on_tasks = {0};
     EvaluationStreamConfig config;
     config.lanes = lanes;
-    config.farm_policy.max_task_retries = 1;
+    config.max_task_retries = 1;
     config.fault_injector = std::make_shared<parallel::FaultInjector>(faults);
     EvaluationStream stream(evaluator, kQueues, config);
 

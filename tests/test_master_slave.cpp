@@ -6,6 +6,8 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "parallel/fault_injection.hpp"
@@ -303,6 +305,9 @@ TEST(FarmFaultTolerance, QuarantineThenRespawnRecovers) {
   EXPECT_EQ(farm.healthy_slave_count(), 2u);
   // A later phase runs on the respawned slaves.
   EXPECT_DOUBLE_EQ(farm.run(std::vector<double>{9.0})[0], 9.5);
+  // The quarantined slaves exited on their closed inboxes; none was
+  // reported lost.
+  EXPECT_EQ(farm.stats().worker_losses, 0u);
 }
 
 TEST(FarmFaultTolerance, QuarantineWithoutRespawnDegrades) {
@@ -375,7 +380,7 @@ TEST(FarmFaultTolerance, GenerousDeadlineDoesNotInterfere) {
   EXPECT_DOUBLE_EQ(results[1], 16.0);
 }
 
-// ---- transport faults (worker loss, frame damage, degradation) ------
+// ---- slave faults (worker loss, dropped replies, degradation) -------
 
 TEST(FarmFaultTolerance, KilledWorkerIsRespawnedAndThePhaseCompletes) {
   FaultInjector::Config faults;
@@ -399,36 +404,13 @@ TEST(FarmFaultTolerance, KilledWorkerIsRespawnedAndThePhaseCompletes) {
   EXPECT_DOUBLE_EQ(farm.run(std::vector<double>{10.0})[0], 13.0);
 }
 
-TEST(FarmFaultTolerance, CorruptReplyIsRetriedOnTheLivingWorker) {
-  // In-process, a corrupt frame damages one message, not the stream:
-  // the worker stays healthy, the task is retried like an error reply.
-  FaultInjector::Config faults;
-  faults.corrupt_on_tasks = {2};
-  auto injector = std::make_shared<FaultInjector>(faults);
-  MasterSlaveFarm<double, double> farm(
-      2, [](const double& x) { return x - 2.0; }, FarmPolicy{}, injector);
-  const std::vector<double> tasks{1.0, 2.0, 3.0, 4.0};
-  const auto results = farm.run(tasks);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    EXPECT_DOUBLE_EQ(results[i], tasks[i] - 2.0);
-  }
-  EXPECT_EQ(injector->injected_corrupts(), 1u);
-  EXPECT_EQ(farm.stats().corrupt_frames, 1u);
-  EXPECT_EQ(farm.stats().failures, 1u);
-  EXPECT_EQ(farm.stats().retries, 1u);
-  EXPECT_EQ(farm.stats().worker_losses, 0u);
-  EXPECT_EQ(farm.healthy_slave_count(), 2u);
-}
-
-TEST(FarmFaultTolerance, CorruptNoticeFromAnAbortedPhaseIsStale) {
+TEST(FarmFaultTolerance, ErrorReplyFromAnAbortedPhaseIsStale) {
   // Phase 1 hits its deadline while task 2 is still computing; that
-  // task's reply is damaged and its notice arrives during phase 2,
-  // while the same slave holds a phase-2 task. The notice names phase 1,
-  // so it is discarded like any stale reply instead of failing the
-  // phase-2 task it was never about.
-  FaultInjector::Config faults;
-  faults.corrupt_on_tasks = {2};
-  auto injector = std::make_shared<FaultInjector>(faults);
+  // task then throws, and its error reply arrives during phase 2, while
+  // the same slave holds a phase-2 task. The reply names phase 1, so it
+  // is discarded like any stale reply instead of failing the phase-2
+  // task it was never about (no retries are allowed, so a misplaced
+  // charge would abort phase 2).
   FarmPolicy policy;
   policy.max_task_retries = 0;
   policy.phase_deadline = std::chrono::milliseconds(80);
@@ -437,18 +419,130 @@ TEST(FarmFaultTolerance, CorruptNoticeFromAnAbortedPhaseIsStale) {
       [](const double& x) {
         if (x == 2.0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          throw std::runtime_error("task 2 failed after its sleep");
         }
         return x * 10.0;
       },
-      policy, injector);
+      policy);
   EXPECT_THROW(farm.run(std::vector<double>{0.0, 1.0, 2.0}), FarmPhaseError);
   // Each slave takes one phase-2 task, and the sleeping slave's answer
-  // queues behind its notice, so phase 2 cannot end before reading it.
+  // queues behind its error reply, so phase 2 cannot end before reading
+  // it.
   const auto results = farm.run(std::vector<double>{3.0, 4.0});
   EXPECT_DOUBLE_EQ(results[0], 30.0);
   EXPECT_DOUBLE_EQ(results[1], 40.0);
-  EXPECT_EQ(injector->injected_corrupts(), 1u);
-  EXPECT_EQ(farm.stats().corrupt_frames, 1u);
+  EXPECT_EQ(farm.stats().failures, 0u);
+  EXPECT_EQ(farm.stats().stale_discarded, 1u);
+}
+
+TEST(FarmFaultTolerance, WorkerBodyEscapeIsDeclaredLost) {
+  // A worker that throws something other than a std::exception cannot
+  // be answered with an error reply: its slave dies, is declared lost,
+  // its task is requeued and its rank respawned, and the phase
+  // completes.
+  std::atomic<bool> escaped{false};
+  FarmPolicy policy;
+  policy.respawn_backoff = std::chrono::milliseconds(1);
+  MasterSlaveFarm<double, double> farm(
+      2,
+      [&escaped](const double& x) {
+        if (x == 2.0 && !escaped.exchange(true)) throw 42;
+        return x + 1.0;
+      },
+      policy);
+  const std::vector<double> tasks{1.0, 2.0, 3.0, 4.0};
+  const auto results = farm.run(tasks);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_DOUBLE_EQ(results[i], tasks[i] + 1.0);
+  }
+  EXPECT_EQ(farm.stats().worker_losses, 1u);
+  EXPECT_EQ(farm.stats().failures, 1u);
+  EXPECT_EQ(farm.stats().retries, 1u);
+  EXPECT_EQ(farm.stats().respawns, 1u);
+  EXPECT_EQ(farm.healthy_slave_count(), 2u);
+
+  // With no retries the loss fails the phase, and the attempt history
+  // says why.
+  FarmPolicy strict;
+  strict.max_task_retries = 0;
+  MasterSlaveFarm<double, double> doomed(
+      1, [](const double&) -> double { throw 42; }, strict);
+  try {
+    doomed.run(std::vector<double>{1.0});
+    FAIL() << "expected FarmPhaseError";
+  } catch (const FarmPhaseError& error) {
+    ASSERT_EQ(error.attempts().size(), 1u);
+    EXPECT_NE(error.attempts()[0].message.find("worker lost"),
+              std::string::npos)
+        << error.attempts()[0].message;
+    EXPECT_NE(error.attempts()[0].message.find("non-exception"),
+              std::string::npos)
+        << error.attempts()[0].message;
+  }
+}
+
+TEST(FarmFaultTolerance, LateReplyFromARetiredSlaveIsStale) {
+  // The first attempt at the task 1.0 outlives its deadline (200 ms):
+  // its slave is retired and the task requeued on the other slave. The
+  // retired slave's answer still arrives inside the phase (at 280 ms),
+  // before the requeued attempt's (at about 360 ms). It carries the
+  // retired incarnation, so it is discarded as stale and the phase
+  // waits for the live slave's answer.
+  std::atomic<int> calls_on_one{0};
+  FarmPolicy policy;
+  policy.task_deadline = std::chrono::milliseconds(200);
+  policy.respawn_backoff = std::chrono::milliseconds(1);
+  MasterSlaveFarm<double, double> farm(
+      2,
+      [&calls_on_one](const double& x) {
+        if (x == 1.0) {
+          const bool first = calls_on_one.fetch_add(1) == 0;
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(first ? 280 : 160));
+        }
+        return x * 4.0;
+      },
+      policy);
+  const auto results = farm.run(std::vector<double>{1.0, 2.0});
+  EXPECT_DOUBLE_EQ(results[0], 4.0);
+  EXPECT_DOUBLE_EQ(results[1], 8.0);
+  EXPECT_EQ(calls_on_one.load(), 2);
+  EXPECT_EQ(farm.stats().worker_losses, 1u);
+  EXPECT_EQ(farm.stats().stale_discarded, 1u);
+  // Each live slave completed one task; the retired one none.
+  std::uint64_t completed = 0;
+  for (const auto n : farm.stats().per_slave_tasks) completed += n;
+  EXPECT_EQ(completed, 2u);
+}
+
+TEST(FarmFaultTolerance, DestructionJoinsASlaveLostByDeadline) {
+  // The first attempt at the task 1.0 hangs past its deadline: the
+  // farm declares that slave lost and finishes the phase elsewhere. The farm
+  // is then destroyed while the lost slave is still computing, and its
+  // destructor must wait for that thread and join it cleanly.
+  std::atomic<int> calls_on_one{0};
+  std::atomic<bool> hung_task_finished{false};
+  {
+    FarmPolicy policy;
+    policy.task_deadline = std::chrono::milliseconds(30);
+    policy.respawn_backoff = std::chrono::milliseconds(1);
+    MasterSlaveFarm<double, double> farm(
+        2,
+        [&](const double& x) {
+          if (x == 1.0 && calls_on_one.fetch_add(1) == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(400));
+            hung_task_finished = true;
+          }
+          return x * 3.0;
+        },
+        policy);
+    const auto results = farm.run(std::vector<double>{1.0, 2.0});
+    EXPECT_DOUBLE_EQ(results[0], 3.0);
+    EXPECT_DOUBLE_EQ(results[1], 6.0);
+    EXPECT_EQ(farm.stats().worker_losses, 1u);
+    EXPECT_FALSE(hung_task_finished.load());
+  }
+  EXPECT_TRUE(hung_task_finished.load());
 }
 
 TEST(FarmFaultTolerance, DroppedReplyRecoversViaTaskDeadline) {

@@ -15,9 +15,8 @@ TEST(Message, ScalarRoundTrip) {
   packer.pack<std::uint64_t>(9'000'000'000'000'000'000ULL);
   packer.pack(3.14159);
 
-  Message message;
-  message.payload = std::move(packer).take();
-  Unpacker unpacker = message.unpacker();
+  const auto bytes = std::move(packer).take();
+  Unpacker unpacker((std::span<const std::uint8_t>(bytes)));
   EXPECT_EQ(unpacker.unpack<std::int32_t>(), -7);
   EXPECT_EQ(unpacker.unpack<std::uint32_t>(), 42u);
   EXPECT_EQ(unpacker.unpack<std::int64_t>(), -1'000'000'000'000LL);
